@@ -5,7 +5,8 @@ canonical JSON (rationals as ``p/q`` strings, infinite counts as
 ``"inf"``, keys sorted) and the default output is a human-readable view
 of the same data.  Exit codes: 0 on success, 1 when an analysis refuses
 to produce a trustworthy result (state budget, non-stabilising
-iteration, every sample skipped), 2 for malformed specs, terms, or usage.
+iteration, every sample skipped), 2 for malformed specs, terms, or usage,
+3 for an internal error (any other exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 import warnings
 from fractions import Fraction
 from typing import Any, Sequence
@@ -389,6 +391,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AnalysisRefusal as err:
         print(f"refused: {err}", file=sys.stderr)
         return 1
+    except Exception as err:
+        # a crash must not look like a refusal: own exit code, full traceback
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

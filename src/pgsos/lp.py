@@ -1,10 +1,15 @@
 """Exact linear programming over rationals.
 
-A small dense two-phase simplex with Bland's anti-cycling rule, specialised
-to the sizes that show up here: optimal-transport problems between finite
-distributions (a handful of support points each) and feasibility checks for
-coupling constraints.  Everything is :class:`fractions.Fraction`, so optima
-are exact and ties are decided without tolerances.
+Two solvers, both on :class:`fractions.Fraction`, so optima are exact and
+ties are decided without tolerances:
+
+- :func:`solve_transport` solves the optimal-transport problems of the
+  Kantorovich lifting.  A side with one or two points has a closed form;
+  larger problems go through a transportation simplex on the spanning tree
+  of basic cells, made non-degenerate by a symbolic perturbation.
+- :func:`simplex_min` is a small dense two-phase simplex with Bland's
+  anti-cycling rule, for general equality/inequality systems such as the
+  coupling-feasibility checks of the multiplicity order.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ def simplex_min(cost: Sequence[Fraction],
     n_ub = len(a_ub)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
+    for row in (*a_eq, *a_ub):
+        if len(row) != n:
+            raise ValueError(
+                f"constraint row has {len(row)} entries, expected {n}")
     for row, b in zip(a_eq, b_eq):
-        assert len(row) == n
         rows.append([Fraction(v) for v in row] + [ZERO] * n_ub)
         rhs.append(Fraction(b))
     for k, (row, b) in enumerate(zip(a_ub, b_ub)):
-        assert len(row) == n
         slack = [ZERO] * n_ub
         slack[k] = ONE
         rows.append([Fraction(v) for v in row] + slack)
@@ -157,27 +164,155 @@ def solve_transport(cost: Sequence[Sequence[Fraction]],
     """Minimum-cost transport between two rational mass vectors.
 
     ``cost[i][j]`` is the unit cost of moving mass from supply point ``i``
-    to demand point ``j``; supplies and demands must have equal totals.
-    Returns the optimal value together with an optimal plan matrix.
+    to demand point ``j``; masses must be non-negative and supplies and
+    demands must have equal totals.  Returns the optimal value together
+    with an optimal plan matrix; the value is ``sum(plan * cost)`` exactly.
     """
     m, n = len(supplies), len(demands)
-    assert sum(supplies, ZERO) == sum(demands, ZERO)
-    nvars = m * n
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for i in range(m):
-        row = [ZERO] * nvars
-        for j in range(n):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(Fraction(supplies[i]))
-    for j in range(n):
-        row = [ZERO] * nvars
-        for i in range(m):
-            row[i * n + j] = ONE
-        a_eq.append(row)
-        b_eq.append(Fraction(demands[j]))
-    flat = [Fraction(cost[i][j]) for i in range(m) for j in range(n)]
-    value, x = simplex_min(flat, a_eq, b_eq)
-    plan = [[x[i * n + j] for j in range(n)] for i in range(m)]
+    if len(cost) != m or any(len(row) != n for row in cost):
+        raise ValueError(f"transport cost matrix must be {m}x{n}")
+    if any(q < 0 for q in supplies) or any(q < 0 for q in demands):
+        raise ValueError("transport masses must be non-negative")
+    if sum(supplies, ZERO) != sum(demands, ZERO):
+        raise ValueError("supplies and demands must have equal totals")
+    if m == 1:
+        plan = [list(demands)]
+    elif n == 1:
+        plan = [[q] for q in supplies]
+    elif m == 2:
+        plan = _two_rows(cost, supplies, demands)
+    elif n == 2:
+        plan = _transpose(_two_rows(_transpose(cost), demands, supplies))
+    else:
+        plan = _transport_simplex(cost, supplies, demands)
+    value = sum((q * c for row, crow in zip(plan, cost)
+                 for q, c in zip(row, crow) if q), ZERO)
     return value, plan
+
+
+def _transpose(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    return [list(col) for col in zip(*matrix)]
+
+
+def _two_rows(cost: Sequence[Sequence[Fraction]],
+              supplies: Sequence[Fraction],
+              demands: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Closed form for two supply points.  Row 1 takes whatever row 0 leaves
+    of each column, so the cost is ``sum(c1 * demands)`` plus
+    ``sum((c0 - c1) * x0)``: a fractional knapsack with capacities
+    ``demands`` and exact load ``supplies[0]``, which the greedy fill in
+    increasing order of ``c0 - c1`` solves."""
+    c0, c1 = cost
+    left = supplies[0]
+    top = [ZERO] * len(demands)
+    for j in sorted(range(len(demands)), key=lambda j: c0[j] - c1[j]):
+        if not left:
+            break
+        take = min(left, demands[j])
+        top[j] = take
+        left -= take
+    return [top, [q - t for q, t in zip(demands, top)]]
+
+
+def _transport_simplex(cost: Sequence[Sequence[Fraction]],
+                       supplies: Sequence[Fraction],
+                       demands: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Transportation simplex: north-west-corner start, u/v potentials for
+    reduced costs and cycle pivots on the spanning tree of basic cells.
+
+    Anti-cycling is by perturbation: after dropping zero masses, supply
+    ``i`` becomes ``a_i + eps`` and the last demand ``b_n + m*eps`` for a
+    symbolic ``eps > 0``, and flows are pairs ``(value, eps coefficient)``
+    compared lexicographically.  Cutting a basic cell splits the tree in
+    two, and the cell's flow is the supply minus the demand on the supply
+    side of the cut; its ``eps`` coefficient is the number of supplies
+    there, less ``m`` if the last demand is there too.  That coefficient
+    is non-zero unless every supply is on that side, and then the value is
+    the positive demand beyond the cut, so no feasible basis is
+    degenerate.  Every pivot therefore moves a positive flow around a
+    cycle of negative reduced cost, the perturbed cost strictly falls, no
+    basis repeats, and the loop ends.  The real parts of the final flows
+    are a feasible basic solution of the unperturbed problem, and its
+    reduced costs, which do not depend on the masses, prove it optimal.
+    """
+    rows = [i for i, q in enumerate(supplies) if q]
+    cols = [j for j, q in enumerate(demands) if q]
+    plan = [[ZERO] * len(demands) for _ in supplies]
+    if not rows:
+        return plan
+    p, q = len(rows), len(cols)
+    c = [[cost[i][j] for j in cols] for i in rows]
+    s = [(supplies[i], 1) for i in rows]
+    d = [(demands[j], 0) for j in cols]
+    d[-1] = (d[-1][0], p)
+
+    # north-west corner: the staircase of p + q - 1 cells
+    flow: dict[tuple[int, int], tuple[Fraction, int]] = {}
+    i = j = 0
+    while i < p and j < q:
+        if s[i] <= d[j]:
+            flow[i, j] = s[i]
+            d[j] = (d[j][0] - s[i][0], d[j][1] - s[i][1])
+            i += 1
+        else:
+            flow[i, j] = d[j]
+            s[i] = (s[i][0] - d[j][0], s[i][1] - d[j][1])
+            j += 1
+
+    # tree nodes: rows are 0..p-1, columns p..p+q-1; rooted at row 0
+    def edge(node: int, parent: int) -> tuple[int, int]:
+        return (node, parent - p) if node < p else (parent, node - p)
+
+    while True:
+        adj: list[list[int]] = [[] for _ in range(p + q)]
+        for i, j in flow:
+            adj[i].append(p + j)
+            adj[p + j].append(i)
+        pot: list[Fraction] = [ZERO] * (p + q)
+        parent = [-1] * (p + q)
+        depth = [0] * (p + q)
+        seen = [False] * (p + q)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nxt in adj[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    parent[nxt], depth[nxt] = node, depth[node] + 1
+                    i, j = edge(nxt, node)
+                    pot[nxt] = c[i][j] - pot[node]
+                    stack.append(nxt)
+
+        best, enter = ZERO, None
+        for i in range(p):
+            for j in range(q):
+                r = c[i][j] - pot[i] - pot[p + j]
+                if r < best:
+                    best, enter = r, (i, j)
+        if enter is None:
+            break
+
+        # the cycle closed by the entering cell, with alternating signs
+        a, b = enter[0], p + enter[1]
+        up_a: list[tuple[int, int]] = []
+        up_b: list[tuple[int, int]] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_a.append(edge(a, parent[a]))
+                a = parent[a]
+            else:
+                up_b.append(edge(b, parent[b]))
+                b = parent[b]
+        cycle = [enter] + up_b + up_a[::-1]
+        leave = min(cycle[1::2], key=flow.__getitem__)
+        t0, t1 = flow[leave]
+        flow[enter] = (ZERO, 0)
+        for k, cell in enumerate(cycle):
+            f0, f1 = flow[cell]
+            flow[cell] = (f0 + t0, f1 + t1) if k % 2 == 0 else (f0 - t0, f1 - t1)
+        del flow[leave]
+
+    for (i, j), (value, _) in flow.items():
+        plan[rows[i]][cols[j]] = value
+    return plan

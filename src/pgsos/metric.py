@@ -4,8 +4,8 @@ The distance between two states is the least fixed point of the functional
 that lifts a state distance to distributions via optimal transport
 (Kantorovich) and to transition sets via the Hausdorff construction, taking
 the worst case over actions.  Everything is rational: the transport
-problems are solved by exact simplex, and the fixed point is reached when
-one more step reproduces the table bit for bit.
+problems are solved exactly by :func:`pgsos.lp.solve_transport`, and the
+fixed point is reached when one more step reproduces the table bit for bit.
 
 On fragments with cycles the chain of iterates may never stabilise (each
 step can peel off another factor of a loop probability); exact mode then
@@ -70,52 +70,42 @@ class PseudometricTable:
                         "triangle inequality"
 
 
+def _lift(getd: Callable[[StateTerm, StateTerm], Fraction],
+          pi1: FiniteDistribution, pi2: FiniteDistribution,
+          ) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Transport optimum of ``pi1`` onto ``pi2`` under the ground distance
+    ``getd``, with the optimal plan over the two supports when a transport
+    problem was solved, or ``None`` when a shortcut decided the value."""
+    if pi1 == pi2:
+        # the identity coupling is optimal: a pseudometric has zero diagonal
+        return Fraction(0), None
+    supp1, supp2 = pi1.support(), pi2.support()
+    if len(supp1) == 1:
+        # one source: the product coupling is the only coupling
+        s = supp1[0]
+        return sum((q * getd(s, y) for y, q in pi2), Fraction(0)), None
+    if len(supp2) == 1:
+        s = supp2[0]
+        return sum((q * getd(x, s) for x, q in pi1), Fraction(0)), None
+    cost = [[getd(t1, t2) for t2 in supp2] for t1 in supp1]
+    return solve_transport(cost, [q for _, q in pi1], [q for _, q in pi2])
+
+
 def kantorovich(d: PseudometricTable, pi1: FiniteDistribution,
                 pi2: FiniteDistribution) -> tuple[Fraction, TransportPlan]:
     """Optimal-transport lifting of a state distance to distributions:
     the cheapest way to move ``pi1``'s mass onto ``pi2`` when moving one
     unit from ``t`` to ``t'`` costs ``d(t,t')``.  Returns the exact optimum
     and one optimal plan."""
+    value, plan = _lift(d.get, pi1, pi2)
+    if plan is not None:
+        return value, {(t1, t2): q
+                       for t1, row in zip(pi1.support(), plan)
+                       for t2, q in zip(pi2.support(), row) if q != 0}
     if pi1 == pi2:
-        # the identity coupling is optimal: a pseudometric has zero diagonal
-        return Fraction(0), {(t, t): q for t, q in pi1}
-    supp1, supp2 = pi1.support(), pi2.support()
-    if len(supp1) == 1:
-        # one source: the product coupling is the only coupling
-        s = supp1[0]
-        return (sum((q * d.get(s, y) for y, q in pi2), Fraction(0)),
-                {(s, y): q for y, q in pi2})
-    if len(supp2) == 1:
-        s = supp2[0]
-        return (sum((q * d.get(x, s) for x, q in pi1), Fraction(0)),
-                {(x, s): q for x, q in pi1})
-    cost = [[d.get(t1, t2) for t2 in supp2] for t1 in supp1]
-    value, plan = solve_transport(cost,
-                                  [q for _, q in pi1],
-                                  [q for _, q in pi2])
-    mapping: TransportPlan = {}
-    for i, t1 in enumerate(supp1):
-        for j, t2 in enumerate(supp2):
-            if plan[i][j] != 0:
-                mapping[(t1, t2)] = plan[i][j]
-    return value, mapping
-
-
-def _k_value(getd: Callable[[StateTerm, StateTerm], Fraction],
-             pi1: FiniteDistribution, pi2: FiniteDistribution) -> Fraction:
-    """Transport optimum against an arbitrary distance lookup, value only."""
-    if pi1 == pi2:
-        return Fraction(0)
-    supp1, supp2 = pi1.support(), pi2.support()
-    if len(supp1) == 1:
-        s = supp1[0]
-        return sum((q * getd(s, y) for y, q in pi2), Fraction(0))
-    if len(supp2) == 1:
-        s = supp2[0]
-        return sum((q * getd(x, s) for x, q in pi1), Fraction(0))
-    cost = [[getd(t1, t2) for t2 in supp2] for t1 in supp1]
-    value, _ = solve_transport(cost, [q for _, q in pi1], [q for _, q in pi2])
-    return value
+        return value, {(t, t): q for t, q in pi1}
+    # one side is a point mass: the product coupling is the only coupling
+    return value, {(x, y): p * q for x, p in pi1 for y, q in pi2}
 
 
 def hausdorff(values: Callable[[FiniteDistribution, FiniteDistribution], Fraction],
@@ -270,7 +260,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         hit = kcache.get((pu, pv))
         if hit is not None:
             return hit
-        value = _k_value(getd, pu, pv)
+        value, _ = _lift(getd, pu, pv)
         kcache[(pu, pv)] = kcache[(pv, pu)] = value
         return value
 

@@ -1,11 +1,13 @@
 """Test-only reference implementations and random generators.
 
-The transport oracle here is deliberately naive: it enumerates vertices of
-the transportation polytope via spanning trees of the complete bipartite
-graph and evaluates the cost at each feasible vertex.  An optimal basic
-feasible solution always exists for a bounded feasible LP, so the minimum
-over feasible tree solutions equals the true optimum.  Exponential, but
-exact, and entirely independent of the simplex code under test.
+The brute-force transport oracle here is deliberately naive: it enumerates
+vertices of the transportation polytope via spanning trees of the complete
+bipartite graph and evaluates the cost at each feasible vertex.  An optimal
+basic feasible solution always exists for a bounded feasible LP, so the
+minimum over feasible tree solutions equals the true optimum.  Exponential,
+but exact, and entirely independent of the transport kernel under test.
+For sizes it cannot reach, ``transport_lp`` solves the dense LP formulation
+with the general simplex instead.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from pgsos.lp import simplex_min
 from pgsos.multiplicity import (
     INF,
     Multiplicity,
@@ -99,6 +102,22 @@ def transport_bruteforce(cost, supply, demand) -> Fraction:
             best = total
     assert best is not None, "every balanced instance has a feasible tree"
     return best
+
+
+def transport_lp(cost, supply, demand) -> Fraction:
+    """Exact minimum transport cost from the dense LP formulation: one
+    variable per cell, one equality per marginal, solved by ``simplex_min``."""
+    m, n = len(supply), len(demand)
+    a_eq, b_eq = [], []
+    for i in range(m):
+        a_eq.append([Fraction(k // n == i) for k in range(m * n)])
+        b_eq.append(supply[i])
+    for j in range(n):
+        a_eq.append([Fraction(k % n == j) for k in range(m * n)])
+        b_eq.append(demand[j])
+    flat = [cost[i][j] for i in range(m) for j in range(n)]
+    value, _ = simplex_min(flat, a_eq, b_eq)
+    return value
 
 
 # ---------------------------------------------------------------------------

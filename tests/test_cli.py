@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from pgsos import cli
 from pgsos.cli import main
 
 PA = str(resources.files("pgsos").joinpath("data", "pa.pgsos"))
@@ -175,6 +176,18 @@ def test_distance_refusal_exits_one(capsys):
     code, _, err = run(capsys, "distance", EXAMPLES, "bang(aa0)", "aa0",
                        "--max-states", "8")
     assert code == 1
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def crash(_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    code, _, err = run(capsys, "check", PA)
+    assert code == 3
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
+    assert "refused" not in err
 
 
 def test_nonconvergent_distance_exits_one(tmp_path, capsys):

@@ -1,13 +1,17 @@
-"""Exact simplex: hand-checked instances, degeneracy, and transport plans."""
+"""Exact LP: the general simplex on hand-checked instances, and the transport
+kernel against brute-force and dense-LP references."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgsos import lp
 from pgsos.lp import Infeasible, Unbounded, lp_feasible, simplex_min, solve_transport
 
-from helpers import transport_bruteforce
+from helpers import transport_bruteforce, transport_lp
 
 F = Fraction
 
@@ -102,3 +106,135 @@ def _random_simplex_point(rng: random.Random, k: int) -> list[Fraction]:
         out.append(F(c - prev, 30))
         prev = c
     return out
+
+
+# -- input validation without assert ---------------------------------------
+
+def test_simplex_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError):
+        simplex_min([F(1), F(1)], [[F(1)]], [F(1)])
+    with pytest.raises(ValueError):
+        simplex_min([F(1)], [], [], [[F(1), F(1)]], [F(1)])
+
+
+def test_transport_rejects_unbalanced_totals():
+    with pytest.raises(ValueError):
+        solve_transport([[F(0), F(1)]], [F(1)], [F(1, 2), F(1, 3)])
+
+
+def test_transport_rejects_negative_masses():
+    with pytest.raises(ValueError):
+        solve_transport([[F(0), F(1)], [F(1), F(0)]],
+                        [F(3, 2), F(-1, 2)], [F(1, 2), F(1, 2)])
+    with pytest.raises(ValueError):
+        solve_transport([[F(0), F(1)]], [F(1)], [F(2), F(-1)])
+
+
+def test_transport_rejects_ragged_cost_matrices():
+    half = [F(1, 2), F(1, 2)]
+    with pytest.raises(ValueError):
+        solve_transport([[F(0), F(1)], [F(1)]], half, half)
+    with pytest.raises(ValueError):
+        solve_transport([[F(0), F(1)]], half, half)
+
+
+# -- transport kernel: exactness against independent references -------------
+
+costs = st.integers(min_value=0, max_value=4).map(lambda k: F(k, 4))
+
+
+def masses(k: int):
+    """``k`` non-negative rationals summing to one, zero entries included."""
+    return (st.lists(st.integers(min_value=0, max_value=4),
+                     min_size=k, max_size=k)
+            .filter(any)
+            .map(lambda w: [F(x, sum(w)) for x in w]))
+
+
+@st.composite
+def transport_problems(draw, max_m: int, max_n: int):
+    m = draw(st.integers(min_value=1, max_value=max_m))
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    cost = draw(st.lists(st.lists(costs, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return cost, draw(masses(m)), draw(masses(n))
+
+
+def _solve_checked(cost, supply, demand):
+    """Solve, and check that the plan is a coupling whose cost is the value."""
+    value, plan = solve_transport(cost, supply, demand)
+    m, n = len(supply), len(demand)
+    assert len(plan) == m and all(len(row) == n for row in plan)
+    assert all(q >= 0 for row in plan for q in row)
+    assert [sum(row) for row in plan] == list(supply)
+    assert [sum(plan[i][j] for i in range(m)) for j in range(n)] == list(demand)
+    assert value == sum(plan[i][j] * cost[i][j]
+                        for i in range(m) for j in range(n))
+    return value, plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(transport_problems(3, 4))
+def test_transport_matches_bruteforce(problem):
+    cost, supply, demand = problem
+    value, _ = _solve_checked(cost, supply, demand)
+    assert value == transport_bruteforce(cost, supply, demand)
+
+
+@settings(max_examples=40, deadline=None)
+@given(transport_problems(8, 8))
+def test_transport_matches_dense_lp(problem):
+    cost, supply, demand = problem
+    value, _ = _solve_checked(cost, supply, demand)
+    assert value == transport_lp(cost, supply, demand)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.lists(st.lists(st.sampled_from([F(0), F(1)]),
+                                min_size=k, max_size=k),
+                       min_size=k, max_size=k)))
+def test_transport_zero_one_costs_uniform_marginals(cost):
+    # assignment-like instances: every basis of the polytope is degenerate
+    k = len(cost)
+    uniform = [F(1, k)] * k
+    value, _ = _solve_checked(cost, uniform, uniform)
+    assert value == transport_lp(cost, uniform, uniform)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_transport_identical_marginals_under_a_metric_are_free(k):
+    cost = [[F(int(i != j)) for j in range(k)] for i in range(k)]
+    uniform = [F(1, k)] * k
+    value, plan = _solve_checked(cost, uniform, uniform)
+    assert value == 0
+    assert all(plan[i][i] == F(1, k) for i in range(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
+       costs, st.data())
+def test_transport_all_equal_costs(m, n, c, data):
+    supply, demand = data.draw(masses(m)), data.draw(masses(n))
+    value, _ = _solve_checked([[c] * n for _ in range(m)], supply, demand)
+    assert value == c
+
+
+def test_transport_zero_entries_in_the_marginals():
+    cost = [[F(1), F(0), F(1, 2)], [F(0), F(1), F(1)], [F(1, 4), F(1), F(0)]]
+    value, plan = _solve_checked(cost, [F(1, 2), F(0), F(1, 2)],
+                                 [F(1, 2), F(1, 2), F(0)])
+    assert value == F(1, 2) * F(0) + F(1, 2) * F(1, 4)
+    assert plan[1] == [0, 0, 0] and all(row[2] == 0 for row in plan)
+
+
+def test_transport_never_calls_the_general_simplex(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("solve_transport reached simplex_min")
+
+    monkeypatch.setattr(lp, "simplex_min", forbidden)
+    rng = random.Random(5)
+    for m, n in [(1, 3), (3, 1), (2, 2), (2, 5), (5, 2), (3, 3), (4, 7), (8, 8)]:
+        cost = [[F(rng.randint(0, 4), 4) for _ in range(n)] for _ in range(m)]
+        _solve_checked(cost, _random_simplex_point(rng, m),
+                       _random_simplex_point(rng, n))
