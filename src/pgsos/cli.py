@@ -107,6 +107,19 @@ def parse_dist(text: str) -> ProcessDistance:
         raise InputError(str(err)) from None
 
 
+def positive_int(text: str) -> int:
+    """Argument type for iteration budgets: a budget below one is a usage
+    error, not a refusal."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: '{text}'") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _require_operator(doc: SpecDocument, op: str) -> None:
     if not doc.signature.has_operator(op):
         raise InputError(f"unknown operator '{op}'")
@@ -341,24 +354,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term1")
     p.add_argument("term2")
     p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=positive_int, default=1000)
     p.add_argument("--mode", choices=("exact", "iterate"), default="exact")
 
     p = add("denote", cmd_denote, "denotation of an open term")
     p.add_argument("term")
-    p.add_argument("--max-iter", type=int, default=64)
+    p.add_argument("--max-iter", type=positive_int, default=64)
 
     p = add("bound", cmd_bound,
             "distance bound for instances of an open term")
     p.add_argument("term")
     p.add_argument("--dist", required=True,
                    help="per-variable distances, e.g. x=1/10,y=1/5")
-    p.add_argument("--max-iter", type=int, default=64)
+    p.add_argument("--max-iter", type=positive_int, default=64)
 
     p = add("continuity", cmd_continuity,
             "uniform-continuity reports for operators")
     p.add_argument("op", nargs="?", default=None)
-    p.add_argument("--max-iter", type=int, default=64)
+    p.add_argument("--max-iter", type=positive_int, default=64)
 
     p = add("check-modulus", cmd_check_modulus,
             "check a user-supplied modulus against an operator")

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .denotation import Denotations, FixpointConfig, lfp_denotations
-from .errors import ArityMismatch, UndeclaredSymbol, UnsupportedModulusShape
+from .denotation import (Denotations, FixpointConfig, generic_application,
+                         lfp_denotations)
+from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
-from .multiplicity import (INF, Weighting, ext_leq, ext_mul, format_count,
-                           sup_approx, weighting_of)
-from .terms import Var, state_var
+from .multiplicity import (INF, ext_leq, ext_mul, format_count, sup_approx,
+                           sup_is_exact, weighting_of)
+from .terms import Var
 
 ExtRational = Union[Fraction, object]
 
@@ -95,68 +96,19 @@ class ContinuityReport:
     annotation: str | None
 
 
-def _source_vars(doc: SpecDocument, op: str) -> tuple[Var, ...]:
-    if not doc.signature.has_operator(op):
-        raise UndeclaredSymbol(f"unknown operator '{op}'")
-    n = doc.signature.arity(op)
-    return tuple(state_var(f"x{i + 1}") for i in range(n))
-
-
-def _denotations(doc: SpecDocument, denotations: Denotations | None,
-                 config: FixpointConfig) -> Denotations:
-    if denotations is not None:
-        return denotations
-    return lfp_denotations(doc, config)
-
-
-def weighted_sup(doc: SpecDocument, op: str, *,
-                 denotations: Denotations | None = None,
-                 config: FixpointConfig = FixpointConfig()) -> Weighting:
-    """Expected copy-counts of the least generator dominating the
-    operator's denotation, restricted to the argument positions.
-
-    A single generator is its own supremum; several Dirac generators join
-    exactly at the pointwise maximum; otherwise the join is approximated
-    from above (see :func:`weighted_sup_flagged` for the flag).
-    """
-    return weighted_sup_flagged(doc, op, denotations=denotations,
-                                config=config)[0]
-
-
-def weighted_sup_flagged(doc: SpecDocument, op: str, *,
-                         denotations: Denotations | None = None,
-                         config: FixpointConfig = FixpointConfig(),
-                         ) -> tuple[Weighting, bool]:
-    """``weighted_sup`` plus a flag: True when the supremum had to be
-    over-approximated (several generators, not all Dirac)."""
-    den = _denotations(doc, denotations, config)
-    sources = _source_vars(doc, op)
-    gens = tuple(den.genset(_generic(doc, op)))
-    if len(gens) == 1:
-        w = weighting_of(gens[0])
-        approx = False
-    elif all(p.is_dirac() for p in gens):
-        w = weighting_of(sup_approx(gens))
-        approx = False
-    else:
-        w = weighting_of(sup_approx(gens))
-        approx = True
-    return w.restrict(sources), approx
-
-
-def _generic(doc: SpecDocument, op: str):
-    from .terms import Apply, Variable
-    return Apply(op, tuple(Variable(x) for x in _source_vars(doc, op)))
-
-
 def derive_modulus(doc: SpecDocument, op: str, *,
                    denotations: Denotations | None = None,
                    config: FixpointConfig = FixpointConfig()) -> ModulusSpec:
-    """The capped linear modulus with the operator's expected copy-counts
-    as coefficients."""
-    sources = _source_vars(doc, op)
-    w = weighted_sup(doc, op, denotations=denotations, config=config)
-    return ModulusSpec(len(sources), tuple(w.get(x) for x in sources))
+    """The capped linear modulus whose coefficients are the expected
+    copy-counts of the least generator dominating the operator's
+    denotation (its weighted supremum), at the argument positions.
+
+    A single generator is its own supremum; several Dirac generators join
+    exactly at the pointwise maximum; otherwise the join is approximated
+    from above, which :func:`is_uniformly_continuous` reports.
+    """
+    return is_uniformly_continuous(doc, op, denotations=denotations,
+                                   config=config).modulus
 
 
 def is_uniformly_continuous(doc: SpecDocument, op: str, *,
@@ -172,10 +124,10 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
     verdict is per-generator exact even when the reported modulus
     coefficients had to be over-approximated.
     """
-    den = _denotations(doc, denotations, config)
-    sources = _source_vars(doc, op)
-    source_set = set(sources)
-    gens = tuple(den.genset(_generic(doc, op)))
+    den = (denotations if denotations is not None
+           else lfp_denotations(doc, config))
+    generic, sources = generic_application(doc, op)
+    gens = tuple(den.genset(generic))
 
     reasons: list[str] = []
     worst = Fraction(0)
@@ -183,7 +135,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
     for p in gens:
         w = weighting_of(p)
         for x, v in w.entries:
-            if x not in source_set:
+            if x not in sources:
                 reasons.append(
                     f"copies of non-argument variable {x.name} can appear")
             elif v is INF:
@@ -199,9 +151,9 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
         reasons.append("denotation required widening of an unbounded "
                        "growth chain")
 
-    modulus = derive_modulus(doc, op, denotations=den, config=config)
-    _, over_approx = weighted_sup_flagged(doc, op, denotations=den,
-                                          config=config)
+    sup = weighting_of(gens[0] if len(gens) == 1 else sup_approx(gens))
+    modulus = ModulusSpec(len(sources), tuple(sup.get(x) for x in sources))
+    over_approx = len(gens) > 1 and not sup_is_exact(gens)
     if over_approx:
         reasons.append("modulus coefficients over-approximate a "
                        "non-Dirac supremum")
@@ -231,13 +183,13 @@ def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec, *,
     coefficient, so the check is coefficient-wise: satisfied when every
     expected copy-count is at most the corresponding coefficient.
     """
-    sources = _source_vars(doc, op)
-    if z.arity != len(sources):
+    derived = derive_modulus(doc, op, denotations=denotations, config=config)
+    if z.arity != derived.arity:
         raise ArityMismatch(
-            f"operator '{op}' has arity {len(sources)}, "
+            f"operator '{op}' has arity {derived.arity}, "
             f"modulus has arity {z.arity}")
-    w = weighted_sup(doc, op, denotations=denotations, config=config)
-    return all(ext_leq(w.get(x), c) for x, c in zip(sources, z.coefficients))
+    return all(ext_leq(c, bound) for c, bound
+               in zip(derived.coefficients, z.coefficients))
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import IterationLimitExceeded, UntrackedSubterm
 from .frontend import Rule, SpecDocument
-from .multiplicity import (D_ZERO, GenSet, INF, M_ZERO, Multiplicity,
+from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
                            ext_leq, genset_equiv, genset_normalize, m_scale,
                            m_sum, mult, p_lift_op, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
-from .terms import (Apply, ConvexSum, DistApply, DistTerm, DistVariable,
+from .terms import (Apply, ConvexSum, DistApply, DistVariable,
                     InstDirac, StateTerm, Term, Var, Variable, dist_var,
                     format_term, state_var, substitute)
 
@@ -180,45 +180,55 @@ def subterms(t: Term) -> list[Term]:
 # The joint step function
 # ---------------------------------------------------------------------------
 
-class _StepContext:
-    """Evaluates the step function clauses against given tau/rho tables."""
+def generic_application(doc: SpecDocument,
+                        op: str) -> tuple[Apply, tuple[Var, ...]]:
+    """The generic application ``f(x1, ..., xn)`` of an operator and its
+    source variables ``x1..xn``, the coordinates canonical rules share.
+    Raises :class:`UndeclaredSymbol` for an unknown operator."""
+    xs = tuple(state_var(f"x{i + 1}") for i in range(doc.signature.arity(op)))
+    return Apply(op, tuple(Variable(x) for x in xs)), xs
 
-    def __init__(self, doc: SpecDocument, rules: tuple[Rule, ...],
-                 tau: Mapping[Term, GenSet], rho: Mapping[Rule, GenSet],
-                 reactive_testing: bool):
+
+class _StepContext:
+    """Evaluates the step function clauses against one ``rho`` table.
+
+    ``lookup`` gives the denotation of an immediate subterm: the fixpoint
+    reads the previous iterate and refuses untracked terms, a query reads
+    the memo that :meth:`Denotations.genset` fills innermost first.
+    ``rho`` is fixed for the context's lifetime, so the per-operator
+    summaries are memoised.
+    """
+
+    def __init__(self, doc: SpecDocument,
+                 rules_by_op: Mapping[str, tuple[Rule, ...]],
+                 rho: Mapping[Rule, GenSet], reactive_testing: bool,
+                 lookup: Callable[[Term], GenSet]):
         self.doc = doc
-        self.rules = rules
-        self.tau = tau
+        self.rules_by_op = rules_by_op
         self.rho = rho
         self.reactive_testing = reactive_testing
+        self.lookup = lookup
         self.over_approximated = False
+        self._state_cache: dict[str, GenSet] = {}
         self._dist_cache: dict[str, GenSet] = {}
 
-    def rules_for(self, op: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.op == op)
-
-    def lookup(self, t: Term) -> GenSet:
-        try:
-            return self.tau[t]
-        except KeyError:
-            raise UntrackedSubterm(
-                f"no tracked denotation for {format_term(t)}") from None
-
-    def sources_of(self, op: str) -> tuple[Var, ...]:
-        n = self.doc.signature.arity(op)
-        return tuple(state_var(f"x{i + 1}") for i in range(n))
-
     def rho_state(self, op: str) -> GenSet:
-        rules = self.rules_for(op)
+        cached = self._state_cache.get(op)
+        if cached is not None:
+            return cached
+        rules = self.rules_by_op.get(op, ())
         if not rules:
-            return D_ZERO
-        return genset_normalize(p for r in rules for p in self.rho[r])
+            result = D_ZERO
+        else:
+            result = genset_normalize(p for r in rules for p in self.rho[r])
+        self._state_cache[op] = result
+        return result
 
     def rho_dist(self, op: str) -> GenSet:
         cached = self._dist_cache.get(op)
         if cached is not None:
             return cached
-        rules = self.rules_for(op)
+        rules = self.rules_by_op.get(op, ())
         if not rules:
             result = D_ZERO
         else:
@@ -238,9 +248,7 @@ class _StepContext:
         return result
 
     def term_step(self, t: Term) -> GenSet:
-        if isinstance(t, Variable):
-            return GenSet((ProbMultiplicity.dirac(unit(t.var)),))
-        if isinstance(t, DistVariable):
+        if isinstance(t, (Variable, DistVariable)):
             return GenSet((ProbMultiplicity.dirac(unit(t.var)),))
         if isinstance(t, InstDirac):
             return self.lookup(t.term)
@@ -248,11 +256,11 @@ class _StepContext:
             weights = tuple(q for q, _ in t.parts)
             gensets = tuple(self.lookup(theta) for _, theta in t.parts)
             return convex_combine(weights, gensets)
-        if isinstance(t, Apply):
-            return compose_operator(self.rho_state(t.op), self.sources_of(t.op),
-                                    tuple(self.lookup(a) for a in t.args))
-        if isinstance(t, DistApply):
-            return compose_operator(self.rho_dist(t.op), self.sources_of(t.op),
+        if isinstance(t, (Apply, DistApply)):
+            rho_f = (self.rho_state(t.op) if isinstance(t, Apply)
+                     else self.rho_dist(t.op))
+            sources = generic_application(self.doc, t.op)[1]
+            return compose_operator(rho_f, sources,
                                     tuple(self.lookup(a) for a in t.args))
         raise TypeError(f"not a term: {t!r}")
 
@@ -261,21 +269,15 @@ class _StepContext:
         return genset_normalize(fold_rule(p, rule) for p in target_gs)
 
 
-def denote_term_step(doc: SpecDocument, tau: Mapping[Term, GenSet],
-                     rho: Mapping[Rule, GenSet], t: Term, *,
-                     reactive_testing: bool = True) -> GenSet:
-    """One application of the term clause of the step function."""
-    rules = tuple(canonical_rule(r) for r in doc.rules)
-    ctx = _StepContext(doc, rules, tau, rho, reactive_testing)
-    return ctx.term_step(t)
-
-
-def denote_rule_step(doc: SpecDocument, tau: Mapping[Term, GenSet],
-                     rule: Rule, *, reactive_testing: bool = True) -> GenSet:
-    """One application of the rule clause of the step function."""
-    rules = tuple(canonical_rule(r) for r in doc.rules)
-    ctx = _StepContext(doc, rules, tau, {}, reactive_testing)
-    return ctx.rule_step(rule)
+def _tracked(tau: Mapping[Term, GenSet]) -> Callable[[Term], GenSet]:
+    """Subterm lookup for one fixpoint step: the previous iterate only."""
+    def lookup(t: Term) -> GenSet:
+        try:
+            return tau[t]
+        except KeyError:
+            raise UntrackedSubterm(
+                f"no tracked denotation for {format_term(t)}") from None
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -286,71 +288,45 @@ def denote_rule_step(doc: SpecDocument, tau: Mapping[Term, GenSet],
 class Denotations:
     """Result of the joint fixpoint: tracked denotations plus per-operator
     summaries, and honesty flags when the result is an upper bound rather
-    than the exact least fixed point."""
+    than the exact least fixed point.
+
+    ``tau``, ``rho``, ``widened_vars`` and ``over_approximated`` describe
+    the fixpoint alone: queries through :meth:`genset` never change them,
+    so one cached instance can serve every caller.
+    """
 
     doc: SpecDocument
     config: FixpointConfig
     reactive_testing: bool
     tau: dict[Term, GenSet]
     rho: dict[Rule, GenSet]
-    rho_by_doc_rule: dict[Rule, GenSet]
+    rules_by_op: dict[str, tuple[Rule, ...]]
     iterations: int
     widened_vars: frozenset[Var]
     over_approximated: bool
     _memo: dict[Term, GenSet] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._step = _StepContext(self.doc, self.rules_by_op, self.rho,
+                                  self.reactive_testing,
+                                  self._memo.__getitem__)
+
     @property
     def widened(self) -> bool:
         return bool(self.widened_vars)
 
-    def _context(self) -> _StepContext:
-        rules = tuple(self.rho)
-        ctx = _StepContext(self.doc, rules, self.tau, self.rho,
-                           self.reactive_testing)
-        return ctx
-
     def genset(self, t: Term) -> GenSet:
         """Denotation of an arbitrary term, evaluated bottom-up against the
         fixed point (the step clauses are compositional, so no iteration is
-        needed for query terms)."""
+        needed for query terms).  Writes only its own memo: the flags keep
+        describing the fixpoint, whatever a query needed."""
         hit = self._memo.get(t)
-        if hit is not None:
-            return hit
-        ctx = self._context()
-
-        def ev(u: Term) -> GenSet:
-            if u in self._memo:
-                return self._memo[u]
-            if isinstance(u, (Variable, DistVariable)):
-                out = GenSet((ProbMultiplicity.dirac(unit(u.var)),))
-            elif isinstance(u, InstDirac):
-                out = ev(u.term)
-            elif isinstance(u, ConvexSum):
-                out = convex_combine(tuple(q for q, _ in u.parts),
-                                     tuple(ev(theta) for _, theta in u.parts))
-            elif isinstance(u, Apply):
-                out = compose_operator(ctx.rho_state(u.op),
-                                       ctx.sources_of(u.op),
-                                       tuple(ev(a) for a in u.args))
-            elif isinstance(u, DistApply):
-                out = compose_operator(ctx.rho_dist(u.op),
-                                       ctx.sources_of(u.op),
-                                       tuple(ev(a) for a in u.args))
-            else:
-                raise TypeError(f"not a term: {u!r}")
-            self._memo[u] = out
-            return out
-
-        result = ev(t)
-        if ctx.over_approximated:
-            self.over_approximated = True
-        return result
-
-    def operator_genset(self, op: str) -> GenSet:
-        """Denotation of the generic application ``f(x1, ..., xn)``."""
-        xs = tuple(state_var(f"x{i + 1}")
-                   for i in range(self.doc.signature.arity(op)))
-        return self.genset(Apply(op, tuple(Variable(x) for x in xs)))
+        if hit is None:
+            for u in subterms(t):
+                if u not in self._memo:
+                    self._memo[u] = self._step.term_step(u)
+            hit = self._memo[t]
+        return hit
 
 
 def _measure(gs: GenSet) -> dict[Var, object]:
@@ -392,6 +368,9 @@ def lfp_denotations(doc: SpecDocument,
         return cached
 
     rules = tuple(canonical_rule(r) for r in doc.rules)
+    rules_by_op: dict[str, tuple[Rule, ...]] = {}
+    for r in rules:
+        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
     tracked: list[Term] = []
     seen: set[Term] = set()
 
@@ -403,9 +382,8 @@ def lfp_denotations(doc: SpecDocument,
 
     for r in rules:
         track(r.target)
-    for op, arity in doc.signature.operators:
-        xs = tuple(Variable(state_var(f"x{i + 1}")) for i in range(arity))
-        track(Apply(op, xs))
+    for op, _ in doc.signature.operators:
+        track(generic_application(doc, op)[0])
 
     tau: dict[Term, GenSet] = {t: D_ZERO for t in tracked}
     rho: dict[Rule, GenSet] = {r: D_ZERO for r in rules}
@@ -417,7 +395,8 @@ def lfp_denotations(doc: SpecDocument,
 
     def apply_widening(key_: object, gs: GenSet) -> GenSet:
         prev = measures.get(key_, {})
-        for x, v in _measure(gs).items():
+        measure = _measure(gs)
+        for x, v in measure.items():
             if not ext_leq(v, prev.get(x, Fraction(0))):
                 count = growth.get((key_, x), 0) + 1
                 growth[(key_, x)] = count
@@ -427,14 +406,16 @@ def lfp_denotations(doc: SpecDocument,
         # A tripped entry stays widened in every later iteration; otherwise
         # recomputation from not-yet-widened inputs would undo the promotion
         # and the chain would resume growing.
-        for x in forced.get(key_, ()):
+        widen = forced.get(key_, ())
+        for x in widen:
             gs = _widen(gs, x)
-        measures[key_] = _measure(gs)
+        measures[key_] = _measure(gs) if widen else measure
         return gs
 
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        ctx = _StepContext(doc, rules, tau, rho, reactive_testing)
+        ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
+                           _tracked(tau))
         tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in tracked}
         rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules}
         over_approx = over_approx or ctx.over_approximated
@@ -450,8 +431,7 @@ def lfp_denotations(doc: SpecDocument,
             f"denotations still changing after {config.max_iterations} "
             f"iterations (widening window {config.widening_window})")
 
-    by_doc_rule = dict(zip(doc.rules, (rho[r] for r in rules)))
-    result = Denotations(doc, config, reactive_testing, tau, rho, by_doc_rule,
+    result = Denotations(doc, config, reactive_testing, tau, rho, rules_by_op,
                          iterations, frozenset(widened_vars), over_approx)
     _LFP_CACHE[key] = result
     return result

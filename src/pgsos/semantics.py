@@ -16,11 +16,11 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import (DepthLimitExceeded, OpenTermError, StateLimitExceeded,
-                     TruncatedFragment, UndeclaredSymbol)
+                     TruncatedFragment)
 from .frontend import SpecDocument
 from .terms import (Apply, FiniteDistribution, StateTerm, Var,
-                    embed_distribution, eval_closed_dist, free_vars,
-                    substitute, term_key)
+                    check_arities, embed_distribution, eval_closed_dist,
+                    free_vars, substitute, term_key)
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,8 @@ def derive_transitions(doc: SpecDocument,
     if free_vars(t):
         names = ", ".join(sorted(x.name for x in free_vars(t)))
         raise OpenTermError(f"transitions need a closed term; free: {names}")
-    _check_declared(doc, t)
+    check_arities(t, doc.signature)
     return _engine(doc).transitions(t)
-
-
-def _check_declared(doc: SpecDocument, t: StateTerm) -> None:
-    if isinstance(t, Apply):
-        expected = doc.signature.arity(t.op)  # raises UndeclaredSymbol
-        if expected != len(t.args):
-            raise UndeclaredSymbol(
-                f"{t.op} used with {len(t.args)} argument(s), declared {expected}")
-        for a in t.args:
-            _check_declared(doc, a)
 
 
 def enabled_actions(doc: SpecDocument, t: StateTerm) -> tuple[str, ...]:
@@ -148,7 +138,7 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
         if free_vars(r):
             names = ", ".join(sorted(x.name for x in free_vars(r)))
             raise OpenTermError(f"exploration needs closed roots; free: {names}")
-        _check_declared(doc, r)
+        check_arities(r, doc.signature)
         if r not in ordered_roots:
             ordered_roots.append(r)
 

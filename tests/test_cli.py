@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,36 @@ rule:
                        "--mode", "iterate", "--max-iter", "11")
     assert code == 0
     assert out.strip() == "1023/1024"
+
+
+@pytest.mark.parametrize("command", ["distance", "denote", "bound",
+                                     "continuity"])
+@pytest.mark.parametrize("budget", ["0", "-3", "many"])
+def test_iteration_budget_must_be_a_positive_integer(capsys, command, budget):
+    positional = {"distance": ["aa0", "pa0"], "denote": ["par(x, x)"],
+                  "bound": ["par(x, x)", "--dist", "x=1/10"],
+                  "continuity": []}[command]
+    code, out, err = run(capsys, command, PA, *positional,
+                         "--max-iter", budget)
+    assert code == 2
+    assert out == ""
+    assert "--max-iter" in err
+    assert "refused" not in err
+
+
+# -- golden reports -------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("continuity_pa", ["continuity", PA]),
+    ("continuity_examples", ["continuity", EXAMPLES]),
+    ("denote_examples_bang", ["denote", EXAMPLES, "bang(x1)"]),
+    ("denote_pa_par", ["denote", PA, "par(x, x)"]),
+    ("bound_pa_par", ["bound", PA, "par(x, x)", "--dist", "x=1/10"]),
+])
+def test_json_reports_match_golden_files(capsys, name, argv):
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

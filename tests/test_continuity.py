@@ -1,9 +1,11 @@
 """Operator compositionality: moduli of continuity, verdicts, modulus checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from pgsos import cli
 from pgsos.continuity import (
     VERDICT_CONTINUOUS,
     VERDICT_NOT_SHOWN,
@@ -12,13 +14,12 @@ from pgsos.continuity import (
     derive_modulus,
     is_uniformly_continuous,
     parse_modulus,
-    weighted_sup,
-    weighted_sup_flagged,
 )
+from pgsos.denotation import lfp_denotations
 from pgsos.errors import ArityMismatch, UndeclaredSymbol, UnsupportedModulusShape
 from pgsos.frontend import parse_spec
 from pgsos.multiplicity import INF
-from pgsos.terms import state_var
+from pgsos.terms import DistApply, DistVariable, dist_var
 
 F = Fraction
 
@@ -54,29 +55,28 @@ def test_modulus_validates_shape():
         ModulusSpec(1, (F(1),)).evaluate((F(0), F(0)))
 
 
-# -- weighted suprema -------------------------------------------------------
+# -- weighted suprema: the derived modulus coefficients ---------------------
 
 def test_weighted_sup_single_generator_is_its_own_weighting(pa_doc):
-    w = weighted_sup(pa_doc, "ppref_a_5_5")
-    assert w.get(state_var("x1")) == F(1, 2)
-    assert w.get(state_var("x2")) == F(1, 2)
+    z = derive_modulus(pa_doc, "ppref_a_5_5")
+    assert z.coefficients == (F(1, 2), F(1, 2))
 
 
 def test_weighted_sup_dirac_generators_join_exactly(pa_doc):
-    w, approx = weighted_sup_flagged(pa_doc, "alt")
-    assert not approx
-    assert w.get(state_var("x1")) == 1
-    assert w.get(state_var("x2")) == 1
+    assert not is_uniformly_continuous(pa_doc, "alt").over_approximated
+    assert derive_modulus(pa_doc, "alt").coefficients == (1, 1)
 
 
 def test_weighted_sup_restricts_to_argument_positions(pa_doc):
-    w = weighted_sup(pa_doc, "par")
-    assert set(x.name for x in w.vars()) <= {"x1", "x2"}
+    # one coefficient per argument position, nothing for other variables
+    z = derive_modulus(pa_doc, "par")
+    assert z.arity == 2
+    assert z.coefficients == (1, 1)
 
 
 def test_weighted_sup_unknown_operator(pa_doc):
     with pytest.raises(UndeclaredSymbol):
-        weighted_sup(pa_doc, "missing")
+        derive_modulus(pa_doc, "missing")
 
 
 MIXED = """
@@ -110,11 +110,8 @@ rule:
 
 def test_weighted_sup_flags_non_dirac_join():
     doc = parse_spec(MIXED)
-    w, approx = weighted_sup_flagged(doc, "mix")
-    assert approx
     # the joined bound is the pointwise max over support draws
-    assert w.get(state_var("x1")) == 3
-    assert w.get(state_var("x2")) == 1
+    assert derive_modulus(doc, "mix").coefficients == (3, 1)
     report = is_uniformly_continuous(doc, "mix")
     # the per-generator expectations (3/2 and 1) are still finite, so the
     # verdict holds even though the reported coefficients over-shoot
@@ -122,6 +119,25 @@ def test_weighted_sup_flags_non_dirac_join():
     assert report.over_approximated
     assert report.copies_bound == 2
     assert any("over-approximate" in r for r in report.reasons)
+
+
+def test_queries_leave_the_fixpoint_flags_alone(tmp_path, capsys):
+    doc = parse_spec(MIXED)
+    den = lfp_denotations(doc)
+    assert not den.over_approximated
+    # the distribution-level summary of mix over-approximates the join of
+    # its non-Dirac rule generators
+    mus = (DistVariable(dist_var("mu1")), DistVariable(dist_var("mu2")))
+    assert str(den.genset(DistApply("mix", mus))) == "{mu1:3, mu2:1}"
+    assert not den.over_approximated
+    spec = tmp_path / "mixed.pgsos"
+    spec.write_text(MIXED)
+    # the command line shares the cached fixpoint the query went through
+    assert lfp_denotations(cli.load_spec(str(spec))) is den
+    assert cli.main(["--json", "bound", str(spec), "par(x, x)",
+                     "--dist", "x=1/10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"]["over_approximated"] is False
 
 
 # -- verdicts on the shipped operator suites --------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pgsos.errors import (
+    ArityMismatch,
     DepthLimitExceeded,
     OpenTermError,
     StateLimitExceeded,
@@ -120,6 +121,14 @@ def test_open_terms_are_rejected(pa_doc):
 def test_undeclared_operator_is_rejected(pa_doc):
     with pytest.raises(UndeclaredSymbol):
         derive_transitions(pa_doc, Apply("nonsense", ()))
+
+
+def test_wrong_arity_is_an_arity_mismatch(pa_doc):
+    one_arg_par = Apply("par", (Apply("zero", ()),))
+    with pytest.raises(ArityMismatch):
+        derive_transitions(pa_doc, one_arg_par)
+    with pytest.raises(ArityMismatch):
+        explore_fragment(pa_doc, [one_arg_par])
 
 
 def test_explore_complete_fragment(pa_doc):
