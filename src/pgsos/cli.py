@@ -17,7 +17,7 @@ import sys
 import traceback
 import warnings
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import continuity as cont
 from .denotation import FixpointConfig, lfp_denotations
@@ -107,17 +107,20 @@ def parse_dist(text: str) -> ProcessDistance:
         raise InputError(str(err)) from None
 
 
-def positive_int(text: str) -> int:
-    """Argument type for iteration budgets: a budget below one is a usage
+def int_at_least(low: int) -> Callable[[str], int]:
+    """Argument type for budgets: an integer below ``low`` is a usage
     error, not a refusal."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: '{text}'") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: '{text}'") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def _require_operator(doc: SpecDocument, op: str) -> None:
@@ -346,32 +349,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("explore", cmd_explore, "reachable fragment of closed terms")
     p.add_argument("terms", nargs="+")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-states", type=int_at_least(1),
+                   default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-depth", type=int_at_least(0), default=None)
 
     p = add("distance", cmd_distance,
             "exact behavioural distance of two closed terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--max-iter", type=positive_int, default=1000)
+    p.add_argument("--max-states", type=int_at_least(1),
+                   default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-iter", type=int_at_least(1), default=1000)
     p.add_argument("--mode", choices=("exact", "iterate"), default="exact")
 
     p = add("denote", cmd_denote, "denotation of an open term")
     p.add_argument("term")
-    p.add_argument("--max-iter", type=positive_int, default=64)
+    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("bound", cmd_bound,
             "distance bound for instances of an open term")
     p.add_argument("term")
     p.add_argument("--dist", required=True,
                    help="per-variable distances, e.g. x=1/10,y=1/5")
-    p.add_argument("--max-iter", type=positive_int, default=64)
+    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("continuity", cmd_continuity,
             "uniform-continuity reports for operators")
     p.add_argument("op", nargs="?", default=None)
-    p.add_argument("--max-iter", type=positive_int, default=64)
+    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("check-modulus", cmd_check_modulus,
             "check a user-supplied modulus against an operator")
@@ -382,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle,
             "randomized exact-vs-bound comparison")
     p.add_argument("term", nargs="?", default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-states", type=int, default=256)
+    p.add_argument("--depth", type=int_at_least(0), default=3)
+    p.add_argument("--max-states", type=int_at_least(1), default=256)
 
     return parser
 

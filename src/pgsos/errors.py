@@ -66,10 +66,6 @@ class OpenTermError(InputError):
     """A closed term was required but the given one has free variables."""
 
 
-class UnindexedState(InputError):
-    """A distance was requested for a state not present in the table."""
-
-
 class EmptyGenSet(InputError):
     """Attempt to build a generator set from no generators."""
 

@@ -145,18 +145,6 @@ def _drive_out_artificials(rows: list[list[Fraction]], rhs: list[Fraction],
         i += 1
 
 
-def lp_feasible(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
-                a_ub: Sequence[Sequence[Fraction]] = (),
-                b_ub: Sequence[Fraction] = ()) -> bool:
-    """Does ``a_eq x = b_eq``, ``a_ub x <= b_ub`` admit some ``x >= 0``?"""
-    n = len(a_eq[0]) if a_eq else (len(a_ub[0]) if a_ub else 0)
-    try:
-        simplex_min([ZERO] * n, a_eq, b_eq, a_ub, b_ub)
-        return True
-    except Infeasible:
-        return False
-
-
 def solve_transport(cost: Sequence[Sequence[Fraction]],
                     supplies: Sequence[Fraction],
                     demands: Sequence[Fraction],

@@ -87,11 +87,6 @@ def derive_transitions(doc: SpecDocument,
     return _engine(doc).transitions(t)
 
 
-def enabled_actions(doc: SpecDocument, t: StateTerm) -> tuple[str, ...]:
-    """The actions a closed term can perform immediately, sorted."""
-    return tuple(sorted({a for a, _ in derive_transitions(doc, t)}))
-
-
 @dataclass
 class ReachableFragment:
     """A finite transition-closed state space (or a truncated prefix of one).

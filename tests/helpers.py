@@ -8,6 +8,11 @@ minimum over feasible tree solutions equals the true optimum.  Exponential,
 but exact, and entirely independent of the transport kernel under test.
 For sizes it cannot reach, ``transport_lp`` solves the dense LP formulation
 with the general simplex instead.
+
+``distance_table`` is the independent reference for the distance engine:
+plain Kleene iteration of the distance functional over every ordered state
+pair of a complete fragment, sharing nothing with ``bisim_distance`` but
+the transport solver.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from pgsos.lp import simplex_min
+from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
     INF,
     Multiplicity,
     ProbMultiplicity,
     mult,
 )
+from pgsos.semantics import derive_transitions
 from pgsos.terms import state_var
 
 
@@ -118,6 +124,78 @@ def transport_lp(cost, supply, demand) -> Fraction:
     flat = [cost[i][j] for i in range(m) for j in range(n)]
     value, _ = simplex_min(flat, a_eq, b_eq)
     return value
+
+
+def lp_feasible(a_eq, b_eq, a_ub=(), b_ub=()) -> bool:
+    """Does ``a_eq x = b_eq``, ``a_ub x <= b_ub`` admit some ``x >= 0``?"""
+    n = len(a_eq[0]) if a_eq else (len(a_ub[0]) if a_ub else 0)
+    try:
+        simplex_min([Fraction(0)] * n, a_eq, b_eq, a_ub, b_ub)
+        return True
+    except Infeasible:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# Transitions and the all-pairs bisimulation distance by Kleene iteration
+# ---------------------------------------------------------------------------
+
+def enabled_actions(doc, t) -> tuple[str, ...]:
+    """The actions a closed term can perform immediately, sorted."""
+    return tuple(sorted({a for a, _ in derive_transitions(doc, t)}))
+
+
+def distance_step(doc, fragment, d):
+    """One application of the distance functional to the table ``d``, for
+    every ordered pair of fragment states: per action, the Hausdorff
+    distance of the two transition sets under the transport lifting of
+    ``d``; the worst action counts.  No shortcuts: every pair of
+    distributions goes through ``solve_transport``."""
+    def lift(p1, p2):
+        cost = [[d[(x, y)] for y, _ in p2] for x, _ in p1]
+        value, _ = solve_transport(cost, [q for _, q in p1],
+                                   [q for _, q in p2])
+        return value
+
+    def directed(set1, set2):
+        # inf over the empty set is 1, sup over the empty set is 0
+        return max((min((lift(p1, p2) for p2 in set2), default=Fraction(1))
+                    for p1 in set1), default=Fraction(0))
+
+    def pair(s, t):
+        return max((max(directed(fragment.der(s, a), fragment.der(t, a)),
+                        directed(fragment.der(t, a), fragment.der(s, a)))
+                    for a in doc.actions), default=Fraction(0))
+
+    return {(s, t): pair(s, t)
+            for s in fragment.states for t in fragment.states}
+
+
+def distance_table(doc, fragment, max_iter=100):
+    """Least fixed point of ``distance_step`` from the zero table, over a
+    complete fragment, as ``{(s, t): distance}``."""
+    assert fragment.complete, "the reference needs a complete fragment"
+    d = {(s, t): Fraction(0)
+         for s in fragment.states for t in fragment.states}
+    for _ in range(max_iter):
+        nxt = distance_step(doc, fragment, d)
+        if nxt == d:
+            return d
+        d = nxt
+    raise AssertionError(f"distance table still changing after {max_iter} steps")
+
+
+def check_pseudometric(d, states):
+    """Assert the 1-bounded pseudometric axioms exactly on the table ``d``."""
+    for s in states:
+        assert d[(s, s)] == 0, "self-distance must be 0"
+        for t in states:
+            assert 0 <= d[(s, t)] <= 1, "distances live in [0,1]"
+            assert d[(s, t)] == d[(t, s)], "symmetry"
+    for s in states:
+        for t in states:
+            for u in states:
+                assert d[(s, t)] <= d[(s, u)] + d[(u, t)], "triangle inequality"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from pgsos.continuity import (
 )
 from pgsos.denotation import bound_distance, lfp_denotations
 from pgsos.frontend import parse_term
-from pgsos.metric import bisim_distance, bisim_metric_lfp, kantorovich
+from pgsos.lp import solve_transport
+from pgsos.metric import bisim_distance
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
@@ -37,7 +38,6 @@ from pgsos.multiplicity import (
     unit,
     weighting_of,
 )
-from pgsos.metric import PseudometricTable
 from pgsos.oracle import OracleConfig, oracle_suite
 from pgsos.semantics import explore_fragment
 from pgsos.terms import (
@@ -50,8 +50,10 @@ from pgsos.terms import (
 )
 
 from helpers import (
+    check_pseudometric,
     degrade,
     degraded_pair,
+    distance_table,
     random_distance,
     random_prob_multiplicity,
     transport_bruteforce,
@@ -200,8 +202,9 @@ def test_criterion_08_finite_algebra_denotes_canonically(pa_doc):
 
 
 def test_criterion_09_distance_tables_are_pseudometrics(pa_doc, examples_doc):
-    """On every golden fragment the fixpoint table satisfies zero
-    self-distance, symmetry, and the triangle inequality exactly."""
+    """On every golden fragment the reference fixpoint table satisfies zero
+    self-distance, symmetry, and the triangle inequality exactly, and the
+    distance engine reproduces every entry of it."""
     golden = [
         (pa_doc, ("aa0", "pa0")),
         (pa_doc, ("bb0", "qb0")),
@@ -215,9 +218,10 @@ def test_criterion_09_distance_tables_are_pseudometrics(pa_doc, examples_doc):
     ]
     for doc, roots in golden:
         frag = explore_fragment(doc, [t(doc, r) for r in roots])
-        table = bisim_metric_lfp(doc, frag)
-        assert table.converged, roots
-        table.check_pseudometric()
+        table = distance_table(doc, frag)
+        check_pseudometric(table, frag.states)
+        for (u, v), value in table.items():
+            assert bisim_distance(doc, u, v) == value, (roots, u, v)
 
 
 def test_criterion_10_order_laws_hold_on_random_draws():
@@ -286,34 +290,26 @@ def test_criterion_12_transport_optimum_matches_vertex_enumeration():
                 else:
                     dist[(a, b)] = dist.get((b, a), F(rng.randint(0, 8), 8))
                     dist[(b, a)] = dist[(a, b)]
-        table = _table_from(states, dist)
         pi1 = _random_dist(rng, supp1)
         pi2 = _random_dist(rng, supp2)
-        value, plan = kantorovich(table, pi1, pi2)
         cost = [[dist[(a, b)] for b in pi2.support()] for a in pi1.support()]
-        expect = transport_bruteforce(cost,
-                                      [q for _, q in pi1.items()],
-                                      [q for _, q in pi2.items()])
-        assert value == expect
+        supply = [q for _, q in pi1.items()]
+        demand = [q for _, q in pi2.items()]
+        value, plan = solve_transport(cost, supply, demand)
+        assert value == transport_bruteforce(cost, supply, demand)
         # the returned plan is a coupling achieving the optimum
-        assert sum(plan.values()) == 1
-        assert all(q >= 0 for q in plan.values())
-        for s, q in pi1.items():
-            assert sum(v for (a, _), v in plan.items() if a == s) == q
-        for s, q in pi2.items():
-            assert sum(v for (_, b), v in plan.items() if b == s) == q
-        assert sum(q * dist[pair] for pair, q in plan.items()) == value
+        assert sum(map(sum, plan)) == 1
+        assert all(q >= 0 for row in plan for q in row)
+        assert [sum(row) for row in plan] == supply
+        assert [sum(col) for col in zip(*plan)] == demand
+        assert sum(q * c for row, crow in zip(plan, cost)
+                   for q, c in zip(row, crow)) == value
 
 
 # -- helpers ----------------------------------------------------------------
 
 def denote_of(doc, text):
     return lfp_denotations(doc).genset(parse_term(text, doc))
-
-
-def _table_from(states, dist):
-    rows = tuple(tuple(dist[(a, b)] for b in states) for a in states)
-    return PseudometricTable(tuple(states), rows)
 
 
 def _random_dist(rng, support):

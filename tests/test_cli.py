@@ -229,6 +229,30 @@ def test_iteration_budget_must_be_a_positive_integer(capsys, command, budget):
     assert "refused" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore", PA, "pa0", "--max-states", "0"],
+    ["explore", PA, "pa0", "--max-states", "-1"],
+    ["explore", PA, "pa0", "--max-depth", "-1"],
+    ["distance", PA, "aa0", "pa0", "--max-states", "0"],
+    ["oracle", PA, "--samples", "0"],
+    ["oracle", PA, "--samples", "-2"],
+    ["oracle", PA, "--depth", "-2"],
+    ["oracle", PA, "--max-states", "0"],
+])
+def test_budget_below_its_least_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: pgsos")
+    assert f"argument {argv[-2]}: must be at least" in err
+
+
+def test_zero_depth_budget_is_a_refusal(capsys):
+    code, _, err = run(capsys, "explore", PA, "pa0", "--max-depth", "0")
+    assert code == 1
+    assert err.startswith("refused:")
+
+
 # -- golden reports -------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"

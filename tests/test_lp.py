@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgsos import lp
-from pgsos.lp import Infeasible, Unbounded, lp_feasible, simplex_min, solve_transport
+from pgsos.lp import Infeasible, Unbounded, simplex_min, solve_transport
 
-from helpers import transport_bruteforce, transport_lp
+from helpers import lp_feasible, transport_bruteforce, transport_lp
 
 F = Fraction
 

@@ -8,20 +8,16 @@ import pytest
 from pgsos.errors import (
     NoConvergence,
     PairLimitExceeded,
-    TruncatedFragment,
-    UnindexedState,
+    StateLimitExceeded,
 )
 from pgsos.frontend import parse_spec, parse_term
-from pgsos.metric import (
-    PseudometricTable,
-    bisim_distance,
-    bisim_metric_lfp,
-    bisim_step,
-    hausdorff,
-    kantorovich,
-)
+from pgsos.lp import solve_transport
+from pgsos.metric import bisim_distance, hausdorff
+from pgsos.oracle import random_closed_term
 from pgsos.semantics import explore_fragment
 from pgsos.terms import Apply, FiniteDistribution
+
+from helpers import check_pseudometric, distance_step, distance_table
 
 F = Fraction
 
@@ -30,88 +26,69 @@ B = Apply("b")
 C = Apply("c")
 
 
-def table(states, entries):
-    n = len(states)
-    idx = {s: i for i, s in enumerate(states)}
-    rows = [[F(0)] * n for _ in range(n)]
-    for (s1, s2), v in entries.items():
-        rows[idx[s1]][idx[s2]] = v
-        rows[idx[s2]][idx[s1]] = v
-    return PseudometricTable(tuple(states), tuple(tuple(r) for r in rows))
-
-
 def t(doc, text):
     return parse_term(text, doc)
 
 
-# -- Kantorovich ------------------------------------------------------------
+# -- Kantorovich lifting: the transport problems it poses -----------------
+# Rows are the points of the first distribution, columns those of the
+# second; ``bisim_distance`` settles identical distributions and point
+# masses itself, so those cases are also checked through it.
 
-def test_kantorovich_identical_inputs_cost_zero():
-    d = table([A, B], {(A, B): F(1)})
-    pi = FiniteDistribution.from_pairs([(A, F(1, 3)), (B, F(2, 3))])
-    value, plan = kantorovich(d, pi, pi)
+def test_kantorovich_identical_inputs_cost_zero(pa_doc):
+    value, plan = solve_transport([[F(0), F(1)], [F(1), F(0)]],
+                                  [F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)])
     assert value == 0
-    assert plan == {(A, A): F(1, 3), (B, B): F(2, 3)}
+    assert plan == [[F(1, 3), F(0)], [F(0), F(2, 3)]]
+    p = "ppref_a_5_5(aa0, pa0)"
+    assert bisim_distance(pa_doc, t(pa_doc, f"alt({p}, {p})"),
+                          t(pa_doc, p)) == 0
 
 
 def test_kantorovich_dirac_pair_is_ground_distance():
-    d = table([A, B], {(A, B): F(2, 5)})
-    value, plan = kantorovich(d, FiniteDistribution.dirac(A),
-                              FiniteDistribution.dirac(B))
+    value, plan = solve_transport([[F(2, 5)]], [F(1)], [F(1)])
     assert value == F(2, 5)
-    assert plan == {(A, B): F(1)}
+    assert plan == [[F(1)]]
 
 
 def test_kantorovich_single_support_side_forces_product_plan():
-    d = table([A, B, C], {(A, B): F(1, 2), (A, C): F(1, 4)})
-    pi1 = FiniteDistribution.dirac(A)
-    pi2 = FiniteDistribution.from_pairs([(B, F(1, 2)), (C, F(1, 2))])
-    value, plan = kantorovich(d, pi1, pi2)
+    value, plan = solve_transport([[F(1, 2), F(1, 4)]],
+                                  [F(1)], [F(1, 2), F(1, 2)])
     assert value == F(1, 2) * F(1, 2) + F(1, 2) * F(1, 4)
-    assert plan == {(A, B): F(1, 2), (A, C): F(1, 2)}
+    assert plan == [[F(1, 2), F(1, 2)]]
 
 
 def test_kantorovich_prefers_cheap_matching():
     # mass can stay in place: distance 0 despite expensive cross pairs
-    d = table([A, B], {(A, B): F(1)})
-    pi1 = FiniteDistribution.from_pairs([(A, F(1, 2)), (B, F(1, 2))])
-    value, _ = kantorovich(d, pi1, pi1)
+    value, _ = solve_transport([[F(0), F(1)], [F(1), F(0)]],
+                               [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
     assert value == 0
 
 
 def test_kantorovich_partial_overlap():
     # total-variation-like instance: only the 1/10 surplus must move
-    d = table([A, B], {(A, B): F(1)})
-    pi1 = FiniteDistribution.from_pairs([(A, F(9, 10)), (B, F(1, 10))])
-    pi2 = FiniteDistribution.from_pairs([(A, F(8, 10)), (B, F(2, 10))])
-    value, plan = kantorovich(d, pi1, pi2)
+    value, plan = solve_transport([[F(0), F(1)], [F(1), F(0)]],
+                                  [F(9, 10), F(1, 10)], [F(8, 10), F(2, 10)])
     assert value == F(1, 10)
-    assert sum(plan.values()) == 1
+    assert sum(map(sum, plan)) == 1
     # plan marginals
-    out_a = sum(q for (x, _), q in plan.items() if x == A)
-    in_b = sum(q for (_, y), q in plan.items() if y == B)
-    assert out_a == F(9, 10) and in_b == F(2, 10)
+    assert sum(plan[0]) == F(9, 10) and plan[0][1] + plan[1][1] == F(2, 10)
 
 
-def test_kantorovich_respects_ground_metric_scaling():
-    d1 = table([A, B], {(A, B): F(1, 10)})
-    pi1 = FiniteDistribution.dirac(A)
-    pi2 = FiniteDistribution.from_pairs([(A, F(9, 10)), (B, F(1, 10))])
-    value, _ = kantorovich(d1, pi1, pi2)
+def test_kantorovich_respects_ground_metric_scaling(pa_doc):
+    value, _ = solve_transport([[F(0), F(1, 10)]],
+                               [F(1)], [F(9, 10), F(1, 10)])
     assert value == F(1, 100)
-
-
-def test_pseudometric_table_rejects_unknown_state():
-    d = table([A, B], {})
-    with pytest.raises(UnindexedState):
-        d.get(A, C)
+    # a point mass on aa0 against 9/10 on aa0 and 1/10 on pa0, which lie
+    # 1/10 apart: the product coupling inside the distance engine
+    assert bisim_distance(pa_doc, t(pa_doc, "pref_a(aa0)"),
+                          t(pa_doc, "ppref_a_9_1(aa0, pa0)")) == F(1, 100)
 
 
 def test_check_pseudometric_catches_asymmetry():
-    rows = ((F(0), F(1, 2)), (F(1, 3), F(0)))
-    bad = PseudometricTable((A, B), rows)
+    bad = {(A, A): F(0), (A, B): F(1, 2), (B, A): F(1, 3), (B, B): F(0)}
     with pytest.raises(AssertionError):
-        bad.check_pseudometric()
+        check_pseudometric(bad, [A, B])
 
 
 # -- Hausdorff --------------------------------------------------------------
@@ -143,27 +120,26 @@ def test_hausdorff_hand_instance():
 def test_lfp_metric_on_prefix_chain(pa_doc):
     roots = [t(pa_doc, "aa0"), t(pa_doc, "pa0")]
     frag = explore_fragment(pa_doc, roots)
-    d = bisim_metric_lfp(pa_doc, frag)
-    assert d.converged
-    d.check_pseudometric()
-    assert d.get(roots[0], roots[1]) == F(1, 10)
+    d = distance_table(pa_doc, frag)
+    check_pseudometric(d, frag.states)
+    assert d[(roots[0], roots[1])] == F(1, 10)
+    assert bisim_distance(pa_doc, *roots) == F(1, 10)
 
 
 def test_lfp_metric_fixpoint_property(pa_doc):
+    # the engine's distances over a whole fragment are a fixed point of
+    # one step of the reference functional
     frag = explore_fragment(pa_doc, [t(pa_doc, "aa0"), t(pa_doc, "pa0"),
                                      t(pa_doc, "bb0"), t(pa_doc, "qb0")])
-    d = bisim_metric_lfp(pa_doc, frag)
-    again = bisim_step(pa_doc, frag, d)
-    assert again == d
+    d = {(u, v): bisim_distance(pa_doc, u, v)
+         for u in frag.states for v in frag.states}
+    assert distance_step(pa_doc, frag, d) == d
 
 
-def test_lfp_requires_complete_fragment(pa_doc, examples_doc):
-    from pgsos.errors import StateLimitExceeded
-    with pytest.raises(StateLimitExceeded) as err:
-        explore_fragment(examples_doc, [t(examples_doc, "bang(aa0)")],
-                         max_states=6)
-    with pytest.raises(TruncatedFragment):
-        bisim_metric_lfp(examples_doc, err.value.fragment)
+def test_lfp_requires_complete_fragment(examples_doc):
+    with pytest.raises(StateLimitExceeded):
+        bisim_distance(examples_doc, t(examples_doc, "bang(aa0)"),
+                       t(examples_doc, "bang(pa0)"), max_states=6)
 
 
 def test_distance_between_action_disagreement(pa_doc):
@@ -197,20 +173,31 @@ def test_distance_agrees_with_full_table(pa_doc):
     for left, right in pairs:
         u, v = t(pa_doc, left), t(pa_doc, right)
         frag = explore_fragment(pa_doc, [u, v])
-        d = bisim_metric_lfp(pa_doc, frag)
-        assert bisim_distance(pa_doc, u, v) == d.get(u, v)
+        assert bisim_distance(pa_doc, u, v) == distance_table(pa_doc, frag)[(u, v)]
 
 
 def test_distance_randomized_against_full_table(pa_doc):
-    from helpers import VARS  # noqa: F401  (same module layout as the suite)
-    from pgsos.oracle import random_closed_term
     rng = random.Random(99)
     for _ in range(8):
         u = random_closed_term(rng, pa_doc, rng.randint(1, 3))
         v = random_closed_term(rng, pa_doc, rng.randint(1, 3))
         frag = explore_fragment(pa_doc, [u, v])
-        d = bisim_metric_lfp(pa_doc, frag)
-        assert bisim_distance(pa_doc, u, v) == d.get(u, v)
+        assert bisim_distance(pa_doc, u, v) == distance_table(pa_doc, frag)[(u, v)]
+
+
+def test_distance_axioms_on_sampled_triples(pa_doc):
+    # independent terms are mostly at distance 1, where the triangle
+    # inequality cannot fail; draw until 20 triples have d(u,v) + d(v,w) < 1
+    rng = random.Random(2024)
+    informative = 0
+    while informative < 20:
+        u, v, w = (random_closed_term(rng, pa_doc, rng.randint(0, 2))
+                   for _ in range(3))
+        assert bisim_distance(pa_doc, u, u) == 0
+        d_uv, d_vw = bisim_distance(pa_doc, u, v), bisim_distance(pa_doc, v, w)
+        assert d_uv == bisim_distance(pa_doc, v, u)
+        assert bisim_distance(pa_doc, u, w) <= d_uv + d_vw
+        informative += d_uv + d_vw < 1
 
 
 def test_pair_budget_refusal(pa_doc):

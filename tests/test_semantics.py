@@ -13,12 +13,10 @@ from pgsos.errors import (
     UndeclaredSymbol,
 )
 from pgsos.frontend import parse_spec, parse_term
-from pgsos.semantics import (
-    derive_transitions,
-    enabled_actions,
-    explore_fragment,
-)
+from pgsos.semantics import derive_transitions, explore_fragment
 from pgsos.terms import Apply, FiniteDistribution, Variable, state_var
+
+from helpers import enabled_actions
 
 F = Fraction
 
