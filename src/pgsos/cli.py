@@ -123,11 +123,6 @@ def int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _require_operator(doc: SpecDocument, op: str) -> None:
-    if not doc.signature.has_operator(op):
-        raise InputError(f"unknown operator '{op}'")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -262,13 +257,15 @@ def _report_text(r: cont.ContinuityReport) -> str:
 
 def cmd_continuity(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
-    den = lfp_denotations(doc, FixpointConfig(max_iterations=args.max_iter))
     if args.op is not None:
-        _require_operator(doc, args.op)
+        # an unknown operator is bad input even where the fixpoint refuses
+        doc.signature.arity(args.op)
         ops = [args.op]
     else:
         ops = [op for op, _ in doc.signature.operators]
-    reports = [cont.is_uniformly_continuous(doc, op, denotations=den)
+    config = FixpointConfig(max_iterations=args.max_iter)
+    den = lfp_denotations(doc, config)
+    reports = [cont.is_uniformly_continuous(doc, op, config=config)
                for op in ops]
     emit(args, "continuity", doc, {"operator": args.op},
          {"reports": [_report_dict(r) for r in reports]},
@@ -280,7 +277,6 @@ def cmd_continuity(args: argparse.Namespace) -> int:
 
 def cmd_check_modulus(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
-    _require_operator(doc, args.op)
     z = cont.parse_modulus(args.z, doc.signature.arity(args.op))
     ok = cont.check_modulus(doc, args.op, z)
     emit(args, "check-modulus", doc,

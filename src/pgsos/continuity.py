@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .denotation import (Denotations, FixpointConfig, generic_application,
-                         lfp_denotations)
+from .denotation import FixpointConfig, generic_application, lfp_denotations
 from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
 from .multiplicity import (INF, ext_leq, ext_mul, format_count, sup_approx,
@@ -97,7 +96,6 @@ class ContinuityReport:
 
 
 def derive_modulus(doc: SpecDocument, op: str, *,
-                   denotations: Denotations | None = None,
                    config: FixpointConfig = FixpointConfig()) -> ModulusSpec:
     """The capped linear modulus whose coefficients are the expected
     copy-counts of the least generator dominating the operator's
@@ -107,12 +105,10 @@ def derive_modulus(doc: SpecDocument, op: str, *,
     exactly at the pointwise maximum; otherwise the join is approximated
     from above, which :func:`is_uniformly_continuous` reports.
     """
-    return is_uniformly_continuous(doc, op, denotations=denotations,
-                                   config=config).modulus
+    return is_uniformly_continuous(doc, op, config=config).modulus
 
 
 def is_uniformly_continuous(doc: SpecDocument, op: str, *,
-                            denotations: Denotations | None = None,
                             config: FixpointConfig = FixpointConfig(),
                             ) -> ContinuityReport:
     """Decide the sufficient condition: the operator's denotation lies
@@ -124,8 +120,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
     verdict is per-generator exact even when the reported modulus
     coefficients had to be over-approximated.
     """
-    den = (denotations if denotations is not None
-           else lfp_denotations(doc, config))
+    den = lfp_denotations(doc, config)
     generic, sources = generic_application(doc, op)
     gens = tuple(den.genset(generic))
 
@@ -175,7 +170,6 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
 
 
 def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec, *,
-                  denotations: Denotations | None = None,
                   config: FixpointConfig = FixpointConfig()) -> bool:
     """Does ``z`` bound the operator's spawning behaviour?
 
@@ -183,7 +177,7 @@ def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec, *,
     coefficient, so the check is coefficient-wise: satisfied when every
     expected copy-count is at most the corresponding coefficient.
     """
-    derived = derive_modulus(doc, op, denotations=denotations, config=config)
+    derived = derive_modulus(doc, op, config=config)
     if z.arity != derived.arity:
         raise ArityMismatch(
             f"operator '{op}' has arity {derived.arity}, "

@@ -28,16 +28,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .errors import IterationLimitExceeded, UntrackedSubterm
+from .errors import IterationLimitExceeded
 from .frontend import Rule, SpecDocument
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
                            ext_leq, genset_equiv, genset_normalize, m_scale,
-                           m_sum, mult, p_lift_op, sup_approx, sup_is_exact,
+                           m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
 from .terms import (Apply, ConvexSum, DistApply, DistVariable,
-                    InstDirac, StateTerm, Term, Var, Variable, dist_var,
-                    format_term, state_var, substitute)
+                    InstDirac, StateTerm, Term, Var, Variable, check_arities,
+                    dist_var, state_var, substitute)
 
 ExtRational = Union[Fraction, int, object]
 
@@ -66,7 +66,7 @@ def power_sum(p: ProbMultiplicity, k) -> ProbMultiplicity:
         return ProbMultiplicity.dirac(mult({x: INF for x in touched}))
     out = P_ZERO
     for _ in range(k):
-        out = p_lift_op("sum", out, p)
+        out = p_sum(out, p)
     return out
 
 
@@ -87,7 +87,7 @@ def branch_compose(p_f: ProbMultiplicity, sources: tuple[Var, ...],
             k = m_f.get(x_i)
             if k == 0:
                 continue
-            conv = p_lift_op("sum", conv, power_sum(p_i, k))
+            conv = p_sum(conv, power_sum(p_i, k))
         pairs.extend((m, q * r) for m, r in conv)
     return ProbMultiplicity.from_pairs(pairs)
 
@@ -193,8 +193,9 @@ class _StepContext:
     """Evaluates the step function clauses against one ``rho`` table.
 
     ``lookup`` gives the denotation of an immediate subterm: the fixpoint
-    reads the previous iterate and refuses untracked terms, a query reads
-    the memo that :meth:`Denotations.genset` fills innermost first.
+    reads the previous iterate, which tracks every subterm it asks for; a
+    query reads the memo that :meth:`Denotations.genset` fills innermost
+    first.
     ``rho`` is fixed for the context's lifetime, so the per-operator
     summaries are memoised.
     """
@@ -269,17 +270,6 @@ class _StepContext:
         return genset_normalize(fold_rule(p, rule) for p in target_gs)
 
 
-def _tracked(tau: Mapping[Term, GenSet]) -> Callable[[Term], GenSet]:
-    """Subterm lookup for one fixpoint step: the previous iterate only."""
-    def lookup(t: Term) -> GenSet:
-        try:
-            return tau[t]
-        except KeyError:
-            raise UntrackedSubterm(
-                f"no tracked denotation for {format_term(t)}") from None
-    return lookup
-
-
 # ---------------------------------------------------------------------------
 # Least fixed point with widening
 # ---------------------------------------------------------------------------
@@ -292,7 +282,9 @@ class Denotations:
 
     ``tau``, ``rho``, ``widened_vars`` and ``over_approximated`` describe
     the fixpoint alone: queries through :meth:`genset` never change them,
-    so one cached instance can serve every caller.
+    so one instance can serve every caller.  The document's
+    ``"fixpoints"`` memo table owns that instance (see
+    :func:`lfp_denotations`); the instance owns the memo of query terms.
     """
 
     doc: SpecDocument
@@ -319,9 +311,12 @@ class Denotations:
         """Denotation of an arbitrary term, evaluated bottom-up against the
         fixed point (the step clauses are compositional, so no iteration is
         needed for query terms).  Writes only its own memo: the flags keep
-        describing the fixpoint, whatever a query needed."""
+        describing the fixpoint, whatever a query needed.  Raises
+        :class:`ArityMismatch` or :class:`UndeclaredSymbol` for a term the
+        signature does not admit."""
         hit = self._memo.get(t)
         if hit is None:
+            check_arities(t, self.doc.signature)
             for u in subterms(t):
                 if u not in self._memo:
                     self._memo[u] = self._step.term_step(u)
@@ -361,9 +356,14 @@ def lfp_denotations(doc: SpecDocument,
     grown ``widening_window`` times, keeping unbounded-recursion chains
     finite.  Exceeding ``max_iterations`` raises
     :class:`IterationLimitExceeded`.
+
+    The result is kept in the document's ``"fixpoints"`` memo table, so
+    every later call with an equal document, config and flag returns the
+    same object.
     """
-    key = (doc, config, reactive_testing)
-    cached = _LFP_CACHE.get(key)
+    memo = doc.memo("fixpoints")
+    key = (config, reactive_testing)
+    cached = memo.get(key)
     if cached is not None:
         return cached
 
@@ -415,7 +415,7 @@ def lfp_denotations(doc: SpecDocument,
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
-                           _tracked(tau))
+                           tau.__getitem__)
         tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in tracked}
         rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules}
         over_approx = over_approx or ctx.over_approximated
@@ -433,11 +433,8 @@ def lfp_denotations(doc: SpecDocument,
 
     result = Denotations(doc, config, reactive_testing, tau, rho, rules_by_op,
                          iterations, frozenset(widened_vars), over_approx)
-    _LFP_CACHE[key] = result
+    memo[key] = result
     return result
-
-
-_LFP_CACHE: dict[object, Denotations] = {}
 
 
 def denote(doc: SpecDocument, t: Term, *,

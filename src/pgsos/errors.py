@@ -122,10 +122,6 @@ class AllSamplesSkipped(AnalysisRefusal):
     """Every oracle sample was discarded before comparison."""
 
 
-class UntrackedSubterm(PgsosError):
-    """A one-step denotation was asked for a term whose sub-term is unknown."""
-
-
 class OracleViolation(PgsosError):
     """A sampled exact distance exceeded its denotational bound.
 

@@ -128,8 +128,13 @@ def validate_rule(rule: Rule, sig: Signature | None = None) -> list[Violation]:
 @dataclass(frozen=True)
 class SpecDocument:
     """A validated specification: signature, expanded rules, named action
-    sets and closed term abbreviations.  Hashable, so downstream analyses
-    can memoise per-document results."""
+    sets and closed term abbreviations.
+
+    The document owns the memo tables of every result that depends on the
+    specification alone (derived transitions, denotation fixpoints, exact
+    distances): :meth:`memo` hands each analysis its named table.  Equal
+    documents (the source digest aside) share their tables, which live as
+    long as the process."""
 
     signature: Signature
     rules: tuple[Rule, ...]
@@ -158,6 +163,20 @@ class SpecDocument:
     @property
     def actions(self) -> tuple[str, ...]:
         return self.signature.actions
+
+    @cached_property
+    def _memo_tables(self) -> dict[str, dict]:
+        # Hashing a document walks all its rules, so it is done once per
+        # instance; a document parsed again from equal text finds the
+        # tables of the first one.
+        return _MEMO_TABLES.setdefault(self, {})
+
+    def memo(self, table: str) -> dict:
+        """The memo table named ``table`` of this specification."""
+        return self._memo_tables.setdefault(table, {})
+
+
+_MEMO_TABLES: dict[SpecDocument, dict[str, dict]] = {}
 
 
 # ---------------------------------------------------------------------------

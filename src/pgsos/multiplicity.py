@@ -117,9 +117,6 @@ class Multiplicity:
     def vars(self) -> tuple[Var, ...]:
         return tuple(x for x, _ in self.entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def is_finite(self) -> bool:
         return all(n is not INF for _, n in self.entries)
 
@@ -161,15 +158,6 @@ def m_sum(m1: Multiplicity, m2: Multiplicity) -> Multiplicity:
     for x, n in m2.entries:
         out[x] = ext_add(out.get(x, 0), n)
     return mult(out)
-
-
-def m_dot(m1: Multiplicity, y: Var, m2: Multiplicity) -> Multiplicity:
-    """Pointed multiplication: ``m1(y)`` copies of ``m2``, so the result is
-    ``x -> m1(y) * m2(x)`` with 0*inf = 0."""
-    k = m1.get(y)
-    if k == 0:
-        return M_ZERO
-    return mult({x: ext_mul(k, n) for x, n in m2.entries})
 
 
 def m_scale(k: Count, m: Multiplicity) -> Multiplicity:
@@ -248,21 +236,11 @@ class ProbMultiplicity:
 P_ZERO = ProbMultiplicity.dirac(M_ZERO)
 
 
-def p_lift_op(op: str, p1: ProbMultiplicity, p2: ProbMultiplicity,
-              y: Var | None = None) -> ProbMultiplicity:
-    """Image measure of the product ``p1 x p2`` under a multiplicity
-    operation: ``op`` is ``"sum"`` for pointwise addition or ``"dot"`` for
-    pointed multiplication at variable ``y``."""
-    if op == "sum":
-        combine = m_sum
-    elif op == "dot":
-        if y is None:
-            raise ValueError("pointed multiplication needs its variable")
-        combine = lambda a, b: m_dot(a, y, b)  # noqa: E731
-    else:
-        raise ValueError(f"unknown multiplicity operation {op!r}")
+def p_sum(p1: ProbMultiplicity, p2: ProbMultiplicity) -> ProbMultiplicity:
+    """Image measure of the product ``p1 x p2`` under pointwise addition:
+    the multiplicity of two independent draws added together."""
     return ProbMultiplicity.from_pairs(
-        (combine(m1, m2), q1 * q2) for m1, q1 in p1 for m2, q2 in p2)
+        (m_sum(m1, m2), q1 * q2) for m1, q1 in p1 for m2, q2 in p2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +265,6 @@ class Weighting:
 
     def is_finite(self) -> bool:
         return all(v is not INF for _, v in self.entries)
-
-    def as_dict(self) -> dict[Var, ExtRational]:
-        return dict(self.entries)
-
-    def restrict(self, keep: Iterable[Var]) -> "Weighting":
-        wanted = set(keep)
-        return Weighting(tuple((x, v) for x, v in self.entries if x in wanted))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{x.name}:{format_count(v)}" for x, v in self.entries)

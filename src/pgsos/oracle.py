@@ -158,20 +158,17 @@ def random_open_term(rng: random.Random, doc: SpecDocument, depth: int,
 # Single-sample evaluation
 # ---------------------------------------------------------------------------
 
-_DISTANCE_CACHE: dict[tuple, Fraction] = {}
-
-
 def _cached_distance(doc: SpecDocument, u: StateTerm, v: StateTerm,
                      max_states: int, max_pairs: int | None) -> Fraction:
     # The same small closed terms recur across samples; refusals are not
     # cached so budget semantics are unchanged.
-    key = (doc, u, v, max_states, max_pairs)
-    hit = _DISTANCE_CACHE.get(key)
+    memo = doc.memo("distances")
+    key = (u, v, max_states, max_pairs)
+    hit = memo.get(key)
     if hit is None:
         hit = bisim_distance(doc, u, v, max_states=max_states,
                              max_pairs=max_pairs)
-        _DISTANCE_CACHE[key] = hit
-        _DISTANCE_CACHE[(doc, v, u, max_states, max_pairs)] = hit
+        memo[key] = memo[(v, u, max_states, max_pairs)] = hit
     return hit
 
 
@@ -242,14 +239,12 @@ def oracle_compare(doc: SpecDocument, t: StateTerm,
     """Check the bound for a fixed open term across sampled substitution
     pairs; explicitly supplied pairs are evaluated before the random ones."""
     rng = random.Random(cfg.seed)
-    den = lfp_denotations(doc)
     variables = sorted(free_vars(t), key=lambda v: v.name)
     results: list[SampleResult] = []
     skipped: dict[str, int] = {}
 
     def run(s1: Mapping[Var, StateTerm], s2: Mapping[Var, StateTerm]) -> None:
-        outcome = evaluate_sample(doc, t, s1, s2, denotations=den,
-                                  max_states=cfg.max_states,
+        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
                                   max_pairs=cfg.max_pairs)
         if isinstance(outcome, str):
             skipped[outcome] = skipped.get(outcome, 0) + 1
@@ -268,15 +263,13 @@ def oracle_suite(doc: SpecDocument,
                  cfg: OracleConfig = OracleConfig()) -> OracleSummary:
     """Check the bound across sampled (term, substitution pair) triples."""
     rng = random.Random(cfg.seed)
-    den = lfp_denotations(doc)
     results: list[SampleResult] = []
     skipped: dict[str, int] = {}
     for _ in range(cfg.samples):
         t = random_open_term(rng, doc, cfg.max_depth, cfg.variables)
         variables = sorted(free_vars(t), key=lambda v: v.name)
         s1, s2 = substitution_pair(rng, doc, variables, cfg.max_depth)
-        outcome = evaluate_sample(doc, t, s1, s2, denotations=den,
-                                  max_states=cfg.max_states,
+        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
                                   max_pairs=cfg.max_pairs)
         if isinstance(outcome, str):
             skipped[outcome] = skipped.get(outcome, 0) + 1

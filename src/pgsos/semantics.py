@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import (DepthLimitExceeded, OpenTermError, StateLimitExceeded,
@@ -34,47 +33,38 @@ def _dist_key(pi: FiniteDistribution) -> tuple:
     return tuple((term_key(t), q) for t, q in pi)
 
 
-class _Engine:
-    """Per-document memo table for transition derivation."""
-
-    def __init__(self, doc: SpecDocument):
-        self.doc = doc
-        self.memo: dict[StateTerm, frozenset[tuple[str, FiniteDistribution]]] = {}
-
-    def transitions(self, t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
-        cached = self.memo.get(t)
-        if cached is not None:
-            return cached
-        assert isinstance(t, Apply)
-        arg_transitions = [self.transitions(arg) for arg in t.args]
-        out: set[tuple[str, FiniteDistribution]] = set()
-        for rule in self.doc.rules_for(t.op):
-            base: dict[Var, StateTerm] = dict(zip(rule.sources, t.args))
-            position = {x: i for i, x in enumerate(rule.sources)}
-            if any(any(a == n.action for a, _ in arg_transitions[position[n.source]])
-                   for n in rule.neg):
-                continue
-            choices = []
-            for p in rule.pos:
-                matching = [pi for a, pi in arg_transitions[position[p.source]]
-                            if a == p.action]
-                choices.append(matching)
-            if any(not c for c in choices):
-                continue
-            for combo in itertools.product(*choices):
-                sigma = dict(base)
-                for p, pi in zip(rule.pos, combo):
-                    sigma[p.derivative] = embed_distribution(pi)
-                closed_target = substitute(rule.target, sigma)
-                out.add((rule.action, eval_closed_dist(closed_target)))
-        result = frozenset(out)
-        self.memo[t] = result
-        return result
-
-
-@lru_cache(maxsize=None)
-def _engine(doc: SpecDocument) -> _Engine:
-    return _Engine(doc)
+def _transitions(doc: SpecDocument, memo: dict,
+                 t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
+    """Transitions of a closed, arity-checked term; ``memo`` is the
+    document's ``"transitions"`` table."""
+    cached = memo.get(t)
+    if cached is not None:
+        return cached
+    assert isinstance(t, Apply)
+    arg_transitions = [_transitions(doc, memo, arg) for arg in t.args]
+    out: set[tuple[str, FiniteDistribution]] = set()
+    for rule in doc.rules_for(t.op):
+        base: dict[Var, StateTerm] = dict(zip(rule.sources, t.args))
+        position = {x: i for i, x in enumerate(rule.sources)}
+        if any(any(a == n.action for a, _ in arg_transitions[position[n.source]])
+               for n in rule.neg):
+            continue
+        choices = []
+        for p in rule.pos:
+            matching = [pi for a, pi in arg_transitions[position[p.source]]
+                        if a == p.action]
+            choices.append(matching)
+        if any(not c for c in choices):
+            continue
+        for combo in itertools.product(*choices):
+            sigma = dict(base)
+            for p, pi in zip(rule.pos, combo):
+                sigma[p.derivative] = embed_distribution(pi)
+            closed_target = substitute(rule.target, sigma)
+            out.add((rule.action, eval_closed_dist(closed_target)))
+    result = frozenset(out)
+    memo[t] = result
+    return result
 
 
 def derive_transitions(doc: SpecDocument,
@@ -84,7 +74,7 @@ def derive_transitions(doc: SpecDocument,
         names = ", ".join(sorted(x.name for x in free_vars(t)))
         raise OpenTermError(f"transitions need a closed term; free: {names}")
     check_arities(t, doc.signature)
-    return _engine(doc).transitions(t)
+    return _transitions(doc, doc.memo("transitions"), t)
 
 
 @dataclass
@@ -137,7 +127,7 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
         if r not in ordered_roots:
             ordered_roots.append(r)
 
-    engine = _engine(doc)
+    memo = doc.memo("transitions")
     depth: dict[StateTerm, int] = {r: 0 for r in ordered_roots}
     table: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]] = {}
     queue: list[StateTerm] = list(ordered_roots)
@@ -161,7 +151,7 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
         state = queue[pos]
         pos += 1
         by_action: dict[str, list[FiniteDistribution]] = {}
-        for a, pi in engine.transitions(state):
+        for a, pi in _transitions(doc, memo, state):
             by_action.setdefault(a, []).append(pi)
         table[state] = {a: tuple(sorted(pis, key=_dist_key))
                         for a, pis in sorted(by_action.items())}

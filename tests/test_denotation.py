@@ -7,6 +7,7 @@ semantic change and not a formatting accident.
 """
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -22,8 +23,8 @@ from pgsos.denotation import (
     power_sum,
     subterms,
 )
-from pgsos.errors import IterationLimitExceeded
-from pgsos.frontend import parse_term
+from pgsos.errors import ArityMismatch, IterationLimitExceeded
+from pgsos.frontend import parse_spec, parse_term
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
@@ -39,8 +40,10 @@ from pgsos.multiplicity import (
     weighting_of,
 )
 from pgsos.terms import (
+    Apply,
     DistApply,
     DistVariable,
+    Variable,
     dist_var,
     state_var,
 )
@@ -193,6 +196,22 @@ def test_iteration_budget_refusal(examples_doc):
         lfp_denotations(examples_doc, FixpointConfig(max_iterations=3))
 
 
+def test_equal_documents_share_one_fixpoint():
+    data = resources.files("pgsos").joinpath("data", "pa.pgsos").read_bytes()
+    first, again = parse_spec(data), parse_spec(data)
+    assert first is not again
+    assert lfp_denotations(again) is lfp_denotations(first)
+    # a comment changes the text, not the specification
+    commented = parse_spec(data + b"# one more comment line\n")
+    assert commented.source_digest != first.source_digest
+    assert lfp_denotations(commented) is lfp_denotations(first)
+    old_rule = b"ppref_a_5_5(x1, x2) --a--> 1/2*delta(x1) + 1/2*delta(x2)"
+    new_rule = b"ppref_a_5_5(x1, x2) --a--> 1/3*delta(x1) + 2/3*delta(x2)"
+    assert data.count(old_rule) == 1
+    changed = parse_spec(data.replace(old_rule, new_rule))
+    assert lfp_denotations(changed) is not lfp_denotations(first)
+
+
 def test_fixpoint_property_of_tracked_entries(pa_doc, examples_doc):
     # one more step, taken through the public query path, changes no entry
     for doc in (pa_doc, examples_doc):
@@ -227,6 +246,20 @@ def test_convex_sum_denotation(pa_doc):
 def test_denote_convenience_wrapper(pa_doc):
     gs = denote(pa_doc, t(pa_doc, "par(x, x)"))
     assert genset_equiv(gs, dirac_gs(mult({X: 2})))
+
+
+@pytest.mark.parametrize("n_args", [1, 3])
+def test_queries_check_operator_arities(pa_doc, n_args):
+    # par has arity 2: a missing argument must not read as zero copies,
+    # nor an extra one be dropped
+    term = Apply("par", (Variable(X),) * n_args)
+    e = process_distance({X: F(1, 10)})
+    with pytest.raises(ArityMismatch):
+        lfp_denotations(pa_doc).genset(term)
+    with pytest.raises(ArityMismatch):
+        denote(pa_doc, term)
+    with pytest.raises(ArityMismatch):
+        bound_distance(pa_doc, term, e)
 
 
 # -- distance bounds from denotations --------------------------------------

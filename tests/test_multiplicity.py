@@ -28,14 +28,13 @@ from pgsos.multiplicity import (
     genset_equiv,
     genset_leq,
     genset_normalize,
-    m_dot,
     m_pointwise_max,
     m_scale,
     m_sum,
     mult,
     p_leq,
     p_leq_witness,
-    p_lift_op,
+    p_sum,
     pda,
     process_distance,
     sup_approx,
@@ -86,15 +85,6 @@ def test_unit_and_sum():
     assert m_sum(mult({X: INF}), unit(X)) == mult({X: INF})
 
 
-def test_dot_is_scaled_substitution():
-    # two copies of y, each expanded to {x:3}: total {x:6}
-    assert m_dot(mult({Y: 2}), Y, mult({X: 3})) == mult({X: 6})
-    # absent variable kills everything, even infinite targets
-    assert m_dot(unit(X), Y, mult({X: INF})) == M_ZERO
-    # infinitely many copies of a finite, nonzero target
-    assert m_dot(mult({Y: INF}), Y, unit(X)) == mult({X: INF})
-
-
 def test_scale_and_pointwise_max():
     assert m_scale(0, mult({X: INF})) == M_ZERO
     assert m_scale(INF, unit(X)) == mult({X: INF})
@@ -119,17 +109,9 @@ def test_prob_multiplicity_merges_and_validates():
 
 def test_lift_sum_is_convolution():
     p = ProbMultiplicity.from_pairs([(M_ZERO, F(1, 2)), (unit(X), F(1, 2))])
-    pp = p_lift_op("sum", p, p)
+    pp = p_sum(p, p)
     assert dict(pp.entries) == {
         M_ZERO: F(1, 4), unit(X): F(1, 2), mult({X: 2}): F(1, 4)}
-
-
-def test_lift_dot_composes_draws():
-    # one copy of y half the time, expanded by 0 or 2 copies of x
-    p1 = ProbMultiplicity.from_pairs([(unit(Y), F(1, 2)), (M_ZERO, F(1, 2))])
-    p2 = ProbMultiplicity.from_pairs([(mult({X: 2}), F(1, 3)), (M_ZERO, F(2, 3))])
-    out = p_lift_op("dot", p1, p2, Y)
-    assert dict(out.entries) == {mult({X: 2}): F(1, 6), M_ZERO: F(5, 6)}
 
 
 def test_weighting_is_expected_count():

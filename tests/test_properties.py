@@ -21,7 +21,7 @@ from pgsos.multiplicity import (
     ext_mul,
     m_sum,
     mult,
-    p_lift_op,
+    p_sum,
     pda,
     process_distance,
     weighting_of,
@@ -100,7 +100,7 @@ def test_deterministic_bound_is_monotone(m1, m2, e):
 @given(prob_multiplicities(), prob_multiplicities(), distances)
 def test_probabilistic_bound_of_convolution(p1, p2, e):
     # drawing independently and summing multiplies the survival chances
-    conv = p_lift_op("sum", p1, p2)
+    conv = p_sum(p1, p2)
     lhs = pda(conv, e)
     rhs = 1 - (1 - pda(p1, e)) * (1 - pda(p2, e))
     assert lhs == rhs
