@@ -33,14 +33,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
-from .terms import (Apply, ConvexSum, DistApply, DistTerm, DistVariable,
-                    InstDirac, Signature, StateTerm, Var, Variable,
-                    convex_sum, dist_var, format_rational, format_term,
-                    free_vars, state_var, substitute)
+from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
+                    Signature, StateTerm, Var, Variable, convex_sum,
+                    dist_var, format_term, free_vars, state_var)
 
 
 class EmptyExpansion(UserWarning):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .errors import NoConvergence, PairLimitExceeded
 from .frontend import SpecDocument
 from .lp import solve_transport
-from .semantics import explore_fragment
+from .semantics import ROOTS_CLOSED, check_closed, explore_fragment
 from .terms import FiniteDistribution, StateTerm, term_key
 
 
@@ -77,6 +77,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     if mode not in ("exact", "iterate"):
         raise ValueError(f"unknown mode {mode!r}")
     if t1 == t2:
+        check_closed(doc, t1, ROOTS_CLOSED)
         return Fraction(0)
     kwargs = {} if max_states is None else {"max_states": max_states}
     fragment = explore_fragment(doc, [t1, t2], **kwargs)

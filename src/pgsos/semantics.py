@@ -67,13 +67,20 @@ def _transitions(doc: SpecDocument, memo: dict,
     return result
 
 
+def check_closed(doc: SpecDocument, t: StateTerm, what: str) -> None:
+    """Raise :class:`OpenTermError` (message ``what``, then the free
+    variables) unless ``t`` is closed, and :class:`ArityMismatch` unless
+    every operator in it has its declared arity."""
+    names = sorted(x.name for x in free_vars(t))
+    if names:
+        raise OpenTermError(f"{what}; free: {', '.join(names)}")
+    check_arities(t, doc.signature)
+
+
 def derive_transitions(doc: SpecDocument,
                        t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
     """All transitions ``(action, distribution)`` of a closed term."""
-    if free_vars(t):
-        names = ", ".join(sorted(x.name for x in free_vars(t)))
-        raise OpenTermError(f"transitions need a closed term; free: {names}")
-    check_arities(t, doc.signature)
+    check_closed(doc, t, "transitions need a closed term")
     return _transitions(doc, doc.memo("transitions"), t)
 
 
@@ -107,6 +114,7 @@ class ReachableFragment:
 
 
 DEFAULT_MAX_STATES = 4096
+ROOTS_CLOSED = "exploration needs closed roots"
 
 
 def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
@@ -120,10 +128,7 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
     """
     ordered_roots: list[StateTerm] = []
     for r in roots:
-        if free_vars(r):
-            names = ", ".join(sorted(x.name for x in free_vars(r)))
-            raise OpenTermError(f"exploration needs closed roots; free: {names}")
-        check_arities(r, doc.signature)
+        check_closed(doc, r, ROOTS_CLOSED)
         if r not in ordered_roots:
             ordered_roots.append(r)
 

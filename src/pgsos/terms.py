@@ -14,9 +14,10 @@ the package is tolerance-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, KindMismatch, UndeclaredSymbol
 
@@ -97,10 +98,63 @@ class Variable:
             raise KindMismatch(f"{self.var.name} is not a state variable")
 
 
-@dataclass(frozen=True)
 class Apply:
+    """``op(args...)``, hash-consed: building a term equal to a live one
+    returns that same object.
+
+    Nodes come from one weak-valued unique table keyed by ``(op, args)``, so
+    the table keeps no term alive.  The hash is computed once, at
+    construction, and is the value a frozen dataclass with these two fields
+    would compute, so sets and dicts of terms iterate in that order.
+    Equality tests identity first and then compares structurally, so no
+    answer depends on the table (a node copied or built concurrently is
+    still equal to its twin).
+    """
+
+    __slots__ = ("op", "args", "_hash", "_key", "__weakref__")
+    __match_args__ = ("op", "args")
+
     op: str
-    args: tuple["StateTerm", ...] = ()
+    args: tuple["StateTerm", ...]
+
+    def __new__(cls, op: str, args: tuple["StateTerm", ...] = ()) -> "Apply":
+        key = (op, args)
+        node = _UNIQUE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "op", op)
+            object.__setattr__(node, "args", args)
+            object.__setattr__(node, "_hash", hash(key))
+            object.__setattr__(node, "_key", None)
+            _UNIQUE[key] = node
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.op == other.op
+                and self.args == other.args)
+
+    def __repr__(self) -> str:
+        return f"Apply(op={self.op!r}, args={self.args!r})"
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled terms are rebuilt through the table
+        return (Apply, (self.op, self.args))
+
+
+_UNIQUE: "WeakValueDictionary[tuple, Apply]" = WeakValueDictionary()
 
 
 StateTerm = Union[Variable, Apply]
@@ -209,8 +263,16 @@ def _format_factor(theta: DistTerm) -> str:
 
 
 def term_key(t: Term) -> str:
-    """A total order on terms: the rendered text (rendering is injective)."""
-    return format_term(t)
+    """A total order on terms: the rendered text (rendering is injective).
+
+    An :class:`Apply` node renders once and keeps the text."""
+    if t.__class__ is not Apply:
+        return format_term(t)
+    key = t._key
+    if key is None:
+        key = format_term(t)
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +364,15 @@ class FiniteDistribution:
             total += q
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
+        object.__setattr__(self, "_hash", hash((self._items,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # the stored hash holds only in this process (string hashing is
+        # salted), so an unpickled distribution computes its own
+        return (FiniteDistribution, (self._items,))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[StateTerm, Fraction]]) -> "FiniteDistribution":

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, JSON reports, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -122,6 +125,26 @@ def test_json_is_deterministic(capsys):
     json.loads(out1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", PA, "par(aa0, aa0)", "par(pa0, pa0)"],
+    ["oracle", EXAMPLES, "--samples", "30", "--seed", "7"],
+])
+def test_json_is_identical_across_hash_seeds(argv):
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from pgsos.cli import main; sys.exit(main())",
+             "--json", *argv],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])
+
+
 def test_json_renders_exact_rationals_and_infinity(capsys):
     code, out, _ = run(capsys, "--json", "denote", EXAMPLES, "bang(x1)")
     assert code == 0
@@ -154,6 +177,13 @@ def test_open_term_where_closed_needed(capsys):
     code, _, err = run(capsys, "distance", PA, "par(x, zero)", "zero")
     assert code == 2
     assert "free" in err
+
+
+def test_identical_open_terms_are_an_input_error(capsys):
+    code, out, err = run(capsys, "distance", PA, "par(x, zero)", "par(x, zero)")
+    assert code == 2
+    assert out == ""
+    assert "exploration needs closed roots; free: x" in err
 
 
 def test_bad_distance_assignment(capsys):

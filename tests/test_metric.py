@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from pgsos.errors import (
+    ArityMismatch,
     NoConvergence,
+    OpenTermError,
     PairLimitExceeded,
     StateLimitExceeded,
 )
@@ -155,6 +157,15 @@ def test_distance_zero_for_distinct_but_equivalent_terms(pa_doc):
 def test_distance_identical_terms_short_circuit(pa_doc):
     u = t(pa_doc, "par(aa0, aa0)")
     assert bisim_distance(pa_doc, u, u) == 0
+
+
+def test_identical_roots_are_checked_before_the_short_circuit(pa_doc):
+    one_arg = Apply("par", (Apply("zero"),))
+    with pytest.raises(ArityMismatch):
+        bisim_distance(pa_doc, one_arg, one_arg)
+    open_term = t(pa_doc, "par(x, zero)")
+    with pytest.raises(OpenTermError, match="exploration needs closed roots"):
+        bisim_distance(pa_doc, open_term, open_term)
 
 
 def test_distance_discounts_along_prefix_depth(pa_doc):

@@ -1,10 +1,17 @@
 """Terms: construction, rendering, substitution, closed-distribution evaluation."""
 
+import copy
+import gc
+import pickle
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from pgsos.errors import ArityMismatch, KindMismatch
+from pgsos.frontend import parse_term
+from pgsos.oracle import random_closed_term
 from pgsos.terms import (
     Apply,
     ConvexSum,
@@ -114,11 +121,48 @@ def test_substitution_is_simultaneous():
     assert s == Apply("par", (Variable(Y), Variable(X)))
 
 
-def test_term_key_total_order_is_injective_on_samples():
+def test_term_key_total_order_is_injective_on_samples(pa_doc):
     terms = [ZERO, A_ZERO, Variable(X), Apply("par", (ZERO, ZERO)),
              Apply("par", (ZERO, A_ZERO))]
     keys = [term_key(t) for t in terms]
     assert len(set(keys)) == len(terms)
+
+    # Sampled closed terms: interned, hashed and keyed as a frozen
+    # dataclass of (op, args) would be, and still immutable values.
+    rng = random.Random(11)
+    sampled = [random_closed_term(rng, pa_doc, depth) for depth in (1, 2, 3)
+               for _ in range(10)]
+    for t in sampled:
+        assert parse_term(format_term(t), pa_doc) is t
+        assert hash(t) == hash((t.op, t.args))
+        assert term_key(t) == format_term(t)
+        for twin in (copy.copy(t), copy.deepcopy(t),
+                     pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t)
+        with pytest.raises(AttributeError):
+            t.op = "zero"
+    assert len({term_key(t) for t in sampled}) == len(set(sampled))
+    pi = FiniteDistribution.from_pairs((t, Fraction(1, len(sampled)))
+                                       for t in sampled)
+    assert hash(pi) == hash((pi.items(),))
+    assert pickle.loads(pickle.dumps(pi)) == pi
+
+
+def test_deep_terms_are_hashed_and_compared_without_recursion():
+    def chain(depth):
+        t = ZERO
+        for _ in range(depth):
+            t = Apply("pref_a", (t,))
+        return t
+
+    first, second = chain(10 ** 5), chain(10 ** 5)
+    assert first is second
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    root = weakref.ref(first)
+    del first, second
+    gc.collect()
+    assert root() is None
 
 
 def test_finite_distribution_normalizes_and_checks_mass():
