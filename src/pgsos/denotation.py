@@ -35,9 +35,9 @@ from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            ext_leq, genset_equiv, genset_normalize, m_scale,
                            m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
-from .terms import (Apply, ConvexSum, DistApply, DistVariable,
-                    InstDirac, StateTerm, Term, Var, Variable, check_arities,
-                    dist_var, state_var, substitute)
+from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
+                    StateTerm, Term, Var, Variable, check_arities, dist_var,
+                    immediate_subterms, state_var, substitute)
 
 ExtRational = Union[Fraction, int, object]
 
@@ -158,21 +158,21 @@ def canonical_rule(rule: Rule) -> Rule:
 
 
 def subterms(t: Term) -> list[Term]:
-    """The term and all its subterms, innermost first."""
+    """The distinct subterms of ``t``, ``t`` included, innermost first: each
+    in the place of its first occurrence in a left-to-right post-order walk.
+    Iterative, so the depth of ``t`` is not limited by the interpreter's
+    recursion limit."""
     out: list[Term] = []
-
-    def walk(u: Term) -> None:
-        if isinstance(u, (Apply, DistApply)):
-            for a in u.args:
-                walk(a)
-        elif isinstance(u, InstDirac):
-            walk(u.term)
-        elif isinstance(u, ConvexSum):
-            for _, theta in u.parts:
-                walk(theta)
-        out.append(u)
-
-    walk(t)
+    seen: set[Term] = set()
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        u, children_done = stack.pop()
+        if children_done:
+            out.append(u)
+        elif u not in seen:
+            seen.add(u)
+            stack.append((u, True))
+            stack.extend((c, False) for c in reversed(immediate_subterms(u)))
     return out
 
 
@@ -351,7 +351,10 @@ def lfp_denotations(doc: SpecDocument,
     Tracked entries are the canonical rules, their targets with all
     subterms, and the generic application of every operator.  Iteration
     starts from the zero denotation everywhere and stops when one more
-    step leaves every entry equal; a per-entry, per-variable widening to
+    step leaves every entry equal.  After the first step, only the entries
+    that read a term or rule changed by the previous step are evaluated
+    again; the others would step to their previous values, so the result
+    is that of stepping every entry.  A per-entry, per-variable widening to
     ``INF`` fires once the variable's largest expected count has strictly
     grown ``widening_window`` times, keeping unbounded-recursion chains
     finite.  Exceeding ``max_iterations`` raises
@@ -385,6 +388,17 @@ def lfp_denotations(doc: SpecDocument,
     for op, _ in doc.signature.operators:
         track(generic_application(doc, op)[0])
 
+    # readers[e]: the entries whose step clause reads the term or rule e
+    readers: dict[object, list[object]] = {}
+    for t in tracked:
+        inputs = immediate_subterms(t)
+        if isinstance(t, (Apply, DistApply)):
+            inputs += rules_by_op.get(t.op, ())
+        for e in inputs:
+            readers.setdefault(e, []).append(t)
+    for r in rules:
+        readers.setdefault(r.target, []).append(r)
+
     tau: dict[Term, GenSet] = {t: D_ZERO for t in tracked}
     rho: dict[Rule, GenSet] = {r: D_ZERO for r in rules}
     growth: dict[tuple[object, Var], int] = {}
@@ -412,20 +426,29 @@ def lfp_denotations(doc: SpecDocument,
         measures[key_] = _measure(gs) if widen else measure
         return gs
 
+    # Skipping is exact: an entry whose inputs kept their values steps to
+    # its previous raw value, and widening that again counts no growth.
     iterations = 0
+    terms_due, rules_due = tracked, rules
     for iterations in range(1, config.max_iterations + 1):
         ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
                            tau.__getitem__)
-        tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in tracked}
-        rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules}
+        tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in terms_due}
+        rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules_due}
         over_approx = over_approx or ctx.over_approximated
-        if tau2 == tau and rho2 == rho:
+        changed_terms = [t for t, gs in tau2.items() if gs != tau[t]]
+        changed_rules = [r for r, gs in rho2.items() if gs != rho[r]]
+        settled = (all(genset_equiv(tau2[t], tau[t]) for t in changed_terms)
+                   and all(genset_equiv(rho2[r], rho[r])
+                           for r in changed_rules))
+        tau.update(tau2)
+        rho.update(rho2)
+        if settled:
             break
-        if (all(genset_equiv(tau2[t], tau[t]) for t in tracked)
-                and all(genset_equiv(rho2[r], rho[r]) for r in rules)):
-            tau, rho = tau2, rho2
-            break
-        tau, rho = tau2, rho2
+        due = {e for c in changed_terms + changed_rules
+               for e in readers.get(c, ())}
+        terms_due = [t for t in tracked if t in due]
+        rules_due = [r for r in rules if r in due]
     else:
         raise IterationLimitExceeded(
             f"denotations still changing after {config.max_iterations} "

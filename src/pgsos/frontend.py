@@ -1,4 +1,4 @@
-"""Reader, validator and printer for rule-format process specifications.
+"""Reader and validator for rule-format process specifications.
 
 The textual format declares a finite action alphabet, named action sets,
 ranked operators, closed term abbreviations and inference rules::
@@ -39,7 +39,7 @@ from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
 from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
                     Signature, StateTerm, Var, Variable, convex_sum,
-                    dist_var, format_term, free_vars, state_var)
+                    dist_var, free_vars, state_var)
 
 
 class EmptyExpansion(UserWarning):
@@ -769,41 +769,3 @@ def parse_term(text: str, doc: SpecDocument, *, free_ok: bool = True,
         raise parser.error(f"unexpected trailing input {trailing.text!r}",
                            trailing)
     return term
-
-
-# ---------------------------------------------------------------------------
-# Canonical printer
-# ---------------------------------------------------------------------------
-
-def print_rule(rule: Rule) -> str:
-    lines = ["rule:"]
-    for p in rule.pos:
-        lines.append(f"  {p.source.name} --{p.action}--> {p.derivative.name}")
-    for np in rule.neg:
-        lines.append(f"  {np.source.name} -/{np.action}->")
-    lines.append("  ---")
-    head = rule.op
-    if rule.sources:
-        head += "(" + ", ".join(x.name for x in rule.sources) + ")"
-    lines.append(f"  {head} --{rule.action}--> {format_term(rule.target)}")
-    return "\n".join(lines)
-
-
-def print_spec(doc: SpecDocument) -> str:
-    """Render a document in the concrete syntax so that parsing the output
-    reproduces an equal document (templates are already expanded)."""
-    chunks: list[str] = []
-    if doc.signature.actions:
-        chunks.append("actions " + ", ".join(doc.signature.actions) + ";")
-    for name, acts in doc.sets:
-        chunks.append(f"set {name} = {{{', '.join(acts)}}};")
-    for op, arity in doc.signature.operators:
-        chunks.append(f"op {op} : {arity};")
-    parts = ["\n".join(chunks)] if chunks else []
-    for rule in doc.rules:
-        parts.append(print_rule(rule))
-    tail = [f"term {name} = {format_term(term)};"
-            for name, term in doc.abbreviations]
-    if tail:
-        parts.append("\n".join(tail))
-    return "\n\n".join(parts) + "\n"

@@ -329,9 +329,6 @@ def process_distance(entries: Mapping[Var, Fraction] | Iterable[tuple[Var, Fract
     return ProcessDistance(tuple(sorted(kept.items(), key=lambda it: _var_key(it[0]))))
 
 
-E_ZERO = ProcessDistance(())
-
-
 # ---------------------------------------------------------------------------
 # The probabilistic order, decided by exact linear feasibility
 # ---------------------------------------------------------------------------

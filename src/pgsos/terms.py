@@ -279,30 +279,40 @@ def term_key(t: Term) -> str:
 # Variables and substitution
 # ---------------------------------------------------------------------------
 
+def immediate_subterms(t: Term) -> tuple[Term, ...]:
+    """The subterms one level below ``t``, left to right."""
+    cls = t.__class__
+    if cls is Apply or cls is DistApply:
+        return t.args
+    if cls is Variable or cls is DistVariable:
+        return ()
+    if cls is InstDirac:
+        return (t.term,)
+    if cls is ConvexSum:
+        return tuple(theta for _, theta in t.parts)
+    raise TypeError(f"not a term: {t!r}")
+
+
 def free_vars(t: Term) -> frozenset[Var]:
-    """The set of all state and distribution variables occurring in ``t``."""
+    """The set of all state and distribution variables occurring in ``t``.
+
+    Walks an explicit stack, so the depth of ``t`` is not limited by the
+    interpreter's recursion limit; an application shared by identity, as
+    hash-consed ones are, is walked once."""
     out: set[Var] = set()
-    _collect_vars(t, out)
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is Variable or cls is DistVariable:
+            out.add(u.var)
+        elif cls is not Apply:
+            stack.extend(immediate_subterms(u))
+        elif id(u) not in seen:
+            seen.add(id(u))
+            stack.extend(u.args)
     return frozenset(out)
-
-
-def _collect_vars(t: Term, out: set[Var]) -> None:
-    if isinstance(t, (Variable, DistVariable)):
-        out.add(t.var)
-    elif isinstance(t, (Apply, DistApply)):
-        for a in t.args:
-            _collect_vars(a, out)
-    elif isinstance(t, InstDirac):
-        _collect_vars(t.term, out)
-    elif isinstance(t, ConvexSum):
-        for _, theta in t.parts:
-            _collect_vars(theta, out)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-
-
-def is_closed(t: Term) -> bool:
-    return not free_vars(t)
 
 
 Substitution = Mapping[Var, Term]
@@ -449,16 +459,21 @@ def embed_distribution(pi: FiniteDistribution) -> DistTerm:
 
 
 def check_arities(t: Term, sig: Signature) -> None:
-    """Verify every operator in ``t`` is declared with the arity used."""
-    if isinstance(t, (Apply, DistApply)):
-        expected = sig.arity(t.op)
-        if expected != len(t.args):
-            raise ArityMismatch(
-                f"{t.op} expects {expected} argument(s), got {len(t.args)}")
-        for a in t.args:
-            check_arities(a, sig)
-    elif isinstance(t, InstDirac):
-        check_arities(t.term, sig)
-    elif isinstance(t, ConvexSum):
-        for _, theta in t.parts:
-            check_arities(theta, sig)
+    """Verify every operator in ``t`` is declared with the arity used.
+
+    Operators are checked outermost first, left to right, so the error
+    reported is the one at the first offending operator in the text.  Like
+    :func:`free_vars`, walks an explicit stack and each shared node once."""
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is not Apply and u.__class__ is not DistApply:
+            stack.extend(reversed(immediate_subterms(u)))
+        elif id(u) not in seen:
+            seen.add(id(u))
+            expected = sig.arity(u.op)
+            if expected != len(u.args):
+                raise ArityMismatch(
+                    f"{u.op} expects {expected} argument(s), got {len(u.args)}")
+            stack.extend(reversed(u.args))

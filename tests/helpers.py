@@ -13,6 +13,12 @@ with the general simplex instead.
 plain Kleene iteration of the distance functional over every ordered state
 pair of a complete fragment, sharing nothing with ``bisim_distance`` but
 the transport solver.
+
+``jacobi_denotations`` is the reference for the denotation fixpoint: the
+plain Jacobi iteration that steps every tracked entry on every iteration,
+widening included, sharing only the step clauses with ``lfp_denotations``.
+
+The printers, ``is_closed`` and ``E_ZERO`` serve the tests alone.
 """
 
 from __future__ import annotations
@@ -21,15 +27,75 @@ import itertools
 import random
 from fractions import Fraction
 
+from pgsos.denotation import (
+    Denotations,
+    FixpointConfig,
+    _measure,
+    _StepContext,
+    _widen,
+    canonical_rule,
+    generic_application,
+    subterms,
+)
+from pgsos.errors import IterationLimitExceeded
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
+    D_ZERO,
     INF,
     Multiplicity,
     ProbMultiplicity,
+    ProcessDistance,
+    ext_leq,
+    genset_equiv,
     mult,
 )
 from pgsos.semantics import derive_transitions
-from pgsos.terms import state_var
+from pgsos.terms import format_term, free_vars, state_var
+
+
+# ---------------------------------------------------------------------------
+# Test-only conveniences
+# ---------------------------------------------------------------------------
+
+E_ZERO = ProcessDistance(())
+
+
+def is_closed(t) -> bool:
+    return not free_vars(t)
+
+
+def print_rule(rule) -> str:
+    lines = ["rule:"]
+    for p in rule.pos:
+        lines.append(f"  {p.source.name} --{p.action}--> {p.derivative.name}")
+    for np in rule.neg:
+        lines.append(f"  {np.source.name} -/{np.action}->")
+    lines.append("  ---")
+    head = rule.op
+    if rule.sources:
+        head += "(" + ", ".join(x.name for x in rule.sources) + ")"
+    lines.append(f"  {head} --{rule.action}--> {format_term(rule.target)}")
+    return "\n".join(lines)
+
+
+def print_spec(doc) -> str:
+    """Render a document in the concrete syntax so that parsing the output
+    reproduces an equal document (templates are already expanded)."""
+    chunks: list[str] = []
+    if doc.signature.actions:
+        chunks.append("actions " + ", ".join(doc.signature.actions) + ";")
+    for name, acts in doc.sets:
+        chunks.append(f"set {name} = {{{', '.join(acts)}}};")
+    for op, arity in doc.signature.operators:
+        chunks.append(f"op {op} : {arity};")
+    parts = ["\n".join(chunks)] if chunks else []
+    for rule in doc.rules:
+        parts.append(print_rule(rule))
+    tail = [f"term {name} = {format_term(term)};"
+            for name, term in doc.abbreviations]
+    if tail:
+        parts.append("\n".join(tail))
+    return "\n\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +262,74 @@ def check_pseudometric(d, states):
         for t in states:
             for u in states:
                 assert d[(s, t)] <= d[(s, u)] + d[(u, t)], "triangle inequality"
+
+
+# ---------------------------------------------------------------------------
+# The denotation fixpoint by plain Jacobi iteration
+# ---------------------------------------------------------------------------
+
+def jacobi_denotations(doc, config=FixpointConfig(), *,
+                       reactive_testing=True) -> Denotations:
+    """The joint least fixed point of the term and rule clauses, stepping
+    every tracked entry on every iteration from the previous iterate, with
+    the same per-entry widening and stop test as ``lfp_denotations``.
+    Bypasses the document's memo table."""
+    rules = tuple(canonical_rule(r) for r in doc.rules)
+    rules_by_op = {}
+    for r in rules:
+        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
+    tracked = []
+    seen = set()
+    roots = [r.target for r in rules]
+    roots += [generic_application(doc, op)[0]
+              for op, _ in doc.signature.operators]
+    for root in roots:
+        for sub in subterms(root):
+            if sub not in seen:
+                seen.add(sub)
+                tracked.append(sub)
+
+    tau = {t: D_ZERO for t in tracked}
+    rho = {r: D_ZERO for r in rules}
+    growth, measures, forced = {}, {}, {}
+    over_approx = False
+    widened_vars = set()
+
+    def apply_widening(key, gs):
+        prev = measures.get(key, {})
+        measure = _measure(gs)
+        for x, v in measure.items():
+            if not ext_leq(v, prev.get(x, Fraction(0))):
+                count = growth.get((key, x), 0) + 1
+                growth[(key, x)] = count
+                if count >= config.widening_window:
+                    forced.setdefault(key, set()).add(x)
+                    widened_vars.add(x)
+        widen = forced.get(key, ())
+        for x in widen:
+            gs = _widen(gs, x)
+        measures[key] = _measure(gs) if widen else measure
+        return gs
+
+    for iterations in range(1, config.max_iterations + 1):
+        ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
+                           tau.__getitem__)
+        tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in tracked}
+        rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules}
+        over_approx = over_approx or ctx.over_approximated
+        if tau2 == tau and rho2 == rho:
+            break
+        if (all(genset_equiv(tau2[t], tau[t]) for t in tracked)
+                and all(genset_equiv(rho2[r], rho[r]) for r in rules)):
+            tau, rho = tau2, rho2
+            break
+        tau, rho = tau2, rho2
+    else:
+        raise IterationLimitExceeded(
+            f"denotations still changing after {config.max_iterations} "
+            f"iterations (widening window {config.widening_window})")
+    return Denotations(doc, config, reactive_testing, tau, rho, rules_by_op,
+                       iterations, frozenset(widened_vars), over_approx)
 
 
 # ---------------------------------------------------------------------------

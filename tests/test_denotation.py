@@ -11,9 +11,11 @@ from importlib import resources
 
 import pytest
 
+from pgsos import frontend
 from pgsos.denotation import (
     Denotations,
     FixpointConfig,
+    _StepContext,
     bound_distance,
     branch_compose,
     canonical_rule,
@@ -25,6 +27,7 @@ from pgsos.denotation import (
 )
 from pgsos.errors import ArityMismatch, IterationLimitExceeded
 from pgsos.frontend import parse_spec, parse_term
+from pgsos.metric import bisim_distance
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
@@ -47,6 +50,8 @@ from pgsos.terms import (
     dist_var,
     state_var,
 )
+
+from helpers import jacobi_denotations
 
 F = Fraction
 X = state_var("x")
@@ -260,6 +265,147 @@ def test_queries_check_operator_arities(pa_doc, n_args):
         denote(pa_doc, term)
     with pytest.raises(ArityMismatch):
         bound_distance(pa_doc, term, e)
+
+
+def test_deep_chains_are_measured_and_denoted_without_recursion(examples_doc):
+    closed, open_ = Apply("zero"), Variable(X)
+    for _ in range(5000):
+        closed = Apply("pref_a", (closed,))
+        open_ = Apply("pref_a", (open_,))
+    assert bisim_distance(examples_doc, closed, closed) == 0
+    assert denote(examples_doc, closed) == D_ZERO
+    assert denote(examples_doc, open_) == dirac_gs(unit(X))
+
+
+# -- the fixpoint steps only entries whose inputs changed -------------------
+
+_BASE = """actions a, b;
+op zero : 0;
+op alt : 2;
+op par : 2;
+op ipar : 2;
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  alt(x1, x2) --c--> m1
+rule forall c in ACT:
+  x2 --c--> m2
+  ---
+  alt(x1, x2) --c--> m2
+rule forall c in ACT:
+  x1 --c--> m1
+  x2 --c--> m2
+  ---
+  par(x1, x2) --c--> par(m1, m2)
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  ipar(x1, x2) --c--> ipar(m1, delta(x2))
+rule forall c in ACT:
+  x2 --c--> m2
+  ---
+  ipar(x1, x2) --c--> ipar(delta(x1), m2)
+"""
+
+# Each widens under reactive testing; together they cover spawning,
+# replication, duplication of a derivative and testing, and both values of
+# the over-approximation flag.
+WIDENING_SPECS = {
+    # spawns a copy of a duplicating operator at every step
+    "spawn_duplicate": _BASE + """op dup : 1;
+op spawn : 1;
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  dup(x1) --c--> alt(m1, alt(m1, m1))
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  spawn(x1) --c--> ipar(dup(m1), delta(spawn(dup(x1))))
+""",
+    # probabilistic replication of the derivative, fed to a tester
+    "replicate_test": _BASE + """op rep : 1;
+op drv : 1;
+op tst : 1;
+rule:
+  x1 --a--> m1
+  ---
+  rep(x1) --a--> 1/3*par(m1, rep(m1)) + 2/3*delta(zero)
+rule:
+  x1 --a--> m1
+  ---
+  drv(x1) --a--> tst(rep(m1))
+rule:
+  x1 --b--> m1
+  ---
+  tst(x1) --a--> delta(zero)
+""",
+    # a probabilistic prefix lifted over a tester and a nested spawn
+    "probabilistic_spawn": _BASE + """op pp : 2;
+op grow : 1;
+op tst : 1;
+rule:
+  ---
+  pp(x1, x2) --a--> 1/4*delta(x1) + 3/4*delta(x2)
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  grow(x1) --c--> pp(tst(m1), delta(grow(grow(x1))))
+rule:
+  x1 -/b->
+  x1 --a--> m1
+  ---
+  tst(x1) --b--> 1/2*m1 + 1/2*delta(zero)
+""",
+}
+
+
+@pytest.mark.parametrize("reactive_testing", [True, False])
+@pytest.mark.parametrize("spec", ["pa", "examples", *WIDENING_SPECS])
+def test_fixpoint_matches_plain_jacobi_iteration(spec, reactive_testing,
+                                                 pa_doc, examples_doc):
+    doc = {"pa": pa_doc, "examples": examples_doc}.get(spec)
+    if doc is None:
+        doc = parse_spec(WIDENING_SPECS[spec])
+    for config in (FixpointConfig(), FixpointConfig(widening_window=3)):
+        den = lfp_denotations(doc, config, reactive_testing=reactive_testing)
+        ref = jacobi_denotations(doc, config,
+                                 reactive_testing=reactive_testing)
+        assert list(den.tau.items()) == list(ref.tau.items())
+        assert list(den.rho.items()) == list(ref.rho.items())
+        assert den.iterations == ref.iterations
+        assert den.widened_vars == ref.widened_vars
+        assert den.over_approximated == ref.over_approximated
+    if spec in WIDENING_SPECS and reactive_testing:
+        assert ref.widened
+
+
+def test_widening_specs_raise_and_clear_the_over_approximation_flag():
+    flags = {name: lfp_denotations(parse_spec(text)).over_approximated
+             for name, text in WIDENING_SPECS.items()}
+    assert flags == {"spawn_duplicate": False, "replicate_test": True,
+                     "probabilistic_spawn": True}
+
+
+def test_fixpoint_steps_only_entries_whose_inputs_changed(monkeypatch):
+    # a fresh memo, so the fixpoint is computed here and not found
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    data = resources.files("pgsos").joinpath(
+        "data", "examples.pgsos").read_bytes()
+    calls = []
+    for name in ("term_step", "rule_step"):
+        step = getattr(_StepContext, name)
+
+        def counted(self, entry, step=step):
+            calls.append(entry)
+            return step(self, entry)
+
+        monkeypatch.setattr(_StepContext, name, counted)
+    den = lfp_denotations(parse_spec(data))
+    assert den.iterations == 35
+    # stepping all 40 entries on each of the 35 iterations takes 1,400
+    assert len(den.tau) + len(den.rho) == 40
+    assert len(calls) <= 200
 
 
 # -- distance bounds from denotations --------------------------------------

@@ -16,8 +16,6 @@ from pgsos.frontend import (
     Rule,
     parse_spec,
     parse_term,
-    print_rule,
-    print_spec,
     validate_rule,
 )
 from pgsos.terms import (
@@ -29,6 +27,8 @@ from pgsos.terms import (
     free_vars,
     state_var,
 )
+
+from helpers import print_rule, print_spec
 
 MINI = """
 actions a, b;

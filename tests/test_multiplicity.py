@@ -12,7 +12,6 @@ import pytest
 from pgsos.errors import EmptyGenSet
 from pgsos.multiplicity import (
     D_ZERO,
-    E_ZERO,
     INF,
     M_ZERO,
     P_ZERO,
@@ -44,7 +43,7 @@ from pgsos.multiplicity import (
 )
 from pgsos.terms import state_var
 
-from helpers import degraded_pair, random_prob_multiplicity
+from helpers import E_ZERO, degraded_pair, random_prob_multiplicity
 
 F = Fraction
 X, Y, Z = state_var("x"), state_var("y"), state_var("z")

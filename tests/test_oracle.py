@@ -25,7 +25,9 @@ from pgsos.oracle import (
     random_open_term,
     substitution_pair,
 )
-from pgsos.terms import free_vars, is_closed, state_var
+from pgsos.terms import free_vars, state_var
+
+from helpers import is_closed
 
 F = Fraction
 X = state_var("x")

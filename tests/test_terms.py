@@ -29,11 +29,12 @@ from pgsos.terms import (
     format_rational,
     format_term,
     free_vars,
-    is_closed,
     state_var,
     substitute,
     term_key,
 )
+
+from helpers import is_closed
 
 X = state_var("x")
 Y = state_var("y")
@@ -205,3 +206,8 @@ def test_check_arities():
         check_arities(Apply("a_pref", (ZERO, ZERO)), sig)
     with pytest.raises(ArityMismatch):
         check_arities(Apply("par", (ZERO,)), sig)
+    # the outermost offending operator is reported, before any below it
+    with pytest.raises(ArityMismatch, match="^par expects 2"):
+        check_arities(Apply("par", (Apply("a_pref", (ZERO, ZERO)),)), sig)
+    with pytest.raises(ArityMismatch, match="^par expects 2"):
+        check_arities(Apply("par", (Apply("undeclared"),)), sig)
