@@ -4,8 +4,11 @@ The distance between two states is the least fixed point of the functional
 that lifts a state distance to distributions via optimal transport
 (Kantorovich) and to transition sets via the Hausdorff construction, taking
 the worst case over actions.  :func:`bisim_distance` computes it on the fly,
-only on the state pairs the root pair depends on.  Everything is rational:
-the transport problems are solved exactly by
+only on the pairs the root pair depends on, and over bisimulation classes
+rather than states: the distance is 0 exactly on bisimilar states and sees a
+distribution only through the mass it puts on each class, so the same fixed
+point solved on the quotient of the explored fragment gives the same value.
+Everything is rational: the transport problems are solved exactly by
 :func:`pgsos.lp.solve_transport`.
 
 When the pairs depend on one another in a cycle, the chain of iterates may
@@ -23,7 +26,8 @@ from typing import Callable, Sequence
 from .errors import NoConvergence, PairLimitExceeded
 from .frontend import SpecDocument
 from .lp import solve_transport
-from .semantics import ROOTS_CLOSED, check_closed, explore_fragment
+from .semantics import (ROOTS_CLOSED, ReachableFragment, check_closed,
+                        explore_fragment)
 from .terms import FiniteDistribution, StateTerm, term_key
 
 
@@ -55,6 +59,71 @@ def _pair_key(t1: StateTerm, t2: StateTerm) -> tuple[StateTerm, StateTerm]:
     return (t1, t2) if term_key(t1) <= term_key(t2) else (t2, t1)
 
 
+def _classify(doc: SpecDocument,
+              fragment: ReachableFragment) -> dict[StateTerm, int]:
+    """Give every state of a complete fragment its bisimulation class id.
+
+    The states are walked bottom-up (depth-first post-order, on an explicit
+    stack).  A state's class is the interned signature that lists, per
+    action in ``transitions`` order, the set of its distributions lifted to
+    ``{class id: mass}``; states with equal signatures are bisimilar.  A
+    state that can reach a cycle has no bottom-up signature: it stands for
+    itself (its signature key is the state), which is exact but merges
+    nothing.  Signatures depend on the specification alone, so both tables
+    live in the document's memo and a later query classifies only the
+    states no earlier one has seen."""
+    class_of = doc.memo("state classes")
+    signatures = doc.memo("class signatures")
+    on_path: set[StateTerm] = set()
+    reaches_cycle: set[StateTerm] = set()
+
+    def successors(s: StateTerm):
+        for pis in fragment.transitions[s].values():
+            for pi in pis:
+                yield from pi.support()
+
+    for start in fragment.states:
+        if start in class_of:
+            continue
+        stack = [(start, successors(start))]
+        on_path.add(start)
+        while stack:
+            s, todo = stack[-1]
+            for x in todo:
+                if x in on_path:
+                    reaches_cycle.add(s)
+                elif x not in class_of:
+                    stack.append((x, successors(x)))
+                    on_path.add(x)
+                    break
+                elif x in signatures:  # x stands for itself: it is cyclic
+                    reaches_cycle.add(s)
+            else:
+                stack.pop()
+                on_path.discard(s)
+                if s in reaches_cycle:
+                    key = s
+                    if stack:
+                        reaches_cycle.add(stack[-1][0])
+                else:
+                    key = tuple(
+                        (a, frozenset(frozenset(_lift(class_of, pi).items())
+                                      for pi in pis))
+                        for a, pis in fragment.transitions[s].items())
+                class_of[s] = signatures.setdefault(key, len(signatures))
+    return class_of
+
+
+def _lift(class_of: dict[StateTerm, int],
+          pi: FiniteDistribution) -> dict[int, Fraction]:
+    """The mass ``pi`` puts on each class."""
+    mass: dict[int, Fraction] = {}
+    for x, q in pi:
+        c = class_of[x]
+        mass[c] = mass[c] + q if c in mass else q
+    return mass
+
+
 def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                    max_states: int | None = None,
                    mode: str = "exact",
@@ -62,17 +131,25 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                    max_pairs: int | None = None) -> Fraction:
     """Distance between two closed terms over their joint reachable fragment.
 
-    The fixed point is solved only on the state pairs the root pair
+    The distance is 0 exactly on bisimilar states and depends on a
+    distribution only through the mass it puts on each bisimulation class,
+    so the fixed point is solved on the quotient: each class of the
+    fragment is represented by its first state in ``fragment.states``
+    order, with its distributions mapped onto representatives, and two
+    roots in one class are at distance 0 without further work.  States
+    that can reach a cycle are classes of their own.
+
+    The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
     distributions — which is far smaller than all pairs of a product state
-    space.  ``max_pairs`` optionally bounds that dependency system;
-    exceeding it raises :class:`PairLimitExceeded`.  An acyclic dependency
-    system is settled in one pass in topological order.  A cyclic one is
-    iterated from zero over all its pairs: ``exact`` mode returns once two
-    consecutive iterates are equal and raises :class:`NoConvergence` if that
-    does not happen within ``max_iter`` steps; ``iterate`` mode returns the
-    root's value after at most ``max_iter`` steps, a lower bound of the
-    distance.
+    space.  ``max_pairs`` optionally bounds that dependency system, counted
+    in pairs of classes; exceeding it raises :class:`PairLimitExceeded`.
+    An acyclic dependency system is settled in one pass in topological
+    order.  A cyclic one is iterated from zero over all its pairs:
+    ``exact`` mode returns once two consecutive iterates are equal and
+    raises :class:`NoConvergence` if that does not happen within
+    ``max_iter`` steps; ``iterate`` mode returns the root's value after at
+    most ``max_iter`` steps, a lower bound of the distance.
     """
     if mode not in ("exact", "iterate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -82,6 +159,36 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     kwargs = {} if max_states is None else {"max_states": max_states}
     fragment = explore_fragment(doc, [t1, t2], **kwargs)
     fragment.require_complete("the distance fixpoint")
+
+    class_of = _classify(doc, fragment)
+    if class_of[t1] == class_of[t2]:
+        return Fraction(0)
+    # ``rep`` maps each state merged into an earlier one to its class's first
+    first: dict[int, StateTerm] = {}
+    rep: dict[StateTerm, StateTerm] = {}
+    for s in fragment.states:
+        r = first.setdefault(class_of[s], s)
+        if r is not s:
+            rep[s] = r
+    t1, t2 = rep.get(t1, t1), rep.get(t2, t2)
+
+    def onto(pi: FiniteDistribution) -> FiniteDistribution:
+        if not any(x in rep for x, _ in pi):
+            return pi
+        return FiniteDistribution.from_pairs((rep.get(x, x), q) for x, q in pi)
+
+    # A representative's moves are mapped onto representatives, dropping
+    # distributions that become equal, when first asked for; when no two
+    # states merge, the fragment's own are used.
+    quotient = {} if rep else fragment.transitions
+
+    def der(u: StateTerm, a: str) -> tuple[FiniteDistribution, ...]:
+        moves = quotient.get(u)
+        if moves is None:
+            moves = quotient[u] = {
+                b: tuple(dict.fromkeys(map(onto, pis)))
+                for b, pis in fragment.transitions[u].items()}
+        return moves.get(a, ())
 
     root = _pair_key(t1, t2)
     deps: dict[tuple[StateTerm, StateTerm],
@@ -97,8 +204,8 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         u, v = pair
         below: set[tuple[StateTerm, StateTerm]] = set()
         for a in doc.actions:
-            for pu in fragment.der(u, a):
-                for pv in fragment.der(v, a):
+            for pu in der(u, a):
+                for pv in der(v, a):
                     if pu == pv:
                         continue
                     for x in pu.support():
@@ -141,7 +248,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         u, v = pair
         value = Fraction(0)
         for a in doc.actions:
-            h = hausdorff(kv, fragment.der(u, a), fragment.der(v, a))
+            h = hausdorff(kv, der(u, a), der(v, a))
             if h > value:
                 value = h
             if value == 1:

@@ -1,11 +1,11 @@
 """Transition derivation for closed terms and reachable-fragment exploration.
 
-Rules are applied by structural recursion: to fire a rule for ``f(t_1, ...,
-t_n)`` the transitions of the arguments are derived first, positive premises
-pick one matching argument transition each, and a negative premise holds
-when the argument has no transition for the forbidden action.  Premises only
-ever test proper subterms, so the recursion is well-founded and yields the
-unique supported model.
+Rules are applied bottom-up over the term's structure: to fire a rule for
+``f(t_1, ..., t_n)`` the transitions of the arguments are derived first,
+positive premises pick one matching argument transition each, and a
+negative premise holds when the argument has no transition for the
+forbidden action.  Premises only ever test proper subterms, so the
+derivation is well-founded and yields the unique supported model.
 """
 
 from __future__ import annotations
@@ -36,12 +36,35 @@ def _dist_key(pi: FiniteDistribution) -> tuple:
 def _transitions(doc: SpecDocument, memo: dict,
                  t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
     """Transitions of a closed, arity-checked term; ``memo`` is the
-    document's ``"transitions"`` table."""
+    document's ``"transitions"`` table.
+
+    The subterms whose transitions are not yet known are derived bottom-up
+    from an explicit stack, so the depth of ``t`` is not limited by the
+    interpreter's recursion limit."""
     cached = memo.get(t)
     if cached is not None:
         return cached
-    assert isinstance(t, Apply)
-    arg_transitions = [_transitions(doc, memo, arg) for arg in t.args]
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        assert isinstance(u, Apply)
+        missing = [arg for arg in u.args if arg not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        memo[u] = _fire(doc, u, [memo[arg] for arg in u.args])
+    return memo[t]
+
+
+def _fire(doc: SpecDocument, t: Apply,
+          arg_transitions: list[frozenset[tuple[str, FiniteDistribution]]]
+          ) -> frozenset[tuple[str, FiniteDistribution]]:
+    """The transitions the rules for ``t.op`` derive from the transitions
+    of ``t``'s arguments."""
     out: set[tuple[str, FiniteDistribution]] = set()
     for rule in doc.rules_for(t.op):
         base: dict[Var, StateTerm] = dict(zip(rule.sources, t.args))
@@ -62,9 +85,7 @@ def _transitions(doc: SpecDocument, memo: dict,
                 sigma[p.derivative] = embed_distribution(pi)
             closed_target = substitute(rule.target, sigma)
             out.add((rule.action, eval_closed_dist(closed_target)))
-    result = frozenset(out)
-    memo[t] = result
-    return result
+    return frozenset(out)
 
 
 def check_closed(doc: SpecDocument, t: StateTerm, what: str) -> None:

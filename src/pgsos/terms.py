@@ -239,27 +239,54 @@ def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
 # ---------------------------------------------------------------------------
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Variable):
-        return t.var.name
-    if isinstance(t, Apply) or isinstance(t, DistApply):
-        if not t.args:
-            return t.op
-        return f"{t.op}({', '.join(format_term(a) for a in t.args)})"
-    if isinstance(t, DistVariable):
-        return t.var.name
-    if isinstance(t, InstDirac):
-        return f"delta({format_term(t.term)})"
-    if isinstance(t, ConvexSum):
-        return " + ".join(f"{format_rational(q)}*{_format_factor(theta)}"
-                          for q, theta in t.parts)
-    raise TypeError(f"not a term: {t!r}")
+    """Render a term in the concrete syntax.
 
-
-def _format_factor(theta: DistTerm) -> str:
-    text = format_term(theta)
-    if isinstance(theta, ConvexSum):
-        return f"({text})"
-    return text
+    Emits the text left to right from an explicit stack of terms and
+    literal pieces, so the depth of ``t`` is not limited by the
+    interpreter's recursion limit; an application that already knows its
+    text (see :func:`term_key`) contributes it whole."""
+    out: list[str] = []
+    stack: list = [t]
+    push, emit = stack.append, out.append
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is str:
+            emit(u)
+        elif cls is Apply or cls is DistApply:
+            args = u.args
+            if cls is Apply and u._key is not None:
+                emit(u._key)
+            elif not args:
+                emit(u.op)
+            else:
+                emit(u.op + "(")
+                push(")")
+                i = len(args) - 1
+                while i:
+                    push(args[i])
+                    push(", ")
+                    i -= 1
+                push(args[0])
+        elif cls is Variable or cls is DistVariable:
+            emit(u.var.name)
+        elif cls is InstDirac:
+            emit("delta(")
+            push(")")
+            push(u.term)
+        elif cls is ConvexSum:
+            for i in range(len(u.parts) - 1, -1, -1):
+                q, theta = u.parts[i]
+                if theta.__class__ is ConvexSum:
+                    stack += (")", theta, "(")
+                else:
+                    push(theta)
+                push(f"{format_rational(q)}*")
+                if i:
+                    push(" + ")
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return "".join(out)
 
 
 def term_key(t: Term) -> str:

@@ -125,9 +125,16 @@ def test_json_is_deterministic(capsys):
     json.loads(out1)
 
 
+IPAR3 = "ipar(ipar(ipar({}, pa0), pa0), pa0)"
+
+
 @pytest.mark.parametrize("argv", [
     ["distance", PA, "par(aa0, aa0)", "par(pa0, pa0)"],
     ["oracle", EXAMPLES, "--samples", "30", "--seed", "7"],
+    ["distance", PA, IPAR3.format("pa0"), IPAR3.format("pb0")],
+    # includes a sample whose pair system fits the default pair budget
+    # only when counted in pairs of bisimulation classes
+    ["oracle", PA, "--samples", "200", "--seed", "7"],
 ])
 def test_json_is_identical_across_hash_seeds(argv):
     outputs = []

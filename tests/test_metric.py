@@ -12,12 +12,13 @@ from pgsos.errors import (
     PairLimitExceeded,
     StateLimitExceeded,
 )
+from pgsos import metric
 from pgsos.frontend import parse_spec, parse_term
 from pgsos.lp import solve_transport
 from pgsos.metric import bisim_distance, hausdorff
-from pgsos.oracle import random_closed_term
+from pgsos.oracle import perturbed_term, random_closed_term
 from pgsos.semantics import explore_fragment
-from pgsos.terms import Apply, FiniteDistribution
+from pgsos.terms import Apply, FiniteDistribution, term_key
 
 from helpers import check_pseudometric, distance_step, distance_table
 
@@ -215,6 +216,63 @@ def test_pair_budget_refusal(pa_doc):
     u, v = t(pa_doc, "par(pa0, pa0)"), t(pa_doc, "par(aa0, pa0)")
     with pytest.raises(PairLimitExceeded):
         bisim_distance(pa_doc, u, v, max_pairs=1)
+
+
+def test_deep_chains_are_explored_and_measured_without_recursion(examples_doc):
+    u = Apply("zero")
+    for _ in range(1999):
+        u = Apply("pref_a", (u,))
+    deeper = Apply("pref_a", (u,))
+    assert term_key(deeper) == "pref_a(" * 2000 + "zero" + ")" * 2000
+    assert len(explore_fragment(examples_doc, [deeper]).states) == 2001
+    # the deeper chain can make one more a-step
+    assert bisim_distance(examples_doc, deeper, u) == 1
+
+
+# -- the bisimulation quotient ----------------------------------------------
+
+def _ipar_chain(doc, n, first):
+    text = first
+    for _ in range(n):
+        text = f"ipar({text}, pa0)"
+    return t(doc, text)
+
+
+def test_bisimilar_roots_need_no_transport(pa_doc, monkeypatch):
+    def no_transport(*args):
+        raise AssertionError("bisimilar roots must not reach the LP")
+
+    monkeypatch.setattr(metric, "solve_transport", no_transport)
+    u = t(pa_doc, "ipar(ipar(alt(pa0, pa0), pa0), pa0)")
+    v = t(pa_doc, "ipar(ipar(pa0, pa0), pa0)")
+    assert bisim_distance(pa_doc, u, v) == 0
+
+
+def test_pair_budget_counts_pairs_of_classes(pa_doc):
+    # 405 joint states in 51 classes; without the quotient the pair system
+    # of ``ipar`` nested three times alone has 3,893 pairs
+    u, v = _ipar_chain(pa_doc, 4, "pa0"), _ipar_chain(pa_doc, 4, "pb0")
+    assert bisim_distance(pa_doc, u, v, max_pairs=500) == F(9, 10)
+
+
+@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc"])
+def test_classes_are_the_distance_zero_pairs(spec, request):
+    doc = request.getfixturevalue(spec)
+    rng = random.Random(5)
+    fragments = 0
+    while fragments < 10:
+        u = random_closed_term(rng, doc, rng.randint(1, 3))
+        try:
+            frag = explore_fragment(doc, [u, perturbed_term(rng, doc, u)],
+                                    max_states=40)
+        except StateLimitExceeded:
+            continue
+        fragments += 1
+        d = distance_table(doc, frag)
+        class_of = metric._classify(doc, frag)
+        for x in frag.states:
+            for y in frag.states:
+                assert (class_of[x] == class_of[y]) == (d[(x, y)] == 0)
 
 
 LOOPS = """
