@@ -15,126 +15,68 @@ The package is organised around three activities:
 All arithmetic is exact: probabilities are :class:`fractions.Fraction`,
 multiplicities are rationals extended with the infinity sentinel
 :data:`pgsos.multiplicity.INF`.
+
+The package root exports the API the README documents: the functions of its
+library tour, the types they return and the exceptions they raise.  Every
+other name is imported from its own module.
 """
 
 from .errors import (
-    AllSamplesSkipped,
     AnalysisRefusal,
     ArityMismatch,
     DepthLimitExceeded,
     EmptyGenSet,
-    ExplorationLimit,
     InputError,
     IterationLimitExceeded,
     KindMismatch,
     NoConvergence,
     OpenTermError,
-    OracleViolation,
     PairLimitExceeded,
     PgsosError,
     RuleFormatError,
     SpecSyntaxError,
     StateLimitExceeded,
-    TruncatedFragment,
     UndeclaredSymbol,
-    UnsupportedModulusShape,
 )
-from .terms import (
-    Apply,
-    ConvexSum,
-    DistApply,
-    DistVariable,
-    FiniteDistribution,
-    InstDirac,
-    Signature,
-    Var,
-    Variable,
-    convex_sum,
-    dist_var,
-    eval_closed_dist,
-    format_rational,
-    format_term,
-    free_vars,
-    state_var,
-    substitute,
-    term_key,
-)
-from .frontend import (
-    NegPremise,
-    PosPremise,
-    Rule,
-    SpecDocument,
-    parse_spec,
-    parse_term,
-    validate_rule,
-)
-from .semantics import (
-    DEFAULT_MAX_STATES,
-    ReachableFragment,
-    Transition,
-    derive_transitions,
-    explore_fragment,
-)
-from .multiplicity import (
-    D_ZERO,
-    INF,
-    M_ZERO,
-    P_ZERO,
-    GenSet,
-    Multiplicity,
-    ProbMultiplicity,
-    ProcessDistance,
-    Weighting,
-    da,
-    dda,
-    ext_leq,
-    format_count,
-    genset_equiv,
-    genset_leq,
-    genset_normalize,
-    m_sum,
-    mult,
-    p_leq,
-    pda,
-    process_distance,
-    sup_approx,
-    unit,
-    weighting_of,
-)
-from .metric import (
-    bisim_distance,
-    hausdorff,
-)
-from .denotation import (
-    Denotations,
-    FixpointConfig,
-    bound_distance,
-    denote,
-    lfp_denotations,
-)
-from .continuity import (
-    VERDICT_CONTINUOUS,
-    VERDICT_NOT_SHOWN,
-    ContinuityReport,
-    ModulusSpec,
-    check_modulus,
-    derive_modulus,
-    is_uniformly_continuous,
-    parse_modulus,
-)
-from .oracle import (
-    OracleConfig,
-    OracleSummary,
-    SampleResult,
-    evaluate_sample,
-    oracle_compare,
-    oracle_suite,
-)
+from .terms import Apply, FiniteDistribution, Var, Variable, state_var
+from .frontend import SpecDocument, parse_spec, parse_term
+from .semantics import ReachableFragment, derive_transitions, explore_fragment
+from .multiplicity import GenSet, ProcessDistance, process_distance
+from .metric import bisim_distance
+from .denotation import Denotations, bound_distance, lfp_denotations
+from .continuity import ContinuityReport, ModulusSpec, is_uniformly_continuous
+from .oracle import SampleResult, evaluate_sample
 
 __version__ = "0.1.0"
 
 __all__ = [
-    # errors
+    # the library tour
+    "parse_spec",
+    "parse_term",
+    "derive_transitions",
+    "explore_fragment",
+    "bisim_distance",
+    "state_var",
+    "lfp_denotations",
+    "bound_distance",
+    "process_distance",
+    "is_uniformly_continuous",
+    # one oracle sample
+    "evaluate_sample",
+    # the types they return
+    "SpecDocument",
+    "Apply",
+    "Variable",
+    "Var",
+    "FiniteDistribution",
+    "ReachableFragment",
+    "Denotations",
+    "GenSet",
+    "ProcessDistance",
+    "ContinuityReport",
+    "ModulusSpec",
+    "SampleResult",
+    # the exceptions they raise
     "PgsosError",
     "InputError",
     "SpecSyntaxError",
@@ -144,98 +86,10 @@ __all__ = [
     "RuleFormatError",
     "OpenTermError",
     "EmptyGenSet",
-    "UnsupportedModulusShape",
     "AnalysisRefusal",
-    "ExplorationLimit",
     "StateLimitExceeded",
     "DepthLimitExceeded",
-    "TruncatedFragment",
     "PairLimitExceeded",
     "NoConvergence",
     "IterationLimitExceeded",
-    "AllSamplesSkipped",
-    "OracleViolation",
-    # terms
-    "Var",
-    "state_var",
-    "dist_var",
-    "Signature",
-    "Variable",
-    "Apply",
-    "DistVariable",
-    "InstDirac",
-    "ConvexSum",
-    "DistApply",
-    "convex_sum",
-    "FiniteDistribution",
-    "eval_closed_dist",
-    "format_term",
-    "format_rational",
-    "term_key",
-    "free_vars",
-    "substitute",
-    # frontend
-    "PosPremise",
-    "NegPremise",
-    "Rule",
-    "SpecDocument",
-    "parse_spec",
-    "parse_term",
-    "validate_rule",
-    # semantics
-    "Transition",
-    "derive_transitions",
-    "ReachableFragment",
-    "explore_fragment",
-    "DEFAULT_MAX_STATES",
-    # multiplicity
-    "INF",
-    "ext_leq",
-    "format_count",
-    "Multiplicity",
-    "mult",
-    "unit",
-    "M_ZERO",
-    "m_sum",
-    "ProbMultiplicity",
-    "P_ZERO",
-    "Weighting",
-    "weighting_of",
-    "ProcessDistance",
-    "process_distance",
-    "p_leq",
-    "GenSet",
-    "D_ZERO",
-    "genset_normalize",
-    "genset_leq",
-    "genset_equiv",
-    "sup_approx",
-    "dda",
-    "pda",
-    "da",
-    # metric
-    "hausdorff",
-    "bisim_distance",
-    # denotation
-    "FixpointConfig",
-    "Denotations",
-    "lfp_denotations",
-    "denote",
-    "bound_distance",
-    # continuity
-    "VERDICT_CONTINUOUS",
-    "VERDICT_NOT_SHOWN",
-    "ModulusSpec",
-    "ContinuityReport",
-    "derive_modulus",
-    "is_uniformly_continuous",
-    "check_modulus",
-    "parse_modulus",
-    # oracle
-    "OracleConfig",
-    "SampleResult",
-    "OracleSummary",
-    "evaluate_sample",
-    "oracle_compare",
-    "oracle_suite",
 ]

@@ -6,10 +6,13 @@ Two families matter for the CLI exit-code contract:
   unknown operator, open term where a closed one is required, ...).
   The CLI maps these to exit code 2.
 * ``AnalysisRefusal`` — the inputs were fine but the requested analysis
-  cannot be completed honestly (truncated state space, non-stabilising
-  iteration, every oracle sample skipped, ...).  Exit code 1.
+  cannot be completed honestly (a state, depth or pair budget exceeded,
+  non-stabilising iteration, every oracle sample skipped, ...).  Exit
+  code 1.  Exploration either closes the reachable states or refuses, so
+  no analysis ever runs on a truncated state space.
 
-Everything else propagating out of the library is a plain bug.
+Everything else propagating out of the library is a plain bug, including
+:class:`OracleViolation`.
 """
 
 from __future__ import annotations
@@ -82,24 +85,12 @@ class AnalysisRefusal(PgsosError):
     """The analysis cannot produce a trustworthy result for these inputs."""
 
 
-class ExplorationLimit(AnalysisRefusal):
-    """Base for exploration cut-offs; carries the partial fragment."""
-
-    def __init__(self, message: str, fragment):
-        self.fragment = fragment
-        super().__init__(message)
-
-
-class StateLimitExceeded(ExplorationLimit):
+class StateLimitExceeded(AnalysisRefusal):
     """Reachable-state closure exceeded the configured state budget."""
 
 
-class DepthLimitExceeded(ExplorationLimit):
+class DepthLimitExceeded(AnalysisRefusal):
     """Reachable-state closure exceeded the configured depth budget."""
-
-
-class TruncatedFragment(AnalysisRefusal):
-    """An exact computation was asked to run on an incomplete fragment."""
 
 
 class PairLimitExceeded(AnalysisRefusal):

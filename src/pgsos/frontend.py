@@ -86,7 +86,7 @@ class Violation(NamedTuple):
     message: str
 
 
-def validate_rule(rule: Rule, sig: Signature | None = None) -> list[Violation]:
+def validate_rule(rule: Rule) -> list[Violation]:
     """Check the well-formedness constraints of a rule; an empty list
     means the rule is admissible.
 
@@ -115,12 +115,6 @@ def validate_rule(rule: Rule, sig: Signature | None = None) -> list[Violation]:
         out.append(Violation(
             "ForeignTargetVariable",
             f"rule for {rule.op}: target mentions {', '.join(foreign)}"))
-    if sig is not None and sig.has_operator(rule.op):
-        if sig.arity(rule.op) != len(rule.sources):
-            out.append(Violation(
-                "ArityMismatch",
-                f"rule for {rule.op}: {len(rule.sources)} sources but arity "
-                f"{sig.arity(rule.op)}"))
     return out
 
 
@@ -562,20 +556,42 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def _state_term(self, env: _TermEnv) -> StateTerm:
-        tok = self.expect("ident", "a process term")
-        if self.peek().kind == "(":
-            return self._application(tok, env, state_context=True)
-        return self._resolve_state_ident(tok, env)
+        """A state term, parsed on an explicit stack of open applications
+        (operator token and the arguments read so far), so its depth is not
+        limited by the interpreter's recursion limit."""
+        open_apps: list[tuple[Token, list[StateTerm]]] = []
+        while True:
+            tok = self.expect("ident", "a process term")
+            if self.peek().kind != "(":
+                term = self._resolve_state_ident(tok, env)
+            else:
+                self._open_application(tok, env)
+                if self.peek().kind != ")":
+                    open_apps.append((tok, []))
+                    continue
+                self.next()
+                _check_arity(tok, env, 0)
+                term = Apply(tok.text)
+            # close every application this term completes
+            while open_apps:
+                op_tok, args = open_apps[-1]
+                args.append(term)
+                if self.peek().kind == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                open_apps.pop()
+                _check_arity(op_tok, env, len(args))
+                term = Apply(op_tok.text, tuple(args))
+            else:
+                return term
 
     def _resolve_state_ident(self, tok: Token, env: _TermEnv) -> StateTerm:
         name = tok.text
         if name in env.state_vars:
             return Variable(env.state_vars[name])
         if env.sig.has_operator(name):
-            if env.sig.arity(name) != 0:
-                raise ArityMismatch(
-                    f"{name} expects {env.sig.arity(name)} argument(s), got 0 "
-                    f"(line {tok.line})")
+            _check_arity(tok, env, 0)
             return Apply(name)
         if name in env.abbrevs:
             return env.abbrevs[name]
@@ -583,29 +599,25 @@ class _Parser:
             return Variable(state_var(name))
         raise UndeclaredSymbol(f"unknown name {name!r} (line {tok.line})")
 
-    def _application(self, tok: Token, env: _TermEnv,
-                     state_context: bool) -> StateTerm | DistTerm:
-        name = tok.text
-        if not env.sig.has_operator(name):
-            raise UndeclaredSymbol(f"operator {name!r} is not declared "
+    def _open_application(self, tok: Token, env: _TermEnv) -> None:
+        """Consume the ``(`` after an operator name, which must be declared."""
+        if not env.sig.has_operator(tok.text):
+            raise UndeclaredSymbol(f"operator {tok.text!r} is not declared "
                                    f"(line {tok.line})")
         self.expect("(")
-        args: list = []
+
+    def _dist_application(self, tok: Token, env: _TermEnv) -> DistApply:
+        self._open_application(tok, env)
+        args: list[DistTerm] = []
         if self.peek().kind != ")":
             while True:
-                args.append(self._state_term(env) if state_context
-                            else self._dist_term(env))
+                args.append(self._dist_term(env))
                 if self.peek().kind != ",":
                     break
                 self.next()
         self.expect(")")
-        arity = env.sig.arity(name)
-        if arity != len(args):
-            raise ArityMismatch(f"{name} expects {arity} argument(s), got "
-                                f"{len(args)} (line {tok.line})")
-        if state_context:
-            return Apply(name, tuple(args))
-        return DistApply(name, tuple(args))
+        _check_arity(tok, env, len(args))
+        return DistApply(tok.text, tuple(args))
 
     def _dist_term(self, env: _TermEnv) -> DistTerm:
         first = self._dist_summand(env)
@@ -655,9 +667,7 @@ class _Parser:
             self.expect(")")
             return InstDirac(inner)
         if self.peek().kind == "(":
-            result = self._application(tok, env, state_context=False)
-            assert isinstance(result, DistApply)
-            return result
+            return self._dist_application(tok, env)
         name = tok.text
         if name in env.dist_vars:
             return DistVariable(env.dist_vars[name])
@@ -665,7 +675,8 @@ class _Parser:
             raise KindMismatch(
                 f"{name} is a state variable; write delta({name}) for its "
                 f"point mass (line {tok.line})")
-        if env.sig.has_operator(name) and env.sig.arity(name) == 0:
+        if env.sig.has_operator(name):
+            _check_arity(tok, env, 0)
             return DistApply(name)
         if env.free_ok:
             return DistVariable(dist_var(name))
@@ -680,6 +691,15 @@ class _Parser:
                 raise self.error("mixed decimal/fraction notation", denom)
             return Fraction(int(tok.text), int(denom.text))
         return Fraction(tok.text)
+
+
+def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:
+    """Raise :class:`ArityMismatch` unless the operator named by ``tok``
+    takes ``got`` arguments."""
+    arity = env.sig.arity(tok.text)
+    if arity != got:
+        raise ArityMismatch(f"{tok.text} expects {arity} argument(s), got "
+                            f"{got} (line {tok.line})")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +727,7 @@ def expand_templates(raw: RawDocument) -> SpecDocument:
                        source_digest=raw.source_digest)
     problems: list[Violation] = []
     for rule in doc.rules:
-        problems.extend(validate_rule(rule, sig))
+        problems.extend(validate_rule(rule))
     if problems:
         raise RuleFormatError(problems)
     return doc

@@ -61,7 +61,7 @@ def _pair_key(t1: StateTerm, t2: StateTerm) -> tuple[StateTerm, StateTerm]:
 
 def _classify(doc: SpecDocument,
               fragment: ReachableFragment) -> dict[StateTerm, int]:
-    """Give every state of a complete fragment its bisimulation class id.
+    """Give every state of a fragment its bisimulation class id.
 
     The states are walked bottom-up (depth-first post-order, on an explicit
     stack).  A state's class is the interned signature that lists, per
@@ -158,7 +158,6 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         return Fraction(0)
     kwargs = {} if max_states is None else {"max_states": max_states}
     fragment = explore_fragment(doc, [t1, t2], **kwargs)
-    fragment.require_complete("the distance fixpoint")
 
     class_of = _classify(doc, fragment)
     if class_of[t1] == class_of[t2]:

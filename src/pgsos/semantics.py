@@ -14,8 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (DepthLimitExceeded, OpenTermError, StateLimitExceeded,
-                     TruncatedFragment)
+from .errors import DepthLimitExceeded, OpenTermError, StateLimitExceeded
 from .frontend import SpecDocument
 from .terms import (Apply, FiniteDistribution, StateTerm, Var,
                     check_arities, embed_distribution, eval_closed_dist,
@@ -107,31 +106,19 @@ def derive_transitions(doc: SpecDocument,
 
 @dataclass
 class ReachableFragment:
-    """A finite transition-closed state space (or a truncated prefix of one).
+    """A finite state space closed under one-step supports.
 
     ``transitions[state][action]`` lists the distinct target distributions
-    in canonical order.  When ``complete`` is set the states are closed
-    under one-step supports.
+    in canonical order; ``depth`` is the largest distance of a state from
+    the nearest root.
     """
 
     states: tuple[StateTerm, ...]
     transitions: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]]
-    complete: bool
     depth: int
-    roots: tuple[StateTerm, ...] = ()
-
-    @property
-    def visited(self) -> int:
-        return len(self.states)
 
     def der(self, t: StateTerm, action: str) -> tuple[FiniteDistribution, ...]:
         return self.transitions.get(t, {}).get(action, ())
-
-    def require_complete(self, what: str = "this analysis") -> None:
-        if not self.complete:
-            raise TruncatedFragment(
-                f"{what} needs a fully explored state space, but exploration "
-                f"was truncated at {len(self.states)} states / depth {self.depth}")
 
 
 DEFAULT_MAX_STATES = 4096
@@ -144,34 +131,21 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
     """Breadth-first closure of ``roots`` under transition supports.
 
     Raises :class:`StateLimitExceeded` or :class:`DepthLimitExceeded` when a
-    limit cuts the closure short; the partial fragment (marked incomplete)
-    travels on the exception for callers that can live with truncation.
+    limit cuts the closure short, so the fragment returned is always closed.
     """
-    ordered_roots: list[StateTerm] = []
+    depth: dict[StateTerm, int] = {}
     for r in roots:
         check_closed(doc, r, ROOTS_CLOSED)
-        if r not in ordered_roots:
-            ordered_roots.append(r)
+        depth[r] = 0
 
     memo = doc.memo("transitions")
-    depth: dict[StateTerm, int] = {r: 0 for r in ordered_roots}
     table: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]] = {}
-    queue: list[StateTerm] = list(ordered_roots)
+    queue: list[StateTerm] = list(depth)
     pos = 0
-
-    def partial() -> ReachableFragment:
-        done = [s for s in depth if s in table]
-        done.sort(key=lambda s: (depth[s], term_key(s)))
-        return ReachableFragment(tuple(done),
-                                 {s: table[s] for s in done},
-                                 complete=False,
-                                 depth=max((depth[s] for s in done), default=0),
-                                 roots=tuple(ordered_roots))
 
     if max_states is not None and len(queue) > max_states:
         raise StateLimitExceeded(
-            f"{len(queue)} roots already exceed max_states={max_states}",
-            partial())
+            f"{len(queue)} roots already exceed max_states={max_states}")
 
     while pos < len(queue):
         state = queue[pos]
@@ -192,18 +166,14 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
             d = depth[state] + 1
             if max_depth is not None and d > max_depth:
                 raise DepthLimitExceeded(
-                    f"state at depth {d} exceeds max_depth={max_depth}",
-                    partial())
+                    f"state at depth {d} exceeds max_depth={max_depth}")
             if max_states is not None and len(depth) + 1 > max_states:
                 raise StateLimitExceeded(
-                    f"more than max_states={max_states} reachable states",
-                    partial())
+                    f"more than max_states={max_states} reachable states")
             depth[succ] = d
             queue.append(succ)
 
     states = tuple(sorted(depth, key=lambda s: (depth[s], term_key(s))))
     return ReachableFragment(states,
                              {s: table[s] for s in states},
-                             complete=True,
-                             depth=max((depth[s] for s in states), default=0),
-                             roots=tuple(ordered_roots))
+                             depth=max((depth[s] for s in states), default=0))

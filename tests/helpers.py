@@ -240,7 +240,6 @@ def distance_step(doc, fragment, d):
 def distance_table(doc, fragment, max_iter=100):
     """Least fixed point of ``distance_step`` from the zero table, over a
     complete fragment, as ``{(s, t): distance}``."""
-    assert fragment.complete, "the reference needs a complete fragment"
     d = {(s, t): Fraction(0)
          for s in fragment.states for t in fragment.states}
     for _ in range(max_iter):

@@ -57,6 +57,14 @@ def test_distance(capsys):
     assert out.strip() == "19/100"
 
 
+def test_distance_between_deep_chains(capsys):
+    # the parser reads nesting on an explicit stack, not by recursion
+    deep = "pref_a(" * 1000 + "zero" + ")" * 1000
+    shallower = "pref_a(" * 999 + "zero" + ")" * 999
+    code, out, err = run(capsys, "distance", PA, deep, shallower)
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_denote(capsys):
     code, out, _ = run(capsys, "denote", PA, "par(x, x)")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pgsos.errors import (
+    ArityMismatch,
     OpenTermError,
     RuleFormatError,
     SpecSyntaxError,
@@ -214,3 +215,38 @@ def test_digest_is_stable(pa_doc):
     doc2 = parse_spec(print_spec(pa_doc))
     assert doc2.source_digest != ""
     assert parse_spec(print_spec(pa_doc)).source_digest == doc2.source_digest
+
+
+def test_deep_state_terms_parse_without_recursion(pa_doc):
+    deep = "pref_a(" * 5000 + "zero" + ")" * 5000
+    t = parse_term(deep, pa_doc)
+    for _ in range(5000):
+        assert t.op == "pref_a"
+        (t,) = t.args
+    assert t == Apply("zero")
+    doc = parse_spec(MINI + f"op pref_a : 1;\nterm deep = {deep};\n")
+    assert parse_term("deep", doc) == parse_term(deep, doc)
+
+
+def test_nesting_errors_keep_their_line():
+    text = MINI + "term t = f(\n  g(\n    f(zero, zero)));\n"
+    line = text.splitlines().index("    f(zero, zero)));") + 1
+    with pytest.raises(ArityMismatch) as err:
+        parse_spec(text)
+    assert str(err.value) == f"f expects 1 argument(s), got 2 (line {line})"
+
+
+def test_bare_operator_in_a_distribution_is_an_arity_mismatch():
+    spec = """
+actions a;
+op f : 1;
+op par : 2;
+
+rule:
+  ---
+  f(x1) --a--> par
+"""
+    line = spec.splitlines().index("  f(x1) --a--> par") + 1
+    with pytest.raises(ArityMismatch) as err:
+        parse_spec(spec)
+    assert str(err.value) == f"par expects 2 argument(s), got 0 (line {line})"

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name it defines is read in it."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,42 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom typing import Any, List\nx: List\n") \
         == ["Any (line 2)", "os (line 1)"]
+
+
+def dead_private_names(source: str) -> list[str]:
+    """Private (single leading underscore) functions, classes and constants
+    bound at module level that the module never reads as a name."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                             ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(defined.items())
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text()) == []
+
+
+def test_the_scan_sees_a_dead_private_name():
+    source = ("_LIMIT = 3\n_used = 1\n__dunder__ = 2\n"
+              "def _helper():\n    return _used\n"
+              "class _Box:\n    pass\n"
+              "def public():\n    return _helper()\n")
+    assert dead_private_names(source) == ["_Box (line 6)", "_LIMIT (line 1)"]

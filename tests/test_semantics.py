@@ -9,7 +9,6 @@ from pgsos.errors import (
     DepthLimitExceeded,
     OpenTermError,
     StateLimitExceeded,
-    TruncatedFragment,
     UndeclaredSymbol,
 )
 from pgsos.frontend import parse_spec, parse_term
@@ -132,10 +131,8 @@ def test_wrong_arity_is_an_arity_mismatch(pa_doc):
 def test_explore_complete_fragment(pa_doc):
     frag = explore_fragment(pa_doc, [t(pa_doc, "par(aa0, aa0)"),
                                      t(pa_doc, "par(pa0, pa0)")])
-    assert frag.complete
-    assert frag.visited == 6
+    assert len(frag.states) == 6
     assert frag.depth == 1
-    frag.require_complete()
     # closure property: every support state is itself explored
     for s in frag.states:
         for a in pa_doc.actions:
@@ -152,19 +149,14 @@ def test_explore_deterministic_order(pa_doc):
     assert f1.transitions == f2.transitions
 
 
-def test_state_limit_carries_partial_fragment(examples_doc):
-    with pytest.raises(StateLimitExceeded) as err:
+def test_state_limit_refuses_the_closure(examples_doc):
+    with pytest.raises(StateLimitExceeded):
         explore_fragment(examples_doc, [t(examples_doc, "bang(aa0)")],
                          max_states=8)
-    partial = err.value.fragment
-    assert not partial.complete
-    assert 0 < partial.visited <= 8
-    with pytest.raises(TruncatedFragment):
-        partial.require_complete()
 
 
 def test_depth_limit(pa_doc):
     with pytest.raises(DepthLimitExceeded):
         explore_fragment(pa_doc, [t(pa_doc, "aa0")], max_depth=1)
     frag = explore_fragment(pa_doc, [t(pa_doc, "aa0")], max_depth=2)
-    assert frag.complete and frag.depth == 2
+    assert frag.depth == 2
