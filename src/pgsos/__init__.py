@@ -25,7 +25,6 @@ from .errors import (
     AnalysisRefusal,
     ArityMismatch,
     DepthLimitExceeded,
-    EmptyGenSet,
     InputError,
     IterationLimitExceeded,
     KindMismatch,
@@ -38,7 +37,7 @@ from .errors import (
     StateLimitExceeded,
     UndeclaredSymbol,
 )
-from .terms import Apply, FiniteDistribution, Var, Variable, state_var
+from .terms import Apply, FiniteDistribution, Variable, state_var
 from .frontend import SpecDocument, parse_spec, parse_term
 from .semantics import ReachableFragment, derive_transitions, explore_fragment
 from .multiplicity import GenSet, ProcessDistance, process_distance
@@ -67,7 +66,6 @@ __all__ = [
     "SpecDocument",
     "Apply",
     "Variable",
-    "Var",
     "FiniteDistribution",
     "ReachableFragment",
     "Denotations",
@@ -85,7 +83,6 @@ __all__ = [
     "KindMismatch",
     "RuleFormatError",
     "OpenTermError",
-    "EmptyGenSet",
     "AnalysisRefusal",
     "StateLimitExceeded",
     "DepthLimitExceeded",

@@ -27,7 +27,7 @@ from .metric import bisim_distance
 from .multiplicity import INF, ProcessDistance, da, process_distance
 from .oracle import OracleConfig, oracle_compare, oracle_suite
 from .semantics import DEFAULT_MAX_STATES, derive_transitions, explore_fragment
-from .terms import Var, format_rational, format_term, free_vars, state_var
+from .terms import Variable, format_rational, format_term, free_vars
 
 SCHEMA = "pgsos-report/1"
 
@@ -88,7 +88,7 @@ def load_spec(path: str) -> SpecDocument:
 
 def parse_dist(text: str) -> ProcessDistance:
     """``x=1/10,y=1/5`` to a process distance."""
-    values: dict[Var, Fraction] = {}
+    values: dict[Variable, Fraction] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -100,7 +100,7 @@ def parse_dist(text: str) -> ProcessDistance:
             q = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational '{raw.strip()}' in --dist") from None
-        values[state_var(name.strip())] = q
+        values[Variable(name.strip())] = q
     try:
         return process_distance(values)
     except ValueError as err:
@@ -223,7 +223,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     t = parse_term(args.term, doc)
     e = parse_dist(args.dist)
     missing = [v.name for v in sorted(free_vars(t), key=lambda v: v.name)
-               if e.get(v) == 0 and v.kind == "state"]
+               if e.get(v) == 0 and isinstance(v, Variable)]
     den = lfp_denotations(doc, FixpointConfig(max_iterations=args.max_iter))
     value = da(den.genset(t), e)
     flags = {"widened": den.widened,

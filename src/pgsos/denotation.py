@@ -36,8 +36,8 @@ from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
 from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
-                    StateTerm, Term, Var, Variable, check_arities, dist_var,
-                    immediate_subterms, state_var, substitute)
+                    StateTerm, Term, Var, Variable, check_arities,
+                    immediate_subterms, substitute)
 
 ExtRational = Union[Fraction, int, object]
 
@@ -140,21 +140,16 @@ def fold_rule(p: ProbMultiplicity, rule: Rule) -> ProbMultiplicity:
 def canonical_rule(rule: Rule) -> Rule:
     """Rename sources to x1..xn and derivatives to d1..dk (premise order)
     so that rules of the same operator share coordinates."""
-    mapping: dict[Var, Term] = {}
-    new_sources = []
-    for i, s in enumerate(rule.sources):
-        v = state_var(f"x{i + 1}")
-        mapping[s] = Variable(v)
-        new_sources.append(v)
-    new_pos = []
-    for k, p in enumerate(rule.pos):
-        v = dist_var(f"d{k + 1}")
-        mapping[p.derivative] = DistVariable(v)
-        new_pos.append(type(p)(mapping[p.source].var, p.action, v))
-    new_neg = [type(n)(mapping[n.source].var, n.action) for n in rule.neg]
-    target = substitute(rule.target, mapping)
-    return Rule(rule.op, tuple(new_sources), tuple(new_pos), tuple(new_neg),
-                rule.action, target)
+    mapping: dict[Var, Var] = {
+        s: Variable(f"x{i + 1}") for i, s in enumerate(rule.sources)}
+    mapping.update((p.derivative, DistVariable(f"d{k + 1}"))
+                   for k, p in enumerate(rule.pos))
+    return Rule(rule.op, tuple(mapping[s] for s in rule.sources),
+                tuple(p._replace(source=mapping[p.source],
+                                 derivative=mapping[p.derivative])
+                      for p in rule.pos),
+                tuple(n._replace(source=mapping[n.source]) for n in rule.neg),
+                rule.action, substitute(rule.target, mapping))
 
 
 def subterms(t: Term) -> list[Term]:
@@ -185,8 +180,8 @@ def generic_application(doc: SpecDocument,
     """The generic application ``f(x1, ..., xn)`` of an operator and its
     source variables ``x1..xn``, the coordinates canonical rules share.
     Raises :class:`UndeclaredSymbol` for an unknown operator."""
-    xs = tuple(state_var(f"x{i + 1}") for i in range(doc.signature.arity(op)))
-    return Apply(op, tuple(Variable(x) for x in xs)), xs
+    xs = tuple(Variable(f"x{i + 1}") for i in range(doc.signature.arity(op)))
+    return Apply(op, xs), xs
 
 
 class _StepContext:
@@ -250,7 +245,7 @@ class _StepContext:
 
     def term_step(self, t: Term) -> GenSet:
         if isinstance(t, (Variable, DistVariable)):
-            return GenSet((ProbMultiplicity.dirac(unit(t.var)),))
+            return GenSet((ProbMultiplicity.dirac(unit(t)),))
         if isinstance(t, InstDirac):
             return self.lookup(t.term)
         if isinstance(t, ConvexSum):

@@ -69,10 +69,6 @@ class OpenTermError(InputError):
     """A closed term was required but the given one has free variables."""
 
 
-class EmptyGenSet(InputError):
-    """Attempt to build a generator set from no generators."""
-
-
 class UnsupportedModulusShape(InputError):
     """Only linear capped moduli ``min(sum c_i * e_i, 1)`` are supported."""
 
@@ -99,10 +95,6 @@ class PairLimitExceeded(AnalysisRefusal):
 
 class NoConvergence(AnalysisRefusal):
     """Exact fixed-point iteration did not stabilise within the step budget."""
-
-    def __init__(self, message: str, iterations: int):
-        self.iterations = iterations
-        super().__init__(message)
 
 
 class IterationLimitExceeded(AnalysisRefusal):

@@ -38,8 +38,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
 from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
-                    Signature, StateTerm, Var, Variable, convex_sum,
-                    dist_var, free_vars, state_var)
+                    Signature, StateTerm, Variable, convex_sum, free_vars)
 
 
 class EmptyExpansion(UserWarning):
@@ -51,13 +50,13 @@ class EmptyExpansion(UserWarning):
 # ---------------------------------------------------------------------------
 
 class PosPremise(NamedTuple):
-    source: Var
+    source: Variable
     action: str
-    derivative: Var
+    derivative: DistVariable
 
 
 class NegPremise(NamedTuple):
-    source: Var
+    source: Variable
     action: str
 
 
@@ -66,16 +65,16 @@ class Rule:
     """One concrete inference rule (templates already instantiated)."""
 
     op: str
-    sources: tuple[Var, ...]
+    sources: tuple[Variable, ...]
     pos: tuple[PosPremise, ...]
     neg: tuple[NegPremise, ...]
     action: str
     target: DistTerm
 
-    def derivatives(self) -> tuple[Var, ...]:
+    def derivatives(self) -> tuple[DistVariable, ...]:
         return tuple(p.derivative for p in self.pos)
 
-    def tested_sources(self) -> frozenset[Var]:
+    def tested_sources(self) -> frozenset[Variable]:
         """Sources with at least one (positive or negative) premise."""
         return frozenset(p.source for p in self.pos) | frozenset(
             n.source for n in self.neg)
@@ -234,7 +233,7 @@ class RawPremise(NamedTuple):
 @dataclass(frozen=True)
 class RawRule:
     op: str
-    sources: tuple[Var, ...]
+    sources: tuple[Variable, ...]
     premises: tuple[RawPremise, ...]
     label: str
     target: DistTerm
@@ -357,8 +356,8 @@ def _tokenize(text: str) -> list[Token]:
 class _TermEnv:
     sig: Signature
     abbrevs: Mapping[str, StateTerm]
-    state_vars: Mapping[str, Var]
-    dist_vars: Mapping[str, Var]
+    state_vars: frozenset[str]
+    dist_vars: frozenset[str]
     free_ok: bool
 
 
@@ -435,7 +434,8 @@ class _Parser:
                     raise self.error(f"name {name!r} already in use")
                 self.expect("=")
                 sig = Signature(tuple(ops), tuple(actions))
-                env = _TermEnv(sig, dict(abbrevs), {}, {}, free_ok=False)
+                env = _TermEnv(sig, dict(abbrevs), frozenset(), frozenset(),
+                               free_ok=False)
                 term = self._state_term(env)
                 self.expect(";")
                 if free_vars(term):
@@ -543,15 +543,12 @@ class _Parser:
         label = self.expect("ident", "action label").text
         self.expect("arrow", "'-->'")
 
-        sources = tuple(state_var(s) for s in source_names)
-        dist_vars = {p.derivative: dist_var(p.derivative)
-                     for p in premises if p.positive and p.derivative}
-        env = _TermEnv(sig, abbrevs,
-                       {s: state_var(s) for s in source_names},
-                       dist_vars, free_ok=True)
+        env = _TermEnv(sig, abbrevs, frozenset(source_names),
+                       frozenset(p.derivative for p in premises if p.positive),
+                       free_ok=True)
         target = self._dist_term(env)
-        return RawRule(op_tok.text, sources, tuple(premises), label, target,
-                       template, rule_tok.line)
+        return RawRule(op_tok.text, tuple(map(Variable, source_names)),
+                       tuple(premises), label, target, template, rule_tok.line)
 
     # -- terms --------------------------------------------------------------
 
@@ -589,14 +586,14 @@ class _Parser:
     def _resolve_state_ident(self, tok: Token, env: _TermEnv) -> StateTerm:
         name = tok.text
         if name in env.state_vars:
-            return Variable(env.state_vars[name])
+            return Variable(name)
         if env.sig.has_operator(name):
             _check_arity(tok, env, 0)
             return Apply(name)
         if name in env.abbrevs:
             return env.abbrevs[name]
         if env.free_ok:
-            return Variable(state_var(name))
+            return Variable(name)
         raise UndeclaredSymbol(f"unknown name {name!r} (line {tok.line})")
 
     def _open_application(self, tok: Token, env: _TermEnv) -> None:
@@ -670,7 +667,7 @@ class _Parser:
             return self._dist_application(tok, env)
         name = tok.text
         if name in env.dist_vars:
-            return DistVariable(env.dist_vars[name])
+            return DistVariable(name)
         if name in env.state_vars:
             raise KindMismatch(
                 f"{name} is a state variable; write delta({name}) for its "
@@ -678,8 +675,12 @@ class _Parser:
         if env.sig.has_operator(name):
             _check_arity(tok, env, 0)
             return DistApply(name)
+        if name in env.abbrevs:
+            raise KindMismatch(
+                f"{name} is a state term; write delta({name}) for its "
+                f"point mass (line {tok.line})")
         if env.free_ok:
-            return DistVariable(dist_var(name))
+            return DistVariable(name)
         raise UndeclaredSymbol(f"unknown name {name!r} (line {tok.line})")
 
     def _rational(self) -> Fraction:
@@ -749,11 +750,11 @@ def _instantiate(rr: RawRule, tvar: str | None, action: str | None,
     for p in rr.premises:
         if p.positive:
             assert p.derivative is not None
-            pos.append(PosPremise(state_var(p.source),
+            pos.append(PosPremise(Variable(p.source),
                                   resolve(p.label, p.line),
-                                  dist_var(p.derivative)))
+                                  DistVariable(p.derivative)))
         else:
-            neg.append(NegPremise(state_var(p.source), resolve(p.label, p.line)))
+            neg.append(NegPremise(Variable(p.source), resolve(p.label, p.line)))
     return Rule(rr.op, rr.sources, tuple(pos), tuple(neg),
                 resolve(rr.label, rr.line), rr.target)
 
@@ -781,7 +782,8 @@ def parse_term(text: str, doc: SpecDocument, *, free_ok: bool = True,
     otherwise they are reported as undeclared.
     """
     parser = _Parser(text)
-    env = _TermEnv(doc.signature, doc.abbrev_map, {}, {}, free_ok=free_ok)
+    env = _TermEnv(doc.signature, doc.abbrev_map, frozenset(), frozenset(),
+                   free_ok=free_ok)
     term = (parser._state_term(env) if kind == "state"
             else parser._dist_term(env))
     trailing = parser.peek()

@@ -291,5 +291,5 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     if mode == "exact":
         raise NoConvergence(
             f"distance still changing after {max_iter} iterations; "
-            f"rerun in iterate mode for a lower bound", max_iter)
+            f"rerun in iterate mode for a lower bound")
     return d[root]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import EmptyGenSet
 from .lp import Infeasible, simplex_min
 from .terms import Var, format_rational
 
@@ -85,10 +84,6 @@ def ext_max(a: ExtRational, b: ExtRational) -> ExtRational:
     return b if ext_leq(a, b) else a
 
 
-def _var_key(x: Var) -> tuple[str, str]:
-    return (x.name, x.kind)
-
-
 def format_count(n: ExtRational) -> str:
     if n is INF:
         return "inf"
@@ -97,28 +92,42 @@ def format_count(n: ExtRational) -> str:
     return str(n)
 
 
+class _VarMap:
+    """A finitely supported map from variables, as ``entries`` sorted by
+    :func:`_by_var`; zero entries are never stored, so equality is
+    structural.  ``zero`` is the value of every other variable."""
+
+    entries: tuple
+    zero: object = 0
+
+    def get(self, x: Var):
+        for y, v in self.entries:
+            if y == x:
+                return v
+        return self.zero
+
+    def vars(self) -> tuple[Var, ...]:
+        return tuple(x for x, _ in self.entries)
+
+    def __str__(self) -> str:
+        inner = ", ".join(f"{x.name}:{format_count(v)}" for x, v in self.entries)
+        return "{" + inner + "}"
+
+
+def _by_var(kept: Mapping[Var, object]) -> tuple:
+    """A map's entries in canonical variable order: by name, then kind."""
+    return tuple(sorted(kept.items(), key=lambda it: (it[0].name, it[0].kind)))
+
+
 # ---------------------------------------------------------------------------
 # Layer M: multiplicities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Multiplicity:
-    """Finitely supported map from variables to counts in N u {inf};
-    zero entries are never stored, so equality is structural."""
+class Multiplicity(_VarMap):
+    """Finitely supported map from variables to counts in N u {inf}."""
 
     entries: tuple[tuple[Var, Count], ...]
-
-    def get(self, x: Var) -> Count:
-        for y, n in self.entries:
-            if y == x:
-                return n
-        return 0
-
-    def vars(self) -> tuple[Var, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    def is_finite(self) -> bool:
-        return all(n is not INF for _, n in self.entries)
 
     def pointwise_leq(self, other: "Multiplicity") -> bool:
         return all(ext_leq(n, other.get(x)) for x, n in self.entries)
@@ -126,10 +135,6 @@ class Multiplicity:
     def sort_key(self) -> tuple:
         return tuple((x.name, x.kind, n is INF, 0 if n is INF else n)
                      for x, n in self.entries)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{x.name}:{format_count(n)}" for x, n in self.entries)
-        return "{" + inner + "}"
 
 
 def mult(entries: Mapping[Var, Count] | Iterable[tuple[Var, Count]]) -> Multiplicity:
@@ -141,7 +146,7 @@ def mult(entries: Mapping[Var, Count] | Iterable[tuple[Var, Count]]) -> Multipli
             raise ValueError(f"multiplicity value {n!r} for {x.name}")
         if n is INF or n > 0:
             kept[x] = n
-    return Multiplicity(tuple(sorted(kept.items(), key=lambda it: _var_key(it[0]))))
+    return Multiplicity(_by_var(kept))
 
 
 def unit(*xs: Var) -> Multiplicity:
@@ -248,27 +253,12 @@ def p_sum(p1: ProbMultiplicity, p2: ProbMultiplicity) -> ProbMultiplicity:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Weighting:
+class Weighting(_VarMap):
     """Expected number of copies per variable (a nonnegative rational or
-    ``INF``); zero entries are not stored."""
+    ``INF``)."""
 
     entries: tuple[tuple[Var, ExtRational], ...]
-
-    def get(self, x: Var) -> ExtRational:
-        for y, v in self.entries:
-            if y == x:
-                return v
-        return Fraction(0)
-
-    def vars(self) -> tuple[Var, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    def is_finite(self) -> bool:
-        return all(v is not INF for _, v in self.entries)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{x.name}:{format_count(v)}" for x, v in self.entries)
-        return "{" + inner + "}"
+    zero = Fraction(0)
 
 
 def weighting(pi: Iterable[tuple[Multiplicity, Fraction]]) -> Weighting:
@@ -289,10 +279,8 @@ def weighting(pi: Iterable[tuple[Multiplicity, Fraction]]) -> Weighting:
         for x, n in m.entries:
             acc[x] = ext_add(acc.get(x, Fraction(0)),
                              INF if n is INF else q * n)
-    out = {x: (INF if v is INF else v / total) for x, v in acc.items()}
-    entries = tuple(sorted(((x, v) for x, v in out.items() if v is INF or v != 0),
-                           key=lambda it: _var_key(it[0])))
-    return Weighting(entries)
+    return Weighting(_by_var({x: (INF if v is INF else v / total)
+                              for x, v in acc.items() if v is INF or v != 0}))
 
 
 def weighting_of(p: ProbMultiplicity) -> Weighting:
@@ -300,20 +288,11 @@ def weighting_of(p: ProbMultiplicity) -> Weighting:
 
 
 @dataclass(frozen=True)
-class ProcessDistance:
-    """Per-variable behavioural distance in [0,1); zero entries unstored."""
+class ProcessDistance(_VarMap):
+    """Per-variable behavioural distance in [0,1)."""
 
     entries: tuple[tuple[Var, Fraction], ...]
-
-    def get(self, x: Var) -> Fraction:
-        for y, v in self.entries:
-            if y == x:
-                return v
-        return Fraction(0)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{x.name}:{format_rational(v)}" for x, v in self.entries)
-        return "{" + inner + "}"
+    zero = Fraction(0)
 
 
 def process_distance(entries: Mapping[Var, Fraction] | Iterable[tuple[Var, Fraction]],
@@ -326,7 +305,7 @@ def process_distance(entries: Mapping[Var, Fraction] | Iterable[tuple[Var, Fract
             raise ValueError(f"process distance {v} for {x.name} outside [0,1)")
         if v != 0:
             kept[x] = v
-    return ProcessDistance(tuple(sorted(kept.items(), key=lambda it: _var_key(it[0]))))
+    return ProcessDistance(_by_var(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +424,7 @@ class GenSet:
 
     def __post_init__(self) -> None:
         if not self.generators:
-            raise EmptyGenSet("a generator set must be nonempty")
+            raise ValueError("a generator set must be nonempty")
 
     def __iter__(self) -> Iterator[ProbMultiplicity]:
         return iter(self.generators)
@@ -466,7 +445,7 @@ def genset_normalize(ps: Iterable[ProbMultiplicity]) -> GenSet:
     canonical order survives."""
     unique = sorted(set(ps), key=lambda p: p.sort_key())
     if not unique:
-        raise EmptyGenSet("cannot normalize an empty generator collection")
+        raise ValueError("cannot normalize an empty generator collection")
     kept: list[ProbMultiplicity] = []
     for i, p in enumerate(unique):
         dominated = False
@@ -503,7 +482,7 @@ def sup_approx(ps: Sequence[ProbMultiplicity]) -> ProbMultiplicity:
     """
     ps = list(ps)
     if not ps:
-        raise EmptyGenSet("sup of an empty generator collection")
+        raise ValueError("sup of an empty generator collection")
     top = m_pointwise_max(m for p in ps for m in p.support())
     return ProbMultiplicity.dirac(top)
 

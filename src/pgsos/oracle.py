@@ -26,8 +26,8 @@ from .frontend import SpecDocument
 from .metric import bisim_distance
 from .multiplicity import da, process_distance
 from .semantics import DEFAULT_MAX_STATES
-from .terms import (Apply, StateTerm, Var, Variable, format_term, free_vars,
-                    state_var, substitute)
+from .terms import (Apply, StateTerm, Variable, format_term, free_vars,
+                    substitute)
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,9 @@ def perturbed_term(rng: random.Random, doc: SpecDocument,
 
 
 def substitution_pair(rng: random.Random, doc: SpecDocument,
-                      variables: Sequence[Var], depth: int,
-                      ) -> tuple[dict[Var, StateTerm], dict[Var, StateTerm]]:
+                      variables: Sequence[Variable], depth: int,
+                      ) -> tuple[dict[Variable, StateTerm],
+                                 dict[Variable, StateTerm]]:
     """A pair of closed substitutions biased towards nearby processes."""
     s1 = {v: random_closed_term(rng, doc, depth) for v in variables}
     s2 = {}
@@ -144,11 +145,11 @@ def random_open_term(rng: random.Random, doc: SpecDocument, depth: int,
     """An open state term whose leaves may be variables from the pool."""
     if depth <= 0 or rng.random() < 0.25:
         if pool and rng.random() < 0.7:
-            return Variable(state_var(rng.choice(list(pool))))
+            return Variable(rng.choice(list(pool)))
         return random_closed_term(rng, doc, 0)
     positive = [(op, n) for op, n in doc.signature.operators if n > 0]
     if not positive:
-        return Variable(state_var(rng.choice(list(pool))))
+        return Variable(rng.choice(list(pool)))
     op, n = rng.choice(positive)
     return Apply(op, tuple(random_open_term(rng, doc, depth - 1, pool)
                            for _ in range(n)))
@@ -173,8 +174,8 @@ def _cached_distance(doc: SpecDocument, u: StateTerm, v: StateTerm,
 
 
 def evaluate_sample(doc: SpecDocument, t: StateTerm,
-                    sigma1: Mapping[Var, StateTerm],
-                    sigma2: Mapping[Var, StateTerm], *,
+                    sigma1: Mapping[Variable, StateTerm],
+                    sigma2: Mapping[Variable, StateTerm], *,
                     denotations: Denotations | None = None,
                     max_states: int = DEFAULT_MAX_STATES,
                     max_pairs: int | None = None,
@@ -233,8 +234,8 @@ def _summarize(requested: int, results: list[SampleResult],
 
 def oracle_compare(doc: SpecDocument, t: StateTerm,
                    cfg: OracleConfig = OracleConfig(), *,
-                   include: Iterable[tuple[Mapping[Var, StateTerm],
-                                           Mapping[Var, StateTerm]]] = (),
+                   include: Iterable[tuple[Mapping[Variable, StateTerm],
+                                           Mapping[Variable, StateTerm]]] = (),
                    ) -> OracleSummary:
     """Check the bound for a fixed open term across sampled substitution
     pairs; explicitly supplied pairs are evaluated before the random ones."""
@@ -243,7 +244,8 @@ def oracle_compare(doc: SpecDocument, t: StateTerm,
     results: list[SampleResult] = []
     skipped: dict[str, int] = {}
 
-    def run(s1: Mapping[Var, StateTerm], s2: Mapping[Var, StateTerm]) -> None:
+    def run(s1: Mapping[Variable, StateTerm],
+            s2: Mapping[Variable, StateTerm]) -> None:
         outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
                                   max_pairs=cfg.max_pairs)
         if isinstance(outcome, str):

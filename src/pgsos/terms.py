@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import ClassVar, Iterable, Iterator, Mapping, Union
 from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, KindMismatch, UndeclaredSymbol
-
-STATE = "state"
-DIST = "dist"
 
 
 def format_rational(q: Fraction) -> str:
@@ -30,33 +27,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class Var:
-    """A named variable of state or distribution kind.
-
-    The two kinds live in disjoint namespaces: the same name never denotes
-    both a state and a distribution variable within one document.
-    """
-
-    name: str
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in (STATE, DIST):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-
-    def __repr__(self) -> str:
-        return f"Var({self.name!r}, {self.kind})"
-
-
-def state_var(name: str) -> Var:
-    return Var(name, STATE)
-
-
-def dist_var(name: str) -> Var:
-    return Var(name, DIST)
 
 
 @dataclass(frozen=True)
@@ -91,11 +61,17 @@ class Signature:
 
 @dataclass(frozen=True)
 class Variable:
-    var: Var
+    """A state variable, a leaf of state terms.
 
-    def __post_init__(self) -> None:
-        if self.var.kind != STATE:
-            raise KindMismatch(f"{self.var.name} is not a state variable")
+    State and distribution variables live in disjoint namespaces: a
+    variable's class is its kind, so ``Variable("x")`` and
+    ``DistVariable("x")`` are different variables."""
+
+    name: str
+    kind: ClassVar[str] = "state"
+
+
+state_var = Variable  # the library tour's name for building one
 
 
 class Apply:
@@ -166,11 +142,10 @@ StateTerm = Union[Variable, Apply]
 
 @dataclass(frozen=True)
 class DistVariable:
-    var: Var
+    """A distribution variable, a leaf of distribution terms."""
 
-    def __post_init__(self) -> None:
-        if self.var.kind != DIST:
-            raise KindMismatch(f"{self.var.name} is not a distribution variable")
+    name: str
+    kind: ClassVar[str] = "dist"
 
 
 @dataclass(frozen=True)
@@ -211,6 +186,7 @@ class DistApply:
 
 DistTerm = Union[DistVariable, InstDirac, ConvexSum, DistApply]
 Term = Union[StateTerm, DistTerm]
+Var = Union[Variable, DistVariable]  # a variable of either kind
 
 
 def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
@@ -269,7 +245,7 @@ def format_term(t: Term) -> str:
                     i -= 1
                 push(args[0])
         elif cls is Variable or cls is DistVariable:
-            emit(u.var.name)
+            emit(u.name)
         elif cls is InstDirac:
             emit("delta(")
             push(")")
@@ -292,14 +268,22 @@ def format_term(t: Term) -> str:
 def term_key(t: Term) -> str:
     """A total order on terms: the rendered text (rendering is injective).
 
-    An :class:`Apply` node renders once and keeps the text."""
+    An :class:`Apply` node renders once and keeps the text.  Its
+    applications without text render first, innermost first, and keep
+    theirs, so each node's text is built from its children's: rendering
+    every state of a chain costs time linear in the total text."""
     if t.__class__ is not Apply:
         return format_term(t)
-    key = t._key
-    if key is None:
-        key = format_term(t)
-        object.__setattr__(t, "_key", key)
-    return key
+    stack = [t] if t._key is None else []
+    while stack:
+        u = stack[-1]
+        todo = [a for a in u.args if a.__class__ is Apply and a._key is None]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            object.__setattr__(u, "_key", u._key or format_term(u))
+    return t._key
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +317,7 @@ def free_vars(t: Term) -> frozenset[Var]:
         u = stack.pop()
         cls = u.__class__
         if cls is Variable or cls is DistVariable:
-            out.add(u.var)
+            out.add(u)
         elif cls is not Apply:
             stack.extend(immediate_subterms(u))
         elif id(u) not in seen:
@@ -349,33 +333,49 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     """Apply ``sigma`` homomorphically; unknown variables map to themselves.
 
     Raises :class:`KindMismatch` if a state variable is sent to a
-    distribution term or a distribution variable to a state term.
+    distribution term or a distribution variable to a state term.  Walks an
+    explicit stack, so the depth of ``t`` is not limited by the
+    interpreter's recursion limit; an application shared by identity is
+    rebuilt once, and variables are visited left to right.
     """
-    if isinstance(t, Variable):
-        image = sigma.get(t.var)
-        if image is None:
-            return t
-        if not isinstance(image, (Variable, Apply)):
-            raise KindMismatch(
-                f"state variable {t.var.name} mapped to distribution term")
-        return image
-    if isinstance(t, DistVariable):
-        image = sigma.get(t.var)
-        if image is None:
-            return t
-        if isinstance(image, (Variable, Apply)):
-            raise KindMismatch(
-                f"distribution variable {t.var.name} mapped to state term")
-        return image
-    if isinstance(t, Apply):
-        return Apply(t.op, tuple(substitute(a, sigma) for a in t.args))
-    if isinstance(t, DistApply):
-        return DistApply(t.op, tuple(substitute(a, sigma) for a in t.args))
-    if isinstance(t, InstDirac):
-        return InstDirac(substitute(t.term, sigma))
-    if isinstance(t, ConvexSum):
-        return convex_sum((q, substitute(theta, sigma)) for q, theta in t.parts)
-    raise TypeError(f"not a term: {t!r}")
+    images: list[Term] = []        # the images of finished subterms
+    done: dict[int, Apply] = {}    # by id: hash-consing shares applications
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is tuple:  # (node, n): the last n images are its subterms'
+            u, n = u
+            cls = u.__class__
+            new = tuple(images[-n:])
+            del images[-n:]
+            if cls is Apply:
+                image = done[id(u)] = Apply(u.op, new)
+            elif cls is DistApply:
+                image = DistApply(u.op, new)
+            elif cls is InstDirac:
+                image = InstDirac(new[0])
+            else:
+                image = convex_sum(zip([q for q, _ in u.parts], new))
+        elif cls is Variable or cls is DistVariable:
+            image = sigma.get(u, u)
+            if (cls is Variable) != (image.__class__ in (Variable, Apply)):
+                raise KindMismatch(
+                    f"state variable {u.name} mapped to distribution term"
+                    if cls is Variable else
+                    f"distribution variable {u.name} mapped to state term")
+        elif id(u) in done:
+            image = done[id(u)]
+        else:
+            kids = immediate_subterms(u)
+            if not kids:
+                image = u
+            else:
+                stack.append((u, len(kids)))
+                stack += reversed(kids)
+                continue
+        images.append(image)
+    return images[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def eval_closed_dist(theta: DistTerm) -> FiniteDistribution:
     placing mass ``prod_i pi_i(t_i)`` on ``f(t_1, ..., t_n)``.
     """
     if isinstance(theta, DistVariable):
-        raise ValueError(f"distribution term is not closed: {theta.var.name}")
+        raise ValueError(f"distribution term is not closed: {theta.name}")
     if isinstance(theta, InstDirac):
         return FiniteDistribution.dirac(theta.term)
     if isinstance(theta, ConvexSum):

@@ -45,7 +45,6 @@ from pgsos.terms import (
     DistApply,
     DistVariable,
     FiniteDistribution,
-    dist_var,
     state_var,
 )
 
@@ -145,9 +144,9 @@ def test_criterion_05_derivative_duplication_squares_exactly(examples_doc):
 def test_criterion_06_reactive_testing_correction(examples_doc):
     """Testing a distribution argument counts as one copy of it; without
     that correction the bound collapses to an unsound 0."""
-    mu = dist_var("mu")
+    mu = DistVariable("mu")
     den = lfp_denotations(examples_doc)
-    gs = den.genset(DistApply("g_test", (DistVariable(mu),)))
+    gs = den.genset(DistApply("g_test", (mu,)))
     assert len(gs) == 1
     assert weighting_of(list(gs)[0]).get(mu) == 1
     assert genset_equiv(denote_of(examples_doc, "f_test(x)"), dirac_gs(unit(X)))

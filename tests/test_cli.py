@@ -65,6 +65,24 @@ def test_distance_between_deep_chains(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_distance_between_chains_5000_deep(capsys):
+    # each state's sort key is built from its child's, once
+    deep = "pref_a(" * 5000 + "zero" + ")" * 5000
+    shallower = "pref_a(" * 4999 + "zero" + ")" * 4999
+    code, out, err = run(capsys, "distance", EXAMPLES, deep, shallower,
+                         "--max-states", "6000")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_oracle_on_a_deep_open_term(capsys):
+    # substitution walks an explicit stack, not one call per term level
+    deep = "pref_a(" * 1500 + "x" + ")" * 1500
+    code, out, err = run(capsys, "oracle", PA, deep, "--samples", "10",
+                         "--seed", "2")
+    assert (code, err) == (0, "")
+    assert "compared: 4" in out and "violations: 0" in out
+
+
 def test_denote(capsys):
     code, out, _ = run(capsys, "denote", PA, "par(x, x)")
     assert code == 0
@@ -143,6 +161,11 @@ IPAR3 = "ipar(ipar(ipar({}, pa0), pa0), pa0)"
     # includes a sample whose pair system fits the default pair budget
     # only when counted in pairs of bisimulation classes
     ["oracle", PA, "--samples", "200", "--seed", "7"],
+    # variables key denotations, multiplicities and substitutions
+    ["continuity", EXAMPLES],
+    ["denote", EXAMPLES, "bang(x1)"],
+    ["bound", PA, "par(x, x)", "--dist", "x=1/10"],
+    ["oracle", PA, "par(x, y)", "--samples", "60", "--seed", "5"],
 ])
 def test_json_is_identical_across_hash_seeds(argv):
     outputs = []

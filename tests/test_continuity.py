@@ -19,7 +19,7 @@ from pgsos.denotation import lfp_denotations
 from pgsos.errors import ArityMismatch, UndeclaredSymbol, UnsupportedModulusShape
 from pgsos.frontend import parse_spec
 from pgsos.multiplicity import INF
-from pgsos.terms import DistApply, DistVariable, dist_var
+from pgsos.terms import DistApply, DistVariable
 
 F = Fraction
 
@@ -127,7 +127,7 @@ def test_queries_leave_the_fixpoint_flags_alone(tmp_path, capsys):
     assert not den.over_approximated
     # the distribution-level summary of mix over-approximates the join of
     # its non-Dirac rule generators
-    mus = (DistVariable(dist_var("mu1")), DistVariable(dist_var("mu2")))
+    mus = (DistVariable("mu1"), DistVariable("mu2"))
     assert str(den.genset(DistApply("mix", mus))) == "{mu1:3, mu2:1}"
     assert not den.over_approximated
     spec = tmp_path / "mixed.pgsos"

@@ -46,8 +46,6 @@ from pgsos.terms import (
     Apply,
     DistApply,
     DistVariable,
-    Variable,
-    dist_var,
     state_var,
 )
 
@@ -56,7 +54,7 @@ from helpers import jacobi_denotations
 F = Fraction
 X = state_var("x")
 X1, X2 = state_var("x1"), state_var("x2")
-MU = dist_var("mu")
+MU = DistVariable("mu")
 
 
 def g(*pairs_list):
@@ -103,7 +101,7 @@ def test_branch_compose_shares_the_outer_draw():
 def test_fold_rule_counts_premise_copies(examples_doc):
     rule = next(r for r in examples_doc.rules if r.op == "f_alt")
     canon = canonical_rule(rule)
-    d1 = dist_var("d1")
+    d1 = DistVariable("d1")
     x1 = state_var("x1")
     # each copy of the derivative d1 also charges one copy of its source;
     # the derivative coordinate itself survives (composition ignores it)
@@ -234,7 +232,7 @@ def test_reactive_testing_of_distribution_arguments(examples_doc):
     # at state level the tester's own behaviour spawns no argument copies
     assert genset_equiv(den.genset(t(examples_doc, "g_test(x)")), D_ZERO)
     # the distribution-level clause records that the argument is tested once
-    mu_term = DistApply("g_test", (DistVariable(MU),))
+    mu_term = DistApply("g_test", (MU,))
     gs = den.genset(mu_term)
     assert weighting_of(list(gs)[0]).get(MU) == 1
     off = lfp_denotations(examples_doc, reactive_testing=False)
@@ -257,7 +255,7 @@ def test_denote_convenience_wrapper(pa_doc):
 def test_queries_check_operator_arities(pa_doc, n_args):
     # par has arity 2: a missing argument must not read as zero copies,
     # nor an extra one be dropped
-    term = Apply("par", (Variable(X),) * n_args)
+    term = Apply("par", (X,) * n_args)
     e = process_distance({X: F(1, 10)})
     with pytest.raises(ArityMismatch):
         lfp_denotations(pa_doc).genset(term)
@@ -268,7 +266,7 @@ def test_queries_check_operator_arities(pa_doc, n_args):
 
 
 def test_deep_chains_are_measured_and_denoted_without_recursion(examples_doc):
-    closed, open_ = Apply("zero"), Variable(X)
+    closed, open_ = Apply("zero"), X
     for _ in range(5000):
         closed = Apply("pref_a", (closed,))
         open_ = Apply("pref_a", (open_,))

@@ -7,6 +7,7 @@ import pytest
 
 from pgsos.errors import (
     ArityMismatch,
+    KindMismatch,
     OpenTermError,
     RuleFormatError,
     SpecSyntaxError,
@@ -21,9 +22,8 @@ from pgsos.frontend import (
 )
 from pgsos.terms import (
     Apply,
+    DistVariable,
     InstDirac,
-    Variable,
-    dist_var,
     format_term,
     free_vars,
     state_var,
@@ -57,7 +57,7 @@ def test_parse_minimal_document():
     (pos_rule, neg_rule) = doc.rules
     assert pos_rule.op == "f" and pos_rule.action == "a"
     assert pos_rule.pos[0].source == state_var("x1")
-    assert pos_rule.pos[0].derivative == dist_var("m1")
+    assert pos_rule.pos[0].derivative == DistVariable("m1")
     assert neg_rule.neg[0].source == state_var("x1")
     assert neg_rule.neg[0].action == "b"
     assert neg_rule.target == InstDirac(Apply("zero"))
@@ -152,13 +152,13 @@ rule:
 
 def test_validate_rule_reports_violations_directly():
     x1 = state_var("x1")
-    m1 = dist_var("m1")
+    m1 = DistVariable("m1")
     rule = Rule(op="f", sources=(x1, x1), pos=(), neg=(), action="a",
-                target=InstDirac(Variable(x1)))
+                target=InstDirac(x1))
     kinds = {v.kind for v in validate_rule(rule)}
     assert "duplicate-source" in kinds or len(kinds) > 0
     good = Rule(op="f", sources=(x1,), pos=(), neg=(), action="a",
-                target=InstDirac(Variable(x1)))
+                target=InstDirac(x1))
     assert validate_rule(good) == []
     assert m1  # silence linters; the variable documents intent
 
@@ -226,6 +226,21 @@ def test_deep_state_terms_parse_without_recursion(pa_doc):
     assert t == Apply("zero")
     doc = parse_spec(MINI + f"op pref_a : 1;\nterm deep = {deep};\n")
     assert parse_term("deep", doc) == parse_term(deep, doc)
+
+
+def test_state_names_in_a_distribution_ask_for_delta(pa_doc):
+    # a term abbreviation, like a state variable, names a state, not a
+    # distribution: it is neither a free distribution variable nor unknown
+    spec = MINI + "term z = f(zero);\nrule:\n  ---\n  f(x1) --b--> z\n"
+    line = spec.splitlines().index("  f(x1) --b--> z") + 1
+    with pytest.raises(KindMismatch) as err:
+        parse_spec(spec)
+    assert str(err.value) == (f"z is a state term; write delta(z) for its "
+                              f"point mass (line {line})")
+    with pytest.raises(KindMismatch, match=r"write delta\(aa0\)"):
+        parse_term("aa0", pa_doc, kind="dist", free_ok=False)
+    with pytest.raises(KindMismatch, match=r"x1 is a state variable"):
+        parse_spec(MINI + "rule:\n  ---\n  f(x1) --b--> x1\n")
 
 
 def test_nesting_errors_keep_their_line():

@@ -13,7 +13,7 @@ from pgsos.errors import (
 )
 from pgsos.frontend import parse_spec, parse_term
 from pgsos.semantics import derive_transitions, explore_fragment
-from pgsos.terms import Apply, FiniteDistribution, Variable, state_var
+from pgsos.terms import Apply, FiniteDistribution, Variable
 
 from helpers import enabled_actions
 
@@ -110,7 +110,7 @@ rule:
 
 def test_open_terms_are_rejected(pa_doc):
     with pytest.raises(OpenTermError):
-        derive_transitions(pa_doc, Variable(state_var("x")))
+        derive_transitions(pa_doc, Variable("x"))
     with pytest.raises(OpenTermError):
         explore_fragment(pa_doc, [t(pa_doc, "par(x, zero)")])
 

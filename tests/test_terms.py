@@ -23,7 +23,6 @@ from pgsos.terms import (
     Variable,
     check_arities,
     convex_sum,
-    dist_var,
     embed_distribution,
     eval_closed_dist,
     format_rational,
@@ -38,7 +37,7 @@ from helpers import is_closed
 
 X = state_var("x")
 Y = state_var("y")
-MU = dist_var("mu")
+MU = DistVariable("mu")
 
 ZERO = Apply("zero")
 A_ZERO = Apply("a_pref", (ZERO,))
@@ -51,22 +50,16 @@ def test_format_rational():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
 
 
-def test_variable_kinds_are_enforced():
-    with pytest.raises(KindMismatch):
-        Variable(MU)
-    with pytest.raises(KindMismatch):
-        DistVariable(X)
-
-
 def test_state_and_dist_namespaces_are_disjoint():
-    assert state_var("x") != dist_var("x")
+    assert state_var("x") != DistVariable("x")
     assert state_var("x") == state_var("x")
+    assert state_var is Variable
 
 
 def test_format_term_round_shapes():
     assert format_term(ZERO) == "zero"
-    assert format_term(Apply("par", (Variable(X), A_ZERO))) == "par(x, a_pref(zero))"
-    assert format_term(InstDirac(Variable(X))) == "delta(x)"
+    assert format_term(Apply("par", (X, A_ZERO))) == "par(x, a_pref(zero))"
+    assert format_term(InstDirac(X)) == "delta(x)"
     theta = convex_sum([(Fraction(1, 2), InstDirac(ZERO)),
                         (Fraction(1, 2), InstDirac(A_ZERO))])
     assert format_term(theta) == "1/2*delta(a_pref(zero)) + 1/2*delta(zero)"
@@ -95,35 +88,35 @@ def test_convex_sum_rejects_bad_weights():
 
 
 def test_free_vars_and_closedness():
-    t = Apply("par", (Variable(X), Apply("alt", (Variable(Y), ZERO))))
+    t = Apply("par", (X, Apply("alt", (Y, ZERO))))
     assert free_vars(t) == frozenset({X, Y})
     assert not is_closed(t)
     assert is_closed(A_ZERO)
-    theta = convex_sum([(Fraction(1, 2), DistVariable(MU)),
-                        (Fraction(1, 2), InstDirac(Variable(X)))])
+    theta = convex_sum([(Fraction(1, 2), MU),
+                        (Fraction(1, 2), InstDirac(X))])
     assert free_vars(theta) == frozenset({MU, X})
 
 
 def test_substitute_homomorphic_and_kind_checked():
-    t = Apply("par", (Variable(X), Variable(Y)))
+    t = Apply("par", (X, Y))
     s = substitute(t, {X: A_ZERO})
-    assert s == Apply("par", (A_ZERO, Variable(Y)))
-    theta = InstDirac(Variable(X))
+    assert s == Apply("par", (A_ZERO, Y))
+    theta = InstDirac(X)
     assert substitute(theta, {X: ZERO}) == InstDirac(ZERO)
     with pytest.raises(KindMismatch):
-        substitute(Variable(X), {X: InstDirac(ZERO)})
+        substitute(X, {X: InstDirac(ZERO)})
     with pytest.raises(KindMismatch):
-        substitute(DistVariable(MU), {MU: ZERO})
+        substitute(MU, {MU: ZERO})
 
 
 def test_substitution_is_simultaneous():
-    t = Apply("par", (Variable(X), Variable(Y)))
-    s = substitute(t, {X: Variable(Y), Y: Variable(X)})
-    assert s == Apply("par", (Variable(Y), Variable(X)))
+    t = Apply("par", (X, Y))
+    s = substitute(t, {X: Y, Y: X})
+    assert s == Apply("par", (Y, X))
 
 
 def test_term_key_total_order_is_injective_on_samples(pa_doc):
-    terms = [ZERO, A_ZERO, Variable(X), Apply("par", (ZERO, ZERO)),
+    terms = [ZERO, A_ZERO, X, Apply("par", (ZERO, ZERO)),
              Apply("par", (ZERO, A_ZERO))]
     keys = [term_key(t) for t in terms]
     assert len(set(keys)) == len(terms)
@@ -211,3 +204,25 @@ def test_check_arities():
         check_arities(Apply("par", (Apply("a_pref", (ZERO, ZERO)),)), sig)
     with pytest.raises(ArityMismatch, match="^par expects 2"):
         check_arities(Apply("par", (Apply("undeclared"),)), sig)
+
+
+def test_term_key_renders_a_chain_once_from_the_bottom():
+    chain = [ZERO]
+    for _ in range(5000):
+        chain.append(Apply("pref_a", (chain[-1],)))
+    assert term_key(chain[-1]) == "pref_a(" * 5000 + "zero" + ")" * 5000
+    # every application below the root kept its own text on the way up
+    assert all(t._key == "pref_a(" * k + "zero" + ")" * k
+               for k, t in enumerate(chain))
+
+
+def test_deep_terms_are_substituted_without_recursion():
+    t, closed = X, ZERO
+    for _ in range(5000):
+        t, closed = Apply("pref_a", (t,)), Apply("pref_a", (closed,))
+    assert substitute(t, {X: ZERO}) is closed
+    theta = InstDirac(t)
+    assert substitute(theta, {X: ZERO}) == InstDirac(closed)
+    with pytest.raises(KindMismatch):
+        substitute(t, {X: MU})
+
