@@ -3,16 +3,18 @@
 Every command produces one report document; ``--json`` prints it as
 canonical JSON (rationals as ``p/q`` strings, infinite counts as
 ``"inf"``, keys sorted) and the default output is a human-readable view
-of the same data.  Exit codes: 0 on success, 1 when an analysis refuses
-to produce a trustworthy result (state budget, non-stabilising
-iteration, every sample skipped), 2 for malformed specs, terms, or usage,
-3 for an internal error (any other exception, reported with its traceback).
+of the same data.  Exit codes: 0 on success (also when the reader closes
+stdout early), 1 when an analysis refuses to produce a trustworthy result
+(state budget, non-stabilising iteration, every sample skipped), 2 for
+malformed specs, terms, or usage, 3 for an internal error (any other
+exception, reported with its traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 import warnings
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from . import continuity as cont
-from .denotation import FixpointConfig, lfp_denotations
+from .denotation import lfp_denotations
 from .errors import AnalysisRefusal, InputError
 from .frontend import SpecDocument, parse_spec, parse_term
 from .metric import bisim_distance
@@ -202,7 +204,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_denote(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
     t = parse_term(args.term, doc)
-    den = lfp_denotations(doc, FixpointConfig(max_iterations=args.max_iter))
+    den = lfp_denotations(doc, max_iterations=args.max_iter)
     gs = den.genset(t)
     flags = {"widened": den.widened,
              "over_approximated": den.over_approximated}
@@ -224,7 +226,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     e = parse_dist(args.dist)
     missing = [v.name for v in sorted(free_vars(t), key=lambda v: v.name)
                if e.get(v) == 0 and isinstance(v, Variable)]
-    den = lfp_denotations(doc, FixpointConfig(max_iterations=args.max_iter))
+    den = lfp_denotations(doc, max_iterations=args.max_iter)
     value = da(den.genset(t), e)
     flags = {"widened": den.widened,
              "over_approximated": den.over_approximated,
@@ -263,9 +265,9 @@ def cmd_continuity(args: argparse.Namespace) -> int:
         ops = [args.op]
     else:
         ops = [op for op, _ in doc.signature.operators]
-    config = FixpointConfig(max_iterations=args.max_iter)
-    den = lfp_denotations(doc, config)
-    reports = [cont.is_uniformly_continuous(doc, op, config=config)
+    den = lfp_denotations(doc, max_iterations=args.max_iter)
+    reports = [cont.is_uniformly_continuous(doc, op,
+                                            max_iterations=args.max_iter)
                for op in ops]
     emit(args, "continuity", doc, {"operator": args.op},
          {"reports": [_report_dict(r) for r in reports]},
@@ -398,7 +400,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (``| head``): end the output, flush into nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

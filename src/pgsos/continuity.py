@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .denotation import FixpointConfig, generic_application, lfp_denotations
+from .denotation import generic_application, lfp_denotations
 from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
 from .multiplicity import (INF, ext_leq, ext_mul, format_count, sup_approx,
@@ -95,22 +95,8 @@ class ContinuityReport:
     annotation: str | None
 
 
-def derive_modulus(doc: SpecDocument, op: str, *,
-                   config: FixpointConfig = FixpointConfig()) -> ModulusSpec:
-    """The capped linear modulus whose coefficients are the expected
-    copy-counts of the least generator dominating the operator's
-    denotation (its weighted supremum), at the argument positions.
-
-    A single generator is its own supremum; several Dirac generators join
-    exactly at the pointwise maximum; otherwise the join is approximated
-    from above, which :func:`is_uniformly_continuous` reports.
-    """
-    return is_uniformly_continuous(doc, op, config=config).modulus
-
-
 def is_uniformly_continuous(doc: SpecDocument, op: str, *,
-                            config: FixpointConfig = FixpointConfig(),
-                            ) -> ContinuityReport:
+                            max_iterations: int = 64) -> ContinuityReport:
     """Decide the sufficient condition: the operator's denotation lies
     below a single uniform copy bound ``n`` on its arguments.
 
@@ -118,9 +104,10 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
     condition on expectations, the check is per generator: every expected
     copy-count finite on the argument positions and zero elsewhere.  The
     verdict is per-generator exact even when the reported modulus
-    coefficients had to be over-approximated.
+    coefficients had to be over-approximated.  The coefficients are the
+    argument positions' expected copy-counts in the weighted supremum.
     """
-    den = lfp_denotations(doc, config)
+    den = lfp_denotations(doc, max_iterations=max_iterations)
     generic, sources = generic_application(doc, op)
     gens = tuple(den.genset(generic))
 
@@ -169,15 +156,14 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
                             over_approx, den.widened, annotation)
 
 
-def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec, *,
-                  config: FixpointConfig = FixpointConfig()) -> bool:
+def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec) -> bool:
     """Does ``z`` bound the operator's spawning behaviour?
 
     For capped linear moduli the per-argument copy budget is exactly the
     coefficient, so the check is coefficient-wise: satisfied when every
     expected copy-count is at most the corresponding coefficient.
     """
-    derived = derive_modulus(doc, op, config=config)
+    derived = is_uniformly_continuous(doc, op).modulus
     if z.arity != derived.arity:
         raise ArityMismatch(
             f"operator '{op}' has arity {derived.arity}, "

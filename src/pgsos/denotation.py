@@ -6,7 +6,9 @@ from the specification can spawn.  Denotations of terms and rules are
 mutually recursive — a rule's denotation folds the denotation of its
 target, which applies operators whose denotations come from their rules —
 so both are computed together as the least fixed point of a joint step
-function, iterating upward from the zero denotation.
+function, solved one strongly connected component of the dependency graph
+at a time (see :func:`lfp_denotations`): an entry on no cycle is stepped
+once, and a count that a cycle pumps for ever is promoted to ``INF``.
 
 Operators applied to distribution terms are coarsened to a single
 generator: the least probabilistic multiplicity covering every rule of the
@@ -14,11 +16,6 @@ operator, further raised by one copy of each source variable the rule
 tests, because testing a distribution's states discriminates them as
 effectively as running one copy (toggle ``reactive_testing`` to reproduce
 the unsound bound without that correction).
-
-Unbounded recursion (replication-style operators) makes the chain grow
-forever; a per-entry widening promotes a variable's count to ``INF`` after
-its expected value has strictly increased ``widening_window`` times, after
-which the chain stabilises or the iteration cap reports failure.
 """
 
 from __future__ import annotations
@@ -26,10 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 from .errors import IterationLimitExceeded
 from .frontend import Rule, SpecDocument
+from .graphs import strongly_connected_components
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
                            ext_leq, genset_equiv, genset_normalize, m_scale,
@@ -38,14 +36,6 @@ from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
 from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
                     StateTerm, Term, Var, Variable, check_arities,
                     immediate_subterms, substitute)
-
-ExtRational = Union[Fraction, int, object]
-
-
-@dataclass(frozen=True)
-class FixpointConfig:
-    max_iterations: int = 64
-    widening_window: int = 8
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +145,9 @@ def canonical_rule(rule: Rule) -> Rule:
 def subterms(t: Term) -> list[Term]:
     """The distinct subterms of ``t``, ``t`` included, innermost first: each
     in the place of its first occurrence in a left-to-right post-order walk.
-    Iterative, so the depth of ``t`` is not limited by the interpreter's
-    recursion limit."""
-    out: list[Term] = []
-    seen: set[Term] = set()
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        u, children_done = stack.pop()
-        if children_done:
-            out.append(u)
-        elif u not in seen:
-            seen.add(u)
-            stack.append((u, True))
-            stack.extend((c, False) for c in reversed(immediate_subterms(u)))
-    return out
+    Subterms form no cycle, so each component of their graph is one term."""
+    return [u for u, in strongly_connected_components([t],
+                                                      immediate_subterms)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +167,10 @@ class _StepContext:
     """Evaluates the step function clauses against one ``rho`` table.
 
     ``lookup`` gives the denotation of an immediate subterm: the fixpoint
-    reads the previous iterate, which tracks every subterm it asks for; a
-    query reads the memo that :meth:`Denotations.genset` fills innermost
-    first.
-    ``rho`` is fixed for the context's lifetime, so the per-operator
-    summaries are memoised.
+    reads its table of tracked entries; a query reads the memo that
+    :meth:`Denotations.genset` fills innermost first.
+    An operator's summary is memoised when first asked for, so its rules'
+    entries in ``rho`` must not change for the context's lifetime.
     """
 
     def __init__(self, doc: SpecDocument,
@@ -266,14 +244,15 @@ class _StepContext:
 
 
 # ---------------------------------------------------------------------------
-# Least fixed point with widening
+# Least fixed point, one dependency component at a time
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Denotations:
     """Result of the joint fixpoint: tracked denotations plus per-operator
     summaries, and honesty flags when the result is an upper bound rather
-    than the exact least fixed point.
+    than the exact least fixed point.  ``iterations`` is the most rounds
+    any dependency component took.
 
     ``tau``, ``rho``, ``widened_vars`` and ``over_approximated`` describe
     the fixpoint alone: queries through :meth:`genset` never change them,
@@ -283,7 +262,6 @@ class Denotations:
     """
 
     doc: SpecDocument
-    config: FixpointConfig
     reactive_testing: bool
     tau: dict[Term, GenSet]
     rho: dict[Rule, GenSet]
@@ -328,143 +306,131 @@ def _measure(gs: GenSet) -> dict[Var, object]:
     return out
 
 
-def _widen(gs: GenSet, x: Var) -> GenSet:
-    def promote(m: Multiplicity) -> Multiplicity:
-        if m.get(x) == 0:
-            return m
-        return mult({**dict(m.entries), x: INF})
-
-    return genset_normalize(
-        ProbMultiplicity.from_pairs((promote(m), q) for m, q in p) for p in gs)
+def _widen(gs: GenSet, xs: set[Var]) -> GenSet:
+    """``gs`` with every positive count of a variable in ``xs`` at INF."""
+    return genset_normalize(ProbMultiplicity.from_pairs(
+        (mult({x: INF if x in xs else n for x, n in m.entries}), q)
+        for m, q in p) for p in gs)
 
 
-def lfp_denotations(doc: SpecDocument,
-                    config: FixpointConfig = FixpointConfig(), *,
+def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
                     reactive_testing: bool = True) -> Denotations:
     """Compute the joint least fixed point of the term and rule clauses.
 
-    Tracked entries are the canonical rules, their targets with all
-    subterms, and the generic application of every operator.  Iteration
-    starts from the zero denotation everywhere and stops when one more
-    step leaves every entry equal.  After the first step, only the entries
-    that read a term or rule changed by the previous step are evaluated
-    again; the others would step to their previous values, so the result
-    is that of stepping every entry.  A per-entry, per-variable widening to
-    ``INF`` fires once the variable's largest expected count has strictly
-    grown ``widening_window`` times, keeping unbounded-recursion chains
-    finite.  Exceeding ``max_iterations`` raises
-    :class:`IterationLimitExceeded`.
+    Entries are the canonical rules, their targets with all subterms and
+    every operator's generic application.  An entry reads its immediate
+    subterms and, for an application, its operator's rules; a rule reads
+    its target.  The strongly connected components of this graph are
+    solved inputs first.  An entry on no cycle is stepped once.  A cyclic
+    component ``C`` is iterated in rounds from zero, each entry stepped
+    from the previous round, until a round changes nothing.  Let ``P`` be
+    the number of pairs (entry of ``C``, variable) with a positive count so
+    far: in a round after round ``P``, a variable whose largest expected
+    count at an entry still grows is promoted to ``INF`` there for good.
 
-    The result is kept in the document's ``"fixpoints"`` memo table, so
-    every later call with an equal document, config and flag returns the
-    same object.
+    This pumping test fires exactly on the counts that plain iteration
+    never settles.  On largest expected counts, each clause is a maximum
+    over generators of sums and products, with positive coefficients, of
+    the counts its inputs hold.  So the count round ``k`` gives a pair is
+    that of its best derivation of height at most ``k``: a tree of pairs
+    of ``C`` whose leaves read only constants and entries outside ``C``.
+    Let a count grow in round ``k > P`` and take a smallest best derivation
+    of it.  Round ``k - 1`` did not reach it, so it has a path of ``k``
+    pairs, and as ``k > P`` the path repeats one.  Cutting out the loop
+    between the repeats leaves a smaller derivation, so a worse one: the
+    loop raises the count.  Inserting it once more raises it again, in a
+    later round, and so on for ever.  The limit is infinitely many copies,
+    or a distribution over unboundedly many, and ``INF`` bounds both.  A
+    count that settles never grows after round ``P``, so where plain
+    iteration reaches the least fixed point, that is the result.  The
+    bound counts pairs, not entries: a rule that permutes its variables
+    carries a count round its cycle once per variable before it settles.
+
+    A component still changing after ``max_iterations`` rounds raises
+    :class:`IterationLimitExceeded`, naming its operators.  The budget never
+    changes the answer: the result is kept in the document's
+    ``"fixpoints"`` memo table for every equal document and flag, and a
+    budget below its ``iterations`` is refused.
     """
     memo = doc.memo("fixpoints")
-    key = (config, reactive_testing)
-    cached = memo.get(key)
-    if cached is not None:
+    cached = memo.get(reactive_testing)
+    if cached is not None and cached.iterations <= max_iterations:
         return cached
-
+    # over the budget, solving again stops where a first solve would
     rules = tuple(canonical_rule(r) for r in doc.rules)
     rules_by_op: dict[str, tuple[Rule, ...]] = {}
     for r in rules:
         rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
-    tracked: list[Term] = []
-    seen: set[Term] = set()
+    roots = [r.target for r in rules] + [
+        generic_application(doc, op)[0] for op, _ in doc.signature.operators]
+    tracked = list(dict.fromkeys(u for t in roots for u in subterms(t)))
 
-    def track(t: Term) -> None:
-        for sub in subterms(t):
-            if sub not in seen:
-                seen.add(sub)
-                tracked.append(sub)
-
-    for r in rules:
-        track(r.target)
-    for op, _ in doc.signature.operators:
-        track(generic_application(doc, op)[0])
-
-    # readers[e]: the entries whose step clause reads the term or rule e
-    readers: dict[object, list[object]] = {}
+    # inputs[e]: the terms and rules whose values e's step clause reads
+    inputs: dict[object, tuple] = {r: (r.target,) for r in rules}
     for t in tracked:
-        inputs = immediate_subterms(t)
+        inputs[t] = immediate_subterms(t)
         if isinstance(t, (Apply, DistApply)):
-            inputs += rules_by_op.get(t.op, ())
-        for e in inputs:
-            readers.setdefault(e, []).append(t)
-    for r in rules:
-        readers.setdefault(r.target, []).append(r)
+            inputs[t] += rules_by_op.get(t.op, ())
 
-    tau: dict[Term, GenSet] = {t: D_ZERO for t in tracked}
-    rho: dict[Rule, GenSet] = {r: D_ZERO for r in rules}
-    growth: dict[tuple[object, Var], int] = {}
-    measures: dict[object, dict[Var, object]] = {}
-    forced: dict[object, set[Var]] = {}
+    # One table serves as ``rho`` and ``lookup`` alike.  The acyclic
+    # entries share a context: an operator's rules are final before any
+    # entry that summarises it is stepped.
+    value: dict[object, GenSet] = dict.fromkeys(inputs, D_ZERO)
+    acyclic = _StepContext(doc, rules_by_op, value, reactive_testing,
+                           value.__getitem__)
     over_approx = False
     widened_vars: set[Var] = set()
+    iterations = 1
 
-    def apply_widening(key_: object, gs: GenSet) -> GenSet:
-        prev = measures.get(key_, {})
-        measure = _measure(gs)
-        for x, v in measure.items():
-            if not ext_leq(v, prev.get(x, Fraction(0))):
-                count = growth.get((key_, x), 0) + 1
-                growth[(key_, x)] = count
-                if count >= config.widening_window:
-                    forced.setdefault(key_, set()).add(x)
-                    widened_vars.add(x)
-        # A tripped entry stays widened in every later iteration; otherwise
-        # recomputation from not-yet-widened inputs would undo the promotion
-        # and the chain would resume growing.
-        widen = forced.get(key_, ())
-        for x in widen:
-            gs = _widen(gs, x)
-        measures[key_] = _measure(gs) if widen else measure
-        return gs
+    def step(ctx: _StepContext, e: object) -> GenSet:
+        return ctx.rule_step(e) if isinstance(e, Rule) else ctx.term_step(e)
 
-    # Skipping is exact: an entry whose inputs kept their values steps to
-    # its previous raw value, and widening that again counts no growth.
-    iterations = 0
-    terms_due, rules_due = tracked, rules
-    for iterations in range(1, config.max_iterations + 1):
-        ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
-                           tau.__getitem__)
-        tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in terms_due}
-        rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules_due}
-        over_approx = over_approx or ctx.over_approximated
-        changed_terms = [t for t, gs in tau2.items() if gs != tau[t]]
-        changed_rules = [r for r, gs in rho2.items() if gs != rho[r]]
-        settled = (all(genset_equiv(tau2[t], tau[t]) for t in changed_terms)
-                   and all(genset_equiv(rho2[r], rho[r])
-                           for r in changed_rules))
-        tau.update(tau2)
-        rho.update(rho2)
-        if settled:
-            break
-        due = {e for c in changed_terms + changed_rules
-               for e in readers.get(c, ())}
-        terms_due = [t for t in tracked if t in due]
-        rules_due = [r for r in rules if r in due]
-    else:
-        raise IterationLimitExceeded(
-            f"denotations still changing after {config.max_iterations} "
-            f"iterations (widening window {config.widening_window})")
+    for comp in strongly_connected_components([*tracked, *rules],
+                                              inputs.__getitem__):
+        if len(comp) == 1 and comp[0] not in inputs[comp[0]]:
+            value[comp[0]] = step(acyclic, comp[0])
+            continue
+        measures: dict[object, dict[Var, object]] = {e: {} for e in comp}
+        forced: dict[object, set[Var]] = {e: set() for e in comp}
+        for n in range(1, max_iterations + 1):
+            ctx = _StepContext(doc, rules_by_op, value, reactive_testing,
+                               value.__getitem__)
+            new = {e: step(ctx, e) for e in comp}
+            over_approx = over_approx or ctx.over_approximated
+            grown: dict[object, list[Var]] = {}
+            for e, gs in new.items():
+                measure = _measure(gs)
+                grown[e] = [x for x, v in measure.items()
+                            if not ext_leq(v, measures[e].get(x, 0))]
+                measures[e] = measure
+            pumping = n > sum(map(len, measures.values()))
+            for e in comp:
+                if pumping:
+                    forced[e].update(grown[e])
+                # pumped for good: a step from unpumped inputs would undo it
+                if forced[e]:
+                    new[e] = _widen(new[e], forced[e])
+            settled = all(genset_equiv(gs, value[e]) for e, gs in new.items())
+            value.update(new)
+            if settled:
+                break
+        else:
+            ops = sorted({e.op for e in comp if hasattr(e, "op")})
+            raise IterationLimitExceeded(
+                f"denotations of {', '.join(ops)} still changing after "
+                f"{max_iterations} rounds (--max-iter {max_iterations})")
+        iterations = max(iterations, n)
+        widened_vars.update(*forced.values())
 
-    result = Denotations(doc, config, reactive_testing, tau, rho, rules_by_op,
-                         iterations, frozenset(widened_vars), over_approx)
-    memo[key] = result
-    return result
+    den = memo[reactive_testing] = Denotations(
+        doc, reactive_testing, {t: value[t] for t in tracked},
+        {r: value[r] for r in rules}, rules_by_op, iterations,
+        frozenset(widened_vars), over_approx or acyclic.over_approximated)
+    return den
 
 
-def denote(doc: SpecDocument, t: Term, *,
-           config: FixpointConfig = FixpointConfig(),
-           reactive_testing: bool = True) -> GenSet:
-    """Denotation of ``t`` under the document's least fixed point."""
-    return lfp_denotations(doc, config,
-                           reactive_testing=reactive_testing).genset(t)
-
-
-def bound_distance(doc: SpecDocument, t: StateTerm, e: ProcessDistance, *,
-                   config: FixpointConfig = FixpointConfig()) -> Fraction:
+def bound_distance(doc: SpecDocument, t: StateTerm,
+                   e: ProcessDistance) -> Fraction:
     """Upper bound on the distance between any two closed instances of
     ``t`` whose per-variable distances are below ``e``."""
-    return da(denote(doc, t, config=config), e)
+    return da(lfp_denotations(doc).genset(t), e)

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from .errors import NoConvergence, PairLimitExceeded
 from .frontend import SpecDocument
+from .graphs import strongly_connected_components
 from .lp import solve_transport
 from .semantics import (ROOTS_CLOSED, ReachableFragment, check_closed,
                         explore_fragment)
@@ -255,27 +256,13 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         return value
 
     # On an acyclic dependency graph each pair's fixed-point value follows
-    # from the values strictly below it, so one pass in topological order
-    # suffices.  Only genuinely cyclic specifications need iteration.
-    remaining = {pair: {k for k in below if k != pair}
-                 for pair, below in deps.items()}
-    users: dict[tuple[StateTerm, StateTerm],
-                list[tuple[StateTerm, StateTerm]]] = {}
-    for pair, below in remaining.items():
-        for k in below:
-            users.setdefault(k, []).append(pair)
-    ready = [pair for pair, below in remaining.items()
-             if not below and pair not in deps[pair]]
-    while ready:
-        pair = ready.pop()
-        memo[pair] = settle(pair)
-        for parent in users.get(pair, ()):
-            blockers = remaining[parent]
-            blockers.discard(pair)
-            if not blockers and parent not in memo \
-                    and parent not in deps[parent]:
-                ready.append(parent)
-    if root in memo:
+    # from the values strictly below it, so one pass over the components,
+    # dependencies first, suffices.  Only a cycle needs iteration.
+    for comp in strongly_connected_components([root], deps.__getitem__):
+        if len(comp) > 1 or comp[0] in deps[comp[0]]:
+            break
+        memo[comp[0]] = settle(comp[0])
+    else:
         return memo[root]
 
     # Cyclic case: global iteration from the zero table over all pairs.

@@ -15,8 +15,8 @@ pair of a complete fragment, sharing nothing with ``bisim_distance`` but
 the transport solver.
 
 ``jacobi_denotations`` is the reference for the denotation fixpoint: the
-plain Jacobi iteration that steps every tracked entry on every iteration,
-widening included, sharing only the step clauses with ``lfp_denotations``.
+plain Jacobi iteration that steps every tracked entry on every round,
+without widening, sharing only the step clauses with ``lfp_denotations``.
 
 The printers, ``is_closed`` and ``E_ZERO`` serve the tests alone.
 """
@@ -29,10 +29,7 @@ from fractions import Fraction
 
 from pgsos.denotation import (
     Denotations,
-    FixpointConfig,
-    _measure,
     _StepContext,
-    _widen,
     canonical_rule,
     generic_application,
     subterms,
@@ -45,7 +42,6 @@ from pgsos.multiplicity import (
     Multiplicity,
     ProbMultiplicity,
     ProcessDistance,
-    ext_leq,
     genset_equiv,
     mult,
 )
@@ -267,12 +263,12 @@ def check_pseudometric(d, states):
 # The denotation fixpoint by plain Jacobi iteration
 # ---------------------------------------------------------------------------
 
-def jacobi_denotations(doc, config=FixpointConfig(), *,
-                       reactive_testing=True) -> Denotations:
-    """The joint least fixed point of the term and rule clauses, stepping
-    every tracked entry on every iteration from the previous iterate, with
-    the same per-entry widening and stop test as ``lfp_denotations``.
-    Bypasses the document's memo table."""
+def jacobi_iterates(doc, *, reactive_testing=True):
+    """Plain Jacobi iteration of the joint step function, without
+    widening: from the zero denotation, every tracked entry is stepped from
+    the previous iterate in every round.  Yields ``(tau, rho, flag)`` after
+    each round, ``flag`` telling whether a non-Dirac supremum was
+    over-approximated in that round.  Bypasses the document's memo table."""
     rules = tuple(canonical_rule(r) for r in doc.rules)
     rules_by_op = {}
     for r in rules:
@@ -290,45 +286,77 @@ def jacobi_denotations(doc, config=FixpointConfig(), *,
 
     tau = {t: D_ZERO for t in tracked}
     rho = {r: D_ZERO for r in rules}
-    growth, measures, forced = {}, {}, {}
-    over_approx = False
-    widened_vars = set()
-
-    def apply_widening(key, gs):
-        prev = measures.get(key, {})
-        measure = _measure(gs)
-        for x, v in measure.items():
-            if not ext_leq(v, prev.get(x, Fraction(0))):
-                count = growth.get((key, x), 0) + 1
-                growth[(key, x)] = count
-                if count >= config.widening_window:
-                    forced.setdefault(key, set()).add(x)
-                    widened_vars.add(x)
-        widen = forced.get(key, ())
-        for x in widen:
-            gs = _widen(gs, x)
-        measures[key] = _measure(gs) if widen else measure
-        return gs
-
-    for iterations in range(1, config.max_iterations + 1):
+    while True:
         ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
                            tau.__getitem__)
-        tau2 = {t: apply_widening(t, ctx.term_step(t)) for t in tracked}
-        rho2 = {r: apply_widening(r, ctx.rule_step(r)) for r in rules}
-        over_approx = over_approx or ctx.over_approximated
-        if tau2 == tau and rho2 == rho:
-            break
-        if (all(genset_equiv(tau2[t], tau[t]) for t in tracked)
-                and all(genset_equiv(rho2[r], rho[r]) for r in rules)):
-            tau, rho = tau2, rho2
-            break
+        tau = {t: ctx.term_step(t) for t in tracked}
+        rho = {r: ctx.rule_step(r) for r in rules}
+        yield tau, rho, ctx.over_approximated
+
+
+def jacobi_denotations(doc, max_iterations=300, *,
+                       reactive_testing=True) -> Denotations:
+    """The joint least fixed point by :func:`jacobi_iterates`, stopping
+    when a round leaves every entry equivalent; raises
+    :class:`IterationLimitExceeded` after ``max_iterations`` rounds."""
+    tau, rho, over_approx = {}, {}, False
+    iterates = jacobi_iterates(doc, reactive_testing=reactive_testing)
+    for n, (tau2, rho2, flag) in enumerate(iterates, start=1):
+        over_approx = over_approx or flag
+        settled = (tau2.keys() == tau.keys()
+                   and all(genset_equiv(gs, tau[t]) for t, gs in tau2.items())
+                   and all(genset_equiv(gs, rho[r]) for r, gs in rho2.items()))
         tau, rho = tau2, rho2
-    else:
-        raise IterationLimitExceeded(
-            f"denotations still changing after {config.max_iterations} "
-            f"iterations (widening window {config.widening_window})")
-    return Denotations(doc, config, reactive_testing, tau, rho, rules_by_op,
-                       iterations, frozenset(widened_vars), over_approx)
+        if settled:
+            break
+        if n == max_iterations:
+            raise IterationLimitExceeded(
+                f"denotations still changing after {n} rounds")
+    rules_by_op = {}
+    for r in rho:
+        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
+    return Denotations(doc, reactive_testing, tau, rho, rules_by_op, n,
+                       frozenset(), over_approx)
+
+
+def dup_spec(k: int) -> str:
+    """A specification on which no operator is on a cycle: ``dup`` copies
+    its argument's derivative ``k`` times through nested ``alt``; ``dd``
+    feeds ``dup``'s copies to ``d3``, which copies three times, so its
+    counts multiply to ``3 * k``."""
+    def copies(n):
+        target = "m1"
+        for _ in range(n - 1):
+            target = f"alt(m1, {target})"
+        return target
+
+    return f"""actions a;
+op zero : 0;
+op alt : 2;
+op dup : 1;
+op d3 : 1;
+op dd : 1;
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  alt(x1, x2) --c--> m1
+rule forall c in ACT:
+  x2 --c--> m2
+  ---
+  alt(x1, x2) --c--> m2
+rule:
+  x1 --a--> m1
+  ---
+  dup(x1) --a--> {copies(k)}
+rule:
+  x1 --a--> m1
+  ---
+  d3(x1) --a--> {copies(3)}
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  dd(x1) --c--> d3(dup(m1))
+"""
 
 
 # ---------------------------------------------------------------------------

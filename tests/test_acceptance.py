@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from pgsos.continuity import (
     VERDICT_NOT_SHOWN,
-    derive_modulus,
     is_uniformly_continuous,
 )
 from pgsos.denotation import bound_distance, lfp_denotations
@@ -263,7 +262,7 @@ def test_criterion_11_sampled_bounds_never_violated(pa_doc, examples_doc):
     # one probabilistic duplication: bound 1/2(1-(1-eps)^2) <= eps exactly
     gen = list(lfp_denotations(examples_doc).genset(
         t(examples_doc, "h_rep(x1)")))[0]
-    z = derive_modulus(examples_doc, "h_rep")
+    z = is_uniformly_continuous(examples_doc, "h_rep").modulus
     for k in range(1, 10):
         eps = F(k, 10)
         value = pda(gen, process_distance({X1: eps}))

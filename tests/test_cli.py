@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import pytest
 
 from pgsos import cli
 from pgsos.cli import main
+
+from helpers import dup_spec
 
 PA = str(resources.files("pgsos").joinpath("data", "pa.pgsos"))
 EXAMPLES = str(resources.files("pgsos").joinpath("data", "examples.pgsos"))
@@ -121,6 +124,33 @@ def test_check_modulus(capsys):
     assert code == 0 and out.strip() == "satisfied"
     code, out, _ = run(capsys, "check-modulus", PA, "par", "--z", "1/2*e1 + e2")
     assert code == 0 and out.strip() == "not satisfied"
+
+
+@pytest.mark.parametrize("k", [9, 20])
+def test_finite_copying_gets_the_exact_modulus(tmp_path, capsys, k):
+    # k nested copies and no recursion: a finite count, however deep
+    spec = tmp_path / "dup.pgsos"
+    spec.write_text(dup_spec(k))
+    code, out, _ = run(capsys, "--json", "continuity", str(spec), "dup")
+    assert code == 0
+    report = json.loads(out)
+    (r,) = report["results"]["reports"]
+    assert r["verdict"] == "uniformly-continuous"
+    assert r["modulus"] == f"min({k}*e1, 1)"
+    assert r["copies_bound"] == k
+    assert report["flags"]["widened"] is False
+    code, out, _ = run(capsys, "--json", "denote", str(spec), "dup(x1)")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["denotation"] == f"{{x1:{k}}}"
+    assert report["flags"]["widened"] is False
+    code, out, _ = run(capsys, "bound", str(spec), "dup(x)",
+                       "--dist", "x=1/10")
+    assert code == 0
+    bound = 1 - Fraction(9, 10) ** k
+    assert out.strip() == f"{bound.numerator}/{bound.denominator}"
+    if k == 9:
+        assert out.strip() == "612579511/1000000000"
 
 
 def test_oracle_fixed_term(capsys):
@@ -257,6 +287,33 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert "Traceback" in err
     assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
     assert "refused" not in err
+
+
+def test_closed_stdout_ends_the_output_with_exit_zero():
+    # about 100 kB of states: more than a pipe holds, so pgsos is still
+    # writing when the reader goes away after the first line
+    term = "pa0"
+    for _ in range(5):
+        term = f"ipar({term}, pa0)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgsos.cli", "explore", PA, term],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0, err
+    assert first.startswith(b"states: ")
+    assert err == ""  # no traceback, no "internal error"
+
+
+def test_denotation_budget_refusal_exits_one(capsys):
+    code, out, err = run(capsys, "continuity", EXAMPLES, "--max-iter", "3")
+    assert code == 1
+    assert out == ""
+    assert err == ("refused: denotations of bang, ipar still changing "
+                   "after 3 rounds (--max-iter 3)\n")
 
 
 def test_nonconvergent_distance_exits_one(tmp_path, capsys):

@@ -11,7 +11,6 @@ from pgsos.continuity import (
     VERDICT_NOT_SHOWN,
     ModulusSpec,
     check_modulus,
-    derive_modulus,
     is_uniformly_continuous,
     parse_modulus,
 )
@@ -58,25 +57,26 @@ def test_modulus_validates_shape():
 # -- weighted suprema: the derived modulus coefficients ---------------------
 
 def test_weighted_sup_single_generator_is_its_own_weighting(pa_doc):
-    z = derive_modulus(pa_doc, "ppref_a_5_5")
+    z = is_uniformly_continuous(pa_doc, "ppref_a_5_5").modulus
     assert z.coefficients == (F(1, 2), F(1, 2))
 
 
 def test_weighted_sup_dirac_generators_join_exactly(pa_doc):
     assert not is_uniformly_continuous(pa_doc, "alt").over_approximated
-    assert derive_modulus(pa_doc, "alt").coefficients == (1, 1)
+    z = is_uniformly_continuous(pa_doc, "alt").modulus
+    assert z.coefficients == (1, 1)
 
 
 def test_weighted_sup_restricts_to_argument_positions(pa_doc):
     # one coefficient per argument position, nothing for other variables
-    z = derive_modulus(pa_doc, "par")
+    z = is_uniformly_continuous(pa_doc, "par").modulus
     assert z.arity == 2
     assert z.coefficients == (1, 1)
 
 
 def test_weighted_sup_unknown_operator(pa_doc):
     with pytest.raises(UndeclaredSymbol):
-        derive_modulus(pa_doc, "missing")
+        is_uniformly_continuous(pa_doc, "missing")
 
 
 MIXED = """
@@ -111,7 +111,8 @@ rule:
 def test_weighted_sup_flags_non_dirac_join():
     doc = parse_spec(MIXED)
     # the joined bound is the pointwise max over support draws
-    assert derive_modulus(doc, "mix").coefficients == (3, 1)
+    z = is_uniformly_continuous(doc, "mix").modulus
+    assert z.coefficients == (3, 1)
     report = is_uniformly_continuous(doc, "mix")
     # the per-generator expectations (3/2 and 1) are still finite, so the
     # verdict holds even though the reported coefficients over-shoot
@@ -183,7 +184,7 @@ def test_replication_is_not_shown_continuous(examples_doc):
 def test_derived_modulus_satisfies_its_own_check(pa_doc, examples_doc):
     for doc in (pa_doc, examples_doc):
         for op, _arity in doc.signature.operators:
-            z = derive_modulus(doc, op)
+            z = is_uniformly_continuous(doc, op).modulus
             assert check_modulus(doc, op, z), op
 
 
@@ -201,7 +202,7 @@ def test_check_modulus_arity_mismatch(pa_doc):
 
 
 def test_parallel_modulus_value(pa_doc):
-    z = derive_modulus(pa_doc, "par")
+    z = is_uniformly_continuous(pa_doc, "par").modulus
     assert z.evaluate((F(1, 10), F(1, 10))) == F(1, 5)
     assert str(z) == "min(e1 + e2, 1)"
 
