@@ -148,7 +148,12 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
         verdict = VERDICT_NOT_SHOWN
         copies = None
         annotation = None
-        if infinite_vars:
+        if widened_relevant and den.over_approximated:
+            annotation = ("no finite copy bound was found: the infinite "
+                          "count was widened in a fixed point that "
+                          "over-approximates a non-Dirac supremum, so the "
+                          "operator may still be uniformly continuous")
+        elif infinite_vars:
             annotation = ("contexts can spawn unboundedly many copies of "
                           "the argument, so no modulus of continuity exists "
                           "and the operator is not uniformly continuous")

@@ -94,7 +94,8 @@ class PairLimitExceeded(AnalysisRefusal):
 
 
 class NoConvergence(AnalysisRefusal):
-    """Exact fixed-point iteration did not stabilise within the step budget."""
+    """A cycle of state pairs got no certified exact distance within its
+    round budget."""
 
 
 class IterationLimitExceeded(AnalysisRefusal):

@@ -11,11 +11,14 @@ point solved on the quotient of the explored fragment gives the same value.
 Everything is rational: the transport problems are solved exactly by
 :func:`pgsos.lp.solve_transport`.
 
-When the pairs depend on one another in a cycle, the chain of iterates may
-never stabilise (each step can peel off another factor of a loop
-probability); exact mode then reports failure rather than returning a
-near-answer, and iterate mode documents its result as a lower bound of the
-true distance.
+Pairs that depend on one another in a cycle are solved one cyclic
+component at a time, exactly: a policy of the bisimulation game read off a
+Jacobi step gives a linear system, whose least solution is solved by
+exact elimination and returned only once it is certified to be the least
+fixed point (Bacci, Bacci, Larsen & Mardare, TACAS 2013, for the
+probabilistic case; Fu, ICALP 2012, for the nondeterministic one).  A
+round budget bounds that search: past it, exact mode refuses and iterate
+mode returns a lower bound of the true distance.
 """
 
 from __future__ import annotations
@@ -145,12 +148,44 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     distributions — which is far smaller than all pairs of a product state
     space.  ``max_pairs`` optionally bounds that dependency system, counted
     in pairs of classes; exceeding it raises :class:`PairLimitExceeded`.
-    An acyclic dependency system is settled in one pass in topological
-    order.  A cyclic one is iterated from zero over all its pairs:
-    ``exact`` mode returns once two consecutive iterates are equal and
-    raises :class:`NoConvergence` if that does not happen within
-    ``max_iter`` steps; ``iterate`` mode returns the root's value after at
-    most ``max_iter`` steps, a lower bound of the distance.
+    The strongly connected components of that system are solved inputs
+    first.  A pair on no cycle is settled once from the pairs below it.  A
+    cyclic component ``C`` is solved with its inputs fixed, in rounds, for
+    the least fixed point ``lfp`` of the functional ``F`` on ``C``.  Each
+    round takes one Jacobi step from the last iterate, the Kleene chain
+    from zero, which stays below ``lfp``; a step that changes nothing has
+    reached ``lfp``.  The step also gives a policy: per pair, a challenge
+    (action, side and distribution) attaining the Hausdorff max, its
+    cheapest answer and their optimal coupling, each kept from the last
+    round while it still attains the optimum (the rule of Hoffman and
+    Karp's strategy iteration).  Whenever the policy's linear system
+    differs from the last one solved, its least non-negative solution
+    ``L`` is a candidate, returned only when
+
+    (i) one sweep of ``F`` reproduces ``L`` on every pair of ``C``, so
+        ``L`` is a fixed point and ``L >= lfp``; and
+    (ii) no non-empty set ``X`` of pairs with ``L > 0`` is *self-closed*:
+        at every ``p`` in ``X``, every ``L``-optimal challenge has an
+        ``L``-optimal answer whose ``L``-optimal coupling is supported on
+        ``X``.
+
+    Check (ii) gives ``L <= lfp``.  Were ``L - lfp`` largest, at ``delta >
+    0``, on the set ``X``, then at ``p`` in ``X`` take an ``L``-optimal
+    challenge and its ``lfp``-optimal answer and coupling ``w``: under
+    ``L`` that coupling costs at most ``lfp(p) + delta``, with equality
+    only if all of ``w`` lies on ``X``, and it costs at least ``L(p) =
+    lfp(p) + delta``; so ``X`` would be self-closed.  Conversely a
+    self-closed ``X`` makes ``F(L - e*1_X) <= L - e*1_X`` for a small ``e >
+    0``, so ``L`` is not the least fixed point, and the check refuses no
+    correct candidate.  It starts from all pairs with ``L > 0`` and drops
+    a pair while some ``L``-optimal challenge there has no answer whose
+    transport, at cost ``L`` on ``X`` and 2 on every other pair (the
+    diagonal and the settled pairs included), still comes to ``L(p)``.
+
+    ``max_iter`` bounds the rounds per cyclic component.  When they run
+    out, ``exact`` mode raises :class:`NoConvergence`; ``iterate`` mode
+    keeps the last Jacobi iterate, so its answer is a lower bound of the
+    distance.
     """
     if mode not in ("exact", "iterate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -222,27 +257,36 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     def getd(x: StateTerm, y: StateTerm) -> Fraction:
         return Fraction(0) if x == y else memo[_pair_key(x, y)]
 
-    def kv(pu: FiniteDistribution, pv: FiniteDistribution) -> Fraction:
-        """Transport optimum of ``pu`` onto ``pv`` under the current
-        distances; a shortcut decides it when the two are equal (identity
-        coupling) or one side is a point mass (product coupling)."""
-        hit = kcache.get((pu, pv))
-        if hit is not None:
-            return hit
+    def transport(pu: FiniteDistribution, pv: FiniteDistribution,
+                  ) -> tuple[Fraction, list[tuple[StateTerm, StateTerm,
+                                                  Fraction]]]:
+        """Transport optimum of ``pu`` onto ``pv`` under ``memo``, with an
+        optimal coupling as ``(x, y, mass)`` cells: the identity coupling
+        when the two are equal, the product coupling when one side is a
+        point mass, else the plan of ``solve_transport``."""
         if pu == pv:
-            value = Fraction(0)
-        elif len(pu) == 1:
-            ((x, _),) = pu
-            value = sum((q * getd(x, y) for y, q in pv), Fraction(0))
-        elif len(pv) == 1:
-            ((y, _),) = pv
-            value = sum((q * getd(x, y) for x, q in pu), Fraction(0))
-        else:
-            value, _ = solve_transport(
-                [[getd(x, y) for y, _ in pv] for x, _ in pu],
-                [q for _, q in pu], [q for _, q in pv])
-        kcache[(pu, pv)] = kcache[(pv, pu)] = value
-        return value
+            return Fraction(0), [(x, x, q) for x, q in pu]
+        if len(pu) == 1 or len(pv) == 1:
+            if len(pu) == 1:
+                ((x, _),) = pu
+                cells = [(x, y, q) for y, q in pv]
+            else:
+                ((y, _),) = pv
+                cells = [(x, y, q) for x, q in pu]
+            return sum((m * getd(x, y) for x, y, m in cells),
+                       Fraction(0)), cells
+        value, plan = solve_transport(
+            [[getd(x, y) for y, _ in pv] for x, _ in pu],
+            [q for _, q in pu], [q for _, q in pv])
+        return value, [(x, y, m) for (x, _), row in zip(pu, plan)
+                       for (y, _), m in zip(pv, row) if m]
+
+    def kv(pu: FiniteDistribution, pv: FiniteDistribution) -> Fraction:
+        """``transport``'s optimum, cached for the acyclic pass."""
+        hit = kcache.get((pu, pv))
+        if hit is None:
+            hit = kcache[(pu, pv)] = kcache[(pv, pu)] = transport(pu, pv)[0]
+        return hit
 
     def settle(pair: tuple[StateTerm, StateTerm]) -> Fraction:
         u, v = pair
@@ -255,28 +299,179 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 break
         return value
 
-    # On an acyclic dependency graph each pair's fixed-point value follows
-    # from the values strictly below it, so one pass over the components,
-    # dependencies first, suffices.  Only a cycle needs iteration.
-    for comp in strongly_connected_components([root], deps.__getitem__):
-        if len(comp) > 1 or comp[0] in deps[comp[0]]:
-            break
-        memo[comp[0]] = settle(comp[0])
-    else:
-        return memo[root]
+    def challenges(pair: tuple[StateTerm, StateTerm]):
+        """Each move one side of ``pair`` can make, with the other side's
+        answers to it: ``(distribution, answers)``."""
+        u, v = pair
+        for a in doc.actions:
+            du, dv = der(u, a), der(v, a)
+            for pi in du:
+                yield pi, dv
+            for pi in dv:
+                yield pi, du
 
-    # Cyclic case: global iteration from the zero table over all pairs.
-    d: dict[tuple[StateTerm, StateTerm], Fraction] = {
-        k: Fraction(0) for k in deps}
-    for step in range(1, max_iter + 1):
-        memo = d
-        kcache = {}
-        nxt = {pair: settle(pair) for pair in deps}
-        if nxt == d:
-            return d[root]
-        d = nxt
-    if mode == "exact":
-        raise NoConvergence(
-            f"distance still changing after {max_iter} iterations; "
-            f"rerun in iterate mode for a lower bound")
-    return d[root]
+    def step(pair: tuple[StateTerm, StateTerm], keep=None):
+        """``settle`` at ``pair`` with a policy that attains it: ``(value,
+        (challenge, answer), coupling)``, the indices of a challenge that
+        attains the max and of its cheapest answer, and that answer's
+        coupling (``None`` when there is no answer, at cost 1).  A choice
+        of ``keep``, the policy of the last round, is kept wherever it
+        still attains the optimum, so the policy changes only where that
+        strictly gains, as in Hoffman and Karp's strategy iteration."""
+        old, old_cells = (None, None) if keep is None else keep[1:]
+        best = (Fraction(0), None, [])
+        for i, (pi, answers) in enumerate(challenges(pair)):
+            top = (Fraction(1), (i, None), None)
+            for j, pi2 in enumerate(answers):
+                k, cells = transport(pi, pi2)
+                if (i, j) == old and k == sum(
+                        (m * getd(x, y) for x, y, m in old_cells), Fraction(0)):
+                    cells = old_cells
+                if (top[2] is None or k < top[0]
+                        or k == top[0] and (i, j) == old):
+                    top = (k, (i, j), cells)
+            if (best[1] is None or top[0] > best[0]
+                    or top[0] == best[0] and old and i == old[0]):
+                best = top
+        return best
+
+    def close(comp: list[tuple[StateTerm, StateTerm]]) -> None:
+        """Solve one cyclic component into ``memo``, where its inputs are
+        settled: Jacobi rounds, policy solves and the two checks above."""
+        inside = set(comp)
+
+        def row(cells) -> tuple[dict, Fraction]:
+            """The linear equation of a coupling: the mass it puts on each
+            pair of the component, and the cost of the rest as a constant."""
+            if cells is None:
+                return {}, Fraction(1)
+            coeffs: dict[tuple[StateTerm, StateTerm], Fraction] = {}
+            const = Fraction(0)
+            for x, y, m in cells:
+                if x != y:
+                    k = _pair_key(x, y)
+                    if k in inside:
+                        coeffs[k] = coeffs.get(k, Fraction(0)) + m
+                    else:
+                        const += m * memo[k]
+            return coeffs, const
+
+        def certified(values) -> bool:
+            memo.update(values)
+            optimal = {}
+            for p in comp:
+                worth = [(min((transport(pi, pi2)[0] for pi2 in answers),
+                              default=Fraction(1)), pi, answers)
+                         for pi, answers in challenges(p)]
+                if max((k for k, _, _ in worth),
+                       default=Fraction(0)) != values[p]:
+                    return False  # not a fixed point: check (i)
+                if values[p] > 0:
+                    optimal[p] = [(pi, answers) for k, pi, answers in worth
+                                  if k == values[p]]
+            # check (ii): shrink to the largest self-closed set
+            closed = set(optimal)
+            shrinking = True
+            while closed and shrinking:
+                shrinking = False
+                for p in list(closed):
+                    if not all(any(_transport_on(closed, values, pi, pi2)
+                                   == values[p] for pi2 in answers)
+                               for pi, answers in optimal[p]):
+                        closed.discard(p)
+                        shrinking = True
+            return not closed
+
+        values = {p: Fraction(0) for p in comp}
+        policy: dict = {}
+        solved = None
+        for _ in range(max_iter):
+            memo.update(values)
+            policy = {p: step(p, policy.get(p)) for p in comp}
+            lower = {p: k for p, (k, _, _) in policy.items()}
+            if lower == values:
+                return  # a Kleene iterate from zero that is a fixed point
+            rows = {p: row(cells) for p, (_, _, cells) in policy.items()}
+            if rows != solved:
+                solved = rows
+                candidate = _least_solution(rows)
+                if certified(candidate):
+                    memo.update(candidate)
+                    return
+            values = lower
+        memo.update(values)
+        if mode == "exact":
+            raise NoConvergence(
+                f"distances on a cycle of {_count(len(comp), 'state pair')} "
+                f"still uncertified after {_count(max_iter, 'round')} "
+                f"(--max-iter {max_iter}); rerun in iterate mode for a "
+                f"lower bound")
+
+    for comp in strongly_connected_components([root], deps.__getitem__):
+        if len(comp) == 1 and comp[0] not in deps[comp[0]]:
+            memo[comp[0]] = settle(comp[0])
+        else:
+            close(comp)
+    return memo[root]
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
+def _transport_on(closed, values, pi: FiniteDistribution,
+                  pi2: FiniteDistribution) -> Fraction:
+    """Transport of ``pi`` onto ``pi2`` at cost ``values`` on the pairs of
+    ``closed`` and 2 on every other pair, the diagonal included: it equals
+    the transport under ``values`` exactly when some optimal coupling puts
+    all its mass on ``closed``."""
+    two = Fraction(2)
+    cost = [[values[k] if (k := _pair_key(x, y)) in closed else two
+             for y, _ in pi2] for x, _ in pi]
+    return solve_transport(cost, [q for _, q in pi], [q for _, q in pi2])[0]
+
+
+def _least_solution(rows):
+    """Least non-negative solution of ``x[p] = sum(c * x[q]) + b``, one
+    equation ``({q: c}, b)`` per ``p``, the coefficients of each adding up
+    to at most 1.  A pair that cannot reach a positive constant along
+    positive coefficients gets 0.  On the others the matrix ``I - C`` is
+    non-singular (from each of them mass leaks out of the system), so they
+    are solved exactly by Gauss-Jordan elimination."""
+    users: dict = {p: [] for p in rows}
+    for p, (coeffs, _) in rows.items():
+        for q in coeffs:
+            users[q].append(p)
+    live = {p for p, (_, b) in rows.items() if b > 0}
+    todo = list(live)
+    while todo:
+        for p in users[todo.pop()]:
+            if p not in live:
+                live.add(p)
+                todo.append(p)
+    order = [p for p in rows if p in live]
+    index = {p: i for i, p in enumerate(order)}
+    n = len(order)
+    matrix = []
+    for i, p in enumerate(order):
+        coeffs, b = rows[p]
+        line = [Fraction(0)] * (n + 1)
+        line[i] = Fraction(1)
+        for q, c in coeffs.items():
+            if q in index:
+                line[index[q]] -= c
+        line[n] = b
+        matrix.append(line)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        head = matrix[col]
+        lead = head[col]
+        if lead != 1:
+            head[:] = [e / lead for e in head]
+        for r in range(n):
+            factor = matrix[r][col]
+            if r != col and factor:
+                matrix[r] = [e - factor * h for e, h in zip(matrix[r], head)]
+    return {p: matrix[index[p]][n] if p in index else Fraction(0)
+            for p in rows}

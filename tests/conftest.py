@@ -1,4 +1,4 @@
-"""Shared fixtures: the two specification documents shipped with the package."""
+"""Shared fixtures: the specification documents shipped with the package."""
 
 from importlib import resources
 
@@ -22,3 +22,10 @@ def pa_doc():
 def examples_doc():
     """Operators with multi-copy, reactive-testing, and replication behaviour."""
     return _load("examples.pgsos")
+
+
+@pytest.fixture(scope="session")
+def loops_doc():
+    """Recursive processes: stopping loops, recursion through a prefix and
+    a pair whose distance equation has an interval of fixed points."""
+    return _load("loops.pgsos")

@@ -12,7 +12,10 @@ with the general simplex instead.
 ``distance_table`` is the independent reference for the distance engine:
 plain Kleene iteration of the distance functional over every ordered state
 pair of a complete fragment, sharing nothing with ``bisim_distance`` but
-the transport solver.
+the transport solver.  On a cyclic fragment the iteration may only converge
+in the limit; ``kleene_distance`` keeps its iterates as lower bounds, and
+``game_distance_bruteforce`` gives the exact value on small cyclic
+fragments by enumerating the strategies of the bisimulation game.
 
 ``jacobi_denotations`` is the reference for the denotation fixpoint: the
 plain Jacobi iteration that steps every tracked entry on every round,
@@ -233,17 +236,164 @@ def distance_step(doc, fragment, d):
             for s in fragment.states for t in fragment.states}
 
 
+def kleene_distance(doc, fragment, rounds):
+    """The Kleene iterate of ``distance_step`` from the zero table after
+    ``rounds`` steps (fewer once a step changes nothing): a lower bound of
+    the distance on every pair, exact once it has stopped changing."""
+    d = {(s, t): Fraction(0)
+         for s in fragment.states for t in fragment.states}
+    for _ in range(rounds):
+        nxt = distance_step(doc, fragment, d)
+        if nxt == d:
+            break
+        d = nxt
+    return d
+
+
 def distance_table(doc, fragment, max_iter=100):
     """Least fixed point of ``distance_step`` from the zero table, over a
     complete fragment, as ``{(s, t): distance}``."""
-    d = {(s, t): Fraction(0)
-         for s in fragment.states for t in fragment.states}
-    for _ in range(max_iter):
-        nxt = distance_step(doc, fragment, d)
-        if nxt == d:
-            return d
-        d = nxt
-    raise AssertionError(f"distance table still changing after {max_iter} steps")
+    d = kleene_distance(doc, fragment, max_iter)
+    assert distance_step(doc, fragment, d) == d, (
+        f"distance table still changing after {max_iter} steps")
+    return d
+
+
+def _moves(doc, fragment, s, t):
+    """The challenges at the pair ``(s, t)``: each move of one side, with
+    the other side's answers to it."""
+    for a in doc.actions:
+        for mine, theirs in ((s, t), (t, s)):
+            for pi in fragment.der(mine, a):
+                yield list(pi), [list(pi2) for pi2 in fragment.der(theirs, a)]
+
+
+def _vertex_couplings(pi, pi2):
+    """Every vertex of the transportation polytope of ``pi`` onto ``pi2``,
+    as ``(x, y, mass)`` cells, from the spanning-tree enumeration."""
+    supply, demand = [q for _, q in pi], [q for _, q in pi2]
+    for tree in _spanning_trees(len(pi), len(pi2)):
+        flow = _tree_flow(tree, supply, demand)
+        if flow is not None:
+            yield [(pi[i][0], pi2[j][0], m) for (i, j), m in flow.items() if m]
+
+
+def _key(x, y):
+    return frozenset((x, y))
+
+
+def pair_dependencies(doc, fragment, t1, t2):
+    """The pairs of distinct states that ``(t1, t2)`` depends on, as
+    frozensets, each mapped to the pairs its transports compare
+    (``deps``) and to those it reaches along them (``reaches``).  A pair
+    lies on a cycle when it reaches itself."""
+    deps = {}
+    todo = [_key(t1, t2)]
+    while todo:
+        p = todo.pop()
+        if p in deps or len(p) == 1:
+            continue
+        s, t = tuple(p)
+        deps[p] = {_key(x, y) for pi, answers in _moves(doc, fragment, s, t)
+                   for pi2 in answers for x, _ in pi for y, _ in pi2
+                   if x != y}
+        todo.extend(deps[p])
+    reaches = {}
+    for p in deps:
+        seen, todo = set(), list(deps[p])
+        while todo:
+            q = todo.pop()
+            if q not in seen:
+                seen.add(q)
+                todo.extend(deps[q])
+        reaches[p] = seen
+    return deps, reaches
+
+
+def game_distance_bruteforce(doc, fragment, t1, t2):
+    """The distance of ``t1`` and ``t2`` as the value of the bisimulation
+    game, by enumerating positional strategies on the pairs that lie on a
+    cycle of the pair-dependency graph (at most four of them).
+
+    A pair on no cycle gets the functional's value from the pairs below it
+    (transport by vertex enumeration).  On a cyclic component, with the
+    pairs below fixed, every challenger policy (one challenge per pair) is
+    met by every answerer policy (one answer and one vertex coupling per
+    pair, or the cost 1 of no answer); each policy pair is a linear system
+    whose least non-negative solution is found as the least pre-fixpoint by
+    ``simplex_min``.  Positional strategies are optimal from every pair at
+    once in such games, so the value is the pointwise max over challenger
+    policies of the pointwise min over answerer policies.  Shares nothing
+    with ``bisim_distance`` but the fragment."""
+    deps, reaches = pair_dependencies(doc, fragment, t1, t2)
+    cyclic = [p for p in deps if p in reaches[p]]
+    if len(cyclic) > 4:
+        raise ValueError(f"{len(cyclic)} pairs on cycles, more than 4")
+    value = {}
+
+    def get(x, y):
+        return Fraction(0) if x == y else value[_key(x, y)]
+
+    def solve(p):
+        if p in value or len(p) == 1:
+            return
+        comp = [q for q in cyclic if q in reaches[p] and p in reaches[q]]
+        for q in comp or [p]:
+            for r in deps[q]:
+                if r not in comp:
+                    solve(r)
+        if not comp:
+            s, t = tuple(p)
+            value[p] = max(
+                (min((transport_bruteforce(
+                    [[get(x, y) for y, _ in pi2] for x, _ in pi],
+                    [q for _, q in pi], [q for _, q in pi2])
+                      for pi2 in answers), default=Fraction(1))
+                 for pi, answers in _moves(doc, fragment, s, t)),
+                default=Fraction(0))
+            return
+        index = {q: i for i, q in enumerate(comp)}
+        challenges = [list(_moves(doc, fragment, *tuple(q))) for q in comp]
+        best = None
+        for tau in itertools.product(*challenges):
+            answers = [[(pi2, cells) for pi2 in their
+                        for cells in _vertex_couplings(pi, pi2)] or [None]
+                       for pi, their in tau]
+            worst = None
+            for sigma in itertools.product(*answers):
+                x = _least_policy_solution(index, sigma, get)
+                worst = x if worst is None else list(map(min, worst, x))
+            best = worst if best is None else list(map(max, best, worst))
+        value.update(zip(comp, best))
+
+    solve(_key(t1, t2))
+    return get(t1, t2)
+
+
+def _least_policy_solution(index, sigma, get):
+    """Least non-negative ``x`` with ``x >= C x + b`` for the couplings
+    ``sigma`` (``None``: no answer, cost 1), by ``simplex_min`` on the sum
+    of ``x``."""
+    n = len(index)
+    a_ub, b_ub = [], []
+    for i, choice in enumerate(sigma):
+        line = [Fraction(0)] * n
+        line[i] = Fraction(-1)
+        const = Fraction(1)
+        if choice is not None:
+            const = Fraction(0)
+            for x, y, m in choice[1]:
+                if x == y:
+                    continue
+                j = index.get(_key(x, y))
+                if j is None:
+                    const += m * get(x, y)
+                else:
+                    line[j] += m
+        a_ub.append(line)
+        b_ub.append(-const)
+    _, x = simplex_min([Fraction(1)] * n, [], [], a_ub, b_ub)
+    return x
 
 
 def check_pseudometric(d, states):
@@ -317,6 +467,35 @@ def jacobi_denotations(doc, max_iterations=300, *,
         rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
     return Denotations(doc, reactive_testing, tau, rho, rules_by_op, n,
                        frozenset(), over_approx)
+
+
+def random_cyclic_spec(rng: random.Random) -> tuple[str, list[str]]:
+    """A small recursive specification over one action and its constants
+    ``s0``, ``s1`` (and maybe ``s2``): each has one or two moves, each a
+    point mass, a two-point probabilistic choice or a point mass on an
+    ``alt`` choice, over the constants, ``zero`` and itself.  Returns the
+    text and the constants' names."""
+    names = [f"s{i}" for i in range(rng.randint(2, 3))]
+    lines = ["actions a;", "op zero : 0;", "op alt : 2;"]
+    lines += [f"op {x} : 0;" for x in names]
+    lines += ["rule forall c in ACT:", "  x1 --c--> m1", "  ---",
+              "  alt(x1, x2) --c--> m1",
+              "rule forall c in ACT:", "  x2 --c--> m2", "  ---",
+              "  alt(x1, x2) --c--> m2"]
+    for x in names:
+        for _ in range(rng.randint(1, 2)):
+            y = rng.choice(names + ["zero", x])
+            z = rng.choice(names + ["zero"])
+            kind = rng.choice(["point", "choice", "choice", "alt"])
+            if kind == "alt":
+                target = f"delta(alt({y}, {z}))"
+            elif kind == "point" or y == z:
+                target = f"delta({y})"
+            else:
+                w = Fraction(rng.randint(1, 4), 5)
+                target = f"{w}*delta({y}) + {1 - w}*delta({z})"
+            lines += ["rule:", "  ---", f"  {x} --a--> {target}"]
+    return "\n".join(lines) + "\n", names
 
 
 def dup_spec(k: int) -> str:

@@ -1,13 +1,15 @@
-"""Acceptance gate: the twelve headline behaviours, one test each.
+"""Acceptance gate: the fifteen headline behaviours, one test each.
 
 Every comparison is exact rational equality (tolerance zero).  The worked
-values come from the two shipped operator suites: ``pa.pgsos`` (finite
-algebra over two actions) and ``examples.pgsos`` (derivative duplication,
+values come from the three shipped operator suites: ``pa.pgsos`` (finite
+algebra over two actions), ``examples.pgsos`` (derivative duplication,
 reactive testing of distribution arguments, probabilistic replication,
-unbounded spawning).
+unbounded spawning) and ``loops.pgsos`` (recursive processes, whose
+distances are fixed points of cyclic equations).
 """
 
 import random
+import re
 from fractions import Fraction
 
 from pgsos.continuity import (
@@ -318,3 +320,53 @@ def _random_dist(rng, support):
         prev = c
     pairs = [(s, q) for s, q in zip(support, masses) if q > 0]
     return FiniteDistribution.from_pairs(pairs)
+
+
+LOOP_WEIGHTS = {"loop_1_2": F(1, 2), "loop_2_3": F(2, 3),
+                "loop_3_4": F(3, 4), "loop_4_5": F(4, 5)}
+
+
+def test_criterion_13_stopping_loops_have_closed_form_distances(loops_doc):
+    """Loops that go on with probabilities p < q are (q - p)/(1 - p)
+    apart, and the loop that never stops is at distance 1 from each."""
+    for a, p in LOOP_WEIGHTS.items():
+        assert bisim_distance(loops_doc, t(loops_doc, "loop_all"),
+                              t(loops_doc, a)) == 1
+        for b, q in LOOP_WEIGHTS.items():
+            if p < q:
+                d = bisim_distance(loops_doc, t(loops_doc, a),
+                                   t(loops_doc, b))
+                assert d == (q - p) / (1 - p)
+
+
+def test_criterion_14_the_least_of_an_interval_of_fixed_points(loops_doc):
+    """Each of choose_l, choose_r may repeat or move on to states 1/2
+    apart: the pair's equation x = max(x, 1/2) holds on all of [1/2, 1],
+    and the distance is its least solution."""
+    assert bisim_distance(loops_doc, t(loops_doc, "choose_l"),
+                          t(loops_doc, "choose_r")) == F(1, 2)
+
+
+def test_criterion_15_bounds_hold_over_recursive_arguments(loops_doc):
+    """exact <= context bound <= 1 when prefix and parallel contexts are
+    filled with recursive processes, the argument distances themselves
+    solved on cycles."""
+    fillings = [("loop_1_2", "loop_2_3", "loop_3_4", "loop_4_5"),
+                ("rec", "loop_1_2", "loop_2_3", "loop_4_5"),
+                ("loop_1_2", "loop_3_4", "rec", "loop_2_3")]
+    for ctx in ("pref_a(x)", "par(x, y)", "ipar(x, y)", "par(x, x)",
+                "ipar(x, x)"):
+        for x1, x2, y1, y2 in fillings:
+            e = {X: bisim_distance(loops_doc, t(loops_doc, x1),
+                                   t(loops_doc, x2)),
+                 Y: bisim_distance(loops_doc, t(loops_doc, y1),
+                                   t(loops_doc, y2))}
+            sub1, sub2 = {"x": x1, "y": y1}, {"x": x2, "y": y2}
+            u = re.sub(r"\b[xy]\b", lambda m: sub1[m[0]], ctx)
+            v = re.sub(r"\b[xy]\b", lambda m: sub2[m[0]], ctx)
+            exact = bisim_distance(loops_doc, t(loops_doc, u),
+                                   t(loops_doc, v))
+            used = {k: d for k, d in e.items() if k.name in ctx}
+            bound = bound_distance(loops_doc, t(loops_doc, ctx),
+                                   process_distance(used))
+            assert exact <= bound <= 1, (u, v, exact, bound)

@@ -14,9 +14,11 @@ from pgsos import cli
 from pgsos.cli import main
 
 from helpers import dup_spec
+from test_metric import TWO_ROUNDS
 
 PA = str(resources.files("pgsos").joinpath("data", "pa.pgsos"))
 EXAMPLES = str(resources.files("pgsos").joinpath("data", "examples.pgsos"))
+LOOPS = str(resources.files("pgsos").joinpath("data", "loops.pgsos"))
 
 
 def run(capsys, *argv):
@@ -316,27 +318,30 @@ def test_denotation_budget_refusal_exits_one(capsys):
                    "after 3 rounds (--max-iter 3)\n")
 
 
-def test_nonconvergent_distance_exits_one(tmp_path, capsys):
-    spec = tmp_path / "loops.pgsos"
-    spec.write_text("""
-actions a;
-op zero : 0;
-op loop_all : 0;
-op loop_half : 0;
-rule:
-  ---
-  loop_all --a--> delta(loop_all)
-rule:
-  ---
-  loop_half --a--> 1/2*delta(loop_half) + 1/2*delta(zero)
-""")
-    code, _, err = run(capsys, "distance", str(spec), "loop_all", "loop_half",
-                       "--max-iter", "40")
+def test_cyclic_distance_answers_exactly(capsys):
+    # the Kleene iterates 1 - 2^-n never reach 1; both modes answer it
+    for mode in ("exact", "iterate"):
+        code, out, _ = run(capsys, "distance", LOOPS, "loop_all", "loop_1_2",
+                           "--mode", mode, "--max-iter", "11")
+        assert code == 0
+        assert out.strip() == "1"
+    code, out, _ = run(capsys, "distance", LOOPS, "loop_2_3", "loop_4_5")
+    assert (code, out.strip()) == (0, "2/5")
+
+
+def test_cyclic_distance_budget_refusal_exits_one(tmp_path, capsys):
+    spec = tmp_path / "two_rounds.pgsos"
+    spec.write_text(TWO_ROUNDS)
+    code, out, err = run(capsys, "distance", str(spec), "s0", "s1",
+                         "--max-iter", "1")
     assert code == 1
-    code, out, _ = run(capsys, "distance", str(spec), "loop_all", "loop_half",
-                       "--mode", "iterate", "--max-iter", "11")
-    assert code == 0
-    assert out.strip() == "1023/1024"
+    assert out == ""
+    assert err == ("refused: distances on a cycle of 1 state pair still "
+                   "uncertified after 1 round (--max-iter 1); rerun in "
+                   "iterate mode for a lower bound\n")
+    code, out, _ = run(capsys, "distance", str(spec), "s0", "s1",
+                       "--max-iter", "2")
+    assert (code, out.strip()) == (0, "1/5")
 
 
 @pytest.mark.parametrize("command", ["distance", "denote", "bound",

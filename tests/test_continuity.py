@@ -20,6 +20,8 @@ from pgsos.frontend import parse_spec
 from pgsos.multiplicity import INF
 from pgsos.terms import DistApply, DistVariable
 
+from test_denotation import WIDENING_SPECS
+
 F = Fraction
 
 
@@ -179,6 +181,28 @@ def test_replication_is_not_shown_continuous(examples_doc):
     assert any("widening" in r for r in report.reasons)
     assert report.annotation is not None
     assert "unboundedly many" in report.annotation
+
+
+def test_widening_an_over_approximated_fixpoint_hedges_the_annotation():
+    # rep's count of x1 grows only through the over-approximated summary of
+    # its own generators, so the widened INF is no proof of unbounded
+    # spawning; spawn's count grows without it and keeps the claim
+    doc = parse_spec(WIDENING_SPECS["replicate_test"])
+    assert lfp_denotations(doc).over_approximated
+    report = is_uniformly_continuous(doc, "rep")
+    assert report.verdict == VERDICT_NOT_SHOWN
+    assert report.modulus.coefficients == (INF,)
+    assert report.copies_bound is None
+    assert report.reasons == ("infinite coefficient at x1",
+                              "denotation required widening of an "
+                              "unbounded growth chain")
+    assert report.annotation == (
+        "no finite copy bound was found: the infinite count was widened in "
+        "a fixed point that over-approximates a non-Dirac supremum, so the "
+        "operator may still be uniformly continuous")
+    spawn = is_uniformly_continuous(
+        parse_spec(WIDENING_SPECS["spawn_duplicate"]), "spawn")
+    assert "not uniformly continuous" in spawn.annotation
 
 
 def test_derived_modulus_satisfies_its_own_check(pa_doc, examples_doc):

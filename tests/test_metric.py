@@ -20,7 +20,15 @@ from pgsos.oracle import perturbed_term, random_closed_term
 from pgsos.semantics import explore_fragment
 from pgsos.terms import Apply, FiniteDistribution, term_key
 
-from helpers import check_pseudometric, distance_step, distance_table
+from helpers import (
+    check_pseudometric,
+    distance_step,
+    distance_table,
+    game_distance_bruteforce,
+    kleene_distance,
+    pair_dependencies,
+    random_cyclic_spec,
+)
 
 F = Fraction
 
@@ -289,21 +297,91 @@ rule:
 """
 
 
-def test_cyclic_chain_exact_mode_refuses():
+def test_cyclic_chain_exact_mode_answers():
     doc = parse_spec(LOOPS)
     u, v = t(doc, "loop_all"), t(doc, "loop_half")
-    # the n-step distances 1 - 2^-n increase forever without reaching 1
-    with pytest.raises(NoConvergence):
-        bisim_distance(doc, u, v, max_iter=50)
+    # the Kleene iterates 1 - 2^-n never reach 1; the policy solve does
+    assert bisim_distance(doc, u, v, max_iter=50) == 1
+    assert bisim_distance(doc, u, v, max_iter=1) == 1
 
 
 def test_cyclic_chain_iterate_mode_underapproximates():
     doc = parse_spec(LOOPS)
     u, v = t(doc, "loop_all"), t(doc, "loop_half")
+    # iterate mode answers a lower bound; the first round's policy is
+    # already certified, so here it is the distance itself
     got = bisim_distance(doc, u, v, mode="iterate", max_iter=10)
-    # sweep 1 only establishes the deadlock pair at distance 1; each later
-    # sweep halves the remaining gap, so 10 sweeps reach 1 - 2^-9
-    assert got == 1 - F(1, 2) ** 9
+    assert got == 1
+
+
+# The first round reads its coupling off the zero table, where moving
+# s1's mass onto s0 looks free; the certified answer needs a second round.
+TWO_ROUNDS = """
+actions a;
+op zero : 0;
+op s0 : 0;
+op s1 : 0;
+rule:
+  ---
+  s0 --a--> 1/5*delta(zero) + 4/5*delta(s1)
+rule:
+  ---
+  s1 --a--> 4/5*delta(s1) + 1/5*delta(s0)
+"""
+
+
+def test_cyclic_round_budget_refuses_and_iterate_mode_bounds():
+    doc = parse_spec(TWO_ROUNDS)
+    u, v = t(doc, "s0"), t(doc, "s1")
+    with pytest.raises(NoConvergence):
+        bisim_distance(doc, u, v, max_iter=1)
+    assert bisim_distance(doc, u, v, max_iter=2) == F(1, 5)
+    assert bisim_distance(doc, u, v, mode="iterate", max_iter=1) <= F(1, 5)
+
+
+def test_non_least_fixed_point_fails_the_closure_check(loops_doc,
+                                                       monkeypatch):
+    u, v = t(loops_doc, "choose_l"), t(loops_doc, "choose_r")
+    frag = explore_fragment(loops_doc, [u, v])
+    # 1 on the pair is a fixed point too, so the sweep (check (i)) passes:
+    table = distance_table(loops_doc, frag)
+    assert table[(u, v)] == F(1, 2)
+    table[(u, v)] = table[(v, u)] = F(1)
+    assert distance_step(loops_doc, frag, table) == table
+    # but the pair is closed under its optimal moves (check (ii)), so a
+    # policy solve that proposed it is refused, and the round budget runs
+    # out; the next round's Jacobi step settles at the least fixed point
+    monkeypatch.setattr(metric, "_least_solution",
+                        lambda rows: {p: F(1) for p in rows})
+    with pytest.raises(NoConvergence):
+        bisim_distance(loops_doc, u, v, max_iter=1)
+    assert bisim_distance(loops_doc, u, v, max_iter=2) == F(1, 2)
+
+
+def test_cyclic_distances_match_the_game_bruteforce():
+    # bisim_distance on 30 random recursive specifications that reach a
+    # cycle: equal to the game value, above the 50-round Kleene iterate,
+    # and a fixed point of the distance functional on the whole fragment
+    rng = random.Random(11)
+    compared = 0
+    while compared < 30:
+        text, names = random_cyclic_spec(rng)
+        doc = parse_spec(text)
+        u, v = (t(doc, x) for x in rng.sample(names, 2))
+        frag = explore_fragment(doc, [u, v])
+        _, reaches = pair_dependencies(doc, frag, u, v)
+        if not any(p in reached for p, reached in reaches.items()):
+            continue
+        try:
+            game = game_distance_bruteforce(doc, frag, u, v)
+        except ValueError:  # more pairs on cycles than it enumerates
+            continue
+        table = {(x, y): bisim_distance(doc, x, y)
+                 for x in frag.states for y in frag.states}
+        assert table[(u, v)] == game, text
+        assert kleene_distance(doc, frag, 50)[(u, v)] <= game
+        assert distance_step(doc, frag, table) == table
+        compared += 1
 
 
 def test_cyclic_but_convergent_pair():
