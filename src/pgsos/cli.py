@@ -77,12 +77,16 @@ def emit(args: argparse.Namespace, command: str, doc: SpecDocument | None,
 # Shared argument helpers
 # ---------------------------------------------------------------------------
 
-def load_spec(path: str) -> SpecDocument:
+def read_spec(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as err:
         raise InputError(f"cannot read spec file {path}: {err}") from None
+
+
+def load_spec(path: str) -> SpecDocument:
+    data = read_spec(path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return parse_spec(data)
@@ -130,11 +134,7 @@ def int_at_least(low: int) -> Callable[[str], int]:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        with open(args.spec, "rb") as fh:
-            data = fh.read()
-    except OSError as err:
-        raise InputError(f"cannot read spec file {args.spec}: {err}") from None
+    data = read_spec(args.spec)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         doc = parse_spec(data)
@@ -171,18 +171,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
     fragment = explore_fragment(doc, roots, max_states=args.max_states,
                                 max_depth=args.max_depth)
     # a budget that cuts exploration short raises, so the fragment is complete
-    lines = [f"states: {len(fragment.states)} "
-             f"(complete, depth {fragment.depth})"]
-    count = 0
-    for s in fragment.states:
-        lines.append(f"  {format_term(s)}")
-        for a in doc.actions:
-            count += len(fragment.der(s, a))
+    states = [text for _, text in sorted((fragment.depths[s], format_term(s))
+                                         for s in fragment.states)]
+    count = sum(len(pis) for moves in fragment.transitions.values()
+                for pis in moves.values())
+    lines = [f"states: {len(states)} (complete, depth {fragment.depth})"]
+    lines += [f"  {text}" for text in states]
     lines.append(f"transitions: {count}")
     emit(args, "explore", doc,
          {"terms": [format_term(t) for t in roots],
           "max_states": args.max_states, "max_depth": args.max_depth},
-         {"states": [format_term(s) for s in fragment.states],
+         {"states": states,
           "depth": fragment.depth, "transition_count": count},
          {"complete": True}, "\n".join(lines))
     return 0

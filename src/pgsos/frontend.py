@@ -145,10 +145,6 @@ class SpecDocument:
         return self.rules_by_op.get(op, ())
 
     @cached_property
-    def set_map(self) -> dict[str, frozenset[str]]:
-        return {name: frozenset(acts) for name, acts in self.sets}
-
-    @cached_property
     def abbrev_map(self) -> dict[str, StateTerm]:
         return dict(self.abbreviations)
 

@@ -32,7 +32,7 @@ from .graphs import strongly_connected_components
 from .lp import solve_transport
 from .semantics import (ROOTS_CLOSED, ReachableFragment, check_closed,
                         explore_fragment)
-from .terms import FiniteDistribution, StateTerm, term_key
+from .terms import FiniteDistribution, StateTerm
 
 
 def hausdorff(values: Callable[[FiniteDistribution, FiniteDistribution], Fraction],
@@ -59,17 +59,13 @@ def hausdorff(values: Callable[[FiniteDistribution, FiniteDistribution], Fractio
     return max(directed(set1, set2), directed(set2, set1))
 
 
-def _pair_key(t1: StateTerm, t2: StateTerm) -> tuple[StateTerm, StateTerm]:
-    return (t1, t2) if term_key(t1) <= term_key(t2) else (t2, t1)
-
-
 def _classify(doc: SpecDocument,
               fragment: ReachableFragment) -> dict[StateTerm, int]:
     """Give every state of a fragment its bisimulation class id.
 
     The states are walked bottom-up (depth-first post-order, on an explicit
     stack).  A state's class is the interned signature that lists, per
-    action in ``transitions`` order, the set of its distributions lifted to
+    action in name order, the set of its distributions lifted to
     ``{class id: mass}``; states with equal signatures are bisimilar.  A
     state that can reach a cycle has no bottom-up signature: it stands for
     itself (its signature key is the state), which is exact but merges
@@ -138,10 +134,12 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     The distance is 0 exactly on bisimilar states and depends on a
     distribution only through the mass it puts on each bisimulation class,
     so the fixed point is solved on the quotient: each class of the
-    fragment is represented by its first state in ``fragment.states``
-    order, with its distributions mapped onto representatives, and two
-    roots in one class are at distance 0 without further work.  States
-    that can reach a cycle are classes of their own.
+    fragment is represented by its first state in breadth-first order
+    (``fragment.states``), with its distributions mapped onto
+    representatives, and two roots in one class are at distance 0 without
+    further work.  States that can reach a cycle are classes of their own.
+    A pair of representatives is kept with the one explored first on the
+    left, so no order the solver sees depends on the hash seed.
 
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
@@ -206,6 +204,11 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         if r is not s:
             rep[s] = r
     t1, t2 = rep.get(t1, t1), rep.get(t2, t2)
+    position = {s: i for i, s in enumerate(fragment.states)}
+
+    def pair_key(x: StateTerm, y: StateTerm) -> tuple[StateTerm, StateTerm]:
+        """A pair oriented by the states' places in the fragment."""
+        return (x, y) if position[x] <= position[y] else (y, x)
 
     def onto(pi: FiniteDistribution) -> FiniteDistribution:
         if not any(x in rep for x, _ in pi):
@@ -225,7 +228,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 for b, pis in fragment.transitions[u].items()}
         return moves.get(a, ())
 
-    root = _pair_key(t1, t2)
+    root = pair_key(t1, t2)
     deps: dict[tuple[StateTerm, StateTerm],
                frozenset[tuple[StateTerm, StateTerm]]] = {}
     todo = [root]
@@ -246,7 +249,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                     for x in pu.support():
                         for y in pv.support():
                             if x != y:
-                                below.add(_pair_key(x, y))
+                                below.add(pair_key(x, y))
         deps[pair] = frozenset(below)
         todo.extend(k for k in below if k not in deps)
 
@@ -255,7 +258,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                  Fraction] = {}
 
     def getd(x: StateTerm, y: StateTerm) -> Fraction:
-        return Fraction(0) if x == y else memo[_pair_key(x, y)]
+        return Fraction(0) if x == y else memo[pair_key(x, y)]
 
     def transport(pu: FiniteDistribution, pv: FiniteDistribution,
                   ) -> tuple[Fraction, list[tuple[StateTerm, StateTerm,
@@ -349,7 +352,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             const = Fraction(0)
             for x, y, m in cells:
                 if x != y:
-                    k = _pair_key(x, y)
+                    k = pair_key(x, y)
                     if k in inside:
                         coeffs[k] = coeffs.get(k, Fraction(0)) + m
                     else:
@@ -375,8 +378,9 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             while closed and shrinking:
                 shrinking = False
                 for p in list(closed):
-                    if not all(any(_transport_on(closed, values, pi, pi2)
-                                   == values[p] for pi2 in answers)
+                    if not all(any(_transport_on(pair_key, closed, values,
+                                                 pi, pi2) == values[p]
+                                   for pi2 in answers)
                                for pi, answers in optimal[p]):
                         closed.discard(p)
                         shrinking = True
@@ -419,14 +423,14 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
-def _transport_on(closed, values, pi: FiniteDistribution,
+def _transport_on(pair_key, closed, values, pi: FiniteDistribution,
                   pi2: FiniteDistribution) -> Fraction:
     """Transport of ``pi`` onto ``pi2`` at cost ``values`` on the pairs of
     ``closed`` and 2 on every other pair, the diagonal included: it equals
     the transport under ``values`` exactly when some optimal coupling puts
     all its mass on ``closed``."""
     two = Fraction(2)
-    cost = [[values[k] if (k := _pair_key(x, y)) in closed else two
+    cost = [[values[k] if (k := pair_key(x, y)) in closed else two
              for y, _ in pi2] for x, _ in pi]
     return solve_transport(cost, [q for _, q in pi], [q for _, q in pi2])[0]
 

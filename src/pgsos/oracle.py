@@ -40,7 +40,9 @@ class OracleConfig:
     max_depth: int = 3
     max_states: int = 256
     max_pairs: int = 2000
-    variables: tuple[str, ...] = ("x", "y")
+
+
+VARIABLES = ("x", "y")  # the variables of the open terms the suite draws
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,26 @@ def _summarize(requested: int, results: list[SampleResult],
 # Harness entry points
 # ---------------------------------------------------------------------------
 
+def _sample(doc: SpecDocument, cfg: OracleConfig,
+            draws: Iterable[tuple[StateTerm, Mapping[Variable, StateTerm],
+                                  Mapping[Variable, StateTerm]]],
+            ) -> OracleSummary:
+    """Evaluate each drawn ``(term, sigma1, sigma2)`` and tally the
+    outcomes."""
+    requested = 0
+    results: list[SampleResult] = []
+    skipped: dict[str, int] = {}
+    for t, s1, s2 in draws:
+        requested += 1
+        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
+                                  max_pairs=cfg.max_pairs)
+        if isinstance(outcome, str):
+            skipped[outcome] = skipped.get(outcome, 0) + 1
+        else:
+            results.append(outcome)
+    return _summarize(requested, results, skipped)
+
+
 def oracle_compare(doc: SpecDocument, t: StateTerm,
                    cfg: OracleConfig = OracleConfig(), *,
                    include: Iterable[tuple[Mapping[Variable, StateTerm],
@@ -241,40 +263,25 @@ def oracle_compare(doc: SpecDocument, t: StateTerm,
     pairs; explicitly supplied pairs are evaluated before the random ones."""
     rng = random.Random(cfg.seed)
     variables = sorted(free_vars(t), key=lambda v: v.name)
-    results: list[SampleResult] = []
-    skipped: dict[str, int] = {}
 
-    def run(s1: Mapping[Variable, StateTerm],
-            s2: Mapping[Variable, StateTerm]) -> None:
-        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
-                                  max_pairs=cfg.max_pairs)
-        if isinstance(outcome, str):
-            skipped[outcome] = skipped.get(outcome, 0) + 1
-        else:
-            results.append(outcome)
+    def draws():
+        for s1, s2 in include:
+            yield t, s1, s2
+        for _ in range(cfg.samples):
+            yield (t, *substitution_pair(rng, doc, variables, cfg.max_depth))
 
-    pinned = list(include)
-    for s1, s2 in pinned:
-        run(s1, s2)
-    for _ in range(cfg.samples):
-        run(*substitution_pair(rng, doc, variables, cfg.max_depth))
-    return _summarize(len(pinned) + cfg.samples, results, skipped)
+    return _sample(doc, cfg, draws())
 
 
 def oracle_suite(doc: SpecDocument,
                  cfg: OracleConfig = OracleConfig()) -> OracleSummary:
     """Check the bound across sampled (term, substitution pair) triples."""
     rng = random.Random(cfg.seed)
-    results: list[SampleResult] = []
-    skipped: dict[str, int] = {}
-    for _ in range(cfg.samples):
-        t = random_open_term(rng, doc, cfg.max_depth, cfg.variables)
-        variables = sorted(free_vars(t), key=lambda v: v.name)
-        s1, s2 = substitution_pair(rng, doc, variables, cfg.max_depth)
-        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
-                                  max_pairs=cfg.max_pairs)
-        if isinstance(outcome, str):
-            skipped[outcome] = skipped.get(outcome, 0) + 1
-        else:
-            results.append(outcome)
-    return _summarize(cfg.samples, results, skipped)
+
+    def draws():
+        for _ in range(cfg.samples):
+            t = random_open_term(rng, doc, cfg.max_depth, VARIABLES)
+            variables = sorted(free_vars(t), key=lambda v: v.name)
+            yield (t, *substitution_pair(rng, doc, variables, cfg.max_depth))
+
+    return _sample(doc, cfg, draws())

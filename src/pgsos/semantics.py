@@ -18,24 +18,15 @@ from .errors import DepthLimitExceeded, OpenTermError, StateLimitExceeded
 from .frontend import SpecDocument
 from .terms import (Apply, FiniteDistribution, StateTerm, Var,
                     check_arities, embed_distribution, eval_closed_dist,
-                    free_vars, substitute, term_key)
+                    free_vars, substitute)
+
+Moves = tuple[tuple[str, FiniteDistribution], ...]
 
 
-@dataclass(frozen=True)
-class Transition:
-    source: StateTerm
-    action: str
-    target: FiniteDistribution
-
-
-def _dist_key(pi: FiniteDistribution) -> tuple:
-    return tuple((term_key(t), q) for t, q in pi)
-
-
-def _transitions(doc: SpecDocument, memo: dict,
-                 t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
-    """Transitions of a closed, arity-checked term; ``memo`` is the
-    document's ``"transitions"`` table.
+def _transitions(doc: SpecDocument, memo: dict, t: StateTerm) -> Moves:
+    """Transitions of a closed, arity-checked term, in the order
+    :func:`_fire` derives them; ``memo`` is the document's
+    ``"transitions"`` table.
 
     The subterms whose transitions are not yet known are derived bottom-up
     from an explicit stack, so the depth of ``t`` is not limited by the
@@ -60,11 +51,11 @@ def _transitions(doc: SpecDocument, memo: dict,
 
 
 def _fire(doc: SpecDocument, t: Apply,
-          arg_transitions: list[frozenset[tuple[str, FiniteDistribution]]]
-          ) -> frozenset[tuple[str, FiniteDistribution]]:
+          arg_transitions: list[Moves]) -> Moves:
     """The transitions the rules for ``t.op`` derive from the transitions
-    of ``t``'s arguments."""
-    out: set[tuple[str, FiniteDistribution]] = set()
+    of ``t``'s arguments, each once, in the order the rules, their premises
+    and the arguments' transitions give them."""
+    out: dict[tuple[str, FiniteDistribution], None] = {}
     for rule in doc.rules_for(t.op):
         base: dict[Var, StateTerm] = dict(zip(rule.sources, t.args))
         position = {x: i for i, x in enumerate(rule.sources)}
@@ -83,8 +74,8 @@ def _fire(doc: SpecDocument, t: Apply,
             for p, pi in zip(rule.pos, combo):
                 sigma[p.derivative] = embed_distribution(pi)
             closed_target = substitute(rule.target, sigma)
-            out.add((rule.action, eval_closed_dist(closed_target)))
-    return frozenset(out)
+            out[rule.action, eval_closed_dist(closed_target)] = None
+    return tuple(out)
 
 
 def check_closed(doc: SpecDocument, t: StateTerm, what: str) -> None:
@@ -101,21 +92,27 @@ def derive_transitions(doc: SpecDocument,
                        t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
     """All transitions ``(action, distribution)`` of a closed term."""
     check_closed(doc, t, "transitions need a closed term")
-    return _transitions(doc, doc.memo("transitions"), t)
+    return frozenset(_transitions(doc, doc.memo("transitions"), t))
 
 
 @dataclass
 class ReachableFragment:
     """A finite state space closed under one-step supports.
 
+    ``states`` lists the states in breadth-first order from the roots, and
+    ``depths[state]`` is a state's distance from the nearest root.
     ``transitions[state][action]`` lists the distinct target distributions
-    in canonical order; ``depth`` is the largest distance of a state from
-    the nearest root.
+    in the order they were derived.
     """
 
     states: tuple[StateTerm, ...]
     transitions: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]]
-    depth: int
+    depths: dict[StateTerm, int]
+
+    @property
+    def depth(self) -> int:
+        """The largest distance of a state from the nearest root."""
+        return max(self.depths.values(), default=0)
 
     def der(self, t: StateTerm, action: str) -> tuple[FiniteDistribution, ...]:
         return self.transitions.get(t, {}).get(action, ())
@@ -138,42 +135,32 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
         check_closed(doc, r, ROOTS_CLOSED)
         depth[r] = 0
 
+    if max_states is not None and len(depth) > max_states:
+        raise StateLimitExceeded(
+            f"{len(depth)} roots already exceed max_states={max_states}")
+
     memo = doc.memo("transitions")
     table: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]] = {}
     queue: list[StateTerm] = list(depth)
-    pos = 0
-
-    if max_states is not None and len(queue) > max_states:
-        raise StateLimitExceeded(
-            f"{len(queue)} roots already exceed max_states={max_states}")
-
-    while pos < len(queue):
-        state = queue[pos]
-        pos += 1
+    for state in queue:  # grows while it is walked
         by_action: dict[str, list[FiniteDistribution]] = {}
         for a, pi in _transitions(doc, memo, state):
             by_action.setdefault(a, []).append(pi)
-        table[state] = {a: tuple(sorted(pis, key=_dist_key))
-                        for a, pis in sorted(by_action.items())}
-        successors: list[StateTerm] = []
-        for a in sorted(by_action):
-            for pi in table[state][a]:
-                for succ in pi.support():
-                    if succ not in depth and succ not in successors:
-                        successors.append(succ)
-        successors.sort(key=term_key)
-        for succ in successors:
-            d = depth[state] + 1
-            if max_depth is not None and d > max_depth:
-                raise DepthLimitExceeded(
-                    f"state at depth {d} exceeds max_depth={max_depth}")
-            if max_states is not None and len(depth) + 1 > max_states:
-                raise StateLimitExceeded(
-                    f"more than max_states={max_states} reachable states")
-            depth[succ] = d
-            queue.append(succ)
+        table[state] = moves = {a: tuple(by_action[a])
+                                for a in sorted(by_action)}
+        d = depth[state] + 1
+        for pis in moves.values():
+            for pi in pis:
+                for succ, _ in pi:
+                    if succ in depth:
+                        continue
+                    if max_depth is not None and d > max_depth:
+                        raise DepthLimitExceeded(f"state at depth {d} "
+                                                 f"exceeds max_depth={max_depth}")
+                    if max_states is not None and len(depth) >= max_states:
+                        raise StateLimitExceeded(f"more than max_states="
+                                                 f"{max_states} reachable states")
+                    depth[succ] = d
+                    queue.append(succ)
 
-    states = tuple(sorted(depth, key=lambda s: (depth[s], term_key(s))))
-    return ReachableFragment(states,
-                             {s: table[s] for s in states},
-                             depth=max((depth[s] for s in states), default=0))
+    return ReachableFragment(tuple(queue), table, depth)

@@ -87,7 +87,7 @@ class Apply:
     still equal to its twin).
     """
 
-    __slots__ = ("op", "args", "_hash", "_key", "__weakref__")
+    __slots__ = ("op", "args", "_hash", "__weakref__")
     __match_args__ = ("op", "args")
 
     op: str
@@ -101,7 +101,6 @@ class Apply:
             object.__setattr__(node, "op", op)
             object.__setattr__(node, "args", args)
             object.__setattr__(node, "_hash", hash(key))
-            object.__setattr__(node, "_key", None)
             _UNIQUE[key] = node
         return node
 
@@ -155,16 +154,28 @@ class InstDirac:
     term: StateTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexSum:
     """``q1*th1 + ... + qn*thn`` with every ``q_i`` in (0,1] summing to 1.
 
     Use :func:`convex_sum` to build one; it flattens nested sums, merges
     syntactically equal summands and collapses the trivial single-summand
-    case, giving a unique representation per distribution expression.
+    case.  The summands keep the order they were written in, but equality
+    and hashing compare them as a map from summands to weights, so two sums
+    that differ only in that order are equal.
     """
 
     parts: tuple[tuple[Fraction, "DistTerm"], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ConvexSum:
+            return NotImplemented
+        return (len(self.parts) == len(other.parts)
+                and {t: q for q, t in self.parts}
+                == {t: q for q, t in other.parts})
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.parts))
 
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
@@ -190,28 +201,24 @@ Var = Union[Variable, DistVariable]  # a variable of either kind
 
 
 def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
-    """Build a canonical convex combination of distribution terms."""
-    flat: list[tuple[Fraction, DistTerm]] = []
+    """Build a convex combination of distribution terms: nested sums are
+    flattened and equal summands merged, each where it first occurs."""
+    merged: dict[DistTerm, Fraction] = {}
     for q, theta in parts:
         q = Fraction(q)
-        if isinstance(theta, ConvexSum):
-            flat.extend((q * r, inner) for r, inner in theta.parts)
-        else:
-            flat.append((q, theta))
-    merged: dict[DistTerm, Fraction] = {}
-    for q, theta in flat:
-        merged[theta] = merged.get(theta, Fraction(0)) + q
-    items = sorted(merged.items(), key=lambda it: term_key(it[0]))
-    if len(items) == 1:
-        [(theta, q)] = items
+        for r, inner in (theta.parts if isinstance(theta, ConvexSum)
+                         else ((1, theta),)):
+            merged[inner] = merged.get(inner, Fraction(0)) + q * r
+    if len(merged) == 1:
+        [(theta, q)] = merged.items()
         if q != 1:
             raise ValueError(f"convex weights sum to {q}, expected 1")
         return theta
-    return ConvexSum(tuple((q, theta) for theta, q in items))
+    return ConvexSum(tuple((q, theta) for theta, q in merged.items()))
 
 
 # ---------------------------------------------------------------------------
-# Rendering (the concrete syntax shared with the CLI) and term ordering
+# Rendering (the concrete syntax shared with the CLI)
 # ---------------------------------------------------------------------------
 
 def format_term(t: Term) -> str:
@@ -219,8 +226,8 @@ def format_term(t: Term) -> str:
 
     Emits the text left to right from an explicit stack of terms and
     literal pieces, so the depth of ``t`` is not limited by the
-    interpreter's recursion limit; an application that already knows its
-    text (see :func:`term_key`) contributes it whole."""
+    interpreter's recursion limit.  Rendering is injective: distinct terms
+    have distinct texts."""
     out: list[str] = []
     stack: list = [t]
     push, emit = stack.append, out.append
@@ -231,9 +238,7 @@ def format_term(t: Term) -> str:
             emit(u)
         elif cls is Apply or cls is DistApply:
             args = u.args
-            if cls is Apply and u._key is not None:
-                emit(u._key)
-            elif not args:
+            if not args:
                 emit(u.op)
             else:
                 emit(u.op + "(")
@@ -263,27 +268,6 @@ def format_term(t: Term) -> str:
         else:
             raise TypeError(f"not a term: {u!r}")
     return "".join(out)
-
-
-def term_key(t: Term) -> str:
-    """A total order on terms: the rendered text (rendering is injective).
-
-    An :class:`Apply` node renders once and keeps the text.  Its
-    applications without text render first, innermost first, and keep
-    theirs, so each node's text is built from its children's: rendering
-    every state of a chain costs time linear in the total text."""
-    if t.__class__ is not Apply:
-        return format_term(t)
-    stack = [t] if t._key is None else []
-    while stack:
-        u = stack[-1]
-        todo = [a for a in u.args if a.__class__ is Apply and a._key is None]
-        if todo:
-            stack += todo
-        else:
-            stack.pop()
-            object.__setattr__(u, "_key", u._key or format_term(u))
-    return t._key
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +366,14 @@ def substitute(t: Term, sigma: Substitution) -> Term:
 # Finite-support distributions over closed state terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability distribution with finite support over closed state terms.
 
     Only the support is stored (all masses strictly positive) and masses sum
-    to exactly 1; entries are kept sorted in canonical term order so equality
-    and hashing are structural.
+    to exactly 1.  Entries keep the order they were first given in, but
+    equality and hashing compare them as a map from terms to masses, so
+    that order is not part of the value.
     """
 
     _items: tuple[tuple[StateTerm, Fraction], ...]
@@ -401,7 +386,16 @@ class FiniteDistribution:
             total += q
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
-        object.__setattr__(self, "_hash", hash((self._items,)))
+        object.__setattr__(self, "_hash", hash(frozenset(self._items)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FiniteDistribution:
+            return NotImplemented
+        return (self._hash == other._hash
+                and len(self._items) == len(other._items)
+                and dict(self._items) == dict(other._items))
 
     def __hash__(self) -> int:
         return self._hash
@@ -416,9 +410,8 @@ class FiniteDistribution:
         merged: dict[StateTerm, Fraction] = {}
         for t, q in pairs:
             merged[t] = merged.get(t, Fraction(0)) + Fraction(q)
-        items = tuple(sorted(((t, q) for t, q in merged.items() if q != 0),
-                             key=lambda it: term_key(it[0])))
-        return FiniteDistribution(items)
+        return FiniteDistribution(tuple((t, q) for t, q in merged.items()
+                                        if q != 0))
 
     @staticmethod
     def dirac(t: StateTerm) -> "FiniteDistribution":
@@ -446,8 +439,9 @@ class FiniteDistribution:
         return len(self._items)
 
     def __str__(self) -> str:
-        return " + ".join(f"{format_rational(q)}*{format_term(t)}"
-                          for t, q in self._items)
+        """The support sorted by its text, so the rendering is canonical."""
+        return " + ".join(f"{format_rational(q)}*{text}" for text, q in
+                          sorted((format_term(t), q) for t, q in self._items))
 
 
 def eval_closed_dist(theta: DistTerm) -> FiniteDistribution:

@@ -71,7 +71,7 @@ def test_distance_between_deep_chains(capsys):
 
 
 def test_distance_between_chains_5000_deep(capsys):
-    # each state's sort key is built from its child's, once
+    # parsing, derivation and exploration walk explicit stacks
     deep = "pref_a(" * 5000 + "zero" + ")" * 5000
     shallower = "pref_a(" * 4999 + "zero" + ")" * 4999
     code, out, err = run(capsys, "distance", EXAMPLES, deep, shallower,
@@ -198,6 +198,11 @@ IPAR3 = "ipar(ipar(ipar({}, pa0), pa0), pa0)"
     ["denote", EXAMPLES, "bang(x1)"],
     ["bound", PA, "par(x, x)", "--dist", "x=1/10"],
     ["oracle", PA, "par(x, y)", "--samples", "60", "--seed", "5"],
+    # states, transitions and the rounds of a cyclic component follow the
+    # order of derivation, never the hashes; text is sorted only to print
+    ["explore", PA, IPAR3.format("pa0"), IPAR3.format("pb0")],
+    ["transitions", EXAMPLES, "bang(aa0)"],
+    ["distance", LOOPS, "loop_1_2", "loop_4_5", "--max-iter", "1"],
 ])
 def test_json_is_identical_across_hash_seeds(argv):
     outputs = []

@@ -198,7 +198,7 @@ def test_parse_term_checks_arity(pa_doc):
 
 def test_parse_dist_term(pa_doc):
     theta = parse_term("1/2*delta(zero) + 1/2*delta(a0)", pa_doc, kind="dist")
-    assert format_term(theta) == "1/2*delta(pref_a(zero)) + 1/2*delta(zero)"
+    assert format_term(theta) == "1/2*delta(zero) + 1/2*delta(pref_a(zero))"
 
 
 def test_abbreviations_must_be_closed():

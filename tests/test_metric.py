@@ -1,7 +1,11 @@
 """Transport lifting, set lifting, and the behavioural-distance fixpoint."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from pgsos.lp import solve_transport
 from pgsos.metric import bisim_distance, hausdorff
 from pgsos.oracle import perturbed_term, random_closed_term
 from pgsos.semantics import explore_fragment
-from pgsos.terms import Apply, FiniteDistribution, term_key
+from pgsos.terms import Apply, FiniteDistribution, format_term
 
 from helpers import (
     check_pseudometric,
@@ -231,10 +235,39 @@ def test_deep_chains_are_explored_and_measured_without_recursion(examples_doc):
     for _ in range(1999):
         u = Apply("pref_a", (u,))
     deeper = Apply("pref_a", (u,))
-    assert term_key(deeper) == "pref_a(" * 2000 + "zero" + ")" * 2000
+    assert format_term(deeper) == "pref_a(" * 2000 + "zero" + ")" * 2000
     assert len(explore_fragment(examples_doc, [deeper]).states) == 2001
     # the deeper chain can make one more a-step
     assert bisim_distance(examples_doc, deeper, u) == 1
+
+
+CHAIN_PEAK = """
+from importlib import resources
+from pgsos import Apply, bisim_distance, parse_spec
+doc = parse_spec(resources.files("pgsos").joinpath(
+    "data", "examples.pgsos").read_bytes())
+u = Apply("zero")
+for _ in range(19999):
+    u = Apply("pref_a", (u,))
+print(bisim_distance(doc, Apply("pref_a", (u,)), u, max_states=20001))
+print(next(line.split()[1] for line in open("/proc/self/status")
+           if line.startswith("VmHWM:")))
+"""
+
+
+def test_distance_between_chains_20000_deep_peaks_under_200_mb():
+    # a term is one node per level with no text kept on it, so memory
+    # grows linearly with depth, not with its square
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read the peak resident size")
+    # a fresh interpreter, since the peak is kept for the process's life
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", CHAIN_PEAK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    distance, peak_kb = proc.stdout.split()
+    assert distance == "1"
+    assert int(peak_kb) < 200 * 1024
 
 
 # -- the bisimulation quotient ----------------------------------------------

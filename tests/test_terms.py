@@ -30,7 +30,6 @@ from pgsos.terms import (
     free_vars,
     state_var,
     substitute,
-    term_key,
 )
 
 from helpers import is_closed
@@ -62,7 +61,7 @@ def test_format_term_round_shapes():
     assert format_term(InstDirac(X)) == "delta(x)"
     theta = convex_sum([(Fraction(1, 2), InstDirac(ZERO)),
                         (Fraction(1, 2), InstDirac(A_ZERO))])
-    assert format_term(theta) == "1/2*delta(a_pref(zero)) + 1/2*delta(zero)"
+    assert format_term(theta) == "1/2*delta(zero) + 1/2*delta(a_pref(zero))"
 
 
 def test_convex_sum_flattens_merges_and_collapses():
@@ -115,31 +114,39 @@ def test_substitution_is_simultaneous():
     assert s == Apply("par", (Y, X))
 
 
-def test_term_key_total_order_is_injective_on_samples(pa_doc):
+def test_format_term_is_injective_and_values_ignore_order_on_samples(pa_doc):
     terms = [ZERO, A_ZERO, X, Apply("par", (ZERO, ZERO)),
              Apply("par", (ZERO, A_ZERO))]
-    keys = [term_key(t) for t in terms]
-    assert len(set(keys)) == len(terms)
+    assert len({format_term(t) for t in terms}) == len(terms)
 
-    # Sampled closed terms: interned, hashed and keyed as a frozen
-    # dataclass of (op, args) would be, and still immutable values.
+    # Sampled closed terms: interned and hashed as a frozen dataclass of
+    # (op, args) would be, and still immutable values.
     rng = random.Random(11)
     sampled = [random_closed_term(rng, pa_doc, depth) for depth in (1, 2, 3)
                for _ in range(10)]
     for t in sampled:
         assert parse_term(format_term(t), pa_doc) is t
         assert hash(t) == hash((t.op, t.args))
-        assert term_key(t) == format_term(t)
         for twin in (copy.copy(t), copy.deepcopy(t),
                      pickle.loads(pickle.dumps(t))):
             assert twin == t and hash(twin) == hash(t)
         with pytest.raises(AttributeError):
             t.op = "zero"
-    assert len({term_key(t) for t in sampled}) == len(set(sampled))
-    pi = FiniteDistribution.from_pairs((t, Fraction(1, len(sampled)))
-                                       for t in sampled)
-    assert hash(pi) == hash((pi.items(),))
+    assert len({format_term(t) for t in sampled}) == len(set(sampled))
+
+    # distributions and convex sums are maps: the order of their entries
+    # is not part of the value
+    pairs = [(t, Fraction(1, len(sampled))) for t in sampled]
+    pi = FiniteDistribution.from_pairs(pairs)
+    rev = FiniteDistribution.from_pairs(reversed(pairs))
+    assert pi.items() != rev.items()
+    assert pi == rev and hash(pi) == hash(rev)
+    assert str(pi) == str(rev)
     assert pickle.loads(pickle.dumps(pi)) == pi
+    parts = [(q, InstDirac(t)) for t, q in pairs]
+    theta, reversed_theta = convex_sum(parts), convex_sum(reversed(parts))
+    assert theta.parts != reversed_theta.parts
+    assert theta == reversed_theta and hash(theta) == hash(reversed_theta)
 
 
 def test_deep_terms_are_hashed_and_compared_without_recursion():
@@ -204,16 +211,6 @@ def test_check_arities():
         check_arities(Apply("par", (Apply("a_pref", (ZERO, ZERO)),)), sig)
     with pytest.raises(ArityMismatch, match="^par expects 2"):
         check_arities(Apply("par", (Apply("undeclared"),)), sig)
-
-
-def test_term_key_renders_a_chain_once_from_the_bottom():
-    chain = [ZERO]
-    for _ in range(5000):
-        chain.append(Apply("pref_a", (chain[-1],)))
-    assert term_key(chain[-1]) == "pref_a(" * 5000 + "zero" + ")" * 5000
-    # every application below the root kept its own text on the way up
-    assert all(t._key == "pref_a(" * k + "zero" + ")" * k
-               for k, t in enumerate(chain))
 
 
 def test_deep_terms_are_substituted_without_recursion():
