@@ -28,7 +28,6 @@ from .errors import (
     InputError,
     IterationLimitExceeded,
     KindMismatch,
-    NoConvergence,
     OpenTermError,
     PairLimitExceeded,
     PgsosError,
@@ -87,6 +86,5 @@ __all__ = [
     "StateLimitExceeded",
     "DepthLimitExceeded",
     "PairLimitExceeded",
-    "NoConvergence",
     "IterationLimitExceeded",
 ]

@@ -5,9 +5,10 @@ canonical JSON (rationals as ``p/q`` strings, infinite counts as
 ``"inf"``, keys sorted) and the default output is a human-readable view
 of the same data.  Exit codes: 0 on success (also when the reader closes
 stdout early), 1 when an analysis refuses to produce a trustworthy result
-(state budget, non-stabilising iteration, every sample skipped), 2 for
-malformed specs, terms, or usage, 3 for an internal error (any other
-exception, reported with its traceback).
+(a state, depth or pair budget exceeded, denotations still changing after
+their round budget, every sample skipped), 2 for malformed specs, terms,
+or usage, 3 for an internal error (any other exception, reported with its
+traceback).  Distances are always exact; only the budgets refuse them.
 """
 
 from __future__ import annotations
@@ -191,11 +192,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
     t1 = parse_term(args.term1, doc)
     t2 = parse_term(args.term2, doc)
-    value = bisim_distance(doc, t1, t2, max_states=args.max_states,
-                           mode=args.mode, max_iter=args.max_iter)
+    value = bisim_distance(doc, t1, t2, max_states=args.max_states)
     emit(args, "distance", doc,
-         {"term1": format_term(t1), "term2": format_term(t2),
-          "mode": args.mode},
+         {"term1": format_term(t1), "term2": format_term(t2)},
          {"distance": value}, {}, format_rational(value))
     return 0
 
@@ -356,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term2")
     p.add_argument("--max-states", type=int_at_least(1),
                    default=DEFAULT_MAX_STATES)
-    p.add_argument("--max-iter", type=int_at_least(1), default=1000)
-    p.add_argument("--mode", choices=("exact", "iterate"), default="exact")
 
     p = add("denote", cmd_denote, "denotation of an open term")
     p.add_argument("term")

@@ -7,8 +7,8 @@ Two families matter for the CLI exit-code contract:
   The CLI maps these to exit code 2.
 * ``AnalysisRefusal`` — the inputs were fine but the requested analysis
   cannot be completed honestly (a state, depth or pair budget exceeded,
-  non-stabilising iteration, every oracle sample skipped, ...).  Exit
-  code 1.  Exploration either closes the reachable states or refuses, so
+  denotations still changing after their round budget, every oracle
+  sample skipped).  Exit code 1.  Exploration either closes the reachable states or refuses, so
   no analysis ever runs on a truncated state space.
 
 Everything else propagating out of the library is a plain bug, including
@@ -91,11 +91,6 @@ class DepthLimitExceeded(AnalysisRefusal):
 
 class PairLimitExceeded(AnalysisRefusal):
     """The distance computation depends on more state pairs than budgeted."""
-
-
-class NoConvergence(AnalysisRefusal):
-    """A cycle of state pairs got no certified exact distance within its
-    round budget."""
 
 
 class IterationLimitExceeded(AnalysisRefusal):

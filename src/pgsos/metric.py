@@ -12,13 +12,12 @@ Everything is rational: the transport problems are solved exactly by
 :func:`pgsos.lp.solve_transport`.
 
 Pairs that depend on one another in a cycle are solved one cyclic
-component at a time, exactly: a policy of the bisimulation game read off a
-Jacobi step gives a linear system, whose least solution is solved by
-exact elimination and returned only once it is certified to be the least
-fixed point (Bacci, Bacci, Larsen & Mardare, TACAS 2013, for the
-probabilistic case; Fu, ICALP 2012, for the nondeterministic one).  A
-round budget bounds that search: past it, exact mode refuses and iterate
-mode returns a lower bound of the true distance.
+component at a time, exactly, as a game: strategy iteration for the
+challenger, each strategy answered by policy iteration over exactly
+solved linear systems, ends at the least fixed point (Bacci, Bacci,
+Larsen & Mardare, TACAS 2013, for exact distances by couplings; Fu,
+ICALP 2012, for the nondeterministic case).  Only the state and pair
+budgets refuse a distance.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import NoConvergence, PairLimitExceeded
+from .errors import PairLimitExceeded
 from .frontend import SpecDocument
 from .graphs import strongly_connected_components
 from .lp import solve_transport
@@ -126,8 +125,6 @@ def _lift(class_of: dict[StateTerm, int],
 
 def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                    max_states: int | None = None,
-                   mode: str = "exact",
-                   max_iter: int = 1000,
                    max_pairs: int | None = None) -> Fraction:
     """Distance between two closed terms over their joint reachable fragment.
 
@@ -148,45 +145,11 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     in pairs of classes; exceeding it raises :class:`PairLimitExceeded`.
     The strongly connected components of that system are solved inputs
     first.  A pair on no cycle is settled once from the pairs below it.  A
-    cyclic component ``C`` is solved with its inputs fixed, in rounds, for
-    the least fixed point ``lfp`` of the functional ``F`` on ``C``.  Each
-    round takes one Jacobi step from the last iterate, the Kleene chain
-    from zero, which stays below ``lfp``; a step that changes nothing has
-    reached ``lfp``.  The step also gives a policy: per pair, a challenge
-    (action, side and distribution) attaining the Hausdorff max, its
-    cheapest answer and their optimal coupling, each kept from the last
-    round while it still attains the optimum (the rule of Hoffman and
-    Karp's strategy iteration).  Whenever the policy's linear system
-    differs from the last one solved, its least non-negative solution
-    ``L`` is a candidate, returned only when
-
-    (i) one sweep of ``F`` reproduces ``L`` on every pair of ``C``, so
-        ``L`` is a fixed point and ``L >= lfp``; and
-    (ii) no non-empty set ``X`` of pairs with ``L > 0`` is *self-closed*:
-        at every ``p`` in ``X``, every ``L``-optimal challenge has an
-        ``L``-optimal answer whose ``L``-optimal coupling is supported on
-        ``X``.
-
-    Check (ii) gives ``L <= lfp``.  Were ``L - lfp`` largest, at ``delta >
-    0``, on the set ``X``, then at ``p`` in ``X`` take an ``L``-optimal
-    challenge and its ``lfp``-optimal answer and coupling ``w``: under
-    ``L`` that coupling costs at most ``lfp(p) + delta``, with equality
-    only if all of ``w`` lies on ``X``, and it costs at least ``L(p) =
-    lfp(p) + delta``; so ``X`` would be self-closed.  Conversely a
-    self-closed ``X`` makes ``F(L - e*1_X) <= L - e*1_X`` for a small ``e >
-    0``, so ``L`` is not the least fixed point, and the check refuses no
-    correct candidate.  It starts from all pairs with ``L > 0`` and drops
-    a pair while some ``L``-optimal challenge there has no answer whose
-    transport, at cost ``L`` on ``X`` and 2 on every other pair (the
-    diagonal and the settled pairs included), still comes to ``L(p)``.
-
-    ``max_iter`` bounds the rounds per cyclic component.  When they run
-    out, ``exact`` mode raises :class:`NoConvergence`; ``iterate`` mode
-    keeps the last Jacobi iterate, so its answer is a lower bound of the
-    distance.
+    cyclic component is solved exactly with its inputs fixed, by strategy
+    iteration for the challenger of the bisimulation game, which ends at
+    the least fixed point after finitely many strategies (see ``close``).
+    No budget bounds that search, so the answer is always exact.
     """
-    if mode not in ("exact", "iterate"):
-        raise ValueError(f"unknown mode {mode!r}")
     if t1 == t2:
         check_closed(doc, t1, ROOTS_CLOSED)
         return Fraction(0)
@@ -313,39 +276,96 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             for pi in dv:
                 yield pi, du
 
-    def step(pair: tuple[StateTerm, StateTerm], keep=None):
-        """``settle`` at ``pair`` with a policy that attains it: ``(value,
-        (challenge, answer), coupling)``, the indices of a challenge that
-        attains the max and of its cheapest answer, and that answer's
-        coupling (``None`` when there is no answer, at cost 1).  A choice
-        of ``keep``, the policy of the last round, is kept wherever it
-        still attains the optimum, so the policy changes only where that
-        strictly gains, as in Hoffman and Karp's strategy iteration."""
-        old, old_cells = (None, None) if keep is None else keep[1:]
-        best = (Fraction(0), None, [])
-        for i, (pi, answers) in enumerate(challenges(pair)):
-            top = (Fraction(1), (i, None), None)
-            for j, pi2 in enumerate(answers):
-                k, cells = transport(pi, pi2)
-                if (i, j) == old and k == sum(
-                        (m * getd(x, y) for x, y, m in old_cells), Fraction(0)):
-                    cells = old_cells
-                if (top[2] is None or k < top[0]
-                        or k == top[0] and (i, j) == old):
-                    top = (k, (i, j), cells)
-            if (best[1] is None or top[0] > best[0]
-                    or top[0] == best[0] and old and i == old[0]):
-                best = top
+    def cheapest(pi: FiniteDistribution, answers, floor: Fraction):
+        """The cheapest answer to ``pi`` under ``memo``, as ``(cost,
+        coupling)``: cost 1 and no coupling when there is none.  It stops
+        at the first answer that costs at most ``floor``."""
+        best = (Fraction(1), None)
+        for pi2 in answers:
+            k, cells = transport(pi, pi2)
+            if best[1] is None or k < best[0]:
+                best = (k, cells)
+            if k <= floor:
+                break
         return best
 
     def close(comp: list[tuple[StateTerm, StateTerm]]) -> None:
-        """Solve one cyclic component into ``memo``, where its inputs are
-        settled: Jacobi rounds, policy solves and the two checks above."""
+        """Solve one cyclic component ``C`` into ``memo``, where its
+        inputs are settled, for the least fixed point ``lfp`` of the
+        functional ``F`` on ``C``, by strategy iteration for the
+        challenger (Condon, *The complexity of stochastic games*, 1992).
+
+        A challenger strategy ``sigma`` picks one challenge per pair: an
+        action, a side and that side's distribution.  The first attains
+        ``settle`` with ``C`` at 0.  ``F_sigma`` is ``F`` with every
+        challenge fixed to ``sigma``'s, and ``v_sigma`` its least fixed
+        point, the value of ``sigma``.  Each round answers ``sigma``
+        exactly, then improves it.
+
+        *Answer.*  The zero set ``Z`` of ``v_sigma`` is the largest set of
+        pairs where ``sigma``'s challenge has an answer with a coupling
+        supported on the diagonal, ``Z`` and the settled pairs at 0.  It
+        is found by removal; each test is one transport at cost 0 on
+        those cells and 1 elsewhere, which comes to 0 exactly when such a
+        coupling exists.  On the rest ``R`` every answerer policy leaves
+        ``R`` with probability 1: a set that some policy kept closed would
+        have value 0, so it would lie in ``Z``.  Each policy's linear
+        system therefore has one solution, and policy iteration from any
+        couplings finds ``v_sigma``: a pair switches its answer and
+        coupling only where a transport under the new values is strictly
+        cheaper, so the values strictly fall, and every coupling taken is
+        a vertex of its transport polytope, of which there are finitely
+        many.
+
+        *Improve.*  A pair switches its challenge only where one costs
+        strictly more than ``v_sigma(p)`` under ``v_sigma``.  If none
+        does, ``v_sigma`` is a fixed point of ``F``, so ``v_sigma >=
+        lfp``; and ``v_sigma = lfp F_sigma <= lfp F``.  So it is ``lfp``.
+        If ``sigma'`` switches somewhere, let ``x = P x + b`` be the system
+        of ``sigma'`` and the answerer's best response to it, so that
+        ``v_sigma' = P v_sigma' + b`` and ``v_sigma <= F_sigma'(v_sigma)
+        <= P v_sigma + b``.  Then ``e = v_sigma - v_sigma'`` has ``e <= P^n
+        e`` for every ``n``, and ``e <= 0`` once ``v_sigma = 0`` on every
+        recurrent class ``K`` of ``P``, where ``v_sigma' = 0``.  On the
+        set of ``K`` where ``v_sigma`` is largest every inequality above
+        is an equality, so it holds no switched pair and is closed under
+        ``sigma`` and that answer; ``v_sigma`` with that set at 0 is then
+        a pre-fixed point of ``F_sigma``, so ``v_sigma`` is 0 there.  At a
+        switched pair ``v_sigma'(p) = F_sigma'(v_sigma')(p) >=
+        F_sigma'(v_sigma)(p) > v_sigma(p)``.  So the values strictly
+        rise, no strategy repeats, and there are finitely many."""
         inside = set(comp)
+        moves = {p: list(challenges(p)) for p in comp}
+        sigma: dict[tuple[StateTerm, StateTerm], int] = {}
+        plans: dict = {}  # per pair, its challenge's coupling or None
+
+        def improve(p, floor: Fraction) -> bool:
+            """Switch ``p`` to the challenge whose cheapest answer costs
+            most, where that is strictly above ``floor``."""
+            best = None
+            for i, (pi, answers) in enumerate(moves[p]):
+                if i != sigma.get(p):
+                    k, cells = cheapest(pi, answers, floor)
+                    if k > floor and (best is None or k > best[0]):
+                        best = (k, i, cells)
+            if best is not None:
+                _, sigma[p], plans[p] = best
+            return best is not None
+
+        def free(pi, pi2) -> bool:
+            """Some coupling of ``pi`` onto ``pi2`` keeps to the diagonal,
+            the pairs of ``zero`` and the settled pairs at 0."""
+            if pi == pi2:
+                return True
+            cost = [[Fraction(0) if x == y or (k := pair_key(x, y)) in zero
+                     or k not in inside and not memo[k] else Fraction(1)
+                     for y, _ in pi2] for x, _ in pi]
+            return not solve_transport(
+                cost, [q for _, q in pi], [q for _, q in pi2])[0]
 
         def row(cells) -> tuple[dict, Fraction]:
             """The linear equation of a coupling: the mass it puts on each
-            pair of the component, and the cost of the rest as a constant."""
+            pair of ``rest``, and the cost of the rest as a constant."""
             if cells is None:
                 return {}, Fraction(1)
             coeffs: dict[tuple[StateTerm, StateTerm], Fraction] = {}
@@ -353,63 +373,43 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             for x, y, m in cells:
                 if x != y:
                     k = pair_key(x, y)
-                    if k in inside:
+                    if k in rest:
                         coeffs[k] = coeffs.get(k, Fraction(0)) + m
                     else:
                         const += m * memo[k]
             return coeffs, const
 
-        def certified(values) -> bool:
-            memo.update(values)
-            optimal = {}
-            for p in comp:
-                worth = [(min((transport(pi, pi2)[0] for pi2 in answers),
-                              default=Fraction(1)), pi, answers)
-                         for pi, answers in challenges(p)]
-                if max((k for k, _, _ in worth),
-                       default=Fraction(0)) != values[p]:
-                    return False  # not a fixed point: check (i)
-                if values[p] > 0:
-                    optimal[p] = [(pi, answers) for k, pi, answers in worth
-                                  if k == values[p]]
-            # check (ii): shrink to the largest self-closed set
-            closed = set(optimal)
+        memo.update(dict.fromkeys(comp, Fraction(0)))
+        for p in comp:
+            improve(p, Fraction(-1))  # the challenge attaining ``settle``
+        zero = set(comp)
+        while True:
+            # The answerer's best response to ``sigma``.  ``zero`` only
+            # shrinks as the values grow, so it starts from the last one.
             shrinking = True
-            while closed and shrinking:
+            while shrinking:
                 shrinking = False
-                for p in list(closed):
-                    if not all(any(_transport_on(pair_key, closed, values,
-                                                 pi, pi2) == values[p]
-                                   for pi2 in answers)
-                               for pi, answers in optimal[p]):
-                        closed.discard(p)
+                for p in comp:
+                    pi, answers = moves[p][sigma[p]]
+                    if p in zero and not any(free(pi, pi2)
+                                             for pi2 in answers):
+                        zero.discard(p)
                         shrinking = True
-            return not closed
-
-        values = {p: Fraction(0) for p in comp}
-        policy: dict = {}
-        solved = None
-        for _ in range(max_iter):
-            memo.update(values)
-            policy = {p: step(p, policy.get(p)) for p in comp}
-            lower = {p: k for p, (k, _, _) in policy.items()}
-            if lower == values:
-                return  # a Kleene iterate from zero that is a fixed point
-            rows = {p: row(cells) for p, (_, _, cells) in policy.items()}
-            if rows != solved:
-                solved = rows
-                candidate = _least_solution(rows)
-                if certified(candidate):
-                    memo.update(candidate)
-                    return
-            values = lower
-        memo.update(values)
-        if mode == "exact":
-            raise NoConvergence(
-                f"distances on a cycle of {_count(len(comp), 'state pair')} "
-                f"still uncertified after {_count(max_iter, 'round')} "
-                f"(--max-iter {max_iter}); rerun in iterate mode for a "
-                f"lower bound")
+            memo.update(dict.fromkeys(zero, Fraction(0)))
+            rest = dict.fromkeys(p for p in comp if p not in zero)
+            improved = True
+            while improved:
+                memo.update(_solve({p: row(plans[p]) for p in rest}))
+                improved = False
+                for p in rest:
+                    pi, answers = moves[p][sigma[p]]
+                    k, cells = cheapest(pi, answers, Fraction(-1))
+                    if k < memo[p]:
+                        plans[p] = cells
+                        improved = True
+            switched = [p for p in comp if improve(p, memo[p])]
+            if not switched:
+                return
 
     for comp in strongly_connected_components([root], deps.__getitem__):
         if len(comp) == 1 and comp[0] not in deps[comp[0]]:
@@ -419,41 +419,11 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     return memo[root]
 
 
-def _count(n: int, noun: str) -> str:
-    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
-
-
-def _transport_on(pair_key, closed, values, pi: FiniteDistribution,
-                  pi2: FiniteDistribution) -> Fraction:
-    """Transport of ``pi`` onto ``pi2`` at cost ``values`` on the pairs of
-    ``closed`` and 2 on every other pair, the diagonal included: it equals
-    the transport under ``values`` exactly when some optimal coupling puts
-    all its mass on ``closed``."""
-    two = Fraction(2)
-    cost = [[values[k] if (k := pair_key(x, y)) in closed else two
-             for y, _ in pi2] for x, _ in pi]
-    return solve_transport(cost, [q for _, q in pi], [q for _, q in pi2])[0]
-
-
-def _least_solution(rows):
-    """Least non-negative solution of ``x[p] = sum(c * x[q]) + b``, one
-    equation ``({q: c}, b)`` per ``p``, the coefficients of each adding up
-    to at most 1.  A pair that cannot reach a positive constant along
-    positive coefficients gets 0.  On the others the matrix ``I - C`` is
-    non-singular (from each of them mass leaks out of the system), so they
-    are solved exactly by Gauss-Jordan elimination."""
-    users: dict = {p: [] for p in rows}
-    for p, (coeffs, _) in rows.items():
-        for q in coeffs:
-            users[q].append(p)
-    live = {p for p, (_, b) in rows.items() if b > 0}
-    todo = list(live)
-    while todo:
-        for p in users[todo.pop()]:
-            if p not in live:
-                live.add(p)
-                todo.append(p)
-    order = [p for p in rows if p in live]
+def _solve(rows):
+    """The solution of ``x[p] = sum(c * x[q]) + b``, one equation ``({q: c},
+    b)`` per ``p``, where ``I - C`` is non-singular, by exact Gauss-Jordan
+    elimination."""
+    order = list(rows)
     index = {p: i for i, p in enumerate(order)}
     n = len(order)
     matrix = []
@@ -462,8 +432,7 @@ def _least_solution(rows):
         line = [Fraction(0)] * (n + 1)
         line[i] = Fraction(1)
         for q, c in coeffs.items():
-            if q in index:
-                line[index[q]] -= c
+            line[index[q]] -= c
         line[n] = b
         matrix.append(line)
     for col in range(n):
@@ -477,5 +446,4 @@ def _least_solution(rows):
             factor = matrix[r][col]
             if r != col and factor:
                 matrix[r] = [e - factor * h for e, h in zip(matrix[r], head)]
-    return {p: matrix[index[p]][n] if p in index else Fraction(0)
-            for p in rows}
+    return {p: matrix[i][n] for i, p in enumerate(order)}

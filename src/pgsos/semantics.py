@@ -114,9 +114,6 @@ class ReachableFragment:
         """The largest distance of a state from the nearest root."""
         return max(self.depths.values(), default=0)
 
-    def der(self, t: StateTerm, action: str) -> tuple[FiniteDistribution, ...]:
-        return self.transitions.get(t, {}).get(action, ())
-
 
 DEFAULT_MAX_STATES = 4096
 ROOTS_CLOSED = "exploration needs closed roots"

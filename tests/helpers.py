@@ -228,8 +228,9 @@ def distance_step(doc, fragment, d):
                     for p1 in set1), default=Fraction(0))
 
     def pair(s, t):
-        return max((max(directed(fragment.der(s, a), fragment.der(t, a)),
-                        directed(fragment.der(t, a), fragment.der(s, a)))
+        moves_s, moves_t = fragment.transitions[s], fragment.transitions[t]
+        return max((max(directed(moves_s.get(a, ()), moves_t.get(a, ())),
+                        directed(moves_t.get(a, ()), moves_s.get(a, ())))
                     for a in doc.actions), default=Fraction(0))
 
     return {(s, t): pair(s, t)
@@ -264,8 +265,9 @@ def _moves(doc, fragment, s, t):
     the other side's answers to it."""
     for a in doc.actions:
         for mine, theirs in ((s, t), (t, s)):
-            for pi in fragment.der(mine, a):
-                yield list(pi), [list(pi2) for pi2 in fragment.der(theirs, a)]
+            for pi in fragment.transitions[mine].get(a, ()):
+                yield list(pi), [list(pi2) for pi2
+                                 in fragment.transitions[theirs].get(a, ())]
 
 
 def _vertex_couplings(pi, pi2):

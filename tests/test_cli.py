@@ -198,11 +198,11 @@ IPAR3 = "ipar(ipar(ipar({}, pa0), pa0), pa0)"
     ["denote", EXAMPLES, "bang(x1)"],
     ["bound", PA, "par(x, x)", "--dist", "x=1/10"],
     ["oracle", PA, "par(x, y)", "--samples", "60", "--seed", "5"],
-    # states, transitions and the rounds of a cyclic component follow the
+    # states, transitions and the strategies of a cyclic component follow the
     # order of derivation, never the hashes; text is sorted only to print
     ["explore", PA, IPAR3.format("pa0"), IPAR3.format("pb0")],
     ["transitions", EXAMPLES, "bang(aa0)"],
-    ["distance", LOOPS, "loop_1_2", "loop_4_5", "--max-iter", "1"],
+    ["distance", LOOPS, "choose_l", "choose_r"],
 ])
 def test_json_is_identical_across_hash_seeds(argv):
     outputs = []
@@ -324,36 +324,24 @@ def test_denotation_budget_refusal_exits_one(capsys):
 
 
 def test_cyclic_distance_answers_exactly(capsys):
-    # the Kleene iterates 1 - 2^-n never reach 1; both modes answer it
-    for mode in ("exact", "iterate"):
-        code, out, _ = run(capsys, "distance", LOOPS, "loop_all", "loop_1_2",
-                           "--mode", mode, "--max-iter", "11")
-        assert code == 0
-        assert out.strip() == "1"
+    # the Kleene iterates 1 - 2^-n never reach 1
+    code, out, _ = run(capsys, "distance", LOOPS, "loop_all", "loop_1_2")
+    assert (code, out.strip()) == (0, "1")
     code, out, _ = run(capsys, "distance", LOOPS, "loop_2_3", "loop_4_5")
     assert (code, out.strip()) == (0, "2/5")
 
 
-def test_cyclic_distance_budget_refusal_exits_one(tmp_path, capsys):
+def test_cyclic_distance_with_a_wrong_first_coupling(tmp_path, capsys):
     spec = tmp_path / "two_rounds.pgsos"
     spec.write_text(TWO_ROUNDS)
-    code, out, err = run(capsys, "distance", str(spec), "s0", "s1",
-                         "--max-iter", "1")
-    assert code == 1
-    assert out == ""
-    assert err == ("refused: distances on a cycle of 1 state pair still "
-                   "uncertified after 1 round (--max-iter 1); rerun in "
-                   "iterate mode for a lower bound\n")
-    code, out, _ = run(capsys, "distance", str(spec), "s0", "s1",
-                       "--max-iter", "2")
+    code, out, _ = run(capsys, "distance", str(spec), "s0", "s1")
     assert (code, out.strip()) == (0, "1/5")
 
 
-@pytest.mark.parametrize("command", ["distance", "denote", "bound",
-                                     "continuity"])
+@pytest.mark.parametrize("command", ["denote", "bound", "continuity"])
 @pytest.mark.parametrize("budget", ["0", "-3", "many"])
 def test_iteration_budget_must_be_a_positive_integer(capsys, command, budget):
-    positional = {"distance": ["aa0", "pa0"], "denote": ["par(x, x)"],
+    positional = {"denote": ["par(x, x)"],
                   "bound": ["par(x, x)", "--dist", "x=1/10"],
                   "continuity": []}[command]
     code, out, err = run(capsys, command, PA, *positional,

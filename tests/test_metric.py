@@ -11,7 +11,6 @@ import pytest
 
 from pgsos.errors import (
     ArityMismatch,
-    NoConvergence,
     OpenTermError,
     PairLimitExceeded,
     StateLimitExceeded,
@@ -334,21 +333,11 @@ def test_cyclic_chain_exact_mode_answers():
     doc = parse_spec(LOOPS)
     u, v = t(doc, "loop_all"), t(doc, "loop_half")
     # the Kleene iterates 1 - 2^-n never reach 1; the policy solve does
-    assert bisim_distance(doc, u, v, max_iter=50) == 1
-    assert bisim_distance(doc, u, v, max_iter=1) == 1
+    assert bisim_distance(doc, u, v) == 1
 
 
-def test_cyclic_chain_iterate_mode_underapproximates():
-    doc = parse_spec(LOOPS)
-    u, v = t(doc, "loop_all"), t(doc, "loop_half")
-    # iterate mode answers a lower bound; the first round's policy is
-    # already certified, so here it is the distance itself
-    got = bisim_distance(doc, u, v, mode="iterate", max_iter=10)
-    assert got == 1
-
-
-# The first round reads its coupling off the zero table, where moving
-# s1's mass onto s0 looks free; the certified answer needs a second round.
+# The first coupling is read off the zero table, where moving s1's mass
+# onto s0 looks free; the answerer's policy iteration has to switch it.
 TWO_ROUNDS = """
 actions a;
 op zero : 0;
@@ -363,32 +352,50 @@ rule:
 """
 
 
-def test_cyclic_round_budget_refuses_and_iterate_mode_bounds():
+def test_cyclic_pair_whose_first_coupling_is_wrong():
     doc = parse_spec(TWO_ROUNDS)
     u, v = t(doc, "s0"), t(doc, "s1")
-    with pytest.raises(NoConvergence):
-        bisim_distance(doc, u, v, max_iter=1)
-    assert bisim_distance(doc, u, v, max_iter=2) == F(1, 5)
-    assert bisim_distance(doc, u, v, mode="iterate", max_iter=1) <= F(1, 5)
+    assert bisim_distance(doc, u, v) == F(1, 5)
 
 
-def test_non_least_fixed_point_fails_the_closure_check(loops_doc,
-                                                       monkeypatch):
+# At 0 the challenge s0 --a--> zero is the costliest (3/5), but once it is
+# answered, s0's loop costs more: the challenger has to switch.
+SWITCH = """
+actions a;
+op zero : 0;
+op s0 : 0;
+op s1 : 0;
+rule:
+  ---
+  s0 --a--> 4/5*delta(s0) + 1/5*delta(s1)
+rule:
+  ---
+  s0 --a--> delta(zero)
+rule:
+  ---
+  s1 --a--> 3/5*delta(s1) + 2/5*delta(zero)
+"""
+
+
+def test_challenger_switches_from_its_first_challenge():
+    doc = parse_spec(SWITCH)
+    u, v = t(doc, "s0"), t(doc, "s1")
+    frag = explore_fragment(doc, [u, v])
+    assert bisim_distance(doc, u, v) == F(2, 3)
+    assert game_distance_bruteforce(doc, frag, u, v) == F(2, 3)
+
+
+def test_non_least_fixed_point_fails_the_closure_check(loops_doc):
     u, v = t(loops_doc, "choose_l"), t(loops_doc, "choose_r")
     frag = explore_fragment(loops_doc, [u, v])
-    # 1 on the pair is a fixed point too, so the sweep (check (i)) passes:
+    # 1 on the pair is a fixed point too:
     table = distance_table(loops_doc, frag)
     assert table[(u, v)] == F(1, 2)
     table[(u, v)] = table[(v, u)] = F(1)
     assert distance_step(loops_doc, frag, table) == table
-    # but the pair is closed under its optimal moves (check (ii)), so a
-    # policy solve that proposed it is refused, and the round budget runs
-    # out; the next round's Jacobi step settles at the least fixed point
-    monkeypatch.setattr(metric, "_least_solution",
-                        lambda rows: {p: F(1) for p in rows})
-    with pytest.raises(NoConvergence):
-        bisim_distance(loops_doc, u, v, max_iter=1)
-    assert bisim_distance(loops_doc, u, v, max_iter=2) == F(1, 2)
+    # but the answerer meets the looping challenge by looping, which keeps
+    # the pair closed at cost 0, so only the challenge that stops counts
+    assert bisim_distance(loops_doc, u, v) == F(1, 2)
 
 
 def test_cyclic_distances_match_the_game_bruteforce():

@@ -136,7 +136,7 @@ def test_explore_complete_fragment(pa_doc):
     # closure property: every support state is itself explored
     for s in frag.states:
         for a in pa_doc.actions:
-            for pi in frag.der(s, a):
+            for pi in frag.transitions[s].get(a, ()):
                 for target in pi.support():
                     assert target in frag.states
 
