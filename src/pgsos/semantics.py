@@ -4,7 +4,9 @@ Rules are applied bottom-up over the term's structure: to fire a rule for
 ``f(t_1, ..., t_n)`` the transitions of the arguments are derived first,
 positive premises pick one matching argument transition each, and a
 negative premise holds when the argument has no transition for the
-forbidden action.  Premises only ever test proper subterms, so the
+forbidden action.  The target is then instantiated straight into one
+distribution, its sources bound to the ``t_i`` and its derivatives to the
+picked distributions.  Premises only ever test proper subterms, so the
 derivation is well-founded and yields the unique supported model.
 """
 
@@ -16,9 +18,8 @@ from typing import Iterable
 
 from .errors import DepthLimitExceeded, OpenTermError, StateLimitExceeded
 from .frontend import SpecDocument
-from .terms import (Apply, FiniteDistribution, StateTerm, Var,
-                    check_arities, embed_distribution, eval_closed_dist,
-                    free_vars, substitute)
+from .terms import (Apply, FiniteDistribution, StateTerm, check_arities,
+                    free_vars, instantiate)
 
 Moves = tuple[tuple[str, FiniteDistribution], ...]
 
@@ -57,24 +58,15 @@ def _fire(doc: SpecDocument, t: Apply,
     and the arguments' transitions give them."""
     out: dict[tuple[str, FiniteDistribution], None] = {}
     for rule in doc.rules_for(t.op):
-        base: dict[Var, StateTerm] = dict(zip(rule.sources, t.args))
-        position = {x: i for i, x in enumerate(rule.sources)}
-        if any(any(a == n.action for a, _ in arg_transitions[position[n.source]])
-               for n in rule.neg):
+        moves = dict(zip(rule.sources, arg_transitions))
+        if any(a == n.action for n in rule.neg for a, _ in moves[n.source]):
             continue
-        choices = []
-        for p in rule.pos:
-            matching = [pi for a, pi in arg_transitions[position[p.source]]
-                        if a == p.action]
-            choices.append(matching)
-        if any(not c for c in choices):
-            continue
+        choices = [[pi for a, pi in moves[p.source] if a == p.action]
+                   for p in rule.pos]
+        states = dict(zip(rule.sources, t.args))
         for combo in itertools.product(*choices):
-            sigma = dict(base)
-            for p, pi in zip(rule.pos, combo):
-                sigma[p.derivative] = embed_distribution(pi)
-            closed_target = substitute(rule.target, sigma)
-            out[rule.action, eval_closed_dist(closed_target)] = None
+            dists = dict(zip(rule.derivatives(), combo))
+            out[rule.action, instantiate(rule.target, states, dists)] = None
     return tuple(out)
 
 

@@ -429,9 +429,6 @@ class FiniteDistribution:
                 return q
         return Fraction(0)
 
-    def is_dirac(self) -> bool:
-        return len(self._items) == 1
-
     def __iter__(self) -> Iterator[tuple[StateTerm, Fraction]]:
         return iter(self._items)
 
@@ -444,39 +441,48 @@ class FiniteDistribution:
                           sorted((format_term(t), q) for t, q in self._items))
 
 
-def eval_closed_dist(theta: DistTerm) -> FiniteDistribution:
-    """Evaluate a closed distribution term to its finite distribution.
+def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
+                dists: Mapping[DistVariable, FiniteDistribution]
+                ) -> FiniteDistribution:
+    """The distribution ``theta`` denotes with its state variables bound
+    by ``states`` and its distribution variables by ``dists``: ``delta(t)``
+    is the point mass at ``t`` instantiated, sums mix pointwise, and
+    ``f(th_1, ..., th_n)`` puts mass ``prod_i pi_i(t_i)`` on ``f(t_1, ...,
+    t_n)``.  A state reached twice is merged where it first occurs.
+    Raises :class:`ValueError` on an unbound distribution variable."""
+    if theta.__class__ is DistVariable and theta in dists:
+        return dists[theta]
+    return FiniteDistribution(tuple(_pairs(theta, states, dists)))
 
-    ``delta(t)`` is the point mass at ``t``; convex combinations mix
-    pointwise; an operator application distributes as the product lifting,
-    placing mass ``prod_i pi_i(t_i)`` on ``f(t_1, ..., t_n)``.
-    """
-    if isinstance(theta, DistVariable):
-        raise ValueError(f"distribution term is not closed: {theta.name}")
-    if isinstance(theta, InstDirac):
-        return FiniteDistribution.dirac(theta.term)
-    if isinstance(theta, ConvexSum):
-        pairs: list[tuple[StateTerm, Fraction]] = []
+
+def _pairs(theta, states, dists) -> Iterable[tuple[StateTerm, Fraction]]:
+    """The entries of :func:`instantiate`, each state once, summing to 1."""
+    cls = theta.__class__
+    if cls is DistVariable:
+        if theta not in dists:
+            raise ValueError(f"distribution term is not closed: {theta.name}")
+        return dists[theta]._items
+    if cls is InstDirac:
+        return ((substitute(theta.term, states), _ONE),)
+    if cls is ConvexSum:
+        merged: dict[StateTerm, Fraction] = {}
         for q, part in theta.parts:
-            for t, r in eval_closed_dist(part):
-                pairs.append((t, q * r))
-        return FiniteDistribution.from_pairs(pairs)
-    if isinstance(theta, DistApply):
-        arg_dists = [eval_closed_dist(a) for a in theta.args]
-        combos: list[tuple[tuple[StateTerm, ...], Fraction]] = [((), Fraction(1))]
-        for dist in arg_dists:
-            combos = [(prefix + (t,), q * r)
-                      for prefix, q in combos for t, r in dist]
-        return FiniteDistribution.from_pairs(
-            (Apply(theta.op, prefix), q) for prefix, q in combos)
+            pairs = _pairs(part, states, dists)
+            for t, r in pairs:
+                m = q * r if len(pairs) > 1 else q
+                merged[t] = merged[t] + m if t in merged else m
+        return merged.items()
+    if cls is DistApply:
+        combos = [((), _ONE)]
+        for arg in theta.args:
+            pairs = _pairs(arg, states, dists)
+            combos = [(prefix + (t,), q * r if len(pairs) > 1 else q)
+                      for prefix, q in combos for t, r in pairs]
+        return [(Apply(theta.op, prefix), q) for prefix, q in combos]
     raise TypeError(f"not a distribution term: {theta!r}")
 
 
-def embed_distribution(pi: FiniteDistribution) -> DistTerm:
-    """The distribution term denoting exactly ``pi``."""
-    if pi.is_dirac():
-        return InstDirac(pi.support()[0])
-    return convex_sum((q, InstDirac(t)) for t, q in pi)
+_ONE = Fraction(1)
 
 
 def check_arities(t: Term, sig: Signature) -> None:

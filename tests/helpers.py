@@ -21,6 +21,10 @@ fragments by enumerating the strategies of the bisimulation game.
 plain Jacobi iteration that steps every tracked entry on every round,
 without widening, sharing only the step clauses with ``lfp_denotations``.
 
+``round_trip`` is the reference for ``terms.instantiate``: it embeds each
+premise distribution back into syntax, substitutes that syntax into the
+rule target and evaluates the closed result node by node.
+
 The printers, ``is_closed`` and ``E_ZERO`` serve the tests alone.
 """
 
@@ -49,7 +53,19 @@ from pgsos.multiplicity import (
     mult,
 )
 from pgsos.semantics import derive_transitions
-from pgsos.terms import format_term, free_vars, state_var
+from pgsos.terms import (
+    Apply,
+    ConvexSum,
+    DistApply,
+    DistVariable,
+    FiniteDistribution,
+    InstDirac,
+    convex_sum,
+    format_term,
+    free_vars,
+    state_var,
+    substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +554,44 @@ rule forall c in ACT:
   ---
   dd(x1) --c--> d3(dup(m1))
 """
+
+
+# ---------------------------------------------------------------------------
+# Rule targets through syntax
+# ---------------------------------------------------------------------------
+
+def embed(pi):
+    """The distribution term denoting exactly ``pi``."""
+    if len(pi) == 1:
+        return InstDirac(pi.support()[0])
+    return convex_sum((q, InstDirac(t)) for t, q in pi)
+
+
+def eval_closed(theta):
+    """The distribution of a closed distribution term, built and validated
+    at every node."""
+    if isinstance(theta, DistVariable):
+        raise ValueError(f"distribution term is not closed: {theta.name}")
+    if isinstance(theta, InstDirac):
+        return FiniteDistribution.dirac(theta.term)
+    if isinstance(theta, ConvexSum):
+        return FiniteDistribution.from_pairs(
+            (t, q * r) for q, part in theta.parts for t, r in eval_closed(part))
+    assert isinstance(theta, DistApply)
+    combos = [((), Fraction(1))]
+    for dist in [eval_closed(a) for a in theta.args]:
+        combos = [(prefix + (t,), q * r) for prefix, q in combos
+                  for t, r in dist]
+    return FiniteDistribution.from_pairs(
+        (Apply(theta.op, prefix), q) for prefix, q in combos)
+
+
+def round_trip(theta, states, dists):
+    """``theta`` with ``states`` and the embedded ``dists`` substituted,
+    then evaluated: what ``instantiate(theta, states, dists)`` computes."""
+    sigma = dict(states)
+    sigma.update((x, embed(pi)) for x, pi in dists.items())
+    return eval_closed(substitute(theta, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,22 @@ def test_finite_copying_gets_the_exact_modulus(tmp_path, capsys, k):
         assert out.strip() == "612579511/1000000000"
 
 
+def test_rule_targets_200_deep_are_instantiated(tmp_path, capsys):
+    # dup's target alt(m1, alt(m1, ...)) nests alt 200 deep; the parser
+    # recurses on distribution terms, and 260 levels exceed its limit
+    spec = tmp_path / "dup.pgsos"
+    spec.write_text(dup_spec(201) + "op pa : 0;\nrule:\n  ---\n"
+                    "  pa --a--> delta(zero)\n")
+    code, _, _ = run(capsys, "check", str(spec))
+    assert code == 0
+    code, out, _ = run(capsys, "transitions", str(spec), "dup(pa)")
+    assert code == 0
+    assert out == "a --> 1*" + "alt(zero, " * 200 + "zero" + ")" * 200 + "\n"
+    code, out, _ = run(capsys, "continuity", str(spec))
+    assert code == 0
+    assert "copies bound: 201" in out
+
+
 def test_oracle_fixed_term(capsys):
     code, out, _ = run(capsys, "oracle", PA, "par(x, x)",
                        "--samples", "8", "--seed", "7")
@@ -387,6 +403,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ("denote_examples_bang", ["denote", EXAMPLES, "bang(x1)"]),
     ("denote_pa_par", ["denote", PA, "par(x, x)"]),
     ("bound_pa_par", ["bound", PA, "par(x, x)", "--dist", "x=1/10"]),
+    ("transitions_examples_bang", [
+        "transitions", EXAMPLES,
+        "bang(h_rep(f_alt(ppref_a_9_1(pref_a(zero), zero))))"]),
+    ("explore_pa_ipar", ["explore", PA, "ipar(ipar(ipar(pa0, pa0), pa0), pa0)"]),
+    ("oracle_pa", ["oracle", PA, "--samples", "60", "--seed", "7"]),
 ])
 def test_json_reports_match_golden_files(capsys, name, argv):
     code, out, _ = run(capsys, "--json", *argv)

@@ -1,6 +1,9 @@
 """Rule-driven transition derivation and reachable-fragment exploration."""
 
+import itertools
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -12,10 +15,11 @@ from pgsos.errors import (
     UndeclaredSymbol,
 )
 from pgsos.frontend import parse_spec, parse_term
+from pgsos.oracle import random_closed_term
 from pgsos.semantics import derive_transitions, explore_fragment
-from pgsos.terms import Apply, FiniteDistribution, Variable
+from pgsos.terms import Apply, FiniteDistribution, Variable, instantiate
 
-from helpers import enabled_actions
+from helpers import dup_spec, enabled_actions, random_cyclic_spec, round_trip
 
 F = Fraction
 
@@ -160,3 +164,89 @@ def test_depth_limit(pa_doc):
         explore_fragment(pa_doc, [t(pa_doc, "aa0")], max_depth=1)
     frag = explore_fragment(pa_doc, [t(pa_doc, "aa0")], max_depth=2)
     assert frag.depth == 2
+
+
+# -- rule targets are instantiated as the round trip through syntax --------
+
+# dup_spec has no process that moves; this constant gives dup, d3 and dd
+# two-point premises to copy
+MOVER = """op pa : 0;
+rule:
+  ---
+  pa --a--> 1/3*delta(pa) + 2/3*delta(zero)
+"""
+
+
+def _moves(doc, s):
+    """The transitions of ``s`` by action, in a fixed order."""
+    out = {}
+    for a, pi in sorted(derive_transitions(doc, s),
+                        key=lambda m: (m[0], str(m[1]))):
+        out.setdefault(a, []).append(pi)
+    return out
+
+
+def _instantiation_cases(doc, roots, rng, per_rule=6):
+    """``(rule, states, dists)`` for rules of ``doc`` with arguments drawn
+    from the roots and the states up to two steps from them, and premise
+    distributions taken from those arguments' derived transitions."""
+    pool = dict.fromkeys(roots)
+    for s in list(pool) * 2:
+        for pis in _moves(doc, s).values():
+            pool.update((u, None) for pi in pis for u in pi.support()
+                        if len(pool) < 300)
+    pool = list(pool)
+    for rule in doc.rules:
+        found = 0
+        for _ in range(100):
+            states = {x: rng.choice(pool) for x in rule.sources}
+            choices = [_moves(doc, states[p.source]).get(p.action, ())
+                       for p in rule.pos]
+            if not all(choices):
+                continue
+            for combo in itertools.islice(itertools.product(*choices), 4):
+                yield rule, states, dict(zip(rule.derivatives(), combo))
+            found += 1
+            if found == per_rule:
+                break
+
+
+def _load(name):
+    return parse_spec(resources.files("pgsos").joinpath("data", name)
+                      .read_bytes())
+
+
+def _small(doc, root):
+    try:
+        explore_fragment(doc, [root], max_states=200)
+    except StateLimitExceeded:
+        return False
+    return True
+
+
+def _instantiation_docs():
+    rng = random.Random(15)
+    yield "pa", _load("pa.pgsos"), None
+    yield "examples", _load("examples.pgsos"), None
+    yield "loops", _load("loops.pgsos"), None
+    yield "dup9", parse_spec(dup_spec(9) + MOVER), ["dd(pa)", "dup(pa)", "pa"]
+    for i in range(20):
+        text, names = random_cyclic_spec(rng)
+        yield f"cyclic{i}", parse_spec(text), names
+
+
+@pytest.mark.parametrize("name, doc, roots", [
+    pytest.param(*case, id=case[0]) for case in _instantiation_docs()])
+def test_instantiate_equals_the_round_trip_through_syntax(name, doc, roots):
+    rng = random.Random(name)
+    if roots is None:
+        roots = [r for r in (random_closed_term(rng, doc, 3)
+                             for _ in range(12)) if _small(doc, r)]
+    else:
+        roots = [t(doc, r) for r in roots]
+    fired = set()
+    for rule, states, dists in _instantiation_cases(doc, roots, rng):
+        pi = instantiate(rule.target, states, dists)
+        assert pi.items() == round_trip(rule.target, states, dists).items()
+        fired.add(rule)
+    assert fired == set(doc.rules)

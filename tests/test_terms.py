@@ -1,4 +1,4 @@
-"""Terms: construction, rendering, substitution, closed-distribution evaluation."""
+"""Terms: construction, rendering, substitution, instantiating distribution terms."""
 
 import copy
 import gc
@@ -23,16 +23,15 @@ from pgsos.terms import (
     Variable,
     check_arities,
     convex_sum,
-    embed_distribution,
-    eval_closed_dist,
     format_rational,
     format_term,
     free_vars,
+    instantiate,
     state_var,
     substitute,
 )
 
-from helpers import is_closed
+from helpers import embed, is_closed
 
 X = state_var("x")
 Y = state_var("y")
@@ -177,25 +176,52 @@ def test_finite_distribution_normalizes_and_checks_mass():
         FiniteDistribution(((ZERO, Fraction(1, 2)),))
 
 
-def test_eval_closed_dist_and_embedding_roundtrip():
+def test_instantiate_closed_and_embedding_roundtrip():
     theta = convex_sum([
         (Fraction(9, 10), InstDirac(A_ZERO)),
         (Fraction(1, 10), InstDirac(ZERO)),
     ])
-    pi = eval_closed_dist(theta)
-    assert pi.mass(A_ZERO) == Fraction(9, 10)
-    assert pi.mass(ZERO) == Fraction(1, 10)
-    assert eval_closed_dist(embed_distribution(pi)) == pi
+    pi = instantiate(theta, {}, {})
+    assert pi.items() == ((A_ZERO, Fraction(9, 10)), (ZERO, Fraction(1, 10)))
+    assert instantiate(embed(pi), {}, {}).items() == pi.items()
 
 
-def test_eval_closed_dist_merges_equal_targets():
+def test_instantiate_closed_merges_equal_targets():
     theta = convex_sum([
         (Fraction(1, 2), InstDirac(ZERO)),
         (Fraction(1, 2), convex_sum([(Fraction(1, 2), InstDirac(ZERO)),
                                      (Fraction(1, 2), InstDirac(A_ZERO))])),
     ])
-    pi = eval_closed_dist(theta)
-    assert pi.mass(ZERO) == Fraction(3, 4)
+    pi = instantiate(theta, {}, {})
+    assert pi.items() == ((ZERO, Fraction(3, 4)), (A_ZERO, Fraction(1, 4)))
+
+
+def test_instantiate_binds_sources_and_derivatives():
+    # par(mu, 1/2*delta(x) + 1/2*delta(y)) with x, y bound to states
+    # and mu to a two-point premise distribution
+    nu = DistVariable("nu")
+    pi = FiniteDistribution(((A_ZERO, Fraction(1, 3)), (ZERO, Fraction(2, 3))))
+    theta = DistApply("par", (MU, convex_sum([(Fraction(1, 2), InstDirac(X)),
+                                              (Fraction(1, 2), InstDirac(Y))])))
+    out = instantiate(theta, {X: ZERO, Y: ZERO}, {MU: pi})
+    assert out.items() == ((Apply("par", (A_ZERO, ZERO)), Fraction(1, 3)),
+                           (Apply("par", (ZERO, ZERO)), Fraction(2, 3)))
+    # a bare derivative is the premise distribution itself
+    assert instantiate(MU, {}, {MU: pi}) is pi
+    # delta of an open state term is instantiated through substitution
+    out = instantiate(InstDirac(Apply("a_pref", (X,))), {X: A_ZERO}, {nu: pi})
+    assert out == FiniteDistribution.dirac(Apply("a_pref", (A_ZERO,)))
+
+
+@pytest.mark.parametrize("theta", [
+    MU,
+    DistApply("par", (InstDirac(ZERO), MU)),
+    convex_sum([(Fraction(1, 2), InstDirac(ZERO)), (Fraction(1, 2), MU)]),
+])
+def test_instantiate_rejects_an_unbound_distribution_variable(theta):
+    other = DistVariable("other")
+    with pytest.raises(ValueError, match="not closed: mu"):
+        instantiate(theta, {}, {other: FiniteDistribution.dirac(ZERO)})
 
 
 def test_check_arities():
