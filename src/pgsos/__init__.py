@@ -26,7 +26,6 @@ from .errors import (
     ArityMismatch,
     DepthLimitExceeded,
     InputError,
-    IterationLimitExceeded,
     KindMismatch,
     OpenTermError,
     PairLimitExceeded,
@@ -86,5 +85,4 @@ __all__ = [
     "StateLimitExceeded",
     "DepthLimitExceeded",
     "PairLimitExceeded",
-    "IterationLimitExceeded",
 ]

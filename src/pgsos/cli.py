@@ -5,10 +5,11 @@ canonical JSON (rationals as ``p/q`` strings, infinite counts as
 ``"inf"``, keys sorted) and the default output is a human-readable view
 of the same data.  Exit codes: 0 on success (also when the reader closes
 stdout early), 1 when an analysis refuses to produce a trustworthy result
-(a state, depth or pair budget exceeded, denotations still changing after
-their round budget, every sample skipped), 2 for malformed specs, terms,
-or usage, 3 for an internal error (any other exception, reported with its
-traceback).  Distances are always exact; only the budgets refuse them.
+(a state, depth or pair budget exceeded, every sample skipped), 2 for
+malformed specs, terms, or usage, 3 for an internal error (any other
+exception, reported with its traceback).  Distances are always exact and
+only the budgets refuse them; denotations always end, flagged where they
+over-approximate.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_denote(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
     t = parse_term(args.term, doc)
-    den = lfp_denotations(doc, max_iterations=args.max_iter)
+    den = lfp_denotations(doc)
     gs = den.genset(t)
     flags = {"widened": den.widened,
              "over_approximated": den.over_approximated}
@@ -210,7 +211,8 @@ def cmd_denote(args: argparse.Namespace) -> int:
     if den.widened:
         human += "\n(widened: some counts were promoted to inf)"
     if den.over_approximated:
-        human += "\n(over-approximated: a non-Dirac supremum was involved)"
+        human += ("\n(over-approximated: an upper bound of the least "
+                  "fixed point)")
     emit(args, "denote", doc, {"term": format_term(t)},
          {"denotation": str(gs),
           "generators": [str(p) for p in gs]},
@@ -224,7 +226,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     e = parse_dist(args.dist)
     missing = [v.name for v in sorted(free_vars(t), key=lambda v: v.name)
                if e.get(v) == 0 and isinstance(v, Variable)]
-    den = lfp_denotations(doc, max_iterations=args.max_iter)
+    den = lfp_denotations(doc)
     value = da(den.genset(t), e)
     flags = {"widened": den.widened,
              "over_approximated": den.over_approximated,
@@ -258,15 +260,12 @@ def _report_text(r: cont.ContinuityReport) -> str:
 def cmd_continuity(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
     if args.op is not None:
-        # an unknown operator is bad input even where the fixpoint refuses
-        doc.signature.arity(args.op)
+        doc.signature.arity(args.op)  # an unknown operator is bad input
         ops = [args.op]
     else:
         ops = [op for op, _ in doc.signature.operators]
-    den = lfp_denotations(doc, max_iterations=args.max_iter)
-    reports = [cont.is_uniformly_continuous(doc, op,
-                                            max_iterations=args.max_iter)
-               for op in ops]
+    den = lfp_denotations(doc)
+    reports = [cont.is_uniformly_continuous(doc, op) for op in ops]
     emit(args, "continuity", doc, {"operator": args.op},
          {"reports": [_report_dict(r) for r in reports]},
          {"widened": den.widened,
@@ -358,19 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("denote", cmd_denote, "denotation of an open term")
     p.add_argument("term")
-    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("bound", cmd_bound,
             "distance bound for instances of an open term")
     p.add_argument("term")
     p.add_argument("--dist", required=True,
                    help="per-variable distances, e.g. x=1/10,y=1/5")
-    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("continuity", cmd_continuity,
             "uniform-continuity reports for operators")
     p.add_argument("op", nargs="?", default=None)
-    p.add_argument("--max-iter", type=int_at_least(1), default=64)
 
     p = add("check-modulus", cmd_check_modulus,
             "check a user-supplied modulus against an operator")

@@ -95,8 +95,7 @@ class ContinuityReport:
     annotation: str | None
 
 
-def is_uniformly_continuous(doc: SpecDocument, op: str, *,
-                            max_iterations: int = 64) -> ContinuityReport:
+def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
     """Decide the sufficient condition: the operator's denotation lies
     below a single uniform copy bound ``n`` on its arguments.
 
@@ -107,7 +106,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
     coefficients had to be over-approximated.  The coefficients are the
     argument positions' expected copy-counts in the weighted supremum.
     """
-    den = lfp_denotations(doc, max_iterations=max_iterations)
+    den = lfp_denotations(doc)
     generic, sources = generic_application(doc, op)
     gens = tuple(den.genset(generic))
 
@@ -151,7 +150,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str, *,
         if widened_relevant and den.over_approximated:
             annotation = ("no finite copy bound was found: the infinite "
                           "count was widened in a fixed point that "
-                          "over-approximates a non-Dirac supremum, so the "
+                          "over-approximates the least one, so the "
                           "operator may still be uniformly continuous")
         elif infinite_vars:
             annotation = ("contexts can spawn unboundedly many copies of "

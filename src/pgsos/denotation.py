@@ -8,14 +8,16 @@ target, which applies operators whose denotations come from their rules —
 so both are computed together as the least fixed point of a joint step
 function, solved one strongly connected component of the dependency graph
 at a time (see :func:`lfp_denotations`): an entry on no cycle is stepped
-once, and a count that a cycle pumps for ever is promoted to ``INF``.
+once, a count that a cycle pumps for ever is promoted to ``INF``, and a
+cycle whose masses move for ever is replaced by a checked post-fixed
+point.
 
 Operators applied to distribution terms are coarsened to a single
 generator: the least probabilistic multiplicity covering every rule of the
 operator, further raised by one copy of each source variable the rule
 tests, because testing a distribution's states discriminates them as
-effectively as running one copy (toggle ``reactive_testing`` to reproduce
-the unsound bound without that correction).
+effectively as running one copy; without that correction the bound is
+unsound.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import IterationLimitExceeded
 from .frontend import Rule, SpecDocument
 from .graphs import strongly_connected_components
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
-                           ext_leq, genset_equiv, genset_normalize, m_scale,
+                           ext_leq, genset_equiv, genset_leq,
+                           genset_normalize, m_scale,
                            m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
 from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
@@ -175,51 +177,33 @@ class _StepContext:
 
     def __init__(self, doc: SpecDocument,
                  rules_by_op: Mapping[str, tuple[Rule, ...]],
-                 rho: Mapping[Rule, GenSet], reactive_testing: bool,
+                 rho: Mapping[Rule, GenSet],
                  lookup: Callable[[Term], GenSet]):
         self.doc = doc
         self.rules_by_op = rules_by_op
         self.rho = rho
-        self.reactive_testing = reactive_testing
         self.lookup = lookup
         self.over_approximated = False
         self._state_cache: dict[str, GenSet] = {}
         self._dist_cache: dict[str, GenSet] = {}
 
     def rho_state(self, op: str) -> GenSet:
-        cached = self._state_cache.get(op)
-        if cached is not None:
-            return cached
-        rules = self.rules_by_op.get(op, ())
-        if not rules:
-            result = D_ZERO
-        else:
-            result = genset_normalize(p for r in rules for p in self.rho[r])
-        self._state_cache[op] = result
-        return result
+        if op not in self._state_cache:
+            rules = self.rules_by_op.get(op, ())
+            self._state_cache[op] = genset_normalize(
+                p for r in rules for p in self.rho[r]) if rules else D_ZERO
+        return self._state_cache[op]
 
     def rho_dist(self, op: str) -> GenSet:
-        cached = self._dist_cache.get(op)
-        if cached is not None:
-            return cached
-        rules = self.rules_by_op.get(op, ())
-        if not rules:
-            result = D_ZERO
-        else:
-            per_rule = []
-            for r in rules:
-                gens = tuple(self.rho[r])
-                if not sup_is_exact(gens):
-                    self.over_approximated = True
-                s_r = sup_approx(gens)
-                if self.reactive_testing:
-                    tested = ProbMultiplicity.dirac(unit(*sorted(
-                        r.tested_sources(), key=lambda v: v.name)))
-                    s_r = sup_approx((s_r, tested))
-                per_rule.append(s_r)
-            result = GenSet((sup_approx(per_rule),))
-        self._dist_cache[op] = result
-        return result
+        if op not in self._dist_cache:
+            rules = self.rules_by_op.get(op, ())
+            gens = [p for r in rules for p in self.rho[r]]
+            self.over_approximated |= not sup_is_exact(gens)
+            tested = [ProbMultiplicity.dirac(unit(*r.tested_sources()))
+                      for r in rules]
+            self._dist_cache[op] = GenSet(
+                (sup_approx(gens + tested),)) if rules else D_ZERO
+        return self._dist_cache[op]
 
     def term_step(self, t: Term) -> GenSet:
         if isinstance(t, (Variable, DistVariable)):
@@ -262,7 +246,6 @@ class Denotations:
     """
 
     doc: SpecDocument
-    reactive_testing: bool
     tau: dict[Term, GenSet]
     rho: dict[Rule, GenSet]
     rules_by_op: dict[str, tuple[Rule, ...]]
@@ -273,7 +256,6 @@ class Denotations:
 
     def __post_init__(self) -> None:
         self._step = _StepContext(self.doc, self.rules_by_op, self.rho,
-                                  self.reactive_testing,
                                   self._memo.__getitem__)
 
     @property
@@ -313,8 +295,12 @@ def _widen(gs: GenSet, xs: set[Var]) -> GenSet:
         for m, q in p) for p in gs)
 
 
-def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
-                    reactive_testing: bool = True) -> Denotations:
+def _inf_on(xs) -> GenSet:
+    """The point mass at INF on every variable of ``xs``."""
+    return GenSet((ProbMultiplicity.dirac(mult({x: INF for x in xs})),))
+
+
+def lfp_denotations(doc: SpecDocument) -> Denotations:
     """Compute the joint least fixed point of the term and rule clauses.
 
     Entries are the canonical rules, their targets with all subterms and
@@ -327,6 +313,10 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
     the number of pairs (entry of ``C``, variable) with a positive count so
     far: in a round after round ``P``, a variable whose largest expected
     count at an entry still grows is promoted to ``INF`` there for good.
+    Such a round that promotes no new pair but still changes ``C`` jumps
+    instead: each entry becomes the point mass at ``INF`` on the variables
+    its iterates touched, and these count as widened and the result as
+    over-approximated.
 
     This pumping test fires exactly on the counts that plain iteration
     never settles.  On largest expected counts, each clause is a maximum
@@ -346,17 +336,38 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
     bound counts pairs, not entries: a rule that permutes its variables
     carries a count round its cycle once per variable before it settles.
 
-    A component still changing after ``max_iterations`` rounds raises
-    :class:`IterationLimitExceeded`, naming its operators.  The budget never
-    changes the answer: the result is kept in the document's
-    ``"fixpoints"`` memo table for every equal document and flag, and a
-    budget below its ``iterations`` is refused.
+    The jump, too, fires only where plain iteration never settles.  If a
+    count of ``C`` was promoted, it grows for ever, as above.  Otherwise
+    mass moved in round ``k > P``.  On masses the clauses are again sums
+    and products with positive coefficients, so the mass round ``k`` puts
+    on a multiplicity is the weight of its derivations of height at most
+    ``k``.  A node holding no positive count can be cut to a leaf of the
+    zero start, so the lowest derivation of the moved mass has a path of
+    ``k`` entries that hold a positive count.  At most ``P`` entries do,
+    so the path repeats one, and inserting the loop once more moves mass
+    again in a later round, and so on for ever.  Such limits, like the
+    least root of ``q = 1/3 + 2/3*q**2`` for the rule
+    ``p(x1) --a--> 1/3*delta(x1) + 2/3*delta(p(p(x1)))``, are irrational
+    in general (Etessami & Yannakakis, JACM 2009).
+
+    The point ``v`` is a post-fixed point, ``F(v) <= v``, so it lies above
+    the least fixed point (Park induction).  Whether a step gives an entry
+    a positive count of a variable depends only on the variables its
+    inputs touch: weights are positive, copies of a generator touch its
+    variables, and normalising drops only generators below kept ones,
+    which touch their variables too.  A new pair is a count that grows,
+    so the round that jumps added none: the touched sets are at their
+    fixed point, and a step from ``v`` stays below it.  ``genset_leq``
+    checks that exactly, also under ``python -O``: a failure is a bug.
+
+    The rounds end: pairs are finitely many, so from some round on every
+    round is past ``P`` and settles ``C``, promotes a new pair or jumps.
+    The result is kept in the document's ``"fixpoints"`` memo table.
     """
     memo = doc.memo("fixpoints")
-    cached = memo.get(reactive_testing)
-    if cached is not None and cached.iterations <= max_iterations:
+    cached = memo.get("denotations")
+    if cached is not None:
         return cached
-    # over the budget, solving again stops where a first solve would
     rules = tuple(canonical_rule(r) for r in doc.rules)
     rules_by_op: dict[str, tuple[Rule, ...]] = {}
     for r in rules:
@@ -376,8 +387,7 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
     # entries share a context: an operator's rules are final before any
     # entry that summarises it is stepped.
     value: dict[object, GenSet] = dict.fromkeys(inputs, D_ZERO)
-    acyclic = _StepContext(doc, rules_by_op, value, reactive_testing,
-                           value.__getitem__)
+    acyclic = _StepContext(doc, rules_by_op, value, value.__getitem__)
     over_approx = False
     widened_vars: set[Var] = set()
     iterations = 1
@@ -392,9 +402,8 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
             continue
         measures: dict[object, dict[Var, object]] = {e: {} for e in comp}
         forced: dict[object, set[Var]] = {e: set() for e in comp}
-        for n in range(1, max_iterations + 1):
-            ctx = _StepContext(doc, rules_by_op, value, reactive_testing,
-                               value.__getitem__)
+        for n in itertools.count(1):
+            ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
             new = {e: step(ctx, e) for e in comp}
             over_approx = over_approx or ctx.over_approximated
             grown: dict[object, list[Var]] = {}
@@ -404,6 +413,7 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
                             if not ext_leq(v, measures[e].get(x, 0))]
                 measures[e] = measure
             pumping = n > sum(map(len, measures.values()))
+            promotes = any(not forced[e].issuperset(grown[e]) for e in comp)
             for e in comp:
                 if pumping:
                     forced[e].update(grown[e])
@@ -411,21 +421,28 @@ def lfp_denotations(doc: SpecDocument, *, max_iterations: int = 64,
                 if forced[e]:
                     new[e] = _widen(new[e], forced[e])
             settled = all(genset_equiv(gs, value[e]) for e, gs in new.items())
+            if pumping and not promotes and not settled:
+                # only masses still move: jump to the point at INF
+                forced = {e: set(measures[e]) for e in comp}
+                value.update((e, _inf_on(forced[e])) for e in comp)
+                ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
+                if not all(genset_leq(step(ctx, e), value[e]) for e in comp):
+                    ops = sorted({e.op for e in comp if hasattr(e, "op")})
+                    raise RuntimeError(
+                        f"denotations of {', '.join(ops)}: the point at inf "
+                        f"is not a post-fixed point")
+                over_approx = True
+                break
             value.update(new)
             if settled:
                 break
-        else:
-            ops = sorted({e.op for e in comp if hasattr(e, "op")})
-            raise IterationLimitExceeded(
-                f"denotations of {', '.join(ops)} still changing after "
-                f"{max_iterations} rounds (--max-iter {max_iterations})")
         iterations = max(iterations, n)
         widened_vars.update(*forced.values())
 
-    den = memo[reactive_testing] = Denotations(
-        doc, reactive_testing, {t: value[t] for t in tracked},
-        {r: value[r] for r in rules}, rules_by_op, iterations,
-        frozenset(widened_vars), over_approx or acyclic.over_approximated)
+    den = memo["denotations"] = Denotations(
+        doc, {t: value[t] for t in tracked}, {r: value[r] for r in rules},
+        rules_by_op, iterations, frozenset(widened_vars),
+        over_approx or acyclic.over_approximated)
     return den
 
 

@@ -7,9 +7,9 @@ Two families matter for the CLI exit-code contract:
   The CLI maps these to exit code 2.
 * ``AnalysisRefusal`` — the inputs were fine but the requested analysis
   cannot be completed honestly (a state, depth or pair budget exceeded,
-  denotations still changing after their round budget, every oracle
-  sample skipped).  Exit code 1.  Exploration either closes the reachable states or refuses, so
-  no analysis ever runs on a truncated state space.
+  every oracle sample skipped).  Exit code 1.  Exploration either closes
+  the reachable states or refuses, so no analysis ever runs on a
+  truncated state space.
 
 Everything else propagating out of the library is a plain bug, including
 :class:`OracleViolation`.
@@ -91,10 +91,6 @@ class DepthLimitExceeded(AnalysisRefusal):
 
 class PairLimitExceeded(AnalysisRefusal):
     """The distance computation depends on more state pairs than budgeted."""
-
-
-class IterationLimitExceeded(AnalysisRefusal):
-    """Denotation iteration still growing at the configured limit."""
 
 
 class AllSamplesSkipped(AnalysisRefusal):

@@ -763,7 +763,12 @@ def parse_spec(data: bytes | str) -> SpecDocument:
 def parse_spec_raw(data: bytes | str) -> RawDocument:
     if isinstance(data, bytes):
         digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise SpecSyntaxError(
+                f"spec is not UTF-8 at byte offset {err.start} "
+                f"({data[err.start]:#04x}): {err.reason}") from None
     else:
         digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
         text = data

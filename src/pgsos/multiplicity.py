@@ -10,8 +10,7 @@ spawns ``m(x)`` copies of an argument at distance ``e(x)`` can tell the two
 instances apart with probability at most ``1 - prod_x (1-e(x))**m(x)``.
 
 The probabilistic order ``p_leq`` is decided exactly by rational linear
-feasibility; the witness couplings it produces are reused by the tests to
-certify monotonicity claims independently of the decision procedure.
+feasibility.
 """
 
 from __future__ import annotations
@@ -312,10 +311,8 @@ def process_distance(entries: Mapping[Var, Fraction] | Iterable[tuple[Var, Fract
 # The probabilistic order, decided by exact linear feasibility
 # ---------------------------------------------------------------------------
 
-def p_leq_witness(p1: ProbMultiplicity, p2: ProbMultiplicity,
-                  ) -> tuple[bool, dict[tuple[Multiplicity, Multiplicity], Fraction] | None]:
-    """Decide ``p1 <= p2`` in the probabilistic order and, when it holds,
-    return a witness coupling.
+def p_leq(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
+    """Decide ``p1 <= p2`` in the probabilistic order.
 
     The order asks for a coupling ``w`` with marginals ``p1`` and ``p2``
     such that, for every column ``m`` of ``p2`` and every variable ``x``
@@ -325,39 +322,31 @@ def p_leq_witness(p1: ProbMultiplicity, p2: ProbMultiplicity,
     ``x``.  This is a rational feasibility problem.
     """
     if p1 == p2:
-        return True, {(m, m): q for m, q in p1}
+        return True
     if p1.is_dirac() and p2.is_dirac():
-        m1, m2 = p1.support()[0], p2.support()[0]
-        if m1.pointwise_leq(m2):
-            return True, {(m1, m2): Fraction(1)}
-        return False, None
+        return p1.support()[0].pointwise_leq(p2.support()[0])
     if p2.is_dirac():
         # a single column: the coupling is forced and the column condition
         # is the expectation bound per variable
         m2 = p2.support()[0]
         w = weighting_of(p1)
-        for x in set(w.vars()) | set(m2.vars()):
-            if not ext_leq(w.get(x), m2.get(x)):
-                return False, None
-        return True, {(m1, m2): q1 for m1, q1 in p1}
+        return all(ext_leq(w.get(x), m2.get(x))
+                   for x in set(w.vars()) | set(m2.vars()))
     if p1.is_dirac():
         # a single row: every column receives only m1, whose conditional
         # weighting is m1 itself
         m1 = p1.support()[0]
-        if all(m1.pointwise_leq(m2) for m2 in p2.support()):
-            return True, {(m1, m2): q2 for m2, q2 in p2}
-        return False, None
+        return all(m1.pointwise_leq(m2) for m2 in p2.support())
     return _p_leq_lp(p1, p2)
 
 
-def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity,
-              ) -> tuple[bool, dict[tuple[Multiplicity, Multiplicity], Fraction] | None]:
+def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
     rows = p1.support()
     cols = p2.support()
     pairs = [(i, j) for i, m1 in enumerate(rows) for j, m2 in enumerate(cols)
              if all(m2.get(x) is INF for x, n in m1.entries if n is INF)]
     if not pairs:
-        return False, None
+        return False
     index = {pair: k for k, pair in enumerate(pairs)}
     nvars = len(pairs)
     zero_row = [Fraction(0)] * nvars
@@ -398,17 +387,10 @@ def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity,
                 b_ub.append(Fraction(0))
 
     try:
-        _, x = simplex_min([Fraction(0)] * nvars, a_eq, b_eq, a_ub, b_ub)
+        simplex_min([Fraction(0)] * nvars, a_eq, b_eq, a_ub, b_ub)
     except Infeasible:
-        return False, None
-    plan = {(rows[i], cols[j]): x[index[(i, j)]]
-            for (i, j) in pairs if x[index[(i, j)]] > 0}
-    return True, plan
-
-
-def p_leq(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
-    ok, _ = p_leq_witness(p1, p2)
-    return ok
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ fragments by enumerating the strategies of the bisimulation game.
 ``jacobi_denotations`` is the reference for the denotation fixpoint: the
 plain Jacobi iteration that steps every tracked entry on every round,
 without widening, sharing only the step clauses with ``lfp_denotations``.
+``UnsoundStep`` is the step clauses without the one copy that testing a
+distribution argument costs; ``unsound_denotations`` runs
+``lfp_denotations`` with it, so that tests can show that the bound this
+leaves is unsound, and both Jacobi helpers take it as their ``context``.
 
 ``round_trip`` is the reference for ``terms.instantiate``: it embeds each
 premise distribution back into syntax, substitutes that syntax into the
@@ -30,27 +34,33 @@ The printers, ``is_closed`` and ``E_ZERO`` serve the tests alone.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+from pgsos import denotation
 from pgsos.denotation import (
     Denotations,
     _StepContext,
     canonical_rule,
     generic_application,
+    lfp_denotations,
     subterms,
 )
-from pgsos.errors import IterationLimitExceeded
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
+    GenSet,
     Multiplicity,
     ProbMultiplicity,
     ProcessDistance,
     genset_equiv,
     mult,
+    sup_approx,
+    sup_is_exact,
 )
 from pgsos.semantics import derive_transitions
 from pgsos.terms import (
@@ -431,12 +441,34 @@ def check_pseudometric(d, states):
 # The denotation fixpoint by plain Jacobi iteration
 # ---------------------------------------------------------------------------
 
-def jacobi_iterates(doc, *, reactive_testing=True):
+class UnsoundStep(_StepContext):
+    """The step clauses with an operator's distribution-level summary not
+    raised by the sources its rules test: the unsound bound."""
+
+    def rho_dist(self, op):
+        rules = self.rules_by_op.get(op, ())
+        gens = [p for r in rules for p in self.rho[r]]
+        self.over_approximated |= not sup_is_exact(gens)
+        return GenSet((sup_approx(gens),)) if rules else D_ZERO
+
+
+def unsound_denotations(doc) -> Denotations:
+    """``lfp_denotations(doc)`` computed and queried with
+    :class:`UnsoundStep`, in a memo table of its own: the document's
+    fixpoint is neither read nor replaced."""
+    private = dataclasses.replace(doc)
+    private.__dict__["_memo_tables"] = {}
+    with mock.patch.object(denotation, "_StepContext", UnsoundStep):
+        return lfp_denotations(private)
+
+
+def jacobi_iterates(doc, context=_StepContext):
     """Plain Jacobi iteration of the joint step function, without
     widening: from the zero denotation, every tracked entry is stepped from
-    the previous iterate in every round.  Yields ``(tau, rho, flag)`` after
-    each round, ``flag`` telling whether a non-Dirac supremum was
-    over-approximated in that round.  Bypasses the document's memo table."""
+    the previous iterate in every round, by the clauses of ``context`` (a
+    ``_StepContext`` class).  Yields ``(tau, rho, flag)`` after each round,
+    ``flag`` telling whether a non-Dirac supremum was over-approximated in
+    that round.  Bypasses the document's memo table."""
     rules = tuple(canonical_rule(r) for r in doc.rules)
     rules_by_op = {}
     for r in rules:
@@ -455,20 +487,19 @@ def jacobi_iterates(doc, *, reactive_testing=True):
     tau = {t: D_ZERO for t in tracked}
     rho = {r: D_ZERO for r in rules}
     while True:
-        ctx = _StepContext(doc, rules_by_op, rho, reactive_testing,
-                           tau.__getitem__)
+        ctx = context(doc, rules_by_op, rho, tau.__getitem__)
         tau = {t: ctx.term_step(t) for t in tracked}
         rho = {r: ctx.rule_step(r) for r in rules}
         yield tau, rho, ctx.over_approximated
 
 
-def jacobi_denotations(doc, max_iterations=300, *,
-                       reactive_testing=True) -> Denotations:
+def jacobi_denotations(doc, max_iterations=300,
+                       context=_StepContext) -> Denotations:
     """The joint least fixed point by :func:`jacobi_iterates`, stopping
     when a round leaves every entry equivalent; raises
-    :class:`IterationLimitExceeded` after ``max_iterations`` rounds."""
+    :class:`AssertionError` after ``max_iterations`` rounds."""
     tau, rho, over_approx = {}, {}, False
-    iterates = jacobi_iterates(doc, reactive_testing=reactive_testing)
+    iterates = jacobi_iterates(doc, context)
     for n, (tau2, rho2, flag) in enumerate(iterates, start=1):
         over_approx = over_approx or flag
         settled = (tau2.keys() == tau.keys()
@@ -478,13 +509,13 @@ def jacobi_denotations(doc, max_iterations=300, *,
         if settled:
             break
         if n == max_iterations:
-            raise IterationLimitExceeded(
+            raise AssertionError(
                 f"denotations still changing after {n} rounds")
     rules_by_op = {}
     for r in rho:
         rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
-    return Denotations(doc, reactive_testing, tau, rho, rules_by_op, n,
-                       frozenset(), over_approx)
+    return Denotations(doc, tau, rho, rules_by_op, n, frozenset(),
+                       over_approx)
 
 
 def random_cyclic_spec(rng: random.Random) -> tuple[str, list[str]]:

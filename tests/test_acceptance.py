@@ -57,6 +57,7 @@ from helpers import (
     random_distance,
     random_prob_multiplicity,
     transport_bruteforce,
+    unsound_denotations,
 )
 
 F = Fraction
@@ -160,7 +161,7 @@ def test_criterion_06_reactive_testing_correction(examples_doc):
     assert bound == F(1, 10)
     assert exact <= bound
 
-    off = lfp_denotations(examples_doc, reactive_testing=False)
+    off = unsound_denotations(examples_doc)
     unsound = da(off.genset(t(examples_doc, "f_test(x)")), e)
     assert unsound == 0
     assert exact > unsound  # the disabled correction really is unsound

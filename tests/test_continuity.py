@@ -198,7 +198,7 @@ def test_widening_an_over_approximated_fixpoint_hedges_the_annotation():
                               "unbounded growth chain")
     assert report.annotation == (
         "no finite copy bound was found: the infinite count was widened in "
-        "a fixed point that over-approximates a non-Dirac supremum, so the "
+        "a fixed point that over-approximates the least one, so the "
         "operator may still be uniformly continuous")
     spawn = is_uniformly_continuous(
         parse_spec(WIDENING_SPECS["spawn_duplicate"]), "spawn")

@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from pgsos import frontend
+from pgsos import denotation, frontend
 from pgsos.continuity import is_uniformly_continuous
 from pgsos.denotation import (
     Denotations,
@@ -27,7 +27,7 @@ from pgsos.denotation import (
     power_sum,
     subterms,
 )
-from pgsos.errors import ArityMismatch, IterationLimitExceeded
+from pgsos.errors import ArityMismatch
 from pgsos.frontend import parse_spec, parse_term
 from pgsos.metric import bisim_distance
 from pgsos.multiplicity import (
@@ -38,6 +38,7 @@ from pgsos.multiplicity import (
     GenSet,
     ProbMultiplicity,
     genset_equiv,
+    genset_leq,
     genset_normalize,
     mult,
     process_distance,
@@ -54,7 +55,8 @@ from pgsos.terms import (
     state_var,
 )
 
-from helpers import dup_spec, jacobi_denotations, jacobi_iterates
+from helpers import (UnsoundStep, dup_spec, jacobi_denotations,
+                     jacobi_iterates, unsound_denotations)
 
 F = Fraction
 X = state_var("x")
@@ -192,25 +194,6 @@ def test_replication_widens_to_infinity(examples_doc):
     assert not den.over_approximated
 
 
-def test_iteration_budget_refusal(monkeypatch):
-    # a fresh memo, so the first refusal comes from the iteration itself
-    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
-    data = resources.files("pgsos").joinpath(
-        "data", "examples.pgsos").read_bytes()
-    doc = parse_spec(data)
-    message = ("denotations of bang, ipar still changing after 3 rounds "
-               "(--max-iter 3)")
-    with pytest.raises(IterationLimitExceeded) as err:
-        lfp_denotations(doc, max_iterations=3)
-    assert str(err.value) == message
-    # the budget does not change the answer, but a cached fixpoint that
-    # took more rounds than the budget is refused the same way
-    assert lfp_denotations(doc).iterations > 3
-    with pytest.raises(IterationLimitExceeded) as err:
-        lfp_denotations(doc, max_iterations=3)
-    assert str(err.value) == message
-
-
 def test_equal_documents_share_one_fixpoint():
     data = resources.files("pgsos").joinpath("data", "pa.pgsos").read_bytes()
     first, again = parse_spec(data), parse_spec(data)
@@ -247,8 +230,9 @@ def test_reactive_testing_of_distribution_arguments(examples_doc):
     mu_term = DistApply("g_test", (MU,))
     gs = den.genset(mu_term)
     assert weighting_of(list(gs)[0]).get(MU) == 1
-    off = lfp_denotations(examples_doc, reactive_testing=False)
+    off = unsound_denotations(examples_doc)
     assert genset_equiv(off.genset(mu_term), D_ZERO)
+    assert lfp_denotations(examples_doc) is den
 
 
 def test_convex_sum_denotation(pa_doc):
@@ -311,9 +295,10 @@ rule forall c in ACT:
   ipar(x1, x2) --c--> ipar(delta(x1), m2)
 """
 
-# Each widens under reactive testing; together they cover spawning,
-# replication, duplication of a derivative and testing, and both values of
-# the over-approximation flag.
+# Each widens; together they cover spawning, replication, duplication of a
+# derivative and testing, both values of the over-approximation flag, and
+# probabilistic recursion, whose masses move for ever once the counts are
+# promoted, so that the component ends at the point mass at inf.
 WIDENING_SPECS = {
     # spawns a copy of a duplicating operator at every step
     "spawn_duplicate": _BASE + """op dup : 1;
@@ -360,6 +345,24 @@ rule:
   x1 --a--> m1
   ---
   tst(x1) --b--> 1/2*m1 + 1/2*delta(zero)
+""",
+    # the mass of {x1:1} at p(x1) climbs to the least root of
+    # q = 1/3 + 2/3*q^2, which is 1/2, only in the limit
+    "grow": """actions a;
+op z : 0;
+op p : 1;
+rule:
+  ---
+  p(x1) --a--> 1/3*delta(x1) + 2/3*delta(p(p(x1)))
+""",
+    # the same with a premise: the derivative d1 sits in the component
+    "grow_premise": """actions a;
+op z : 0;
+op p : 1;
+rule:
+  x1 --a--> m1
+  ---
+  p(x1) --a--> 1/3*m1 + 2/3*delta(p(p(x1)))
 """,
 }
 
@@ -409,36 +412,49 @@ def spec_doc(spec, pa_doc, examples_doc):
         {**WIDENING_SPECS, **DUP_SPECS, **PERMUTING_SPECS}[spec])
 
 
-@pytest.mark.parametrize("reactive_testing", [True, False])
+# ``sound`` False runs the fixpoint and plain iteration with the unsound
+# clauses of ``helpers.UnsoundStep``: the solver must agree with plain
+# iteration whatever the step function
+@pytest.mark.parametrize("sound", [True, False])
 @pytest.mark.parametrize("spec", ["pa", "examples", *WIDENING_SPECS,
                                   *DUP_SPECS, *PERMUTING_SPECS])
-def test_fixpoint_matches_plain_jacobi_iteration(spec, reactive_testing,
+def test_fixpoint_matches_plain_jacobi_iteration(spec, sound,
                                                  pa_doc, examples_doc):
     doc = spec_doc(spec, pa_doc, examples_doc)
-    den = lfp_denotations(doc, reactive_testing=reactive_testing)
-    if spec in WIDENING_SPECS and reactive_testing:
+    den = lfp_denotations(doc) if sound else unsound_denotations(doc)
+    context = _StepContext if sound else UnsoundStep
+    if spec in WIDENING_SPECS and sound:
         assert den.widened
     if spec in PERMUTING_SPECS:
         assert not den.widened
     if not den.widened:
         # plain iteration settles: the result is its fixed point, entry
         # for entry
-        ref = jacobi_denotations(doc, 300, reactive_testing=reactive_testing)
+        ref = jacobi_denotations(doc, 300, context)
         assert list(den.tau.items()) == list(ref.tau.items())
         assert list(den.rho.items()) == list(ref.rho.items())
         assert den.over_approximated == ref.over_approximated
         return
-    # plain iteration never settles (past 20 rounds it slows to a crawl):
-    # every count that pumping promoted is still growing there
+    # plain iteration never settles (past 20 rounds it slows to a crawl)
     widened = [(e, x) for table in (den.tau, den.rho)
                for e, gs in table.items()
                for x, v in _measure(gs).items() if v is INF]
     assert widened
-    rounds = list(itertools.islice(
-        jacobi_iterates(doc, reactive_testing=reactive_testing), 20))
+    rounds = list(itertools.islice(jacobi_iterates(doc, context), 20))
+
+    def values(e):
+        return [rho[e] if e in rho else tau[e] for tau, rho, _ in rounds]
+
+    if spec in ("grow", "grow_premise"):
+        # the component ended at the point at inf: the masses of each of
+        # its entries still move
+        assert den.over_approximated
+        for e in {e for e, _ in widened}:
+            assert not genset_equiv(values(e)[-1], values(e)[-6]), e
+        return
+    # every count that pumping promoted is still growing there
     for e, x in widened:
-        counts = [_measure(rho[e] if e in rho else tau[e]).get(x, 0)
-                  for tau, rho, _ in rounds]
+        counts = [_measure(gs).get(x, 0) for gs in values(e)]
         assert counts[-1] > counts[-5], (e, x, counts)
 
 
@@ -505,11 +521,40 @@ def test_operators_reaching_no_cycle_get_finite_coefficients(
         assert all(c is not INF for c in modulus.coefficients), (op, modulus)
 
 
+def test_probabilistic_recursion_ends_at_a_checked_post_fixed_point(
+        monkeypatch):
+    # a fresh memo, so the fixpoint is computed here and not found
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    checks = []
+
+    def leq(g1, g2):
+        checks.append((g1, g2))
+        return genset_leq(g1, g2)
+
+    monkeypatch.setattr(denotation, "genset_leq", leq)
+    doc = parse_spec(WIDENING_SPECS["grow"])
+    den = lfp_denotations(doc)
+    assert den.genset(t(doc, "p(x)")) == dirac_gs(mult({X: INF}))
+    assert den.widened_vars == {X1}
+    assert den.over_approximated
+    # one check per entry of the component, each of a step from the point
+    # against the point
+    assert len(checks) == 5
+    assert all(g2 == dirac_gs(mult({X1: INF})) for _, g2 in checks)
+    # a failed check is a bug, raised as such, never an answer
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    monkeypatch.setattr(denotation, "genset_leq", lambda g1, g2: False)
+    with pytest.raises(RuntimeError, match="denotations of p: the point at "
+                                           "inf is not a post-fixed point"):
+        lfp_denotations(parse_spec(WIDENING_SPECS["grow"]))
+
+
 def test_widening_specs_raise_and_clear_the_over_approximation_flag():
     flags = {name: lfp_denotations(parse_spec(text)).over_approximated
              for name, text in WIDENING_SPECS.items()}
     assert flags == {"spawn_duplicate": False, "replicate_test": True,
-                     "probabilistic_spawn": True}
+                     "probabilistic_spawn": True, "grow": True,
+                     "grow_premise": True}
 
 
 def test_each_acyclic_entry_is_stepped_once(monkeypatch):

@@ -31,7 +31,6 @@ from pgsos.multiplicity import (
     m_sum,
     mult,
     p_leq,
-    p_leq_witness,
     p_sum,
     pda,
     process_distance,
@@ -137,19 +136,6 @@ def test_p_leq_split_mass_against_dirac():
     one = ProbMultiplicity.dirac(unit(X))
     assert p_leq(p, one)
     assert not p_leq(one, p)
-
-
-def test_p_leq_witness_is_a_coupling():
-    p1, p2 = degraded_pair(random.Random(5))
-    ok, w = p_leq_witness(p1, p2)
-    assert ok and w is not None
-    row = {}
-    col = {}
-    for (m1, m2), q in w.items():
-        row[m1] = row.get(m1, F(0)) + q
-        col[m2] = col.get(m2, F(0)) + q
-    assert row == {m: q for m, q in p1 if q > 0}
-    assert col == {m: q for m, q in p2 if q > 0}
 
 
 def test_p_leq_reflexive_randomized():

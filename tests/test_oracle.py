@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from pgsos.denotation import lfp_denotations
 from pgsos.errors import AllSamplesSkipped, OracleViolation
 from pgsos.frontend import parse_term
 from pgsos.oracle import (
@@ -27,7 +26,7 @@ from pgsos.oracle import (
 )
 from pgsos.terms import free_vars, state_var
 
-from helpers import is_closed
+from helpers import is_closed, unsound_denotations
 
 F = Fraction
 X = state_var("x")
@@ -117,7 +116,7 @@ def test_unsound_denotations_are_caught(examples_doc):
     sound = evaluate_sample(examples_doc, term, s1, s2)
     assert isinstance(sound, SampleResult)
     assert sound.exact == F(1, 10) and sound.bound == F(1, 10)
-    unsound = lfp_denotations(examples_doc, reactive_testing=False)
+    unsound = unsound_denotations(examples_doc)
     with pytest.raises(OracleViolation) as err:
         evaluate_sample(examples_doc, term, s1, s2, denotations=unsound)
     assert "exceeds bound" in str(err.value)
