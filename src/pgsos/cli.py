@@ -15,6 +15,7 @@ over-approximate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -320,7 +321,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; :func:`main` runs each
+    command as the ``cmd_`` function of its name, looked up at that time."""
     parser = argparse.ArgumentParser(
         prog="pgsos",
         description="Exact bisimulation distances, denotations and "
@@ -330,52 +334,46 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, fn, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
         p.add_argument("spec", help="path to a specification file")
         return p
 
-    add("check", cmd_check, "parse and validate a specification")
+    add("check", "parse and validate a specification")
 
-    p = add("transitions", cmd_transitions,
-            "derived transitions of a closed term")
+    p = add("transitions", "derived transitions of a closed term")
     p.add_argument("term")
 
-    p = add("explore", cmd_explore, "reachable fragment of closed terms")
+    p = add("explore", "reachable fragment of closed terms")
     p.add_argument("terms", nargs="+")
     p.add_argument("--max-states", type=int_at_least(1),
                    default=DEFAULT_MAX_STATES)
     p.add_argument("--max-depth", type=int_at_least(0), default=None)
 
-    p = add("distance", cmd_distance,
-            "exact behavioural distance of two closed terms")
+    p = add("distance", "exact behavioural distance of two closed terms")
     p.add_argument("term1")
     p.add_argument("term2")
     p.add_argument("--max-states", type=int_at_least(1),
                    default=DEFAULT_MAX_STATES)
 
-    p = add("denote", cmd_denote, "denotation of an open term")
+    p = add("denote", "denotation of an open term")
     p.add_argument("term")
 
-    p = add("bound", cmd_bound,
-            "distance bound for instances of an open term")
+    p = add("bound", "distance bound for instances of an open term")
     p.add_argument("term")
     p.add_argument("--dist", required=True,
                    help="per-variable distances, e.g. x=1/10,y=1/5")
 
-    p = add("continuity", cmd_continuity,
-            "uniform-continuity reports for operators")
+    p = add("continuity", "uniform-continuity reports for operators")
     p.add_argument("op", nargs="?", default=None)
 
-    p = add("check-modulus", cmd_check_modulus,
+    p = add("check-modulus",
             "check a user-supplied modulus against an operator")
     p.add_argument("op")
     p.add_argument("--z", required=True,
                    help="capped linear modulus, e.g. '1/2*e1 + e2'")
 
-    p = add("oracle", cmd_oracle,
-            "randomized exact-vs-bound comparison")
+    p = add("oracle", "randomized exact-vs-bound comparison")
     p.add_argument("term", nargs="?", default=None)
     p.add_argument("--samples", type=int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -392,7 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.fn(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -171,8 +171,8 @@ class _StepContext:
     ``lookup`` gives the denotation of an immediate subterm: the fixpoint
     reads its table of tracked entries; a query reads the memo that
     :meth:`Denotations.genset` fills innermost first.
-    An operator's summary is memoised when first asked for, so its rules'
-    entries in ``rho`` must not change for the context's lifetime.
+    An operator's summary is memoised when first asked for: whoever
+    changes its rules' entries in ``rho`` calls :meth:`forget` on it.
     """
 
     def __init__(self, doc: SpecDocument,
@@ -186,6 +186,10 @@ class _StepContext:
         self.over_approximated = False
         self._state_cache: dict[str, GenSet] = {}
         self._dist_cache: dict[str, GenSet] = {}
+
+    def forget(self, op: str) -> None:
+        self._state_cache.pop(op, None)
+        self._dist_cache.pop(op, None)
 
     def rho_state(self, op: str) -> GenSet:
         if op not in self._state_cache:
@@ -309,7 +313,11 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
     its target.  The strongly connected components of this graph are
     solved inputs first.  An entry on no cycle is stepped once.  A cyclic
     component ``C`` is iterated in rounds from zero, each entry stepped
-    from the previous round, until a round changes nothing.  Let ``P`` be
+    from the previous round, until a round changes nothing.  A round
+    after the first steps only the entries with an input that the previous
+    round changed: a step reads only its inputs, so any other entry would
+    get its last value again, grow no count and change no flag (semi-naive
+    evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).  Let ``P`` be
     the number of pairs (entry of ``C``, variable) with a positive count so
     far: in a round after round ``P``, a variable whose largest expected
     count at an entry still grows is promoted to ``INF`` there for good.
@@ -383,29 +391,37 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
         if isinstance(t, (Apply, DistApply)):
             inputs[t] += rules_by_op.get(t.op, ())
 
-    # One table serves as ``rho`` and ``lookup`` alike.  The acyclic
-    # entries share a context: an operator's rules are final before any
-    # entry that summarises it is stepped.
+    # One table serves as ``rho`` and ``lookup`` alike, and one context
+    # steps every entry: it forgets an operator's summaries whenever a
+    # value of its rules changes.
     value: dict[object, GenSet] = dict.fromkeys(inputs, D_ZERO)
-    acyclic = _StepContext(doc, rules_by_op, value, value.__getitem__)
+    ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
     over_approx = False
     widened_vars: set[Var] = set()
     iterations = 1
 
-    def step(ctx: _StepContext, e: object) -> GenSet:
+    def step(e: object) -> GenSet:
         return ctx.rule_step(e) if isinstance(e, Rule) else ctx.term_step(e)
+
+    def write(updates: Mapping[object, GenSet]) -> set:
+        changed = {e for e, gs in updates.items() if gs != value[e]}
+        value.update(updates)
+        for op in {e.op for e in changed if isinstance(e, Rule)}:
+            ctx.forget(op)
+        return changed
 
     for comp in strongly_connected_components([*tracked, *rules],
                                               inputs.__getitem__):
         if len(comp) == 1 and comp[0] not in inputs[comp[0]]:
-            value[comp[0]] = step(acyclic, comp[0])
+            value[comp[0]] = step(comp[0])
             continue
         measures: dict[object, dict[Var, object]] = {e: {} for e in comp}
         forced: dict[object, set[Var]] = {e: set() for e in comp}
+        changed = set(comp)
         for n in itertools.count(1):
-            ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
-            new = {e: step(ctx, e) for e in comp}
-            over_approx = over_approx or ctx.over_approximated
+            # an entry none of whose inputs changed keeps its value
+            new = {e: step(e) for e in comp
+                   if not changed.isdisjoint(inputs[e])}
             grown: dict[object, list[Var]] = {}
             for e, gs in new.items():
                 measure = _measure(gs)
@@ -413,8 +429,8 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
                             if not ext_leq(v, measures[e].get(x, 0))]
                 measures[e] = measure
             pumping = n > sum(map(len, measures.values()))
-            promotes = any(not forced[e].issuperset(grown[e]) for e in comp)
-            for e in comp:
+            promotes = any(not forced[e].issuperset(grown[e]) for e in new)
+            for e in new:
                 if pumping:
                     forced[e].update(grown[e])
                 # pumped for good: a step from unpumped inputs would undo it
@@ -424,16 +440,15 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
             if pumping and not promotes and not settled:
                 # only masses still move: jump to the point at INF
                 forced = {e: set(measures[e]) for e in comp}
-                value.update((e, _inf_on(forced[e])) for e in comp)
-                ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
-                if not all(genset_leq(step(ctx, e), value[e]) for e in comp):
+                write({e: _inf_on(forced[e]) for e in comp})
+                if not all(genset_leq(step(e), value[e]) for e in comp):
                     ops = sorted({e.op for e in comp if hasattr(e, "op")})
                     raise RuntimeError(
                         f"denotations of {', '.join(ops)}: the point at inf "
                         f"is not a post-fixed point")
                 over_approx = True
                 break
-            value.update(new)
+            changed = write(new)
             if settled:
                 break
         iterations = max(iterations, n)
@@ -442,7 +457,7 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
     den = memo["denotations"] = Denotations(
         doc, {t: value[t] for t in tracked}, {r: value[r] for r in rules},
         rules_by_op, iterations, frozenset(widened_vars),
-        over_approx or acyclic.over_approximated)
+        over_approx or ctx.over_approximated)
     return den
 
 

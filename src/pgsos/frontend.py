@@ -38,7 +38,8 @@ from typing import Mapping, NamedTuple, Sequence, Union
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
 from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
-                    Signature, StateTerm, Variable, convex_sum, free_vars)
+                    Signature, StateTerm, Variable, _rebuild, _stored_hash,
+                    convex_sum, free_vars)
 
 
 class EmptyExpansion(UserWarning):
@@ -70,6 +71,12 @@ class Rule:
     neg: tuple[NegPremise, ...]
     action: str
     target: DistTerm
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.op, self.sources,
+                           self.pos, self.neg, self.action, self.target)))
+
+    __hash__, __reduce__ = _stored_hash, _rebuild
 
     def derivatives(self) -> tuple[DistVariable, ...]:
         return tuple(p.derivative for p in self.pos)
@@ -259,7 +266,7 @@ class Token(NamedTuple):
     col: int
 
 
-_PUNCT = ";,(){}=:|&\\+*"
+_PUNCT = ";,(){}=:|&\\+*/"
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -309,13 +316,13 @@ def _tokenize(text: str) -> list[Token]:
                 else:
                     raise SpecSyntaxError("stray '-'", line, start_col)
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int and Fraction read
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             toks.append(Token("number", text[i:j], line, start_col))
             col += j - i
@@ -328,11 +335,6 @@ def _tokenize(text: str) -> list[Token]:
             toks.append(Token("ident", text[i:j], line, start_col))
             col += j - i
             i = j
-            continue
-        if ch == "/":
-            toks.append(Token("slash", "/", line, start_col))
-            i += 1
-            col += 1
             continue
         if ch in _PUNCT:
             toks.append(Token(ch, ch, line, start_col))
@@ -419,7 +421,7 @@ class _Parser:
                     raise self.error(f"operator {name!r} declared twice")
                 self.expect(":")
                 arity_tok = self.expect("number", "arity")
-                if not arity_tok.text.isdigit():
+                if not arity_tok.text.isdecimal():
                     raise self.error("arity must be a natural number", arity_tok)
                 self.expect(";")
                 ops.append((name, int(arity_tok.text)))
@@ -599,68 +601,78 @@ class _Parser:
                                    f"(line {tok.line})")
         self.expect("(")
 
-    def _dist_application(self, tok: Token, env: _TermEnv) -> DistApply:
-        self._open_application(tok, env)
-        args: list[DistTerm] = []
-        if self.peek().kind != ")":
-            while True:
-                args.append(self._dist_term(env))
-                if self.peek().kind != ",":
-                    break
-                self.next()
-        self.expect(")")
-        _check_arity(tok, env, len(args))
-        return DistApply(tok.text, tuple(args))
-
     def _dist_term(self, env: _TermEnv) -> DistTerm:
-        first = self._dist_summand(env)
-        if first[0] is None:
-            if self.peek().kind == "+":
-                raise self.error("summands of a convex combination need "
-                                 "explicit weights like 1/2*...")
-            return first[1]
-        parts = [first]
-        while self.peek().kind == "+":
-            self.next()
-            parts.append(self._dist_summand(env))
-        weighted = []
-        for q, theta in parts:
-            if q is None:
-                raise self.error("summands of a convex combination need "
-                                 "explicit weights like 1/2*...")
-            weighted.append((q, theta))
-        if len(weighted) == 1:
-            [(q, theta)] = weighted
-            if q != 1:
+        """A distribution term, parsed like :meth:`_state_term` on an
+        explicit stack.  A frame is an open group or application: its
+        opening token (``None`` at the top), the weight of the summand it
+        stands in, its arguments so far and the summands of its open sum."""
+        frames: list = [(None, None, [], [])]
+        while True:
+            q = None
+            if self.peek().kind == "number":
+                q = self._rational()
+                self.expect("*", "'*' after a weight")
+            if self.peek().kind == "(":
+                frames.append((self.next(), q, [], []))
+                continue
+            tok = self.expect("ident", "a distribution term")
+            if tok.text == "delta" or self.peek().kind != "(":
+                theta = self._dist_leaf(tok, env)
+            else:
+                self._open_application(tok, env)
+                if self.peek().kind != ")":
+                    frames.append((tok, q, [], []))
+                    continue
+                self.next()
+                _check_arity(tok, env, 0)
+                theta = DistApply(tok.text)
+            # close every group and application this summand completes
+            while True:
+                opening, weight, args, parts = frames[-1]
+                parts.append((q, theta))
+                if self.peek().kind == "+":
+                    if q is None and len(parts) == 1:
+                        raise self.error("summands of a convex combination "
+                                         "need explicit weights like 1/2*...")
+                    self.next()
+                    break
+                theta = self._sum(parts)
+                if opening is None:
+                    return theta
+                args.append(theta)  # a group's one term, or an argument
+                parts.clear()
+                if opening.kind == "ident" and self.peek().kind == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                frames.pop()
+                if opening.kind == "ident":
+                    _check_arity(opening, env, len(args))
+                    theta = DistApply(opening.text, tuple(args))
+                q = weight
+
+    def _sum(self, parts: list) -> DistTerm:
+        """The term of the summands ``parts``, at least one."""
+        if len(parts) == 1:
+            [(q, theta)] = parts
+            if q is not None and q != 1:
                 raise self.error(f"convex weights sum to {q}, expected 1")
             return theta
+        if any(q is None for q, _ in parts):
+            raise self.error("summands of a convex combination need "
+                             "explicit weights like 1/2*...")
         try:
-            return convex_sum(weighted)
+            return convex_sum(parts)
         except ValueError as exc:
             raise self.error(str(exc))
 
-    def _dist_summand(self, env: _TermEnv) -> tuple[Fraction | None, DistTerm]:
-        if self.peek().kind == "number":
-            q = self._rational()
-            self.expect("*", "'*' after a weight")
-            return q, self._dist_factor(env)
-        return None, self._dist_factor(env)
-
-    def _dist_factor(self, env: _TermEnv) -> DistTerm:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            inner = self._dist_term(env)
-            self.expect(")")
-            return inner
-        tok = self.expect("ident", "a distribution term")
+    def _dist_leaf(self, tok: Token, env: _TermEnv) -> DistTerm:
+        """The point mass ``delta(t)`` or the name ``tok`` as a term."""
         if tok.text == "delta":
             self.expect("(")
             inner = self._state_term(env)
             self.expect(")")
             return InstDirac(inner)
-        if self.peek().kind == "(":
-            return self._dist_application(tok, env)
         name = tok.text
         if name in env.dist_vars:
             return DistVariable(name)
@@ -681,7 +693,7 @@ class _Parser:
 
     def _rational(self) -> Fraction:
         tok = self.expect("number")
-        if self.peek().kind == "slash":
+        if self.peek().kind == "/":
             self.next()
             denom = self.expect("number", "denominator")
             if "." in tok.text or "." in denom.text:

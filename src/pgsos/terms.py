@@ -14,7 +14,7 @@ the package is tolerance-free.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from typing import ClassVar, Iterable, Iterator, Mapping, Union
 from weakref import WeakValueDictionary
@@ -53,6 +53,18 @@ class Signature:
 
     def has_operator(self, symbol: str) -> bool:
         return any(sym == symbol for sym, _ in self.operators)
+
+
+def _stored_hash(self) -> int:
+    """The hash a frozen dataclass computes, stored at construction from
+    the parts' stored hashes: a deep value hashes without recursion."""
+    return self._hash
+
+
+def _rebuild(self) -> tuple:
+    # the stored hash holds only in this process (string hashing is
+    # salted), so a copied or unpickled value computes its own
+    return (self.__class__, tuple(getattr(self, f.name) for f in fields(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +122,7 @@ class Apply:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _stored_hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -153,6 +164,11 @@ class InstDirac:
 
     term: StateTerm
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.term,)))
+
+    __hash__, __reduce__ = _stored_hash, _rebuild
+
 
 @dataclass(frozen=True, eq=False)
 class ConvexSum:
@@ -174,8 +190,7 @@ class ConvexSum:
                 and {t: q for q, t in self.parts}
                 == {t: q for q, t in other.parts})
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.parts))
+    __hash__, __reduce__ = _stored_hash, _rebuild
 
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
@@ -187,12 +202,18 @@ class ConvexSum:
             total += q
         if total != 1:
             raise ValueError(f"convex weights sum to {total}, expected 1")
+        object.__setattr__(self, "_hash", hash(frozenset(self.parts)))
 
 
 @dataclass(frozen=True)
 class DistApply:
     op: str
     args: tuple["DistTerm", ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.op, self.args)))
+
+    __hash__, __reduce__ = _stored_hash, _rebuild
 
 
 DistTerm = Union[DistVariable, InstDirac, ConvexSum, DistApply]
@@ -397,13 +418,7 @@ class FiniteDistribution:
                 and len(self._items) == len(other._items)
                 and dict(self._items) == dict(other._items))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # the stored hash holds only in this process (string hashing is
-        # salted), so an unpickled distribution computes its own
-        return (FiniteDistribution, (self._items,))
+    __hash__, __reduce__ = _stored_hash, _rebuild
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[StateTerm, Fraction]]) -> "FiniteDistribution":

@@ -177,8 +177,7 @@ def test_finite_copying_gets_the_exact_modulus(tmp_path, capsys, k):
 
 
 def test_rule_targets_200_deep_are_instantiated(tmp_path, capsys):
-    # dup's target alt(m1, alt(m1, ...)) nests alt 200 deep; the parser
-    # recurses on distribution terms, and 260 levels exceed its limit
+    # dup's target alt(m1, alt(m1, ...)) nests alt 200 deep
     spec = tmp_path / "dup.pgsos"
     spec.write_text(dup_spec(201) + "op pa : 0;\nrule:\n  ---\n"
                     "  pa --a--> delta(zero)\n")
@@ -190,6 +189,16 @@ def test_rule_targets_200_deep_are_instantiated(tmp_path, capsys):
     code, out, _ = run(capsys, "continuity", str(spec))
     assert code == 0
     assert "copies bound: 201" in out
+
+
+def test_rule_targets_1000_deep_are_parsed(tmp_path, capsys):
+    # distribution terms are parsed on an explicit stack, not by recursion
+    spec = tmp_path / "dup.pgsos"
+    spec.write_text(dup_spec(1000) + "op pa : 0;\nrule:\n  ---\n"
+                    "  pa --a--> delta(zero)\n")
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, err) == (0, "")
+    assert out.startswith("ok: 6 operators")
 
 
 def test_oracle_fixed_term(capsys):
@@ -281,6 +290,19 @@ def test_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: spec is not UTF-8 at byte offset 0 (0xff): "
                    "invalid start byte\n")
+
+
+@pytest.mark.parametrize("text", [
+    "actions a;\nop f : \u00b2;\n",
+    "actions a;\nop f : 1;\nrule:\n  ---\n  f(x1) --a--> \u00b2*delta(x1)\n",
+])
+def test_digits_int_cannot_read_are_a_syntax_error(tmp_path, capsys, text):
+    # a superscript two is a digit to str.isdigit, but not a decimal
+    spec = tmp_path / "sup.pgsos"
+    spec.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, out) == (2, "")
+    assert "unexpected character '\u00b2'" in err
 
 
 def test_bad_term_is_an_input_error(capsys):
@@ -416,6 +438,9 @@ GOLDEN = Path(__file__).parent / "golden"
         "bang(h_rep(f_alt(ppref_a_9_1(pref_a(zero), zero))))"]),
     ("explore_pa_ipar", ["explore", PA, "ipar(ipar(ipar(pa0, pa0), pa0), pa0)"]),
     ("oracle_pa", ["oracle", PA, "--samples", "60", "--seed", "7"]),
+    # benchmark/inputs.generated_spec(random.Random(0), 40), drawn after
+    # sizes 6, 14 and 24: recursive operators whose counts are widened
+    ("continuity_gen40", ["continuity", str(GOLDEN / "gen40.pgsos")]),
 ])
 def test_json_reports_match_golden_files(capsys, name, argv):
     code, out, _ = run(capsys, "--json", *argv)

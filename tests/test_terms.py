@@ -2,8 +2,11 @@
 
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -163,6 +166,58 @@ def test_deep_terms_are_hashed_and_compared_without_recursion():
     del first, second
     gc.collect()
     assert root() is None
+
+
+def test_deep_distribution_terms_are_hashed_without_recursion():
+    # each node stores its hash at construction, from its arguments' ones
+    theta = DistVariable("m1")
+    for _ in range(2000):
+        theta = DistApply("alt", (DistVariable("m1"), theta))
+    assert hash(theta) == hash(("alt", theta.args))
+    assert {theta: 1}[theta] == 1
+
+
+# Values that store their hash, built the same way in every process.
+STORED_HASH_VALUES = """
+from fractions import Fraction
+from pgsos.frontend import parse_spec
+from pgsos.terms import *
+zero = Apply("zero")
+spec = parse_spec("actions a; op zero : 0; op f : 1; rule: x1 --a--> m1 ---"
+                  " f(x1) --a--> 1/3*delta(x1) + 2/3*f(m1)")
+values = [DistApply("f", (InstDirac(zero),)), InstDirac(Apply("f", (zero,))),
+          convex_sum([(Fraction(1, 3), InstDirac(zero)),
+                      (Fraction(2, 3), DistVariable("m1"))]),
+          FiniteDistribution.dirac(zero), *spec.rules]
+"""
+
+
+def test_stored_hashes_are_recomputed_in_copies_and_other_processes():
+    namespace = {}
+    exec(STORED_HASH_VALUES, namespace)
+    for value in namespace["values"]:
+        for twin in (copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and hash(twin) == hash(value)
+
+    def python(seed, code, stdin=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", STORED_HASH_VALUES + code],
+                              input=stdin, env=env, capture_output=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    blob = python("1", "import pickle, sys\n"
+                       "sys.stdout.buffer.write(pickle.dumps(values))")
+    # under another salt, each unpickled value hashes as a fresh one does
+    assert python("2", "import pickle, sys\n"
+                       "twins = pickle.loads(sys.stdin.buffer.read())\n"
+                       "assert twins == values\n"
+                       "assert [hash(t) for t in twins] == "
+                       "[hash(v) for v in values]\n"
+                       "assert all(t in set(values) for t in twins)\n"
+                       "print(len(twins))", blob) == b"5\n"
 
 
 def test_finite_distribution_normalizes_and_checks_mass():
