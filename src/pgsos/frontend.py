@@ -38,8 +38,8 @@ from typing import Mapping, NamedTuple, Sequence, Union
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
 from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
-                    Signature, StateTerm, Variable, _rebuild, _stored_hash,
-                    convex_sum, free_vars)
+                    Signature, StateTerm, Variable, _Node, convex_sum,
+                    free_vars)
 
 
 class EmptyExpansion(UserWarning):
@@ -61,22 +61,16 @@ class NegPremise(NamedTuple):
     action: str
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One concrete inference rule (templates already instantiated)."""
+class Rule(_Node):
+    """One concrete inference rule (templates already instantiated),
+    hash-consed like terms."""
 
-    op: str
-    sources: tuple[Variable, ...]
-    pos: tuple[PosPremise, ...]
-    neg: tuple[NegPremise, ...]
-    action: str
-    target: DistTerm
+    __slots__ = ("op", "sources", "pos", "neg", "action", "target")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.op, self.sources,
-                           self.pos, self.neg, self.action, self.target)))
-
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    def __new__(cls, op: str, sources: tuple[Variable, ...],
+                pos: tuple[PosPremise, ...], neg: tuple[NegPremise, ...],
+                action: str, target: DistTerm) -> "Rule":
+        return _Node.__new__(cls, op, sources, pos, neg, action, target)
 
     def derivatives(self) -> tuple[DistVariable, ...]:
         return tuple(p.derivative for p in self.pos)
@@ -201,24 +195,32 @@ SetExpr = Union[SetName, SetLiteral, SetAll, SetOp]
 
 def eval_setexpr(expr: SetExpr, named: Mapping[str, frozenset[str]],
                  actions: Sequence[str]) -> frozenset[str]:
-    if isinstance(expr, SetAll):
-        return frozenset(actions)
-    if isinstance(expr, SetName):
-        if expr.name not in named:
-            raise UndeclaredSymbol(f"action set {expr.name!r} is not declared")
-        return named[expr.name]
-    if isinstance(expr, SetLiteral):
-        for a in expr.members:
-            if a not in actions:
-                raise UndeclaredSymbol(f"action {a!r} is not declared")
-        return frozenset(expr.members)
-    left = eval_setexpr(expr.left, named, actions)
-    right = eval_setexpr(expr.right, named, actions)
-    if expr.op == "|":
-        return left | right
-    if expr.op == "&":
-        return left & right
-    return left - right
+    """The actions ``expr`` denotes.  Evaluates operands left to right on
+    an explicit stack, so the depth of ``expr`` is not limited by the
+    interpreter's recursion limit."""
+    values: list[frozenset[str]] = []
+    stack: list = [expr]
+    while stack:
+        e = stack.pop()
+        if e.__class__ is str:  # an operator over the last two values
+            right = values.pop()
+            left = values.pop()
+            values.append(left | right if e == "|" else
+                          left & right if e == "&" else left - right)
+        elif isinstance(e, SetOp):
+            stack += (e.op, e.right, e.left)
+        elif isinstance(e, SetAll):
+            values.append(frozenset(actions))
+        elif isinstance(e, SetName):
+            if e.name not in named:
+                raise UndeclaredSymbol(f"action set {e.name!r} is not declared")
+            values.append(named[e.name])
+        else:
+            for a in e.members:
+                if a not in actions:
+                    raise UndeclaredSymbol(f"action {a!r} is not declared")
+            values.append(frozenset(e.members))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +244,6 @@ class RawRule:
     target: DistTerm
     template: tuple[str, SetExpr] | None
     line: int
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    """Parsed but not yet template-expanded specification."""
-
-    signature: Signature
-    raw_rules: tuple[RawRule, ...]
-    sets: tuple[tuple[str, tuple[str, ...]], ...]
-    abbreviations: tuple[tuple[str, StateTerm], ...]
-    source_digest: str = field(default="", compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +355,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -389,7 +380,7 @@ class _Parser:
 
     # -- document -----------------------------------------------------------
 
-    def parse_document(self, digest: str) -> RawDocument:
+    def parse_document(self, digest: str) -> SpecDocument:
         actions: list[str] = []
         ops: list[tuple[str, int]] = []
         sets: list[tuple[str, tuple[str, ...]]] = []
@@ -447,8 +438,8 @@ class _Parser:
         if not saw_any:
             raise SpecSyntaxError("empty specification", 1, 1)
         sig = Signature(tuple(ops), tuple(actions))
-        return RawDocument(sig, tuple(raw_rules), tuple(sets), tuple(abbrevs),
-                           source_digest=digest)
+        return SpecDocument(sig, expand_templates(sig, raw_rules, set_map),
+                            tuple(sets), tuple(abbrevs), source_digest=digest)
 
     def _ident_list(self) -> list[str]:
         names = [self.expect("ident").text]
@@ -460,20 +451,32 @@ class _Parser:
     # -- set expressions ----------------------------------------------------
 
     def _setexpr(self) -> SetExpr:
-        left = self._set_primary()
-        while self.peek().kind in ("|", "&", "\\"):
-            op = self.next().kind
-            right = self._set_primary()
-            left = SetOp(op, left, right)
-        return left
+        """A set expression, its operators left-associative, parsed on an
+        explicit stack of open groups: each holds the expression left of
+        its pending operator and that operator (``None`` before any)."""
+        groups: list[tuple[SetExpr | None, str | None]] = []
+        left, op = None, None
+        while True:
+            if self.peek().kind == "(":
+                self.next()
+                groups.append((left, op))
+                left, op = None, None
+                continue
+            expr = self._set_primary()
+            while True:  # close every group this operand completes
+                left = expr if op is None else SetOp(op, left, expr)
+                if self.peek().kind in ("|", "&", "\\"):
+                    op = self.next().kind
+                    break
+                if not groups:
+                    return left
+                self.expect(")")
+                expr = left
+                left, op = groups.pop()
 
     def _set_primary(self) -> SetExpr:
+        """A set literal, name or ``ACT``."""
         tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            inner = self._setexpr()
-            self.expect(")")
-            return inner
         if tok.kind == "{":
             self.next()
             members: list[str] = []
@@ -715,12 +718,12 @@ def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:
 # Template expansion and the public entry points
 # ---------------------------------------------------------------------------
 
-def expand_templates(raw: RawDocument) -> SpecDocument:
-    """Instantiate every ``forall`` template and validate all rules."""
-    sig = raw.signature
-    named = {name: frozenset(acts) for name, acts in raw.sets}
+def expand_templates(sig: Signature, raw_rules: Sequence[RawRule],
+                     named: Mapping[str, frozenset[str]]) -> tuple[Rule, ...]:
+    """Instantiate every ``forall`` template over the action sets ``named``
+    and validate all rules."""
     rules: list[Rule] = []
-    for rr in raw.raw_rules:
+    for rr in raw_rules:
         if rr.template is None:
             rules.append(_instantiate(rr, None, None, sig))
             continue
@@ -732,14 +735,10 @@ def expand_templates(raw: RawDocument) -> SpecDocument:
                 f"empty action set", EmptyExpansion, stacklevel=2)
         for action in sorted(members):
             rules.append(_instantiate(rr, var, action, sig))
-    doc = SpecDocument(sig, tuple(rules), raw.sets, raw.abbreviations,
-                       source_digest=raw.source_digest)
-    problems: list[Violation] = []
-    for rule in doc.rules:
-        problems.extend(validate_rule(rule))
+    problems = [v for rule in rules for v in validate_rule(rule)]
     if problems:
         raise RuleFormatError(problems)
-    return doc
+    return tuple(rules)
 
 
 def _instantiate(rr: RawRule, tvar: str | None, action: str | None,
@@ -769,10 +768,6 @@ def _instantiate(rr: RawRule, tvar: str | None, action: str | None,
 
 def parse_spec(data: bytes | str) -> SpecDocument:
     """Parse, expand and validate a complete specification."""
-    return expand_templates(parse_spec_raw(data))
-
-
-def parse_spec_raw(data: bytes | str) -> RawDocument:
     if isinstance(data, bytes):
         digest = hashlib.sha256(data).hexdigest()
         try:

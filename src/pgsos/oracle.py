@@ -218,18 +218,6 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
         exact, bound)
 
 
-def _summarize(requested: int, results: list[SampleResult],
-               skipped: dict[str, int]) -> OracleSummary:
-    if requested and not results:
-        raise AllSamplesSkipped(
-            f"all {requested} samples were skipped: "
-            + ", ".join(f"{k}={v}" for k, v in sorted(skipped.items())))
-    max_gap = max((r.gap for r in results), default=Fraction(0))
-    tight = sum(1 for r in results if r.gap == 0)
-    return OracleSummary(requested, len(results), dict(sorted(skipped.items())),
-                         max_gap, tight, tuple(results))
-
-
 # ---------------------------------------------------------------------------
 # Harness entry points
 # ---------------------------------------------------------------------------
@@ -251,7 +239,14 @@ def _sample(doc: SpecDocument, cfg: OracleConfig,
             skipped[outcome] = skipped.get(outcome, 0) + 1
         else:
             results.append(outcome)
-    return _summarize(requested, results, skipped)
+    if requested and not results:
+        raise AllSamplesSkipped(
+            f"all {requested} samples were skipped: "
+            + ", ".join(f"{k}={v}" for k, v in sorted(skipped.items())))
+    max_gap = max((r.gap for r in results), default=Fraction(0))
+    tight = sum(1 for r in results if r.gap == 0)
+    return OracleSummary(requested, len(results), dict(sorted(skipped.items())),
+                         max_gap, tight, tuple(results))
 
 
 def oracle_compare(doc: SpecDocument, t: StateTerm,

@@ -7,26 +7,30 @@ Two syntactic categories are defined over a signature of ranked operators:
   ``delta(t)``, convex combinations ``q1*th1 + ... + qn*thn`` and operator
   applications lifted to distributions.
 
-All probabilities are exact :class:`fractions.Fraction` values and equality
-of terms and distributions is structural, so every comparison in the rest of
-the package is tolerance-free.
+Every term, variable and rule is hash-consed: it is built through one weak
+table, so equal values are one object while they live, and equality tests
+identity, then fields.  All probabilities are exact
+:class:`fractions.Fraction` values, so every comparison in the rest of the
+package is tolerance-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, KindMismatch, UndeclaredSymbol
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a rational bit-exactly as ``p/q`` (or ``p`` for integers)."""
+    """Render a rational bit-exactly as ``p/q`` (or ``p`` for integers), at
+    any length: ``Decimal`` prints integers past ``str``'s digit limit."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -35,15 +39,6 @@ class Signature:
 
     operators: tuple[tuple[str, int], ...]
     actions: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for sym, arity in self.operators:
-            if sym in seen:
-                raise ValueError(f"operator {sym!r} declared twice")
-            if arity < 0:
-                raise ValueError(f"operator {sym!r} has negative arity")
-            seen.add(sym)
 
     def arity(self, symbol: str) -> int:
         for sym, arity in self.operators:
@@ -55,66 +50,38 @@ class Signature:
         return any(sym == symbol for sym, _ in self.operators)
 
 
-def _stored_hash(self) -> int:
-    """The hash a frozen dataclass computes, stored at construction from
-    the parts' stored hashes: a deep value hashes without recursion."""
-    return self._hash
+class _Node:
+    """An immutable value built through one weak-valued unique table, so
+    every term, variable and rule is one object per value while it lives.
 
-
-def _rebuild(self) -> tuple:
-    # the stored hash holds only in this process (string hashing is
-    # salted), so a copied or unpickled value computes its own
-    return (self.__class__, tuple(getattr(self, f.name) for f in fields(self)))
-
-
-# ---------------------------------------------------------------------------
-# State terms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Variable:
-    """A state variable, a leaf of state terms.
-
-    State and distribution variables live in disjoint namespaces: a
-    variable's class is its kind, so ``Variable("x")`` and
-    ``DistVariable("x")`` are different variables."""
-
-    name: str
-    kind: ClassVar[str] = "state"
-
-
-state_var = Variable  # the library tour's name for building one
-
-
-class Apply:
-    """``op(args...)``, hash-consed: building a term equal to a live one
-    returns that same object.
-
-    Nodes come from one weak-valued unique table keyed by ``(op, args)``, so
-    the table keeps no term alive.  The hash is computed once, at
-    construction, and is the value a frozen dataclass with these two fields
-    would compute, so sets and dicts of terms iterate in that order.
-    Equality tests identity first and then compares structurally, so no
-    answer depends on the table (a node copied or built concurrently is
-    still equal to its twin).
+    A subclass lists its fields in ``__slots__``; the table is keyed by the
+    class and the fields and keeps no value alive.  The hash is computed
+    once, at construction, and is the one a frozen dataclass with these
+    fields computes, so sets and dicts iterate in that order.  Equality
+    tests identity, then class, hash and fields; the fields' nodes are
+    shared, so the compare stops at them and never recurses.  Copies and
+    unpickled values are rebuilt through the table: the same object.
     """
 
-    __slots__ = ("op", "args", "_hash", "__weakref__")
-    __match_args__ = ("op", "args")
+    __slots__ = ("_hash", "__weakref__")
 
-    op: str
-    args: tuple["StateTerm", ...]
-
-    def __new__(cls, op: str, args: tuple["StateTerm", ...] = ()) -> "Apply":
-        key = (op, args)
-        node = _UNIQUE.get(key)
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        node = _TABLE.get(key)
         if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
             node = object.__new__(cls)
-            object.__setattr__(node, "op", op)
-            object.__setattr__(node, "args", args)
-            object.__setattr__(node, "_hash", hash(key))
-            _UNIQUE[key] = node
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", cls._fields_hash(fields))
+            _TABLE[key] = node
         return node
+
+    _fields_hash = staticmethod(hash)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -122,25 +89,58 @@ class Apply:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    __hash__ = _stored_hash
+    def __hash__(self) -> int:
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._hash == other._hash and self.op == other.op
-                and self.args == other.args)
+        return self._hash == other._hash and self._same_fields(other)
+
+    def _same_fields(self, other: "_Node") -> bool:
+        return self._values() == other._values()
 
     def __repr__(self) -> str:
-        return f"Apply(op={self.op!r}, args={self.args!r})"
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def __reduce__(self) -> tuple:
-        # copies and unpickled terms are rebuilt through the table
-        return (Apply, (self.op, self.args))
+        # the stored hash holds only in this process (string hashing is
+        # salted), so an unpickled value is rebuilt and hashed afresh
+        return (self.__class__, self._values())
 
 
-_UNIQUE: "WeakValueDictionary[tuple, Apply]" = WeakValueDictionary()
+_TABLE: "WeakValueDictionary[tuple, _Node]" = WeakValueDictionary()
+
+
+# ---------------------------------------------------------------------------
+# State terms
+# ---------------------------------------------------------------------------
+
+class Variable(_Node):
+    """A state variable, a leaf of state terms.
+
+    State and distribution variables live in disjoint namespaces: a
+    variable's class is its kind, so ``Variable("x")`` and
+    ``DistVariable("x")`` are different variables."""
+
+    __slots__ = ("name",)
+    name: str
+    kind = "state"
+
+
+state_var = Variable  # the library tour's name for building one
+
+
+class Apply(_Node):
+    """``op(args...)``, an operator applied to state terms."""
+
+    __slots__ = ("op", "args")
+
+    def __new__(cls, op: str, args: tuple["StateTerm", ...] = ()) -> "Apply":
+        return _Node.__new__(cls, op, args)
 
 
 StateTerm = Union[Variable, Apply]
@@ -150,70 +150,65 @@ StateTerm = Union[Variable, Apply]
 # Distribution terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistVariable:
+class DistVariable(_Node):
     """A distribution variable, a leaf of distribution terms."""
 
+    __slots__ = ("name",)
     name: str
-    kind: ClassVar[str] = "dist"
+    kind = "dist"
 
 
-@dataclass(frozen=True)
-class InstDirac:
+class InstDirac(_Node):
     """``delta(t)`` — becomes the point mass at ``sigma(t)`` once closed."""
 
+    __slots__ = ("term",)
     term: StateTerm
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.term,)))
 
-    __hash__, __reduce__ = _stored_hash, _rebuild
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexSum:
+class ConvexSum(_Node):
     """``q1*th1 + ... + qn*thn`` with every ``q_i`` in (0,1] summing to 1.
 
     Use :func:`convex_sum` to build one; it flattens nested sums, merges
     syntactically equal summands and collapses the trivial single-summand
-    case.  The summands keep the order they were written in, but equality
-    and hashing compare them as a map from summands to weights, so two sums
-    that differ only in that order are equal.
+    case.  The summands keep the order they were written in, which is part
+    of the table key, but equality and hashing compare them as a map from
+    summands to weights: sums that differ only in that order are equal, and
+    the table finds a node above one from either order.
     """
 
-    parts: tuple[tuple[Fraction, "DistTerm"], ...]
+    __slots__ = ("parts",)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ConvexSum:
-            return NotImplemented
-        return (len(self.parts) == len(other.parts)
-                and {t: q for q, t in self.parts}
-                == {t: q for q, t in other.parts})
-
-    __hash__, __reduce__ = _stored_hash, _rebuild
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __new__(cls, parts: tuple[tuple[Fraction, "DistTerm"], ...]
+                ) -> "ConvexSum":
+        if len(parts) < 2:
             raise ValueError("use convex_sum() to construct convex combinations")
         total = Fraction(0)
-        for q, _ in self.parts:
+        for q, _ in parts:
             if not 0 < q <= 1:
                 raise ValueError(f"convex weight {q} outside (0,1]")
             total += q
         if total != 1:
             raise ValueError(f"convex weights sum to {total}, expected 1")
-        object.__setattr__(self, "_hash", hash(frozenset(self.parts)))
+        return _Node.__new__(cls, parts)
+
+    @staticmethod
+    def _fields_hash(fields: tuple) -> int:
+        return hash(frozenset(fields[0]))
+
+    def _same_fields(self, other: "ConvexSum") -> bool:
+        return (len(self.parts) == len(other.parts)
+                and {t: q for q, t in self.parts}
+                == {t: q for q, t in other.parts})
 
 
-@dataclass(frozen=True)
-class DistApply:
-    op: str
-    args: tuple["DistTerm", ...] = ()
+class DistApply(_Node):
+    """``op(th1, ..., thn)``, an operator lifted to distributions."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.op, self.args)))
+    __slots__ = ("op", "args")
 
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    def __new__(cls, op: str, args: tuple["DistTerm", ...] = ()
+                ) -> "DistApply":
+        return _Node.__new__(cls, op, args)
 
 
 DistTerm = Union[DistVariable, InstDirac, ConvexSum, DistApply]
@@ -313,7 +308,7 @@ def free_vars(t: Term) -> frozenset[Var]:
     """The set of all state and distribution variables occurring in ``t``.
 
     Walks an explicit stack, so the depth of ``t`` is not limited by the
-    interpreter's recursion limit; an application shared by identity, as
+    interpreter's recursion limit; a subterm shared by identity, as
     hash-consed ones are, is walked once."""
     out: set[Var] = set()
     seen: set[int] = set()
@@ -323,11 +318,9 @@ def free_vars(t: Term) -> frozenset[Var]:
         cls = u.__class__
         if cls is Variable or cls is DistVariable:
             out.add(u)
-        elif cls is not Apply:
-            stack.extend(immediate_subterms(u))
         elif id(u) not in seen:
             seen.add(id(u))
-            stack.extend(u.args)
+            stack.extend(immediate_subterms(u))
     return frozenset(out)
 
 
@@ -340,11 +333,11 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     Raises :class:`KindMismatch` if a state variable is sent to a
     distribution term or a distribution variable to a state term.  Walks an
     explicit stack, so the depth of ``t`` is not limited by the
-    interpreter's recursion limit; an application shared by identity is
-    rebuilt once, and variables are visited left to right.
+    interpreter's recursion limit; a subterm shared by identity is rebuilt
+    once, and variables are visited left to right.
     """
     images: list[Term] = []        # the images of finished subterms
-    done: dict[int, Apply] = {}    # by id: hash-consing shares applications
+    done: dict[int, Term] = {}     # by id: hash-consing shares subterms
     stack: list = [t]
     while stack:
         u = stack.pop()
@@ -354,14 +347,13 @@ def substitute(t: Term, sigma: Substitution) -> Term:
             cls = u.__class__
             new = tuple(images[-n:])
             del images[-n:]
-            if cls is Apply:
-                image = done[id(u)] = Apply(u.op, new)
-            elif cls is DistApply:
-                image = DistApply(u.op, new)
+            if cls is Apply or cls is DistApply:
+                image = cls(u.op, new)
             elif cls is InstDirac:
                 image = InstDirac(new[0])
             else:
                 image = convex_sum(zip([q for q, _ in u.parts], new))
+            done[id(u)] = image
         elif cls is Variable or cls is DistVariable:
             image = sigma.get(u, u)
             if (cls is Variable) != (image.__class__ in (Variable, Apply)):
@@ -418,7 +410,11 @@ class FiniteDistribution:
                 and len(self._items) == len(other._items)
                 and dict(self._items) == dict(other._items))
 
-    __hash__, __reduce__ = _stored_hash, _rebuild
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (FiniteDistribution, (self._items,))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[StateTerm, Fraction]]) -> "FiniteDistribution":
@@ -464,37 +460,47 @@ def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
     is the point mass at ``t`` instantiated, sums mix pointwise, and
     ``f(th_1, ..., th_n)`` puts mass ``prod_i pi_i(t_i)`` on ``f(t_1, ...,
     t_n)``.  A state reached twice is merged where it first occurs.
-    Raises :class:`ValueError` on an unbound distribution variable."""
+    Raises :class:`ValueError` on an unbound distribution variable.
+
+    Walks an explicit stack, subterms left to right, so the depth of
+    ``theta`` is not limited by the interpreter's recursion limit."""
     if theta.__class__ is DistVariable and theta in dists:
         return dists[theta]
-    return FiniteDistribution(tuple(_pairs(theta, states, dists)))
-
-
-def _pairs(theta, states, dists) -> Iterable[tuple[StateTerm, Fraction]]:
-    """The entries of :func:`instantiate`, each state once, summing to 1."""
-    cls = theta.__class__
-    if cls is DistVariable:
-        if theta not in dists:
-            raise ValueError(f"distribution term is not closed: {theta.name}")
-        return dists[theta]._items
-    if cls is InstDirac:
-        return ((substitute(theta.term, states), _ONE),)
-    if cls is ConvexSum:
-        merged: dict[StateTerm, Fraction] = {}
-        for q, part in theta.parts:
-            pairs = _pairs(part, states, dists)
-            for t, r in pairs:
-                m = q * r if len(pairs) > 1 else q
-                merged[t] = merged[t] + m if t in merged else m
-        return merged.items()
-    if cls is DistApply:
-        combos = [((), _ONE)]
-        for arg in theta.args:
-            pairs = _pairs(arg, states, dists)
-            combos = [(prefix + (t,), q * r if len(pairs) > 1 else q)
-                      for prefix, q in combos for t, r in pairs]
-        return [(Apply(theta.op, prefix), q) for prefix, q in combos]
-    raise TypeError(f"not a distribution term: {theta!r}")
+    done: list = []  # per finished subterm its entries, each state once
+    stack: list = [theta]
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is DistVariable:
+            if u not in dists:
+                raise ValueError(f"distribution term is not closed: {u.name}")
+            done.append(dists[u]._items)
+        elif cls is InstDirac:
+            done.append(((substitute(u.term, states), _ONE),))
+        elif cls is tuple:  # (node, n): the last n entries are its subterms'
+            u, n = u
+            entries = done[len(done) - n:]
+            del done[len(done) - n:]
+            if u.__class__ is ConvexSum:
+                merged: dict[StateTerm, Fraction] = {}
+                for (q, _), pairs in zip(u.parts, entries):
+                    for t, r in pairs:
+                        m = q * r if len(pairs) > 1 else q
+                        merged[t] = merged[t] + m if t in merged else m
+                done.append(merged.items())
+            else:
+                combos = [((), _ONE)]
+                for pairs in entries:
+                    combos = [(prefix + (t,), q * r if len(pairs) > 1 else q)
+                              for prefix, q in combos for t, r in pairs]
+                done.append([(Apply(u.op, prefix), q) for prefix, q in combos])
+        elif cls is ConvexSum or cls is DistApply:
+            kids = immediate_subterms(u)
+            stack.append((u, len(kids)))
+            stack += reversed(kids)
+        else:
+            raise TypeError(f"not a distribution term: {u!r}")
+    return FiniteDistribution(tuple(done[0]))
 
 
 _ONE = Fraction(1)
@@ -510,12 +516,12 @@ def check_arities(t: Term, sig: Signature) -> None:
     stack = [t]
     while stack:
         u = stack.pop()
-        if u.__class__ is not Apply and u.__class__ is not DistApply:
-            stack.extend(reversed(immediate_subterms(u)))
-        elif id(u) not in seen:
-            seen.add(id(u))
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if u.__class__ is Apply or u.__class__ is DistApply:
             expected = sig.arity(u.op)
             if expected != len(u.args):
                 raise ArityMismatch(
                     f"{u.op} expects {expected} argument(s), got {len(u.args)}")
-            stack.extend(reversed(u.args))
+        stack.extend(reversed(immediate_subterms(u)))

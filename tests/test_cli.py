@@ -12,6 +12,7 @@ import pytest
 
 from pgsos import cli
 from pgsos.cli import main
+from pgsos.terms import format_rational
 
 from helpers import dup_spec
 from test_denotation import WIDENING_SPECS
@@ -176,19 +177,31 @@ def test_finite_copying_gets_the_exact_modulus(tmp_path, capsys, k):
         assert out.strip() == "612579511/1000000000"
 
 
-def test_rule_targets_200_deep_are_instantiated(tmp_path, capsys):
-    # dup's target alt(m1, alt(m1, ...)) nests alt 200 deep
+def test_rule_targets_10000_deep_are_instantiated(tmp_path, capsys):
+    # dup's target alt(m1, alt(m1, ...)) nests alt 10^4 deep; every walk
+    # over it is iterative, and equal targets are one object
     spec = tmp_path / "dup.pgsos"
-    spec.write_text(dup_spec(201) + "op pa : 0;\nrule:\n  ---\n"
+    spec.write_text(dup_spec(10 ** 4 + 1) + "op pa : 0;\nrule:\n  ---\n"
                     "  pa --a--> delta(zero)\n")
     code, _, _ = run(capsys, "check", str(spec))
     assert code == 0
     code, out, _ = run(capsys, "transitions", str(spec), "dup(pa)")
     assert code == 0
-    assert out == "a --> 1*" + "alt(zero, " * 200 + "zero" + ")" * 200 + "\n"
+    assert out == ("a --> 1*" + "alt(zero, " * 10 ** 4 + "zero"
+                   + ")" * 10 ** 4 + "\n")
     code, out, _ = run(capsys, "continuity", str(spec))
     assert code == 0
-    assert "copies bound: 201" in out
+    assert "copies bound: 10001" in out
+    code, out, _ = run(capsys, "denote", str(spec), "dup(x)")
+    assert (code, out) == (0, "[[dup(x)]] = {x:10001}\n")
+    code, out, _ = run(capsys, "bound", str(spec), "dup(x)",
+                       "--dist", "x=1/10")
+    assert code == 0
+    # the exact bound has about 10^4 digits, past the default limit of
+    # int-to-text conversion
+    bound = 1 - Fraction(9, 10) ** (10 ** 4 + 1)
+    assert out.strip() == format_rational(bound)
+    assert out.count("0") > 10 ** 4  # the denominator is 10^10001
 
 
 def test_rule_targets_1000_deep_are_parsed(tmp_path, capsys):

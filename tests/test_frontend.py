@@ -226,6 +226,23 @@ def test_deep_state_terms_parse_without_recursion(pa_doc):
     assert parse_term("deep", doc) == parse_term(deep, doc)
 
 
+def test_deep_set_expressions_parse_and_evaluate_without_recursion():
+    # set expressions are parsed and evaluated on explicit stacks
+    n = 10 ** 4
+    for expr in ["(" * n + "{a}" + ")" * n, " | ".join(["{a}"] * n)]:
+        doc = parse_spec(f"actions a, b;\nset B = {expr};\nop zero : 0;\n")
+        assert doc.sets == (("B", ("a",)),)
+    # operators stay left-associative, groups bind first
+    doc = parse_spec("actions a, b; set B = {a, b} \\ {a} | {a};"
+                     " set C = {a, b} \\ ({a} | {a}); set D = ((ACT)) & B;"
+                     " op zero : 0;")
+    assert doc.sets == (("B", ("a", "b")), ("C", ("b",)), ("D", ("a", "b")))
+    with pytest.raises(SpecSyntaxError, match="expected \\)"):
+        parse_spec("actions a; set B = (({a}); op zero : 0;")
+    with pytest.raises(SpecSyntaxError, match="expected a set expression"):
+        parse_spec("actions a; set B = ({a} | ()); op zero : 0;")
+
+
 def test_state_names_in_a_distribution_ask_for_delta(pa_doc):
     # a term abbreviation, like a state variable, names a state, not a
     # distribution: it is neither a free distribution variable nor unknown

@@ -1,6 +1,7 @@
 """Terms: construction, rendering, substitution, instantiating distribution terms."""
 
 import copy
+import dataclasses
 import gc
 import os
 import pickle
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from pgsos.errors import ArityMismatch, KindMismatch
-from pgsos.frontend import parse_term
+from pgsos.frontend import Rule, parse_spec, parse_term
 from pgsos.oracle import random_closed_term
 from pgsos.terms import (
     Apply,
@@ -188,7 +189,8 @@ spec = parse_spec("actions a; op zero : 0; op f : 1; rule: x1 --a--> m1 ---"
 values = [DistApply("f", (InstDirac(zero),)), InstDirac(Apply("f", (zero,))),
           convex_sum([(Fraction(1, 3), InstDirac(zero)),
                       (Fraction(2, 3), DistVariable("m1"))]),
-          FiniteDistribution.dirac(zero), *spec.rules]
+          FiniteDistribution.dirac(zero), Variable("x1"), DistVariable("m1"),
+          *spec.rules]
 """
 
 
@@ -217,7 +219,58 @@ def test_stored_hashes_are_recomputed_in_copies_and_other_processes():
                        "assert [hash(t) for t in twins] == "
                        "[hash(v) for v in values]\n"
                        "assert all(t in set(values) for t in twins)\n"
-                       "print(len(twins))", blob) == b"5\n"
+                       "print(len(twins))", blob) == b"7\n"
+
+
+def assert_one_object(build, value_hash):
+    """``build()`` twice, a copy, a deep copy and a pickle round trip are
+    one object, whose hash is ``value_hash``."""
+    value = build()
+    assert build() is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert hash(value) == value_hash
+
+
+def test_every_term_variable_and_rule_is_one_object_per_value():
+    assert_one_object(lambda: Variable("x"), hash(("x",)))
+    assert_one_object(lambda: DistVariable("mu"), hash(("mu",)))
+    assert_one_object(lambda: Apply("a_pref", (Apply("zero"),)),
+                      hash(("a_pref", (ZERO,))))
+    assert_one_object(lambda: Apply("zero", ()), hash(("zero", ())))
+    assert Apply("zero") is Apply("zero", ())
+    assert_one_object(lambda: InstDirac(Apply("a_pref", (X,))),
+                      hash((Apply("a_pref", (X,)),)))
+    assert_one_object(lambda: DistApply("par", (MU, InstDirac(X))),
+                      hash(("par", (MU, InstDirac(X)))))
+    parts = ((Fraction(1, 3), InstDirac(ZERO)), (Fraction(2, 3), MU))
+    assert_one_object(lambda: ConvexSum(parts), hash(frozenset(parts)))
+    # a sum is keyed by its summands in order, so each order prints as
+    # written, and compares as a map
+    swapped = ConvexSum(parts[::-1])
+    assert swapped is not ConvexSum(parts)
+    assert swapped == ConvexSum(parts) and swapped.parts == parts[::-1]
+
+    text = ("actions a; op zero : 0; op f : 1; rule: x1 --a--> m1 ---"
+            " f(x1) --a--> 1/2*delta(x1) + 1/2*f(m1)")
+    rule = parse_spec(text).rules[0]
+    assert_one_object(lambda: parse_spec(text).rules[0],
+                      hash((rule.op, rule.sources, rule.pos, rule.neg,
+                            rule.action, rule.target)))
+    assert Rule(op=rule.op, sources=rule.sources, pos=rule.pos, neg=rule.neg,
+                action=rule.action, target=rule.target) is rule
+
+    # values are frozen and print as the dataclasses they replace did
+    for value, field in [(X, "name"), (A_ZERO, "args"), (rule, "target")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+    assert repr(X) == "Variable(name='x')"
+    assert repr(InstDirac(A_ZERO)) == ("InstDirac(term=Apply(op='a_pref', "
+                                       "args=(Apply(op='zero', args=()),)))")
+    assert repr(DistApply("f")) == "DistApply(op='f', args=())"
 
 
 def test_finite_distribution_normalizes_and_checks_mass():
