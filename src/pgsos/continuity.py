@@ -185,6 +185,16 @@ _TERM_RE = re.compile(
     r"|^(?P<const>inf|\d+/\d+|\d+\.\d+|\d+)$")
 
 
+def _number(text: str, convert=Fraction):
+    """``convert(text)``, or :class:`UnsupportedModulusShape` where it
+    refuses: a zero denominator, or more digits than it converts."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise UnsupportedModulusShape(
+            f"bad number '{text}' in modulus") from None
+
+
 def parse_modulus(text: str, arity: int) -> ModulusSpec:
     """Parse a capped linear modulus like ``1/2*e1 + e2``.
 
@@ -207,12 +217,12 @@ def parse_modulus(text: str, arity: int) -> ModulusSpec:
                 f"unsupported modulus term '{raw.strip()}': only capped "
                 f"linear forms c1*e1 + ... + cn*en are accepted")
         if m.group("const") is not None:
-            if m.group("const") == "inf" or Fraction(m.group("const")) != 0:
+            if m.group("const") == "inf" or _number(m.group("const")) != 0:
                 raise UnsupportedModulusShape(
                     "nonzero constant term: the modulus must vanish when "
                     "all argument distances are zero")
             continue
-        idx = int(m.group("idx"))
+        idx = _number(m.group("idx"), int)
         if not 1 <= idx <= arity:
             raise UnsupportedModulusShape(
                 f"argument index e{idx} out of range for arity {arity}")
@@ -223,7 +233,7 @@ def parse_modulus(text: str, arity: int) -> ModulusSpec:
         elif coef_text == "inf":
             coef = INF
         else:
-            coef = Fraction(coef_text)
+            coef = _number(coef_text)
         prev = coeffs[idx - 1]
         if prev is INF or coef is INF:
             coeffs[idx - 1] = INF

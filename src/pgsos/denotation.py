@@ -171,8 +171,8 @@ class _StepContext:
     ``lookup`` gives the denotation of an immediate subterm: the fixpoint
     reads its table of tracked entries; a query reads the memo that
     :meth:`Denotations.genset` fills innermost first.
-    An operator's summary is memoised when first asked for: whoever
-    changes its rules' entries in ``rho`` calls :meth:`forget` on it.
+    An operator's summaries are memoised by the operator and the values
+    of its rules in ``rho``, so a changed value finds no stale summary.
     """
 
     def __init__(self, doc: SpecDocument,
@@ -184,30 +184,30 @@ class _StepContext:
         self.rho = rho
         self.lookup = lookup
         self.over_approximated = False
-        self._state_cache: dict[str, GenSet] = {}
-        self._dist_cache: dict[str, GenSet] = {}
+        self._state_cache: dict[tuple, GenSet] = {}
+        self._dist_cache: dict[tuple, GenSet] = {}
 
-    def forget(self, op: str) -> None:
-        self._state_cache.pop(op, None)
-        self._dist_cache.pop(op, None)
+    def _key(self, op: str) -> tuple:
+        return (op, *(self.rho[r] for r in self.rules_by_op.get(op, ())))
 
     def rho_state(self, op: str) -> GenSet:
-        if op not in self._state_cache:
-            rules = self.rules_by_op.get(op, ())
-            self._state_cache[op] = genset_normalize(
-                p for r in rules for p in self.rho[r]) if rules else D_ZERO
-        return self._state_cache[op]
+        key = self._key(op)
+        if key not in self._state_cache:
+            self._state_cache[key] = genset_normalize(
+                p for gs in key[1:] for p in gs) if key[1:] else D_ZERO
+        return self._state_cache[key]
 
     def rho_dist(self, op: str) -> GenSet:
-        if op not in self._dist_cache:
+        key = self._key(op)
+        if key not in self._dist_cache:
             rules = self.rules_by_op.get(op, ())
-            gens = [p for r in rules for p in self.rho[r]]
+            gens = [p for gs in key[1:] for p in gs]
             self.over_approximated |= not sup_is_exact(gens)
             tested = [ProbMultiplicity.dirac(unit(*r.tested_sources()))
                       for r in rules]
-            self._dist_cache[op] = GenSet(
+            self._dist_cache[key] = GenSet(
                 (sup_approx(gens + tested),)) if rules else D_ZERO
-        return self._dist_cache[op]
+        return self._dist_cache[key]
 
     def term_step(self, t: Term) -> GenSet:
         if isinstance(t, (Variable, DistVariable)):
@@ -392,8 +392,7 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
             inputs[t] += rules_by_op.get(t.op, ())
 
     # One table serves as ``rho`` and ``lookup`` alike, and one context
-    # steps every entry: it forgets an operator's summaries whenever a
-    # value of its rules changes.
+    # steps every entry.
     value: dict[object, GenSet] = dict.fromkeys(inputs, D_ZERO)
     ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
     over_approx = False
@@ -406,8 +405,6 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
     def write(updates: Mapping[object, GenSet]) -> set:
         changed = {e for e, gs in updates.items() if gs != value[e]}
         value.update(updates)
-        for op in {e.op for e in changed if isinstance(e, Rule)}:
-            ctx.forget(op)
         return changed
 
     for comp in strongly_connected_components([*tracked, *rules],

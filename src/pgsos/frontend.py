@@ -415,7 +415,7 @@ class _Parser:
                 if not arity_tok.text.isdecimal():
                     raise self.error("arity must be a natural number", arity_tok)
                 self.expect(";")
-                ops.append((name, int(arity_tok.text)))
+                ops.append((name, _read(int, arity_tok)))
             elif self.at_keyword("term"):
                 self.next()
                 name = self.expect("ident", "abbreviation name").text
@@ -696,13 +696,27 @@ class _Parser:
 
     def _rational(self) -> Fraction:
         tok = self.expect("number")
-        if self.peek().kind == "/":
-            self.next()
-            denom = self.expect("number", "denominator")
-            if "." in tok.text or "." in denom.text:
-                raise self.error("mixed decimal/fraction notation", denom)
-            return Fraction(int(tok.text), int(denom.text))
-        return Fraction(tok.text)
+        if self.peek().kind != "/":
+            return _read(Fraction, tok)
+        self.next()
+        denom = self.expect("number", "denominator")
+        if "." in tok.text or "." in denom.text:
+            raise self.error("mixed decimal/fraction notation", denom)
+        p, q = _read(int, tok), _read(int, denom)
+        if q == 0:
+            raise self.error("zero denominator", denom)
+        return Fraction(p, q)
+
+
+def _read(convert, tok: Token):
+    """``convert(tok.text)`` for a number token, or a syntax error at it
+    where the number has more digits than ``int`` and ``Fraction`` convert
+    (``sys.get_int_max_str_digits``)."""
+    try:
+        return convert(tok.text)
+    except ValueError:
+        raise SpecSyntaxError(f"number of {len(tok.text)} characters is too "
+                              f"long to read", tok.line, tok.col) from None
 
 
 def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:

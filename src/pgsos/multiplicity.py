@@ -9,18 +9,21 @@ turn each layer into an upper bound on behavioural distance: a context that
 spawns ``m(x)`` copies of an argument at distance ``e(x)`` can tell the two
 instances apart with probability at most ``1 - prod_x (1-e(x))**m(x)``.
 
+Every value of the domain is hash-consed like a term (``terms._Node``):
+equal values are one object while they live, the hash is computed once,
+and equality tests identity first, so values serve cheaply as dict keys.
+
 The probabilistic order ``p_leq`` is decided exactly by rational linear
 feasibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .lp import Infeasible, simplex_min
-from .terms import Var, format_rational
+from .terms import Var, _Node, format_rational
 
 
 class _Infinity:
@@ -36,18 +39,6 @@ class _Infinity:
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
 
 
 INF = _Infinity()
@@ -91,11 +82,12 @@ def format_count(n: ExtRational) -> str:
     return str(n)
 
 
-class _VarMap:
+class _VarMap(_Node):
     """A finitely supported map from variables, as ``entries`` sorted by
     :func:`_by_var`; zero entries are never stored, so equality is
     structural.  ``zero`` is the value of every other variable."""
 
+    __slots__ = ()
     entries: tuple
     zero: object = 0
 
@@ -122,10 +114,10 @@ def _by_var(kept: Mapping[Var, object]) -> tuple:
 # Layer M: multiplicities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Multiplicity(_VarMap):
     """Finitely supported map from variables to counts in N u {inf}."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Var, Count], ...]
 
     def pointwise_leq(self, other: "Multiplicity") -> bool:
@@ -182,20 +174,22 @@ def m_pointwise_max(ms: Iterable[Multiplicity]) -> Multiplicity:
 # Layer P: probabilistic multiplicities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbMultiplicity:
+class ProbMultiplicity(_Node):
     """Finite-support distribution over multiplicities, masses > 0, sum 1."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Multiplicity, Fraction], ...]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: tuple[tuple[Multiplicity, Fraction], ...]
+                ) -> "ProbMultiplicity":
         total = Fraction(0)
-        for _, q in self.entries:
+        for _, q in entries:
             if q <= 0:
                 raise ValueError(f"non-positive mass {q}")
             total += q
         if total != 1:
             raise ValueError(f"masses sum to {total}, expected 1")
+        return _Node.__new__(cls, entries)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Multiplicity, Fraction]]) -> "ProbMultiplicity":
@@ -210,20 +204,11 @@ class ProbMultiplicity:
     def dirac(m: Multiplicity) -> "ProbMultiplicity":
         return ProbMultiplicity(((m, Fraction(1)),))
 
-    def mass(self, m: Multiplicity) -> Fraction:
-        for m2, q in self.entries:
-            if m2 == m:
-                return q
-        return Fraction(0)
-
     def support(self) -> tuple[Multiplicity, ...]:
         return tuple(m for m, _ in self.entries)
 
     def is_dirac(self) -> bool:
         return len(self.entries) == 1
-
-    def vars(self) -> frozenset[Var]:
-        return frozenset(x for m, _ in self.entries for x in m.vars())
 
     def sort_key(self) -> tuple:
         return tuple((m.sort_key(), q) for m, q in self.entries)
@@ -251,45 +236,30 @@ def p_sum(p1: ProbMultiplicity, p2: ProbMultiplicity) -> ProbMultiplicity:
 # Weightings and process distances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Weighting(_VarMap):
     """Expected number of copies per variable (a nonnegative rational or
     ``INF``)."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Var, ExtRational], ...]
     zero = Fraction(0)
 
 
-def weighting(pi: Iterable[tuple[Multiplicity, Fraction]]) -> Weighting:
-    """Weighting of a subdistribution over multiplicities: the conditional
-    expectation of each variable's count given that mass arrived at all.
-    The empty subdistribution weighs zero everywhere; an ``INF`` count
-    carried with positive mass propagates to ``INF``."""
-    pairs = list(pi)
-    total = sum((q for _, q in pairs), Fraction(0))
-    if total > 1:
-        raise ValueError(f"subdistribution has mass {total} > 1")
-    if total == 0:
-        return Weighting(())
+def weighting_of(p: ProbMultiplicity) -> Weighting:
+    """Expected number of copies of each variable under ``p``; an ``INF``
+    count carried with positive mass propagates to ``INF``."""
     acc: dict[Var, ExtRational] = {}
-    for m, q in pairs:
-        if q == 0:
-            continue
+    for m, q in p.entries:
         for x, n in m.entries:
             acc[x] = ext_add(acc.get(x, Fraction(0)),
                              INF if n is INF else q * n)
-    return Weighting(_by_var({x: (INF if v is INF else v / total)
-                              for x, v in acc.items() if v is INF or v != 0}))
+    return Weighting(_by_var(acc))
 
 
-def weighting_of(p: ProbMultiplicity) -> Weighting:
-    return weighting(p.entries)
-
-
-@dataclass(frozen=True)
 class ProcessDistance(_VarMap):
     """Per-variable behavioural distance in [0,1)."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[Var, Fraction], ...]
     zero = Fraction(0)
 
@@ -353,20 +323,20 @@ def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
 
     a_eq: list[list[Fraction]] = []
     b_eq: list[Fraction] = []
-    for i, m1 in enumerate(rows):
+    for i, (_, q) in enumerate(p1.entries):
         row = zero_row.copy()
         for j in range(len(cols)):
             if (i, j) in index:
                 row[index[(i, j)]] = Fraction(1)
         a_eq.append(row)
-        b_eq.append(p1.mass(m1))
-    for j, m2 in enumerate(cols):
+        b_eq.append(q)
+    for j, (_, q) in enumerate(p2.entries):
         row = zero_row.copy()
         for i in range(len(rows)):
             if (i, j) in index:
                 row[index[(i, j)]] = Fraction(1)
         a_eq.append(row)
-        b_eq.append(p2.mass(m2))
+        b_eq.append(q)
 
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
@@ -397,16 +367,17 @@ def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
 # Layer D: finite generator sets for downward-closed sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenSet:
+class GenSet(_Node):
     """Finite set of pairwise-incomparable generators; the denoted set is
     the downward closure.  Build via :func:`genset_normalize`."""
 
+    __slots__ = ("generators",)
     generators: tuple[ProbMultiplicity, ...]
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __new__(cls, generators: tuple[ProbMultiplicity, ...]) -> "GenSet":
+        if not generators:
             raise ValueError("a generator set must be nonempty")
+        return _Node.__new__(cls, generators)
 
     def __iter__(self) -> Iterator[ProbMultiplicity]:
         return iter(self.generators)

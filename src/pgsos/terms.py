@@ -52,7 +52,8 @@ class Signature:
 
 class _Node:
     """An immutable value built through one weak-valued unique table, so
-    every term, variable and rule is one object per value while it lives.
+    every term, variable, rule and multiplicity value is one object per
+    value while it lives.
 
     A subclass lists its fields in ``__slots__``; the table is keyed by the
     class and the fields and keeps no value alive.  The hash is computed
@@ -379,6 +380,10 @@ def substitute(t: Term, sigma: Substitution) -> Term:
 # Finite-support distributions over closed state terms
 # ---------------------------------------------------------------------------
 
+# Not a ``_Node``: most distributions are built once (an oracle run on `pa`
+# and `examples` builds 19,717, 14,642 of them distinct), and interning
+# them was no faster on the oracle benchmark (1,280 against 1,264 q/s,
+# medians of 6 runs each on 2 vCPUs, Python 3.11.7: within noise).
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A probability distribution with finite support over closed state terms.

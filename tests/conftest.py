@@ -6,6 +6,9 @@ import pytest
 
 from pgsos import parse_spec
 
+# the shared checks in helpers assert too, also under ``python -O``
+pytest.register_assert_rewrite("helpers")
+
 
 def _load(name: str):
     data = resources.files("pgsos").joinpath("data", name).read_bytes()

@@ -29,13 +29,16 @@ leaves is unsound, and both Jacobi helpers take it as their ``context``.
 premise distribution back into syntax, substitutes that syntax into the
 rule target and evaluates the closed result node by node.
 
-The printers, ``is_closed`` and ``E_ZERO`` serve the tests alone.
+The printers, ``is_closed``, ``assert_one_object`` and ``E_ZERO`` serve
+the tests alone.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from unittest import mock
@@ -87,6 +90,17 @@ E_ZERO = ProcessDistance(())
 
 def is_closed(t) -> bool:
     return not free_vars(t)
+
+
+def assert_one_object(build, value_hash):
+    """``build()`` twice, a copy, a deep copy and a pickle round trip are
+    one object, whose hash is ``value_hash``."""
+    value = build()
+    assert build() is value
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert hash(value) == value_hash
 
 
 def print_rule(rule) -> str:

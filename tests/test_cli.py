@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -305,17 +306,30 @@ def test_spec_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
                    "invalid start byte\n")
 
 
+WEIGHTED_RULE = ("actions a;\nop z : 0;\nop f : 1;\nrule:\n  ---\n"
+                 "  f(x1) --a--> {}*delta(x1) + 1/2*delta(z)\n")
+BIG = "1" * 5000  # past the 4,300 digits int converts from text
+
+
 @pytest.mark.parametrize("text", [
     "actions a;\nop f : \u00b2;\n",
     "actions a;\nop f : 1;\nrule:\n  ---\n  f(x1) --a--> \u00b2*delta(x1)\n",
+    pytest.param(f"actions a;\nop zero : {BIG};\n", id="arity-5000-digits"),
+    pytest.param(WEIGHTED_RULE.format(f"1/{BIG}"), id="denominator-5000-digits"),
+    pytest.param(WEIGHTED_RULE.format(f"0.{BIG}"), id="decimal-5000-digits"),
+    pytest.param(WEIGHTED_RULE.format("1/0"), id="zero-denominator"),
 ])
 def test_digits_int_cannot_read_are_a_syntax_error(tmp_path, capsys, text):
-    # a superscript two is a digit to str.isdigit, but not a decimal
+    # a superscript two is a digit to str.isdigit, but not a decimal; a
+    # number with more digits than int converts, or a zero denominator, is
+    # reported at its token too
     spec = tmp_path / "sup.pgsos"
     spec.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "check", str(spec))
     assert (code, out) == (2, "")
-    assert "unexpected character '\u00b2'" in err
+    assert re.fullmatch(r"error: (unexpected character '\u00b2'|number of 500[02] "
+                        r"characters is too long to read|zero denominator) "
+                        r"\(line \d, column \d+\)\n", err), err
 
 
 def test_bad_term_is_an_input_error(capsys):
@@ -350,6 +364,17 @@ def test_bad_distance_assignment(capsys):
 def test_bad_modulus_shape(capsys):
     code, _, err = run(capsys, "check-modulus", PA, "par", "--z", "e1*e2")
     assert code == 2
+
+
+@pytest.mark.parametrize("z, number", [
+    ("1/0*e1", "1/0"), ("0/0", "0/0"),
+    pytest.param(f"{BIG}*e1", BIG, id="coefficient-5000-digits"),
+    pytest.param(f"e{BIG}", BIG, id="index-5000-digits")])
+def test_modulus_numbers_fraction_refuses_are_an_input_error(capsys, z,
+                                                             number):
+    code, out, err = run(capsys, "check-modulus", PA, "ipar", "--z", z)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad number '{number}' in modulus\n"
 
 
 def test_exploration_refusal_exits_one(capsys):

@@ -4,6 +4,7 @@ Hand-checked equalities are exact; the randomized laws reuse the degradation
 generator from helpers, which produces order-related pairs by construction.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,7 +16,10 @@ from pgsos.multiplicity import (
     M_ZERO,
     P_ZERO,
     GenSet,
+    Multiplicity,
     ProbMultiplicity,
+    ProcessDistance,
+    Weighting,
     da,
     dda,
     ext_add,
@@ -41,7 +45,8 @@ from pgsos.multiplicity import (
 )
 from pgsos.terms import state_var
 
-from helpers import E_ZERO, degraded_pair, random_prob_multiplicity
+from helpers import (E_ZERO, assert_one_object, degraded_pair,
+                     random_prob_multiplicity)
 
 F = Fraction
 X, Y, Z = state_var("x"), state_var("y"), state_var("z")
@@ -102,6 +107,8 @@ def test_prob_multiplicity_merges_and_validates():
     assert dict(p.entries)[unit(X)] == F(3, 4)
     with pytest.raises(ValueError):
         ProbMultiplicity(((unit(X), F(1, 2)),))
+    with pytest.raises(ValueError, match="non-positive mass"):
+        ProbMultiplicity(((unit(X), F(0)), (M_ZERO, F(1))))
 
 
 def test_lift_sum_is_convolution():
@@ -119,6 +126,38 @@ def test_weighting_is_expected_count():
     pinf = ProbMultiplicity.from_pairs([(mult({X: INF}), F(1, 100)),
                                         (M_ZERO, F(99, 100))])
     assert weighting_of(pinf).get(X) is INF
+
+
+def test_every_domain_value_is_one_object_per_value():
+    m = mult({X: 2, Y: INF})
+    assert_one_object(lambda: mult({Y: INF, X: 2}), hash((m.entries,)))
+    assert_one_object(lambda: Multiplicity(()), hash(((),)))
+    p = ProbMultiplicity.from_pairs([(m, F(1, 3)), (unit(X), F(2, 3))])
+    assert_one_object(
+        lambda: ProbMultiplicity(((unit(X), F(2, 3)), (m, F(1, 3)))),
+        hash((p.entries,)))
+    assert_one_object(lambda: GenSet((p, P_ZERO)), hash(((p, P_ZERO),)))
+    w = weighting_of(p)
+    assert w.entries == ((X, F(4, 3)), (Y, INF))
+    assert_one_object(lambda: Weighting(((X, F(4, 3)), (Y, INF))),
+                      hash((w.entries,)))
+    e = process_distance({X: F(1, 10)})
+    assert_one_object(lambda: process_distance({X: F(1, 10)}),
+                      hash((e.entries,)))
+    assert ProcessDistance(()) is E_ZERO
+
+    # values are frozen and print as the dataclasses they replace did
+    for value, field in [(m, "entries"), (p, "entries"), (D_ZERO, "generators"),
+                         (w, "entries"), (e, "entries")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, ())
+    assert repr(unit(X)) == ("Multiplicity(entries="
+                             "((Variable(name='x'), 1),))")
+    assert repr(P_ZERO) == ("ProbMultiplicity(entries="
+                            "((Multiplicity(entries=()), Fraction(1, 1)),))")
+    assert repr(D_ZERO) == f"GenSet(generators=({P_ZERO!r},))"
+    assert repr(e) == ("ProcessDistance(entries="
+                       "((Variable(name='x'), Fraction(1, 10)),))")
 
 
 # -- the probabilistic order ------------------------------------------------

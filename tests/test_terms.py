@@ -35,7 +35,7 @@ from pgsos.terms import (
     substitute,
 )
 
-from helpers import embed, is_closed
+from helpers import assert_one_object, embed, is_closed
 
 X = state_var("x")
 Y = state_var("y")
@@ -220,17 +220,6 @@ def test_stored_hashes_are_recomputed_in_copies_and_other_processes():
                        "[hash(v) for v in values]\n"
                        "assert all(t in set(values) for t in twins)\n"
                        "print(len(twins))", blob) == b"7\n"
-
-
-def assert_one_object(build, value_hash):
-    """``build()`` twice, a copy, a deep copy and a pickle round trip are
-    one object, whose hash is ``value_hash``."""
-    value = build()
-    assert build() is value
-    assert copy.copy(value) is value
-    assert copy.deepcopy(value) is value
-    assert pickle.loads(pickle.dumps(value)) is value
-    assert hash(value) == value_hash
 
 
 def test_every_term_variable_and_rule_is_one_object_per_value():
