@@ -11,8 +11,8 @@ Two families matter for the CLI exit-code contract:
   the reachable states or refuses, so no analysis ever runs on a
   truncated state space.
 
-Everything else propagating out of the library is a plain bug, including
-:class:`OracleViolation`.
+Everything else propagating out of the library is a plain bug, such as the
+``RuntimeError`` of an oracle sample whose exact distance exceeds its bound.
 """
 
 from __future__ import annotations
@@ -95,11 +95,3 @@ class PairLimitExceeded(AnalysisRefusal):
 
 class AllSamplesSkipped(AnalysisRefusal):
     """Every oracle sample was discarded before comparison."""
-
-
-class OracleViolation(PgsosError):
-    """A sampled exact distance exceeded its denotational bound.
-
-    This never indicates bad input: either the metric engine or the
-    denotation engine is computing the wrong answer.
-    """

@@ -410,6 +410,8 @@ class _Parser:
                 name = self.expect("ident", "operator name").text
                 if any(o == name for o, _ in ops):
                     raise self.error(f"operator {name!r} declared twice")
+                if name in dict(abbrevs):
+                    raise self.error(f"name {name!r} already in use")
                 self.expect(":")
                 arity_tok = self.expect("number", "arity")
                 if not arity_tok.text.isdecimal():
@@ -427,8 +429,6 @@ class _Parser:
                                free_ok=False)
                 term = self._state_term(env)
                 self.expect(";")
-                if free_vars(term):
-                    raise self.error(f"abbreviation {name!r} is not closed")
                 abbrevs.append((name, term))
             elif self.at_keyword("rule"):
                 sig = Signature(tuple(ops), tuple(actions))

@@ -8,8 +8,10 @@ only on the pairs the root pair depends on, and over bisimulation classes
 rather than states: the distance is 0 exactly on bisimilar states and sees a
 distribution only through the mass it puts on each class, so the same fixed
 point solved on the quotient of the explored fragment gives the same value.
-Everything is rational: the transport problems are solved exactly by
-:func:`pgsos.lp.solve_transport`.
+The classes are found one strongly connected component of the fragment's
+support graph at a time: a state that reaches a cycle is a class of its
+own, any other gets a bottom-up signature.  Everything is rational: the
+transport problems are solved exactly by :func:`pgsos.lp.solve_transport`.
 
 Pairs that depend on one another in a cycle are solved one cyclic
 component at a time, exactly, as a game: strategy iteration for the
@@ -62,54 +64,42 @@ def _classify(doc: SpecDocument,
               fragment: ReachableFragment) -> dict[StateTerm, int]:
     """Give every state of a fragment its bisimulation class id.
 
-    The states are walked bottom-up (depth-first post-order, on an explicit
-    stack).  A state's class is the interned signature that lists, per
-    action in name order, the set of its distributions lifted to
-    ``{class id: mass}``; states with equal signatures are bisimilar.  A
-    state that can reach a cycle has no bottom-up signature: it stands for
-    itself (its signature key is the state), which is exact but merges
-    nothing.  Signatures depend on the specification alone, so both tables
-    live in the document's memo and a later query classifies only the
-    states no earlier one has seen."""
+    The states no earlier query has classified are walked one strongly
+    connected component of the support graph at a time, each after every
+    component it reaches.  A component's states stand for themselves
+    (their signature key is the state), which is exact but merges
+    nothing, when it has two or more states, when its one state has a
+    move into its own support, or when a successor already stands for
+    itself: these are the states that reach a cycle.  Any other state's
+    class is the interned signature that lists, per action in name order,
+    the set of its distributions lifted to ``{class id: mass}``; states
+    with equal signatures are bisimilar.  Signatures depend on the
+    specification alone, so both tables live in the document's memo, and
+    the walk neither starts from nor enters a classified state: a later
+    query pays only for the states no earlier one has seen."""
     class_of = doc.memo("state classes")
     signatures = doc.memo("class signatures")
-    on_path: set[StateTerm] = set()
-    reaches_cycle: set[StateTerm] = set()
 
-    def successors(s: StateTerm):
-        for pis in fragment.transitions[s].values():
-            for pi in pis:
-                yield from pi.support()
+    def support(s: StateTerm) -> list[StateTerm]:
+        return [x for pis in fragment.transitions[s].values()
+                for pi in pis for x, _ in pi]
 
-    for start in fragment.states:
-        if start in class_of:
-            continue
-        stack = [(start, successors(start))]
-        on_path.add(start)
-        while stack:
-            s, todo = stack[-1]
-            for x in todo:
-                if x in on_path:
-                    reaches_cycle.add(s)
-                elif x not in class_of:
-                    stack.append((x, successors(x)))
-                    on_path.add(x)
-                    break
-                elif x in signatures:  # x stands for itself: it is cyclic
-                    reaches_cycle.add(s)
-            else:
-                stack.pop()
-                on_path.discard(s)
-                if s in reaches_cycle:
-                    key = s
-                    if stack:
-                        reaches_cycle.add(stack[-1][0])
-                else:
-                    key = tuple(
-                        (a, frozenset(frozenset(_lift(class_of, pi).items())
-                                      for pi in pis))
-                        for a, pis in fragment.transitions[s].items())
-                class_of[s] = signatures.setdefault(key, len(signatures))
+    def unclassified(s: StateTerm) -> list[StateTerm]:
+        return [x for x in support(s) if x not in class_of]
+
+    for comp in strongly_connected_components(
+            [s for s in fragment.states if s not in class_of], unclassified):
+        s = comp[0]
+        if len(comp) > 1 or any(x == s or x in signatures
+                                for x in support(s)):
+            for s in comp:
+                class_of[s] = signatures.setdefault(s, len(signatures))
+        else:
+            key = tuple(
+                (a, frozenset(frozenset(_lift(class_of, pi).items())
+                              for pi in pis))
+                for a, pis in fragment.transitions[s].items())
+            class_of[s] = signatures.setdefault(key, len(signatures))
     return class_of
 
 
@@ -191,19 +181,17 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 for b, pis in fragment.transitions[u].items()}
         return moves.get(a, ())
 
-    root = pair_key(t1, t2)
     deps: dict[tuple[StateTerm, StateTerm],
-               frozenset[tuple[StateTerm, StateTerm]]] = {}
-    todo = [root]
-    while todo:
-        pair = todo.pop()
-        if pair in deps:
-            continue
+               set[tuple[StateTerm, StateTerm]]] = {}
+
+    def below(pair: tuple[StateTerm, StateTerm]):
+        """The pairs ``pair`` depends on, kept in ``deps``: the supports of
+        the distributions it compares."""
         if max_pairs is not None and len(deps) >= max_pairs:
             raise PairLimitExceeded(
                 f"distance depends on more than {max_pairs} state pairs")
         u, v = pair
-        below: set[tuple[StateTerm, StateTerm]] = set()
+        out = deps[pair] = set()
         for a in doc.actions:
             for pu in der(u, a):
                 for pv in der(v, a):
@@ -212,9 +200,8 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                     for x in pu.support():
                         for y in pv.support():
                             if x != y:
-                                below.add(pair_key(x, y))
-        deps[pair] = frozenset(below)
-        todo.extend(k for k in below if k not in deps)
+                                out.add(pair_key(x, y))
+        return out
 
     memo: dict[tuple[StateTerm, StateTerm], Fraction] = {}
     kcache: dict[tuple[FiniteDistribution, FiniteDistribution],
@@ -411,7 +398,10 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             if not switched:
                 return
 
-    for comp in strongly_connected_components([root], deps.__getitem__):
+    root = pair_key(t1, t2)
+    # every pair is found before any is solved, so the budget refuses
+    # before any transport is posed
+    for comp in strongly_connected_components([root], below):
         if len(comp) == 1 and comp[0] not in deps[comp[0]]:
             memo[comp[0]] = settle(comp[0])
         else:

@@ -40,6 +40,10 @@ class _Infinity:
     def __repr__(self) -> str:
         return "inf"
 
+    def __hash__(self) -> int:
+        # a constant, so values holding INF hash the same in every run
+        return hash(float("inf"))
+
 
 INF = _Infinity()
 

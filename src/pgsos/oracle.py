@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .denotation import Denotations, lfp_denotations
-from .errors import (AllSamplesSkipped, AnalysisRefusal, OracleViolation)
+from .errors import AllSamplesSkipped, AnalysisRefusal
 from .frontend import SpecDocument
 from .metric import bisim_distance
 from .multiplicity import da, process_distance
@@ -186,8 +186,8 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
 
     Returns the comparison record, or a skip reason ("distance-one" when
     some per-variable distance is 1, "refused" when exploration or
-    iteration limits were hit).  A bound violation raises
-    :class:`OracleViolation`.
+    iteration limits were hit).  A bound violation is a bug in the metric
+    or the denotation engine, not bad input: it raises ``RuntimeError``.
     """
     den = denotations if denotations is not None else lfp_denotations(doc)
     variables = sorted(free_vars(t), key=lambda v: v.name)
@@ -205,7 +205,7 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
         return "refused"
     bound = da(den.genset(t), process_distance(dists))
     if not exact <= bound:
-        raise OracleViolation(
+        raise RuntimeError(
             f"exact distance {exact} exceeds bound {bound} for "
             f"{format_term(t)} under "
             f"{{{', '.join(f'{v.name}={format_term(s)}' for v, s in subst1.items())}}} vs "

@@ -52,6 +52,37 @@ def test_transitions_deadlock(capsys):
     assert "no transitions" in out
 
 
+GRAMMAR_FORMS = """actions a;
+op zero : 0;
+op f : 1;
+op g : 0;
+op h : 0;
+rule:
+  ---
+  f(x1) --a--> 1/2*(1/2*delta(x1) + 1/2*delta(zero)) + 1/2*delta(f(x1))
+rule:
+  ---
+  g --a--> zero()
+rule:
+  ---
+  h --a--> zero
+"""
+
+
+@pytest.mark.parametrize("term, moves", [
+    # a parenthesised group inside a distribution term, and ``zero()`` as
+    # a state term
+    ("f(zero())", "a --> 1/2*f(zero) + 1/2*zero\n"),
+    ("f(g())", "a --> 1/2*f(g) + 1/4*g + 1/4*zero\n"),
+    ("g", "a --> 1*zero\n"),  # ``zero()`` as a distribution term
+    ("h", "a --> 1*zero\n"),  # a bare nullary operator as a rule target
+])
+def test_transitions_of_rarer_grammar_forms(tmp_path, capsys, term, moves):
+    spec = tmp_path / "forms.pgsos"
+    spec.write_text(GRAMMAR_FORMS, encoding="utf-8")
+    assert run(capsys, "transitions", str(spec), term) == (0, moves, "")
+
+
 def test_explore(capsys):
     code, out, _ = run(capsys, "explore", PA, "par(aa0, aa0)", "par(pa0, pa0)")
     assert code == 0
@@ -95,6 +126,12 @@ def test_denote(capsys):
     code, out, _ = run(capsys, "denote", PA, "par(x, x)")
     assert code == 0
     assert "{x:2}" in out
+
+
+def test_denote_prints_a_non_dirac_generator(capsys):
+    code, out, _ = run(capsys, "denote", EXAMPLES, "h_rep(x)")
+    assert code == 0
+    assert out.splitlines()[0] == "[[h_rep(x)]] = 1/2@{} + 1/2@{x:2}"
 
 
 def test_denote_reports_widening(capsys):
@@ -336,6 +373,62 @@ def test_bad_term_is_an_input_error(capsys):
     code, _, err = run(capsys, "distance", PA, "par(aa0", "zero")
     assert code == 2
     assert "error:" in err
+
+
+DECLS = "actions a;\nop zero : 0;\nop f : 1;\n"
+RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
+
+
+@pytest.mark.parametrize("decls, argv, message", [
+    pytest.param("op f : 2;", ["check"], "operator 'f' declared twice",
+                 id="operator-twice"),
+    pytest.param("set S = {a};\nset S = {a};", ["check"],
+                 "action set 'S' declared twice", id="set-twice"),
+    pytest.param("term t = zero;\nop t : 0;", ["check"],
+                 "name 't' already in use", id="op-after-term"),
+    pytest.param("op t : 0;\nterm t = zero;", ["check"],
+                 "name 't' already in use", id="term-after-op"),
+    pytest.param("term t = f(x);", ["check"], "unknown name 'x'",
+                 id="open-abbreviation"),
+    pytest.param(";", ["check"], "expected a declaration, found ';'",
+                 id="stray-token"),
+    pytest.param("rule forall c of ACT:\n  ---\n  f(x1) --c--> delta(x1)",
+                 ["check"], "expected 'in'", id="forall-of"),
+    pytest.param("rule:\n  x1 a m1\n  ---\n  f(x1) --a--> m1", ["check"],
+                 "expected '--' or '-/' in premise", id="malformed-premise"),
+    pytest.param("rule:\n  ---\n  g(x1) --a--> delta(x1)", ["check"],
+                 "operator 'g' is not declared", id="undeclared-conclusion"),
+    pytest.param("op h : 2;\nrule:\n  ---\n  h(x1) --a--> delta(x1)",
+                 ["check"], "h expects 2 source variable(s), got 1",
+                 id="source-count"),
+    pytest.param(RULE.format("0.5/2*delta(x1) + 3/4*delta(zero)"), ["check"],
+                 "mixed decimal/fraction notation", id="mixed-number"),
+    pytest.param(RULE.format("delta(x1) + 1/2*delta(zero)"), ["check"],
+                 "need explicit weights", id="first-weight-missing"),
+    pytest.param(RULE.format("1/2*delta(x1) + delta(zero)"), ["check"],
+                 "need explicit weights", id="second-weight-missing"),
+    pytest.param("rule:\n  ---\n  f(x1) -a--> delta(x1)", ["check"],
+                 "stray '-'", id="stray-dash"),
+    pytest.param("op g : 1.5;", ["check"], "arity must be a natural number",
+                 id="fractional-arity"),
+    pytest.param(None, ["transitions", PA, "pa0 pa0"],
+                 "unexpected trailing input 'pa0'", id="trailing-input"),
+    pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "x"],
+                 "expected name=value in --dist, got 'x'", id="dist-no-value"),
+    pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "x=1"],
+                 "process distance 1 for x outside [0,1)", id="dist-one"),
+])
+def test_malformed_input_is_an_input_error(tmp_path, capsys, decls, argv,
+                                           message):
+    if decls is not None:
+        spec = tmp_path / "bad.pgsos"
+        spec.write_text(DECLS + decls + "\n", encoding="utf-8")
+        argv = argv + [str(spec)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_operator_is_an_input_error(capsys):

@@ -295,10 +295,13 @@ def test_pair_budget_counts_pairs_of_classes(pa_doc):
     assert bisim_distance(pa_doc, u, v, max_pairs=500) == F(9, 10)
 
 
-@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc"])
+@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "cyclic"])
 def test_classes_are_the_distance_zero_pairs(spec, request):
-    doc = request.getfixturevalue(spec)
     rng = random.Random(5)
+    if spec == "cyclic":
+        _check_cyclic_classes(rng)
+        return
+    doc = request.getfixturevalue(spec)
     fragments = 0
     while fragments < 10:
         u = random_closed_term(rng, doc, rng.randint(1, 3))
@@ -313,6 +316,57 @@ def test_classes_are_the_distance_zero_pairs(spec, request):
         for x in frag.states:
             for y in frag.states:
                 assert (class_of[x] == class_of[y]) == (d[(x, y)] == 0)
+
+
+def _check_cyclic_classes(rng):
+    """On recursive specifications a state stands for itself exactly when
+    it reaches a cycle of its support graph, and two states that reach
+    none share a class exactly when they are at distance 0.  Each
+    document first classifies one constant's fragment, so the second
+    walk meets states an earlier query classified."""
+    for _ in range(30):
+        text, names = random_cyclic_spec(rng)
+        doc = parse_spec(text)
+        metric._classify(doc, explore_fragment(doc, [t(doc, names[-1])]))
+        frag = explore_fragment(doc, [t(doc, x) for x in names + ["zero"]])
+        class_of = metric._classify(doc, frag)
+        after = {s: {x for pis in frag.transitions[s].values()
+                     for pi in pis for x in pi.support()}
+                 for s in frag.states}
+        for s in frag.states:  # ``after[s]``: reachable in one step or more
+            todo = list(after[s])
+            while todo:
+                x = todo.pop()
+                todo.extend(after[x] - after[s])
+                after[s] |= after[x]
+        on_cycle = {s for s in frag.states if s in after[s]}
+        cyclic = {s for s in frag.states
+                  if s in on_cycle or after[s] & on_cycle}
+        alone = doc.memo("class signatures")
+        for x in frag.states:
+            assert (x in alone) == (x in cyclic), text
+            for y in frag.states:
+                if x in cyclic or y in cyclic:
+                    assert (class_of[x] == class_of[y]) == (x == y), text
+                else:
+                    assert ((class_of[x] == class_of[y])
+                            == (bisim_distance(doc, x, y) == 0)), text
+
+
+@pytest.mark.parametrize("u, v, states, classes", [
+    ("ipar(ipar(ipar(loop_4_5, rec), pref_a(loop_1_2)), pref_a(zero))",
+     "ipar(ipar(rec, pref_a(loop_1_2)), pref_a(zero))", 54, 52),
+    ("ipar(ipar(ipar(rec, rec), loop_1_2), loop_1_2)",
+     "ipar(ipar(ipar(rec, loop_4_5), loop_1_2), loop_1_2)", 48, 48),
+])
+def test_states_reaching_a_cycle_stand_for_themselves(loops_doc, u, v,
+                                                      states, classes):
+    # bisimulation has 36 and 27 classes on these fragments; refining the
+    # states that reach a cycle would find them
+    frag = explore_fragment(loops_doc, [t(loops_doc, u), t(loops_doc, v)])
+    class_of = metric._classify(loops_doc, frag)
+    assert len(frag.states) == states
+    assert len({class_of[s] for s in frag.states}) == classes
 
 
 LOOPS = """

@@ -182,15 +182,19 @@ def test_deep_distribution_terms_are_hashed_without_recursion():
 STORED_HASH_VALUES = """
 from fractions import Fraction
 from pgsos.frontend import parse_spec
+from pgsos.multiplicity import INF, ProbMultiplicity, mult
 from pgsos.terms import *
 zero = Apply("zero")
 spec = parse_spec("actions a; op zero : 0; op f : 1; rule: x1 --a--> m1 ---"
                   " f(x1) --a--> 1/3*delta(x1) + 2/3*f(m1)")
+x, y = Variable("x"), Variable("y")
 values = [DistApply("f", (InstDirac(zero),)), InstDirac(Apply("f", (zero,))),
           convex_sum([(Fraction(1, 3), InstDirac(zero)),
                       (Fraction(2, 3), DistVariable("m1"))]),
           FiniteDistribution.dirac(zero), Variable("x1"), DistVariable("m1"),
-          *spec.rules]
+          *spec.rules, mult({x: INF}),
+          ProbMultiplicity.from_pairs([(mult({y: INF}), Fraction(2, 3)),
+                                       (mult({x: 2}), Fraction(1, 3))])]
 """
 
 
@@ -219,7 +223,10 @@ def test_stored_hashes_are_recomputed_in_copies_and_other_processes():
                        "assert [hash(t) for t in twins] == "
                        "[hash(v) for v in values]\n"
                        "assert all(t in set(values) for t in twins)\n"
-                       "print(len(twins))", blob) == b"7\n"
+                       "print(len(twins))", blob) == b"9\n"
+    # a hash depends on the seed alone, INF's included
+    hashes = "print([hash(v) for v in values])"
+    assert python("1", hashes) == python("1", hashes)
 
 
 def test_every_term_variable_and_rule_is_one_object_per_value():
