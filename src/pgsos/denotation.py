@@ -215,8 +215,8 @@ class _StepContext:
         if isinstance(t, InstDirac):
             return self.lookup(t.term)
         if isinstance(t, ConvexSum):
-            weights = tuple(q for q, _ in t.parts)
-            gensets = tuple(self.lookup(theta) for _, theta in t.parts)
+            weights = tuple(q for _, q in t.entries)
+            gensets = tuple(self.lookup(theta) for theta, _ in t.entries)
             return convex_combine(weights, gensets)
         if isinstance(t, (Apply, DistApply)):
             rho_f = (self.rho_state(t.op) if isinstance(t, Apply)

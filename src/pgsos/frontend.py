@@ -343,7 +343,7 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class _TermEnv:
-    sig: Signature
+    arities: Mapping[str, int]
     abbrevs: Mapping[str, StateTerm]
     state_vars: frozenset[str]
     dist_vars: frozenset[str]
@@ -382,10 +382,10 @@ class _Parser:
 
     def parse_document(self, digest: str) -> SpecDocument:
         actions: list[str] = []
-        ops: list[tuple[str, int]] = []
+        arities: dict[str, int] = {}
         sets: list[tuple[str, tuple[str, ...]]] = []
         set_map: dict[str, frozenset[str]] = {}
-        abbrevs: list[tuple[str, StateTerm]] = []
+        abbrevs: dict[str, StateTerm] = {}
         raw_rules: list[RawRule] = []
         saw_any = False
         while self.peek().kind != "eof":
@@ -408,38 +408,37 @@ class _Parser:
             elif self.at_keyword("op"):
                 self.next()
                 name = self.expect("ident", "operator name").text
-                if any(o == name for o, _ in ops):
+                if name in arities:
                     raise self.error(f"operator {name!r} declared twice")
-                if name in dict(abbrevs):
+                if name in abbrevs:
                     raise self.error(f"name {name!r} already in use")
                 self.expect(":")
                 arity_tok = self.expect("number", "arity")
                 if not arity_tok.text.isdecimal():
                     raise self.error("arity must be a natural number", arity_tok)
                 self.expect(";")
-                ops.append((name, _read(int, arity_tok)))
+                arities[name] = _read(int, arity_tok)
             elif self.at_keyword("term"):
                 self.next()
                 name = self.expect("ident", "abbreviation name").text
-                if name in dict(abbrevs) or any(o == name for o, _ in ops):
+                if name in abbrevs or name in arities:
                     raise self.error(f"name {name!r} already in use")
                 self.expect("=")
-                sig = Signature(tuple(ops), tuple(actions))
-                env = _TermEnv(sig, dict(abbrevs), frozenset(), frozenset(),
+                env = _TermEnv(arities, abbrevs, frozenset(), frozenset(),
                                free_ok=False)
                 term = self._state_term(env)
                 self.expect(";")
-                abbrevs.append((name, term))
+                abbrevs[name] = term
             elif self.at_keyword("rule"):
-                sig = Signature(tuple(ops), tuple(actions))
-                raw_rules.append(self._rule_block(sig, dict(abbrevs)))
+                raw_rules.append(self._rule_block(arities, abbrevs))
             else:
                 raise self.error(f"expected a declaration, found {self.peek().text!r}")
         if not saw_any:
             raise SpecSyntaxError("empty specification", 1, 1)
-        sig = Signature(tuple(ops), tuple(actions))
+        sig = Signature(tuple(arities.items()), tuple(actions))
         return SpecDocument(sig, expand_templates(sig, raw_rules, set_map),
-                            tuple(sets), tuple(abbrevs), source_digest=digest)
+                            tuple(sets), tuple(abbrevs.items()),
+                            source_digest=digest)
 
     def _ident_list(self) -> list[str]:
         names = [self.expect("ident").text]
@@ -493,7 +492,7 @@ class _Parser:
 
     # -- rules --------------------------------------------------------------
 
-    def _rule_block(self, sig: Signature,
+    def _rule_block(self, arities: Mapping[str, int],
                     abbrevs: Mapping[str, StateTerm]) -> RawRule:
         rule_tok = self.expect("ident")  # 'rule'
         template: tuple[str, SetExpr] | None = None
@@ -526,7 +525,7 @@ class _Parser:
         self.expect("sep")
 
         op_tok = self.expect("ident", "operator symbol")
-        if not sig.has_operator(op_tok.text):
+        if op_tok.text not in arities:
             raise UndeclaredSymbol(
                 f"operator {op_tok.text!r} is not declared (line {op_tok.line})")
         source_names: list[str] = []
@@ -535,7 +534,7 @@ class _Parser:
             if self.peek().kind != ")":
                 source_names = self._ident_list()
             self.expect(")")
-        arity = sig.arity(op_tok.text)
+        arity = arities[op_tok.text]
         if arity != len(source_names):
             raise ArityMismatch(
                 f"{op_tok.text} expects {arity} source variable(s), got "
@@ -544,7 +543,7 @@ class _Parser:
         label = self.expect("ident", "action label").text
         self.expect("arrow", "'-->'")
 
-        env = _TermEnv(sig, abbrevs, frozenset(source_names),
+        env = _TermEnv(arities, abbrevs, frozenset(source_names),
                        frozenset(p.derivative for p in premises if p.positive),
                        free_ok=True)
         target = self._dist_term(env)
@@ -588,7 +587,7 @@ class _Parser:
         name = tok.text
         if name in env.state_vars:
             return Variable(name)
-        if env.sig.has_operator(name):
+        if name in env.arities:
             _check_arity(tok, env, 0)
             return Apply(name)
         if name in env.abbrevs:
@@ -599,7 +598,7 @@ class _Parser:
 
     def _open_application(self, tok: Token, env: _TermEnv) -> None:
         """Consume the ``(`` after an operator name, which must be declared."""
-        if not env.sig.has_operator(tok.text):
+        if tok.text not in env.arities:
             raise UndeclaredSymbol(f"operator {tok.text!r} is not declared "
                                    f"(line {tok.line})")
         self.expect("(")
@@ -656,11 +655,8 @@ class _Parser:
 
     def _sum(self, parts: list) -> DistTerm:
         """The term of the summands ``parts``, at least one."""
-        if len(parts) == 1:
-            [(q, theta)] = parts
-            if q is not None and q != 1:
-                raise self.error(f"convex weights sum to {q}, expected 1")
-            return theta
+        if len(parts) == 1 and parts[0][0] is None:
+            return parts[0][1]
         if any(q is None for q, _ in parts):
             raise self.error("summands of a convex combination need "
                              "explicit weights like 1/2*...")
@@ -683,7 +679,7 @@ class _Parser:
             raise KindMismatch(
                 f"{name} is a state variable; write delta({name}) for its "
                 f"point mass (line {tok.line})")
-        if env.sig.has_operator(name):
+        if name in env.arities:
             _check_arity(tok, env, 0)
             return DistApply(name)
         if name in env.abbrevs:
@@ -722,7 +718,7 @@ def _read(convert, tok: Token):
 def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:
     """Raise :class:`ArityMismatch` unless the operator named by ``tok``
     takes ``got`` arguments."""
-    arity = env.sig.arity(tok.text)
+    arity = env.arities[tok.text]
     if arity != got:
         raise ArityMismatch(f"{tok.text} expects {arity} argument(s), got "
                             f"{got} (line {tok.line})")
@@ -804,8 +800,8 @@ def parse_term(text: str, doc: SpecDocument, *, free_ok: bool = True,
     otherwise they are reported as undeclared.
     """
     parser = _Parser(text)
-    env = _TermEnv(doc.signature, doc.abbrev_map, frozenset(), frozenset(),
-                   free_ok=free_ok)
+    env = _TermEnv(doc.signature.arities, doc.abbrev_map, frozenset(),
+                   frozenset(), free_ok=free_ok)
     term = (parser._state_term(env) if kind == "state"
             else parser._dist_term(env))
     trailing = parser.peek()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .lp import Infeasible, simplex_min
-from .terms import Var, _Node, format_rational
+from .terms import Distribution, Var, _Node, format_rational
 
 
 class _Infinity:
@@ -178,47 +178,25 @@ def m_pointwise_max(ms: Iterable[Multiplicity]) -> Multiplicity:
 # Layer P: probabilistic multiplicities
 # ---------------------------------------------------------------------------
 
-class ProbMultiplicity(_Node):
-    """Finite-support distribution over multiplicities, masses > 0, sum 1."""
+class ProbMultiplicity(Distribution):
+    """Finite-support distribution over multiplicities.  Build one with
+    :meth:`from_pairs`, which lists the entries in canonical order."""
 
     __slots__ = ("entries",)
     entries: tuple[tuple[Multiplicity, Fraction], ...]
 
-    def __new__(cls, entries: tuple[tuple[Multiplicity, Fraction], ...]
-                ) -> "ProbMultiplicity":
-        total = Fraction(0)
-        for _, q in entries:
-            if q <= 0:
-                raise ValueError(f"non-positive mass {q}")
-            total += q
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected 1")
-        return _Node.__new__(cls, entries)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Multiplicity, Fraction]]) -> "ProbMultiplicity":
-        merged: dict[Multiplicity, Fraction] = {}
-        for m, q in pairs:
-            merged[m] = merged.get(m, Fraction(0)) + Fraction(q)
-        items = sorted(((m, q) for m, q in merged.items() if q != 0),
-                       key=lambda it: it[0].sort_key())
-        return ProbMultiplicity(tuple(items))
-
-    @staticmethod
-    def dirac(m: Multiplicity) -> "ProbMultiplicity":
-        return ProbMultiplicity(((m, Fraction(1)),))
-
-    def support(self) -> tuple[Multiplicity, ...]:
-        return tuple(m for m, _ in self.entries)
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Multiplicity, Fraction]]
+                   ) -> "ProbMultiplicity":
+        # sorted first, so the merged entries come in canonical order
+        return super().from_pairs(sorted(pairs,
+                                         key=lambda it: it[0].sort_key()))
 
     def is_dirac(self) -> bool:
         return len(self.entries) == 1
 
     def sort_key(self) -> tuple:
         return tuple((m.sort_key(), q) for m, q in self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Multiplicity, Fraction]]:
-        return iter(self.entries)
 
     def __str__(self) -> str:
         if self.is_dirac():

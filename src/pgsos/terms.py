@@ -7,9 +7,9 @@ Two syntactic categories are defined over a signature of ranked operators:
   ``delta(t)``, convex combinations ``q1*th1 + ... + qn*thn`` and operator
   applications lifted to distributions.
 
-Every term, variable and rule is hash-consed: it is built through one weak
-table, so equal values are one object while they live, and equality tests
-identity, then fields.  All probabilities are exact
+Every term, variable, rule and distribution is hash-consed: it is built
+through one weak table, so equal values are one object while they live,
+and equality tests identity, then fields.  All probabilities are exact
 :class:`fractions.Fraction` values, so every comparison in the rest of the
 package is tolerance-free.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 from weakref import WeakValueDictionary
 
@@ -40,20 +41,21 @@ class Signature:
     operators: tuple[tuple[str, int], ...]
     actions: tuple[str, ...]
 
-    def arity(self, symbol: str) -> int:
-        for sym, arity in self.operators:
-            if sym == symbol:
-                return arity
-        raise UndeclaredSymbol(f"operator {symbol!r} is not declared")
+    @cached_property
+    def arities(self) -> dict[str, int]:
+        """Each operator's arity, by name."""
+        return dict(self.operators)
 
-    def has_operator(self, symbol: str) -> bool:
-        return any(sym == symbol for sym, _ in self.operators)
+    def arity(self, symbol: str) -> int:
+        if symbol not in self.arities:
+            raise UndeclaredSymbol(f"operator {symbol!r} is not declared")
+        return self.arities[symbol]
 
 
 class _Node:
     """An immutable value built through one weak-valued unique table, so
-    every term, variable, rule and multiplicity value is one object per
-    value while it lives.
+    every term, variable, rule, distribution and multiplicity value is one
+    object per value while it lives.
 
     A subclass lists its fields in ``__slots__``; the table is keyed by the
     class and the fields and keeps no value alive.  The hash is computed
@@ -116,6 +118,68 @@ class _Node:
 _TABLE: "WeakValueDictionary[tuple, _Node]" = WeakValueDictionary()
 
 
+class Distribution(_Node):
+    """A finite distribution: ``entries`` pairs each point of its support
+    with its mass, every mass positive and all summing to exactly 1.
+
+    Entries keep the order they were given in, which is part of the table
+    key, but equality and hashing compare them as a map from points to
+    masses: values that differ only in that order are equal, and the table
+    finds a node above one from either order.  A subclass names the points
+    and declares the ``entries`` slot.
+    """
+
+    __slots__ = ()
+    entries: tuple
+    _masses = "masses"  # what errors call them
+
+    def __new__(cls, entries: tuple):
+        total = Fraction(0)
+        for _, q in entries:
+            if q <= 0:
+                raise ValueError(f"{cls._masses} must be positive, "
+                                 f"got {format_rational(q)}")
+            total += q
+        if total != 1:
+            raise ValueError(f"{cls._masses} sum to {format_rational(total)}, "
+                             f"expected 1")
+        return _Node.__new__(cls, entries)
+
+    @staticmethod
+    def _fields_hash(fields: tuple) -> int:
+        return hash(frozenset(fields[0]))
+
+    def _same_fields(self, other: "Distribution") -> bool:
+        return (len(self.entries) == len(other.entries)
+                and dict(self.entries) == dict(other.entries))
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[object, Fraction]]):
+        """The distribution of ``pairs``: equal points merged where each
+        first occurs, zero masses dropped."""
+        merged: dict = {}
+        for x, q in pairs:
+            merged[x] = merged.get(x, Fraction(0)) + Fraction(q)
+        return cls(tuple((x, q) for x, q in merged.items() if q != 0))
+
+    @classmethod
+    def dirac(cls, x):
+        """The point mass at ``x``."""
+        return cls(((x, _ONE),))
+
+    def support(self) -> tuple:
+        return tuple(x for x, _ in self.entries)
+
+    def __iter__(self) -> Iterator[tuple[object, Fraction]]:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+_ONE = Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # State terms
 # ---------------------------------------------------------------------------
@@ -166,40 +230,24 @@ class InstDirac(_Node):
     term: StateTerm
 
 
-class ConvexSum(_Node):
-    """``q1*th1 + ... + qn*thn`` with every ``q_i`` in (0,1] summing to 1.
+class ConvexSum(Distribution):
+    """``q1*th1 + ... + qn*thn``: a distribution over distribution terms,
+    with ``entries`` the ``(th_i, q_i)`` pairs in the order written.
 
     Use :func:`convex_sum` to build one; it flattens nested sums, merges
     syntactically equal summands and collapses the trivial single-summand
-    case.  The summands keep the order they were written in, which is part
-    of the table key, but equality and hashing compare them as a map from
-    summands to weights: sums that differ only in that order are equal, and
-    the table finds a node above one from either order.
+    case.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("entries",)
+    entries: tuple[tuple["DistTerm", Fraction], ...]
+    _masses = "convex weights"
 
-    def __new__(cls, parts: tuple[tuple[Fraction, "DistTerm"], ...]
+    def __new__(cls, entries: tuple[tuple["DistTerm", Fraction], ...]
                 ) -> "ConvexSum":
-        if len(parts) < 2:
+        if len(entries) < 2:
             raise ValueError("use convex_sum() to construct convex combinations")
-        total = Fraction(0)
-        for q, _ in parts:
-            if not 0 < q <= 1:
-                raise ValueError(f"convex weight {q} outside (0,1]")
-            total += q
-        if total != 1:
-            raise ValueError(f"convex weights sum to {total}, expected 1")
-        return _Node.__new__(cls, parts)
-
-    @staticmethod
-    def _fields_hash(fields: tuple) -> int:
-        return hash(frozenset(fields[0]))
-
-    def _same_fields(self, other: "ConvexSum") -> bool:
-        return (len(self.parts) == len(other.parts)
-                and {t: q for q, t in self.parts}
-                == {t: q for q, t in other.parts})
+        return Distribution.__new__(cls, entries)
 
 
 class DistApply(_Node):
@@ -218,20 +266,21 @@ Var = Union[Variable, DistVariable]  # a variable of either kind
 
 
 def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
-    """Build a convex combination of distribution terms: nested sums are
-    flattened and equal summands merged, each where it first occurs."""
+    """Build a convex combination of distribution terms from ``(weight,
+    term)`` pairs: nested sums are flattened and equal summands merged,
+    each where it first occurs, and a single summand is the term itself."""
     merged: dict[DistTerm, Fraction] = {}
     for q, theta in parts:
         q = Fraction(q)
-        for r, inner in (theta.parts if isinstance(theta, ConvexSum)
-                         else ((1, theta),)):
+        for inner, r in (theta.entries if isinstance(theta, ConvexSum)
+                         else ((theta, 1),)):
             merged[inner] = merged.get(inner, Fraction(0)) + q * r
     if len(merged) == 1:
         [(theta, q)] = merged.items()
         if q != 1:
             raise ValueError(f"convex weights sum to {q}, expected 1")
         return theta
-    return ConvexSum(tuple((q, theta) for theta, q in merged.items()))
+    return ConvexSum(tuple(merged.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +322,8 @@ def format_term(t: Term) -> str:
             push(")")
             push(u.term)
         elif cls is ConvexSum:
-            for i in range(len(u.parts) - 1, -1, -1):
-                q, theta = u.parts[i]
+            for i in range(len(u.entries) - 1, -1, -1):
+                theta, q = u.entries[i]
                 if theta.__class__ is ConvexSum:
                     stack += (")", theta, "(")
                 else:
@@ -301,7 +350,7 @@ def immediate_subterms(t: Term) -> tuple[Term, ...]:
     if cls is InstDirac:
         return (t.term,)
     if cls is ConvexSum:
-        return tuple(theta for _, theta in t.parts)
+        return t.support()
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -353,7 +402,7 @@ def substitute(t: Term, sigma: Substitution) -> Term:
             elif cls is InstDirac:
                 image = InstDirac(new[0])
             else:
-                image = convex_sum(zip([q for q, _ in u.parts], new))
+                image = convex_sum(zip([q for _, q in u.entries], new))
             done[id(u)] = image
         elif cls is Variable or cls is DistVariable:
             image = sigma.get(u, u)
@@ -380,81 +429,17 @@ def substitute(t: Term, sigma: Substitution) -> Term:
 # Finite-support distributions over closed state terms
 # ---------------------------------------------------------------------------
 
-# Not a ``_Node``: most distributions are built once (an oracle run on `pa`
-# and `examples` builds 19,717, 14,642 of them distinct), and interning
-# them was no faster on the oracle benchmark (1,280 against 1,264 q/s,
-# medians of 6 runs each on 2 vCPUs, Python 3.11.7: within noise).
-@dataclass(frozen=True, eq=False)
-class FiniteDistribution:
-    """A probability distribution with finite support over closed state terms.
+class FiniteDistribution(Distribution):
+    """A probability distribution with finite support over closed state
+    terms."""
 
-    Only the support is stored (all masses strictly positive) and masses sum
-    to exactly 1.  Entries keep the order they were first given in, but
-    equality and hashing compare them as a map from terms to masses, so
-    that order is not part of the value.
-    """
-
-    _items: tuple[tuple[StateTerm, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        total = Fraction(0)
-        for t, q in self._items:
-            if q <= 0:
-                raise ValueError(f"non-positive mass {q} on {format_term(t)}")
-            total += q
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected 1")
-        object.__setattr__(self, "_hash", hash(frozenset(self._items)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FiniteDistribution:
-            return NotImplemented
-        return (self._hash == other._hash
-                and len(self._items) == len(other._items)
-                and dict(self._items) == dict(other._items))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return (FiniteDistribution, (self._items,))
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[StateTerm, Fraction]]) -> "FiniteDistribution":
-        merged: dict[StateTerm, Fraction] = {}
-        for t, q in pairs:
-            merged[t] = merged.get(t, Fraction(0)) + Fraction(q)
-        return FiniteDistribution(tuple((t, q) for t, q in merged.items()
-                                        if q != 0))
-
-    @staticmethod
-    def dirac(t: StateTerm) -> "FiniteDistribution":
-        return FiniteDistribution(((t, Fraction(1)),))
-
-    def items(self) -> tuple[tuple[StateTerm, Fraction], ...]:
-        return self._items
-
-    def support(self) -> tuple[StateTerm, ...]:
-        return tuple(t for t, _ in self._items)
-
-    def mass(self, t: StateTerm) -> Fraction:
-        for s, q in self._items:
-            if s == t:
-                return q
-        return Fraction(0)
-
-    def __iter__(self) -> Iterator[tuple[StateTerm, Fraction]]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
+    __slots__ = ("entries",)
+    entries: tuple[tuple[StateTerm, Fraction], ...]
 
     def __str__(self) -> str:
         """The support sorted by its text, so the rendering is canonical."""
         return " + ".join(f"{format_rational(q)}*{text}" for text, q in
-                          sorted((format_term(t), q) for t, q in self._items))
+                          sorted((format_term(t), q) for t, q in self.entries))
 
 
 def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
@@ -479,7 +464,7 @@ def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
         if cls is DistVariable:
             if u not in dists:
                 raise ValueError(f"distribution term is not closed: {u.name}")
-            done.append(dists[u]._items)
+            done.append(dists[u].entries)
         elif cls is InstDirac:
             done.append(((substitute(u.term, states), _ONE),))
         elif cls is tuple:  # (node, n): the last n entries are its subterms'
@@ -488,7 +473,7 @@ def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
             del done[len(done) - n:]
             if u.__class__ is ConvexSum:
                 merged: dict[StateTerm, Fraction] = {}
-                for (q, _), pairs in zip(u.parts, entries):
+                for (_, q), pairs in zip(u.entries, entries):
                     for t, r in pairs:
                         m = q * r if len(pairs) > 1 else q
                         merged[t] = merged[t] + m if t in merged else m
@@ -506,9 +491,6 @@ def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
         else:
             raise TypeError(f"not a distribution term: {u!r}")
     return FiniteDistribution(tuple(done[0]))
-
-
-_ONE = Fraction(1)
 
 
 def check_arities(t: Term, sig: Signature) -> None:

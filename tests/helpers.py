@@ -621,7 +621,7 @@ def eval_closed(theta):
         return FiniteDistribution.dirac(theta.term)
     if isinstance(theta, ConvexSum):
         return FiniteDistribution.from_pairs(
-            (t, q * r) for q, part in theta.parts for t, r in eval_closed(part))
+            (t, q * r) for part, q in theta for t, r in eval_closed(part))
     assert isinstance(theta, DistApply)
     combos = [((), Fraction(1))]
     for dist in [eval_closed(a) for a in theta.args]:

@@ -294,8 +294,8 @@ def test_criterion_12_transport_optimum_matches_vertex_enumeration():
         pi1 = _random_dist(rng, supp1)
         pi2 = _random_dist(rng, supp2)
         cost = [[dist[(a, b)] for b in pi2.support()] for a in pi1.support()]
-        supply = [q for _, q in pi1.items()]
-        demand = [q for _, q in pi2.items()]
+        supply = [q for _, q in pi1]
+        demand = [q for _, q in pi2]
         value, plan = solve_transport(cost, supply, demand)
         assert value == transport_bruteforce(cost, supply, demand)
         # the returned plan is a coupling achieving the optimum

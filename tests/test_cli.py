@@ -407,6 +407,12 @@ RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
                  "need explicit weights", id="first-weight-missing"),
     pytest.param(RULE.format("1/2*delta(x1) + delta(zero)"), ["check"],
                  "need explicit weights", id="second-weight-missing"),
+    pytest.param(RULE.format("0*delta(x1) + 1*delta(zero)"), ["check"],
+                 "convex weights must be positive, got 0",
+                 id="zero-weight"),
+    pytest.param(RULE.format("2*delta(x1) + 1/2*delta(zero)"), ["check"],
+                 "convex weights sum to 5/2, expected 1",
+                 id="weight-above-one"),
     pytest.param("rule:\n  ---\n  f(x1) -a--> delta(x1)", ["check"],
                  "stray '-'", id="stray-dash"),
     pytest.param("op g : 1.5;", ["check"], "arity must be a natural number",

@@ -487,7 +487,7 @@ def operators_in(term):
         elif isinstance(u, InstDirac):
             todo.append(u.term)
         elif isinstance(u, ConvexSum):
-            todo.extend(theta for _, theta in u.parts)
+            todo.extend(u.support())
     return ops
 
 

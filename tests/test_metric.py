@@ -229,6 +229,14 @@ def test_pair_budget_refusal(pa_doc):
         bisim_distance(pa_doc, u, v, max_pairs=1)
 
 
+def test_pair_budget_skips_equal_distributions(pa_doc):
+    # two pairs: the roots and (zero, pref_b(zero)); both roots move by a
+    # to pa0's one distribution, and that move adds no pair
+    u = t(pa_doc, "alt(pa0, pref_b(zero))")
+    v = t(pa_doc, "alt(pa0, pref_b(pref_b(zero)))")
+    assert bisim_distance(pa_doc, u, v, max_pairs=2) == 1
+
+
 def test_deep_chains_are_explored_and_measured_without_recursion(examples_doc):
     u = Apply("zero")
     for _ in range(1999):

@@ -37,8 +37,8 @@ def only(steps):
 def test_probabilistic_prefix_transition(pa_doc):
     action, pi = only(derive_transitions(pa_doc, t(pa_doc, "pa0")))
     assert action == "a"
-    assert pi.mass(t(pa_doc, "a0")) == F(9, 10)
-    assert pi.mass(t(pa_doc, "zero")) == F(1, 10)
+    assert dict(pi.entries)[t(pa_doc, "a0")] == F(9, 10)
+    assert dict(pi.entries)[t(pa_doc, "zero")] == F(1, 10)
 
 
 def test_deterministic_prefix_and_deadlock(pa_doc):
@@ -65,10 +65,10 @@ def test_synchronous_parallel_requires_both(pa_doc):
 
 def test_synchronous_parallel_multiplies_probabilities(pa_doc):
     _, pi = only(derive_transitions(pa_doc, t(pa_doc, "par(pa0, pa0)")))
-    assert pi.mass(t(pa_doc, "par(a0, a0)")) == F(81, 100)
-    assert pi.mass(t(pa_doc, "par(a0, zero)")) == F(9, 100)
-    assert pi.mass(t(pa_doc, "par(zero, a0)")) == F(9, 100)
-    assert pi.mass(t(pa_doc, "par(zero, zero)")) == F(1, 100)
+    assert dict(pi.entries)[t(pa_doc, "par(a0, a0)")] == F(81, 100)
+    assert dict(pi.entries)[t(pa_doc, "par(a0, zero)")] == F(9, 100)
+    assert dict(pi.entries)[t(pa_doc, "par(zero, a0)")] == F(9, 100)
+    assert dict(pi.entries)[t(pa_doc, "par(zero, zero)")] == F(1, 100)
 
 
 def test_interleaving_keeps_partner_still(pa_doc):
@@ -247,6 +247,6 @@ def test_instantiate_equals_the_round_trip_through_syntax(name, doc, roots):
     fired = set()
     for rule, states, dists in _instantiation_cases(doc, roots, rng):
         pi = instantiate(rule.target, states, dists)
-        assert pi.items() == round_trip(rule.target, states, dists).items()
+        assert pi.entries == round_trip(rule.target, states, dists).entries
         fired.add(rule)
     assert fired == set(doc.rules)
