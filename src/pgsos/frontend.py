@@ -23,6 +23,10 @@ templates quantify the action label over a finite set expression built
 from named sets, literals ``{a, b}``, the full alphabet ``ACT`` and the
 operators ``|`` (union), ``&`` (intersection) and ``\\`` (difference).
 
+Every name is declared before it is used, and the actions before the first
+set or rule.  The parser reads the text once: it evaluates each set
+expression and expands each template into its rules where they are written.
+
 Rationals are written ``9/10`` or as exact decimals ``0.9``.
 """
 
@@ -33,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple
 
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
@@ -166,84 +170,6 @@ class SpecDocument:
 
 
 _MEMO_TABLES: dict[SpecDocument, dict[str, dict]] = {}
-
-
-# ---------------------------------------------------------------------------
-# Set expressions
-# ---------------------------------------------------------------------------
-
-class SetName(NamedTuple):
-    name: str
-
-
-class SetLiteral(NamedTuple):
-    members: tuple[str, ...]
-
-
-class SetAll(NamedTuple):
-    pass
-
-
-class SetOp(NamedTuple):
-    op: str  # '|', '&', '\\'
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-SetExpr = Union[SetName, SetLiteral, SetAll, SetOp]
-
-
-def eval_setexpr(expr: SetExpr, named: Mapping[str, frozenset[str]],
-                 actions: Sequence[str]) -> frozenset[str]:
-    """The actions ``expr`` denotes.  Evaluates operands left to right on
-    an explicit stack, so the depth of ``expr`` is not limited by the
-    interpreter's recursion limit."""
-    values: list[frozenset[str]] = []
-    stack: list = [expr]
-    while stack:
-        e = stack.pop()
-        if e.__class__ is str:  # an operator over the last two values
-            right = values.pop()
-            left = values.pop()
-            values.append(left | right if e == "|" else
-                          left & right if e == "&" else left - right)
-        elif isinstance(e, SetOp):
-            stack += (e.op, e.right, e.left)
-        elif isinstance(e, SetAll):
-            values.append(frozenset(actions))
-        elif isinstance(e, SetName):
-            if e.name not in named:
-                raise UndeclaredSymbol(f"action set {e.name!r} is not declared")
-            values.append(named[e.name])
-        else:
-            for a in e.members:
-                if a not in actions:
-                    raise UndeclaredSymbol(f"action {a!r} is not declared")
-            values.append(frozenset(e.members))
-    return values[0]
-
-
-# ---------------------------------------------------------------------------
-# Raw (pre-expansion) documents
-# ---------------------------------------------------------------------------
-
-class RawPremise(NamedTuple):
-    positive: bool
-    source: str
-    label: str
-    derivative: str | None
-    line: int
-
-
-@dataclass(frozen=True)
-class RawRule:
-    op: str
-    sources: tuple[Variable, ...]
-    premises: tuple[RawPremise, ...]
-    label: str
-    target: DistTerm
-    template: tuple[str, SetExpr] | None
-    line: int
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +307,35 @@ class _Parser:
     # -- document -----------------------------------------------------------
 
     def parse_document(self, digest: str) -> SpecDocument:
-        actions: list[str] = []
+        actions: dict[str, None] = {}  # insertion-ordered, O(1) lookups
         arities: dict[str, int] = {}
-        sets: list[tuple[str, tuple[str, ...]]] = []
-        set_map: dict[str, frozenset[str]] = {}
+        named: dict[str, frozenset[str]] = {}
         abbrevs: dict[str, StateTerm] = {}
-        raw_rules: list[RawRule] = []
-        saw_any = False
+        blocks: list[list[Rule]] = []
+        if self.peek().kind == "eof":
+            raise SpecSyntaxError("empty specification", 1, 1)
         while self.peek().kind != "eof":
-            saw_any = True
             if self.at_keyword("actions"):
+                if named or blocks:
+                    raise self.error("actions declared after a set or rule")
                 self.next()
-                actions.extend(self._ident_list())
+                for tok in self._ident_list():
+                    if tok.text in actions:
+                        raise self.error(f"action {tok.text!r} declared twice",
+                                         tok)
+                    actions[tok.text] = None
                 self.expect(";")
             elif self.at_keyword("set"):
                 self.next()
                 name = self.expect("ident", "set name").text
-                if name in set_map:
+                if name in named:
                     raise self.error(f"action set {name!r} declared twice")
+                if name == "ACT":
+                    raise self.error("'ACT' names every action and cannot be "
+                                     "declared")
                 self.expect("=")
-                expr = self._setexpr()
+                named[name] = self._setexpr(actions, named)
                 self.expect(";")
-                members = eval_setexpr(expr, set_map, tuple(actions))
-                set_map[name] = members
-                sets.append((name, tuple(sorted(members))))
             elif self.at_keyword("op"):
                 self.next()
                 name = self.expect("ident", "operator name").text
@@ -430,30 +361,38 @@ class _Parser:
                 self.expect(";")
                 abbrevs[name] = term
             elif self.at_keyword("rule"):
-                raw_rules.append(self._rule_block(arities, abbrevs))
+                blocks.append(self._rule_block(arities, abbrevs, actions, named))
             else:
                 raise self.error(f"expected a declaration, found {self.peek().text!r}")
-        if not saw_any:
-            raise SpecSyntaxError("empty specification", 1, 1)
-        sig = Signature(tuple(arities.items()), tuple(actions))
-        return SpecDocument(sig, expand_templates(sig, raw_rules, set_map),
-                            tuple(sets), tuple(abbrevs.items()),
-                            source_digest=digest)
+        # the rules of a block differ only in their labels, which
+        # validate_rule does not read, so each block is validated once
+        problems = [v for block in blocks for rule in block[:1]
+                    for v in validate_rule(rule)]
+        if problems:
+            raise RuleFormatError(problems)
+        return SpecDocument(
+            Signature(tuple(arities.items()), tuple(actions)),
+            tuple(rule for block in blocks for rule in block),
+            tuple((name, tuple(sorted(members)))
+                  for name, members in named.items()),
+            tuple(abbrevs.items()), source_digest=digest)
 
-    def _ident_list(self) -> list[str]:
-        names = [self.expect("ident").text]
+    def _ident_list(self) -> list[Token]:
+        toks = [self.expect("ident")]
         while self.peek().kind == ",":
             self.next()
-            names.append(self.expect("ident").text)
-        return names
+            toks.append(self.expect("ident"))
+        return toks
 
     # -- set expressions ----------------------------------------------------
 
-    def _setexpr(self) -> SetExpr:
-        """A set expression, its operators left-associative, parsed on an
-        explicit stack of open groups: each holds the expression left of
-        its pending operator and that operator (``None`` before any)."""
-        groups: list[tuple[SetExpr | None, str | None]] = []
+    def _setexpr(self, actions: Mapping[str, None],
+                 named: Mapping[str, frozenset[str]]) -> frozenset[str]:
+        """The actions a set expression denotes, its operators
+        left-associative, evaluated on an explicit stack of open groups:
+        each holds the value left of its pending operator and that operator
+        (``None`` before any)."""
+        groups: list[tuple[frozenset[str] | None, str | None]] = []
         left, op = None, None
         while True:
             if self.peek().kind == "(":
@@ -461,63 +400,69 @@ class _Parser:
                 groups.append((left, op))
                 left, op = None, None
                 continue
-            expr = self._set_primary()
+            value = self._set_primary(actions, named)
             while True:  # close every group this operand completes
-                left = expr if op is None else SetOp(op, left, expr)
+                left = (value if op is None else left | value if op == "|"
+                        else left & value if op == "&" else left - value)
                 if self.peek().kind in ("|", "&", "\\"):
                     op = self.next().kind
                     break
                 if not groups:
                     return left
                 self.expect(")")
-                expr = left
+                value = left
                 left, op = groups.pop()
 
-    def _set_primary(self) -> SetExpr:
-        """A set literal, name or ``ACT``."""
-        tok = self.peek()
+    def _set_primary(self, actions: Mapping[str, None],
+                     named: Mapping[str, frozenset[str]]) -> frozenset[str]:
+        """The actions of a set literal, a declared set name or ``ACT``."""
+        tok = self.next()
         if tok.kind == "{":
-            self.next()
-            members: list[str] = []
-            if self.peek().kind != "}":
-                members = self._ident_list()
+            members = [] if self.peek().kind == "}" else self._ident_list()
             self.expect("}")
-            return SetLiteral(tuple(members))
-        if tok.kind == "ident":
-            self.next()
-            if tok.text == "ACT":
-                return SetAll()
-            return SetName(tok.text)
-        raise self.error("expected a set expression")
+            return frozenset(self._action(actions, tok=m) for m in members)
+        if tok.kind != "ident":
+            raise self.error("expected a set expression", tok)
+        if tok.text == "ACT":
+            return frozenset(actions)
+        if tok.text not in named:
+            raise UndeclaredSymbol(f"action set {tok.text!r} is not declared "
+                                   f"(line {tok.line})")
+        return named[tok.text]
 
     # -- rules --------------------------------------------------------------
 
     def _rule_block(self, arities: Mapping[str, int],
-                    abbrevs: Mapping[str, StateTerm]) -> RawRule:
+                    abbrevs: Mapping[str, StateTerm],
+                    actions: Mapping[str, None],
+                    named: Mapping[str, frozenset[str]]) -> list[Rule]:
+        """The rules of one block: the rule itself, or for a ``forall``
+        template one rule per member of its set, in sorted order."""
         rule_tok = self.expect("ident")  # 'rule'
-        template: tuple[str, SetExpr] | None = None
+        var, members = None, (None,)  # a plain rule is its one instance
         if self.at_keyword("forall"):
             self.next()
             var = self.expect("ident", "template action variable").text
             if not self.at_keyword("in"):
                 raise self.error("expected 'in'")
             self.next()
-            template = (var, self._setexpr())
+            members = self._setexpr(actions, named)
         self.expect(":")
 
-        premises: list[RawPremise] = []
+        pos: list[PosPremise] = []
+        neg: list[NegPremise] = []
         while self.peek().kind != "sep":
-            tok = self.expect("ident", "a premise or '---'")
+            source = Variable(self.expect("ident", "a premise or '---'").text)
             shape = self.next()
             if shape.kind == "dash2":
-                label = self.expect("ident", "action label").text
+                label = self._action(actions, var)
                 self.expect("arrow", "'-->'")
                 deriv = self.expect("ident", "derivative variable").text
-                premises.append(RawPremise(True, tok.text, label, deriv, tok.line))
+                pos.append(PosPremise(source, label, DistVariable(deriv)))
             elif shape.kind == "negdash":
-                label = self.expect("ident", "action label").text
+                label = self._action(actions, var)
                 self.expect("rarrow", "'->'")
-                premises.append(RawPremise(False, tok.text, label, None, tok.line))
+                neg.append(NegPremise(source, label))
             else:
                 raise self.error("expected '--' or '-/' in premise", shape)
             if self.peek().kind == ",":
@@ -532,7 +477,7 @@ class _Parser:
         if self.peek().kind == "(":
             self.next()
             if self.peek().kind != ")":
-                source_names = self._ident_list()
+                source_names = [t.text for t in self._ident_list()]
             self.expect(")")
         arity = arities[op_tok.text]
         if arity != len(source_names):
@@ -540,15 +485,39 @@ class _Parser:
                 f"{op_tok.text} expects {arity} source variable(s), got "
                 f"{len(source_names)} (line {op_tok.line})")
         self.expect("dash2", "'--'")
-        label = self.expect("ident", "action label").text
+        label = self._action(actions, var)
         self.expect("arrow", "'-->'")
 
         env = _TermEnv(arities, abbrevs, frozenset(source_names),
-                       frozenset(p.derivative for p in premises if p.positive),
+                       frozenset(p.derivative.name for p in pos),
                        free_ok=True)
         target = self._dist_term(env)
-        return RawRule(op_tok.text, tuple(map(Variable, source_names)),
-                       tuple(premises), label, target, template, rule_tok.line)
+        sources = tuple(map(Variable, source_names))
+
+        def instance(c: str | None) -> Rule:
+            """The rule with the action ``c`` for the template variable."""
+            return Rule(op_tok.text, sources,
+                        tuple(p._replace(action=c) if p.action == var else p
+                              for p in pos),
+                        tuple(n._replace(action=c) if n.action == var else n
+                              for n in neg),
+                        c if label == var else label, target)
+
+        if not members:
+            warnings.warn(
+                f"rule template for {op_tok.text} (line {rule_tok.line}) "
+                f"ranges over an empty action set", EmptyExpansion, stacklevel=2)
+        return [instance(c) for c in sorted(members)]
+
+    def _action(self, actions: Mapping[str, None], var: str | None = None,
+                tok: Token | None = None) -> str:
+        """The action label ``tok``, by default the next token: a declared
+        action or the template variable ``var``."""
+        tok = tok or self.expect("ident", "action label")
+        if tok.text != var and tok.text not in actions:
+            raise UndeclaredSymbol(
+                f"action {tok.text!r} is not declared (line {tok.line})")
+        return tok.text
 
     # -- terms --------------------------------------------------------------
 
@@ -725,56 +694,8 @@ def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Template expansion and the public entry points
+# Public entry points
 # ---------------------------------------------------------------------------
-
-def expand_templates(sig: Signature, raw_rules: Sequence[RawRule],
-                     named: Mapping[str, frozenset[str]]) -> tuple[Rule, ...]:
-    """Instantiate every ``forall`` template over the action sets ``named``
-    and validate all rules."""
-    rules: list[Rule] = []
-    for rr in raw_rules:
-        if rr.template is None:
-            rules.append(_instantiate(rr, None, None, sig))
-            continue
-        var, expr = rr.template
-        members = eval_setexpr(expr, named, sig.actions)
-        if not members:
-            warnings.warn(
-                f"rule template for {rr.op} (line {rr.line}) ranges over an "
-                f"empty action set", EmptyExpansion, stacklevel=2)
-        for action in sorted(members):
-            rules.append(_instantiate(rr, var, action, sig))
-    problems = [v for rule in rules for v in validate_rule(rule)]
-    if problems:
-        raise RuleFormatError(problems)
-    return tuple(rules)
-
-
-def _instantiate(rr: RawRule, tvar: str | None, action: str | None,
-                 sig: Signature) -> Rule:
-    def resolve(label: str, line: int) -> str:
-        if tvar is not None and label == tvar:
-            assert action is not None
-            return action
-        if label not in sig.actions:
-            raise UndeclaredSymbol(
-                f"action {label!r} is not declared (line {line})")
-        return label
-
-    pos: list[PosPremise] = []
-    neg: list[NegPremise] = []
-    for p in rr.premises:
-        if p.positive:
-            assert p.derivative is not None
-            pos.append(PosPremise(Variable(p.source),
-                                  resolve(p.label, p.line),
-                                  DistVariable(p.derivative)))
-        else:
-            neg.append(NegPremise(Variable(p.source), resolve(p.label, p.line)))
-    return Rule(rr.op, rr.sources, tuple(pos), tuple(neg),
-                resolve(rr.label, rr.line), rr.target)
-
 
 def parse_spec(data: bytes | str) -> SpecDocument:
     """Parse, expand and validate a complete specification."""

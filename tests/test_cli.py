@@ -417,6 +417,35 @@ RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
                  "stray '-'", id="stray-dash"),
     pytest.param("op g : 1.5;", ["check"], "arity must be a natural number",
                  id="fractional-arity"),
+    pytest.param("rule forall c in S:\n  ---\n  f(x1) --c--> delta(x1)\n"
+                 "set S = {a};", ["check"],
+                 "action set 'S' is not declared (line 4)", id="late-set"),
+    pytest.param("rule:\n  ---\n  f(x1) --b--> delta(x1)\nactions b;",
+                 ["check"], "action 'b' is not declared (line 6)",
+                 id="late-label"),
+    pytest.param("rule forall c in ACT:\n  ---\n  f(x1) --c--> delta(x1)\n"
+                 "actions b;", ["check"],
+                 "actions declared after a set or rule (line 7, column 1)",
+                 id="actions-after-rule"),
+    pytest.param("set S = {a};\nactions b;", ["check"],
+                 "actions declared after a set or rule", id="actions-after-set"),
+    pytest.param("actions b, b;", ["check"], "action 'b' declared twice",
+                 id="action-twice-in-one-list"),
+    pytest.param("actions a;", ["check"], "action 'a' declared twice",
+                 id="action-declared-again"),
+    pytest.param("set ACT = {a};", ["check"],
+                 "'ACT' names every action and cannot be declared",
+                 id="set-act"),
+    pytest.param("set S = {a,\n b};", ["check"],
+                 "action 'b' is not declared (line 5)",
+                 id="undeclared-set-member"),
+    pytest.param("set S = {a} |\n T;", ["check"],
+                 "action set 'T' is not declared (line 5)",
+                 id="undeclared-set-name"),
+    pytest.param("set E = {};\nrule forall c in E:\n  ---\n"
+                 "  f(x1) --q--> delta(x1)", ["check"],
+                 "action 'q' is not declared (line 7)",
+                 id="undeclared-label-in-empty-template"),
     pytest.param(None, ["transitions", PA, "pa0 pa0"],
                  "unexpected trailing input 'pa0'", id="trailing-input"),
     pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "x"],

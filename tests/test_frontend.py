@@ -121,6 +121,23 @@ rule:
         parse_spec(bad)
 
 
+def test_template_violations_are_reported_once():
+    # every instance of a template has the same shape, so a foreign premise
+    # is one finding, not one per action
+    bad = """
+actions a, b;
+op f : 1;
+rule forall c in ACT:
+  y --c--> m
+  ---
+  f(x1) --c--> m
+"""
+    with pytest.raises(RuleFormatError) as err:
+        parse_spec(bad)
+    assert len(err.value.violations) == 1
+    assert str(err.value) == "rule for f: premise tests y, not a source variable"
+
+
 def test_duplicate_derivative_variable_is_rejected():
     bad = """
 actions a;
