@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from . import continuity as cont
-from .denotation import lfp_denotations
+from .denotation import generic_application, lfp_denotations
 from .errors import AnalysisRefusal, InputError
 from .frontend import SpecDocument, parse_spec, parse_term
 from .metric import bisim_distance
@@ -206,12 +206,12 @@ def cmd_denote(args: argparse.Namespace) -> int:
     t = parse_term(args.term, doc)
     den = lfp_denotations(doc)
     gs = den.genset(t)
-    flags = {"widened": den.widened,
-             "over_approximated": den.over_approximated}
+    widened, over_approximated = den.flags(t)
+    flags = {"widened": widened, "over_approximated": over_approximated}
     human = f"[[{format_term(t)}]] = {gs}"
-    if den.widened:
+    if widened:
         human += "\n(widened: some counts were promoted to inf)"
-    if den.over_approximated:
+    if over_approximated:
         human += ("\n(over-approximated: an upper bound of the least "
                   "fixed point)")
     emit(args, "denote", doc, {"term": format_term(t)},
@@ -229,8 +229,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
                if e.get(v) == 0 and isinstance(v, Variable)]
     den = lfp_denotations(doc)
     value = da(den.genset(t), e)
-    flags = {"widened": den.widened,
-             "over_approximated": den.over_approximated,
+    widened, over_approximated = den.flags(t)
+    flags = {"widened": widened, "over_approximated": over_approximated,
              "zero_distance_variables": missing}
     emit(args, "bound", doc,
          {"term": format_term(t), "dist": args.dist},
@@ -265,12 +265,14 @@ def cmd_continuity(args: argparse.Namespace) -> int:
         ops = [args.op]
     else:
         ops = [op for op, _ in doc.signature.operators]
-    den = lfp_denotations(doc)
     reports = [cont.is_uniformly_continuous(doc, op) for op in ops]
+    # the flags of the reported operators' generic applications, together
+    den = lfp_denotations(doc)
+    flags = [den.flags(generic_application(doc, op)[0]) for op in ops]
     emit(args, "continuity", doc, {"operator": args.op},
          {"reports": [_report_dict(r) for r in reports]},
-         {"widened": den.widened,
-          "over_approximated": den.over_approximated},
+         {"widened": any(w for w, _ in flags),
+          "over_approximated": any(o for _, o in flags)},
          "\n".join(_report_text(r) for r in reports))
     return 0
 

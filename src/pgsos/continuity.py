@@ -109,6 +109,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
     den = lfp_denotations(doc)
     generic, sources = generic_application(doc, op)
     gens = tuple(den.genset(generic))
+    widened, over_approximated = den.flags(generic)
 
     reasons: list[str] = []
     worst = Fraction(0)
@@ -127,8 +128,8 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
 
     for x in sorted(infinite_vars, key=lambda v: v.name):
         reasons.append(f"infinite coefficient at {x.name}")
-    widened_relevant = bool(set(infinite_vars) & set(den.widened_vars))
-    if widened_relevant:
+    # only widening makes a count infinite
+    if infinite_vars:
         reasons.append("denotation required widening of an unbounded "
                        "growth chain")
 
@@ -147,7 +148,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
         verdict = VERDICT_NOT_SHOWN
         copies = None
         annotation = None
-        if widened_relevant and den.over_approximated:
+        if infinite_vars and over_approximated:
             annotation = ("no finite copy bound was found: the infinite "
                           "count was widened in a fixed point that "
                           "over-approximates the least one, so the "
@@ -157,7 +158,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
                           "the argument, so no modulus of continuity exists "
                           "and the operator is not uniformly continuous")
     return ContinuityReport(op, verdict, modulus, copies, tuple(reasons),
-                            over_approx, den.widened, annotation)
+                            over_approx, widened, annotation)
 
 
 def check_modulus(doc: SpecDocument, op: str, z: ModulusSpec) -> bool:

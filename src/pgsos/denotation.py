@@ -5,12 +5,15 @@ variable (and, for rule analysis, each premise derivative) a context built
 from the specification can spawn.  Denotations of terms and rules are
 mutually recursive — a rule's denotation folds the denotation of its
 target, which applies operators whose denotations come from their rules —
-so both are computed together as the least fixed point of a joint step
-function, solved one strongly connected component of the dependency graph
-at a time (see :func:`lfp_denotations`): an entry on no cycle is stepped
-once, a count that a cycle pumps for ever is promoted to ``INF``, and a
-cycle whose masses move for ever is replaced by a checked post-fixed
-point.
+so both are entries of one least fixed point of a joint step function.
+:class:`Denotations` is its one table, solved on demand one strongly
+connected component of the dependency graph at a time, as in the local
+solvers of Le Charlier & Van Hentenryck (1992) and Fecht & Seidl (SCP
+1999): a query solves only what its term depends on and no earlier query
+solved.  An entry on no cycle is stepped once, a count that a cycle pumps
+for ever is promoted to ``INF``, and a cycle whose masses move for ever
+is replaced by a checked post-fixed point.  Each entry carries the flags
+of its own dependency cone.
 
 Operators applied to distribution terms are coarsened to a single
 generator: the least probabilistic multiplicity covering every rule of the
@@ -23,9 +26,8 @@ unsound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .frontend import Rule, SpecDocument
 from .graphs import strongly_connected_components
@@ -144,14 +146,6 @@ def canonical_rule(rule: Rule) -> Rule:
                 rule.action, substitute(rule.target, mapping))
 
 
-def subterms(t: Term) -> list[Term]:
-    """The distinct subterms of ``t``, ``t`` included, innermost first: each
-    in the place of its first occurrence in a left-to-right post-order walk.
-    Subterms form no cycle, so each component of their graph is one term."""
-    return [u for u, in strongly_connected_components([t],
-                                                      immediate_subterms)]
-
-
 # ---------------------------------------------------------------------------
 # The joint step function
 # ---------------------------------------------------------------------------
@@ -166,29 +160,27 @@ def generic_application(doc: SpecDocument,
 
 
 class _StepContext:
-    """Evaluates the step function clauses against one ``rho`` table.
+    """Evaluates the step function clauses against one ``value`` table of
+    terms and rules.
 
-    ``lookup`` gives the denotation of an immediate subterm: the fixpoint
-    reads its table of tracked entries; a query reads the memo that
-    :meth:`Denotations.genset` fills innermost first.
     An operator's summaries are memoised by the operator and the values
-    of its rules in ``rho``, so a changed value finds no stale summary.
+    of its rules, so a changed value finds no stale summary.
+    ``coarsened`` holds the operators whose distribution-level summary
+    over-approximated a non-Dirac supremum.
     """
 
     def __init__(self, doc: SpecDocument,
                  rules_by_op: Mapping[str, tuple[Rule, ...]],
-                 rho: Mapping[Rule, GenSet],
-                 lookup: Callable[[Term], GenSet]):
+                 value: Mapping[object, GenSet]):
         self.doc = doc
         self.rules_by_op = rules_by_op
-        self.rho = rho
-        self.lookup = lookup
-        self.over_approximated = False
+        self.value = value
+        self.coarsened: set[str] = set()
         self._state_cache: dict[tuple, GenSet] = {}
         self._dist_cache: dict[tuple, GenSet] = {}
 
     def _key(self, op: str) -> tuple:
-        return (op, *(self.rho[r] for r in self.rules_by_op.get(op, ())))
+        return (op, *(self.value[r] for r in self.rules_by_op.get(op, ())))
 
     def rho_state(self, op: str) -> GenSet:
         key = self._key(op)
@@ -202,7 +194,8 @@ class _StepContext:
         if key not in self._dist_cache:
             rules = self.rules_by_op.get(op, ())
             gens = [p for gs in key[1:] for p in gs]
-            self.over_approximated |= not sup_is_exact(gens)
+            if not sup_is_exact(gens):
+                self.coarsened.add(op)
             tested = [ProbMultiplicity.dirac(unit(*r.tested_sources()))
                       for r in rules]
             self._dist_cache[key] = GenSet(
@@ -213,205 +206,175 @@ class _StepContext:
         if isinstance(t, (Variable, DistVariable)):
             return GenSet((ProbMultiplicity.dirac(unit(t)),))
         if isinstance(t, InstDirac):
-            return self.lookup(t.term)
+            return self.value[t.term]
         if isinstance(t, ConvexSum):
             weights = tuple(q for _, q in t.entries)
-            gensets = tuple(self.lookup(theta) for theta, _ in t.entries)
+            gensets = tuple(self.value[theta] for theta, _ in t.entries)
             return convex_combine(weights, gensets)
         if isinstance(t, (Apply, DistApply)):
             rho_f = (self.rho_state(t.op) if isinstance(t, Apply)
                      else self.rho_dist(t.op))
             sources = generic_application(self.doc, t.op)[1]
             return compose_operator(rho_f, sources,
-                                    tuple(self.lookup(a) for a in t.args))
+                                    tuple(self.value[a] for a in t.args))
         raise TypeError(f"not a term: {t!r}")
 
     def rule_step(self, rule: Rule) -> GenSet:
-        target_gs = self.lookup(rule.target)
+        target_gs = self.value[rule.target]
         return genset_normalize(fold_rule(p, rule) for p in target_gs)
 
+    def step(self, e: object) -> GenSet:
+        return self.rule_step(e) if isinstance(e, Rule) else self.term_step(e)
+
 
 # ---------------------------------------------------------------------------
-# Least fixed point, one dependency component at a time
+# Least fixed point, one dependency component at a time, on demand
 # ---------------------------------------------------------------------------
 
-@dataclass
+_WIDENED, _OVER = 1, 2  # the bits of an entry's flags
+
+
 class Denotations:
-    """Result of the joint fixpoint: tracked denotations plus per-operator
-    summaries, and honesty flags when the result is an upper bound rather
-    than the exact least fixed point.  ``iterations`` is the most rounds
-    any dependency component took.
+    """The one table of a document's joint fixpoint, solved on demand.
 
-    ``tau``, ``rho``, ``widened_vars`` and ``over_approximated`` describe
-    the fixpoint alone: queries through :meth:`genset` never change them,
-    so one instance can serve every caller.  The document's
-    ``"fixpoints"`` memo table owns that instance (see
-    :func:`lfp_denotations`); the instance owns the memo of query terms.
+    Entries are terms and canonical rules, and ``value`` holds those
+    solved so far: a query term is an entry like any other.  Values and
+    flags depend on the document alone, so the document's ``"fixpoints"``
+    memo table owns the instance (see :func:`lfp_denotations`) and every
+    caller shares it.  ``iterations`` is the most rounds any component
+    solved so far took.
     """
 
-    doc: SpecDocument
-    tau: dict[Term, GenSet]
-    rho: dict[Rule, GenSet]
-    rules_by_op: dict[str, tuple[Rule, ...]]
-    iterations: int
-    widened_vars: frozenset[Var]
-    over_approximated: bool
-    _memo: dict[Term, GenSet] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._step = _StepContext(self.doc, self.rules_by_op, self.rho,
-                                  self._memo.__getitem__)
-
-    @property
-    def widened(self) -> bool:
-        return bool(self.widened_vars)
+    def __init__(self, doc: SpecDocument):
+        self.doc = doc
+        self.rules_by_op = {op: tuple(map(canonical_rule, rules))
+                            for op, rules in doc.rules_by_op.items()}
+        self.value: dict[object, GenSet] = {}
+        self.iterations = 1
+        self._flags: dict[object, int] = {}
+        self._step = _StepContext(doc, self.rules_by_op, self.value)
 
     def genset(self, t: Term) -> GenSet:
-        """Denotation of an arbitrary term, evaluated bottom-up against the
-        fixed point (the step clauses are compositional, so no iteration is
-        needed for query terms).  Writes only its own memo: the flags keep
-        describing the fixpoint, whatever a query needed.  Raises
+        """Denotation of an arbitrary term.  Raises
         :class:`ArityMismatch` or :class:`UndeclaredSymbol` for a term the
         signature does not admit."""
-        hit = self._memo.get(t)
-        if hit is None:
+        if t not in self._flags:
             check_arities(t, self.doc.signature)
-            for u in subterms(t):
-                if u not in self._memo:
-                    self._memo[u] = self._step.term_step(u)
-            hit = self._memo[t]
-        return hit
+            self._solve(t)
+        return self.value[t]
 
+    def flags(self, t: Term) -> tuple[bool, bool]:
+        """``(widened, over_approximated)`` for the denotation of ``t``:
+        whether some entry it depends on, itself included, had a count
+        promoted to ``INF``, and whether the value may lie above the least
+        fixed point (a component jumped, or a distribution-level summary
+        coarsened a non-Dirac supremum)."""
+        self.genset(t)
+        return bool(self._flags[t] & _WIDENED), bool(self._flags[t] & _OVER)
 
-def _measure(gs: GenSet) -> dict[Var, object]:
-    out: dict[Var, object] = {}
-    for p in gs:
-        for x, v in weighting_of(p).entries:
-            prev = out.get(x, Fraction(0))
-            out[x] = v if not ext_leq(v, prev) else prev
-    return out
+    def _inputs(self, e: object) -> tuple:
+        """The entries whose values ``e``'s step reads: a rule reads its
+        target, an application its arguments and its operator's rules, any
+        other term its immediate subterms."""
+        if isinstance(e, Rule):
+            return (e.target,)
+        if isinstance(e, (Apply, DistApply)):
+            return e.args + self.rules_by_op.get(e.op, ())
+        return immediate_subterms(e)
 
+    def _solve(self, root: Term) -> None:
+        """Solve the components that ``root`` depends on and that no
+        earlier query solved.
 
-def _widen(gs: GenSet, xs: set[Var]) -> GenSet:
-    """``gs`` with every positive count of a variable in ``xs`` at INF."""
-    return genset_normalize(ProbMultiplicity.from_pairs(
-        (mult({x: INF if x in xs else n for x, n in m.entries}), q)
-        for m, q in p) for p in gs)
+        The strongly connected components of the graph of inputs are
+        solved inputs first; the walk neither starts from nor enters a
+        solved entry.  An entry on no cycle is stepped once.  A cyclic
+        component ``C`` is iterated in rounds from zero, each entry stepped
+        from the previous round, until a round changes nothing.  A round
+        after the first steps only the entries with an input that the
+        previous round changed: a step reads only its inputs, so any other
+        entry would get its last value again and grow no count
+        (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
+        Let ``P`` be the number of pairs (entry of ``C``, variable) with a
+        positive count so far: in a round after round ``P``, a variable
+        whose largest expected count at an entry still grows is promoted
+        to ``INF`` there for good.  Such a round that promotes no new pair
+        but still changes ``C`` jumps instead: each entry becomes the point
+        mass at ``INF`` on the variables its iterates touched.
 
+        This pumping test fires exactly on the counts that plain iteration
+        never settles.  On largest expected counts, each clause is a
+        maximum over generators of sums and products, with positive
+        coefficients, of the counts its inputs hold.  So the count round
+        ``k`` gives a pair is that of its best derivation of height at most
+        ``k``: a tree of pairs of ``C`` whose leaves read only constants and
+        entries outside ``C``.  Let a count grow in round ``k > P`` and take
+        a smallest best derivation of it.  Round ``k - 1`` did not reach it,
+        so it has a path of ``k`` pairs, and as ``k > P`` the path repeats
+        one.  Cutting out the loop between the repeats leaves a smaller
+        derivation, so a worse one: the loop raises the count.  Inserting
+        it once more raises it again, in a later round, and so on for ever.
+        The limit is infinitely many copies, or a distribution over
+        unboundedly many, and ``INF`` bounds both.  A count that settles
+        never grows after round ``P``, so where plain iteration reaches the
+        least fixed point, that is the result.  The bound counts pairs, not
+        entries: a rule that permutes its variables carries a count round
+        its cycle once per variable before it settles.
 
-def _inf_on(xs) -> GenSet:
-    """The point mass at INF on every variable of ``xs``."""
-    return GenSet((ProbMultiplicity.dirac(mult({x: INF for x in xs})),))
+        The jump, too, fires only where plain iteration never settles.  If
+        a count of ``C`` was promoted, it grows for ever, as above.
+        Otherwise mass moved in round ``k > P``.  On masses the clauses are
+        again sums and products with positive coefficients, so the mass
+        round ``k`` puts on a multiplicity is the weight of its derivations
+        of height at most ``k``.  A node holding no positive count can be
+        cut to a leaf of the zero start, so the lowest derivation of the
+        moved mass has a path of ``k`` entries that hold a positive count.
+        At most ``P`` entries do, so the path repeats one, and inserting the
+        loop once more moves mass again in a later round, and so on for
+        ever.  Such limits, like the least root of ``q = 1/3 + 2/3*q**2``
+        for the rule ``p(x1) --a--> 1/3*delta(x1) + 2/3*delta(p(p(x1)))``,
+        are irrational in general (Etessami & Yannakakis, JACM 2009).
 
+        The point ``v`` is a post-fixed point, ``F(v) <= v``, so it lies
+        above the least fixed point (Park induction).  Whether a step gives
+        an entry a positive count of a variable depends only on the
+        variables its inputs touch: weights are positive, copies of a
+        generator touch its variables, and normalising drops only
+        generators below kept ones, which touch their variables too.  A new
+        pair is a count that grows, so the round that jumps added none: the
+        touched sets are at their fixed point, and a step from ``v`` stays
+        below it.  ``genset_leq`` checks that exactly, also under
+        ``python -O``: a failure is a bug.
 
-def lfp_denotations(doc: SpecDocument) -> Denotations:
-    """Compute the joint least fixed point of the term and rule clauses.
+        The rounds end: pairs are finitely many, so from some round on
+        every round is past ``P`` and settles ``C``, promotes a new pair or
+        jumps.  All entries of ``C`` then get one set of flags: widened if
+        a count was promoted, over-approximated if ``C`` jumped or one of
+        its distribution-level applications coarsened a non-Dirac
+        supremum, and each flag also if some input outside ``C`` has it.
+        """
+        flags, coarsened = self._flags, self._step.coarsened
+        for comp in strongly_connected_components(
+                [root], lambda e: [u for u in self._inputs(e)
+                                   if u not in flags]):
+            inputs = {e: self._inputs(e) for e in comp}
+            if len(comp) == 1 and comp[0] not in inputs[comp[0]]:
+                self.value[comp[0]] = self._step.step(comp[0])
+                bits = 0
+            else:
+                bits = self._iterate(comp, inputs)
+            for e in comp:
+                if isinstance(e, DistApply) and e.op in coarsened:
+                    bits |= _OVER
+                for u in inputs[e]:
+                    bits |= flags.get(u, 0)
+            flags.update(dict.fromkeys(comp, bits))
 
-    Entries are the canonical rules, their targets with all subterms and
-    every operator's generic application.  An entry reads its immediate
-    subterms and, for an application, its operator's rules; a rule reads
-    its target.  The strongly connected components of this graph are
-    solved inputs first.  An entry on no cycle is stepped once.  A cyclic
-    component ``C`` is iterated in rounds from zero, each entry stepped
-    from the previous round, until a round changes nothing.  A round
-    after the first steps only the entries with an input that the previous
-    round changed: a step reads only its inputs, so any other entry would
-    get its last value again, grow no count and change no flag (semi-naive
-    evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).  Let ``P`` be
-    the number of pairs (entry of ``C``, variable) with a positive count so
-    far: in a round after round ``P``, a variable whose largest expected
-    count at an entry still grows is promoted to ``INF`` there for good.
-    Such a round that promotes no new pair but still changes ``C`` jumps
-    instead: each entry becomes the point mass at ``INF`` on the variables
-    its iterates touched, and these count as widened and the result as
-    over-approximated.
-
-    This pumping test fires exactly on the counts that plain iteration
-    never settles.  On largest expected counts, each clause is a maximum
-    over generators of sums and products, with positive coefficients, of
-    the counts its inputs hold.  So the count round ``k`` gives a pair is
-    that of its best derivation of height at most ``k``: a tree of pairs
-    of ``C`` whose leaves read only constants and entries outside ``C``.
-    Let a count grow in round ``k > P`` and take a smallest best derivation
-    of it.  Round ``k - 1`` did not reach it, so it has a path of ``k``
-    pairs, and as ``k > P`` the path repeats one.  Cutting out the loop
-    between the repeats leaves a smaller derivation, so a worse one: the
-    loop raises the count.  Inserting it once more raises it again, in a
-    later round, and so on for ever.  The limit is infinitely many copies,
-    or a distribution over unboundedly many, and ``INF`` bounds both.  A
-    count that settles never grows after round ``P``, so where plain
-    iteration reaches the least fixed point, that is the result.  The
-    bound counts pairs, not entries: a rule that permutes its variables
-    carries a count round its cycle once per variable before it settles.
-
-    The jump, too, fires only where plain iteration never settles.  If a
-    count of ``C`` was promoted, it grows for ever, as above.  Otherwise
-    mass moved in round ``k > P``.  On masses the clauses are again sums
-    and products with positive coefficients, so the mass round ``k`` puts
-    on a multiplicity is the weight of its derivations of height at most
-    ``k``.  A node holding no positive count can be cut to a leaf of the
-    zero start, so the lowest derivation of the moved mass has a path of
-    ``k`` entries that hold a positive count.  At most ``P`` entries do,
-    so the path repeats one, and inserting the loop once more moves mass
-    again in a later round, and so on for ever.  Such limits, like the
-    least root of ``q = 1/3 + 2/3*q**2`` for the rule
-    ``p(x1) --a--> 1/3*delta(x1) + 2/3*delta(p(p(x1)))``, are irrational
-    in general (Etessami & Yannakakis, JACM 2009).
-
-    The point ``v`` is a post-fixed point, ``F(v) <= v``, so it lies above
-    the least fixed point (Park induction).  Whether a step gives an entry
-    a positive count of a variable depends only on the variables its
-    inputs touch: weights are positive, copies of a generator touch its
-    variables, and normalising drops only generators below kept ones,
-    which touch their variables too.  A new pair is a count that grows,
-    so the round that jumps added none: the touched sets are at their
-    fixed point, and a step from ``v`` stays below it.  ``genset_leq``
-    checks that exactly, also under ``python -O``: a failure is a bug.
-
-    The rounds end: pairs are finitely many, so from some round on every
-    round is past ``P`` and settles ``C``, promotes a new pair or jumps.
-    The result is kept in the document's ``"fixpoints"`` memo table.
-    """
-    memo = doc.memo("fixpoints")
-    cached = memo.get("denotations")
-    if cached is not None:
-        return cached
-    rules = tuple(canonical_rule(r) for r in doc.rules)
-    rules_by_op: dict[str, tuple[Rule, ...]] = {}
-    for r in rules:
-        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
-    roots = [r.target for r in rules] + [
-        generic_application(doc, op)[0] for op, _ in doc.signature.operators]
-    tracked = list(dict.fromkeys(u for t in roots for u in subterms(t)))
-
-    # inputs[e]: the terms and rules whose values e's step clause reads
-    inputs: dict[object, tuple] = {r: (r.target,) for r in rules}
-    for t in tracked:
-        inputs[t] = immediate_subterms(t)
-        if isinstance(t, (Apply, DistApply)):
-            inputs[t] += rules_by_op.get(t.op, ())
-
-    # One table serves as ``rho`` and ``lookup`` alike, and one context
-    # steps every entry.
-    value: dict[object, GenSet] = dict.fromkeys(inputs, D_ZERO)
-    ctx = _StepContext(doc, rules_by_op, value, value.__getitem__)
-    over_approx = False
-    widened_vars: set[Var] = set()
-    iterations = 1
-
-    def step(e: object) -> GenSet:
-        return ctx.rule_step(e) if isinstance(e, Rule) else ctx.term_step(e)
-
-    def write(updates: Mapping[object, GenSet]) -> set:
-        changed = {e for e, gs in updates.items() if gs != value[e]}
-        value.update(updates)
-        return changed
-
-    for comp in strongly_connected_components([*tracked, *rules],
-                                              inputs.__getitem__):
-        if len(comp) == 1 and comp[0] not in inputs[comp[0]]:
-            value[comp[0]] = step(comp[0])
-            continue
+    def _iterate(self, comp: list, inputs: Mapping[object, tuple]) -> int:
+        """Solve the cyclic component ``comp`` in rounds, as
+        :meth:`_solve` sets out, and return the flags it raised itself."""
+        value, step = self.value, self._step.step
+        value.update(dict.fromkeys(comp, D_ZERO))
         measures: dict[object, dict[Var, object]] = {e: {} for e in comp}
         forced: dict[object, set[Var]] = {e: set() for e in comp}
         changed = set(comp)
@@ -437,24 +400,53 @@ def lfp_denotations(doc: SpecDocument) -> Denotations:
             if pumping and not promotes and not settled:
                 # only masses still move: jump to the point at INF
                 forced = {e: set(measures[e]) for e in comp}
-                write({e: _inf_on(forced[e]) for e in comp})
+                value.update({e: _inf_on(forced[e]) for e in comp})
                 if not all(genset_leq(step(e), value[e]) for e in comp):
                     ops = sorted({e.op for e in comp if hasattr(e, "op")})
                     raise RuntimeError(
                         f"denotations of {', '.join(ops)}: the point at inf "
                         f"is not a post-fixed point")
-                over_approx = True
                 break
-            changed = write(new)
+            changed = {e for e, gs in new.items() if gs != value[e]}
+            value.update(new)
             if settled:
                 break
-        iterations = max(iterations, n)
-        widened_vars.update(*forced.values())
+        self.iterations = max(self.iterations, n)
+        # a component that did not settle jumped
+        return ((0 if settled else _OVER)
+                | (_WIDENED if any(forced.values()) else 0))
 
-    den = memo["denotations"] = Denotations(
-        doc, {t: value[t] for t in tracked}, {r: value[r] for r in rules},
-        rules_by_op, iterations, frozenset(widened_vars),
-        over_approx or ctx.over_approximated)
+
+def _measure(gs: GenSet) -> dict[Var, object]:
+    out: dict[Var, object] = {}
+    for p in gs:
+        for x, v in weighting_of(p).entries:
+            prev = out.get(x, Fraction(0))
+            out[x] = v if not ext_leq(v, prev) else prev
+    return out
+
+
+def _widen(gs: GenSet, xs: set[Var]) -> GenSet:
+    """``gs`` with every positive count of a variable in ``xs`` at INF."""
+    return genset_normalize(ProbMultiplicity.from_pairs(
+        (mult({x: INF if x in xs else n for x, n in m.entries}), q)
+        for m, q in p) for p in gs)
+
+
+def _inf_on(xs) -> GenSet:
+    """The point mass at INF on every variable of ``xs``."""
+    return GenSet((ProbMultiplicity.dirac(mult({x: INF for x in xs})),))
+
+
+def lfp_denotations(doc: SpecDocument) -> Denotations:
+    """The joint least fixed point of the term and rule clauses for
+    ``doc``, as the :class:`Denotations` table kept in the document's
+    ``"fixpoints"`` memo table: every caller shares one table, and each
+    query solves only what no earlier one did."""
+    memo = doc.memo("fixpoints")
+    den = memo.get("denotations")
+    if den is None:
+        den = memo["denotations"] = Denotations(doc)
     return den
 
 

@@ -327,22 +327,25 @@ class _Parser:
                 self.expect(";")
             elif self.at_keyword("set"):
                 self.next()
-                name = self.expect("ident", "set name").text
+                tok = self.expect("ident", "set name")
+                name = tok.text
                 if name in named:
-                    raise self.error(f"action set {name!r} declared twice")
+                    raise self.error(f"action set {name!r} declared twice",
+                                     tok)
                 if name == "ACT":
                     raise self.error("'ACT' names every action and cannot be "
-                                     "declared")
+                                     "declared", tok)
                 self.expect("=")
                 named[name] = self._setexpr(actions, named)
                 self.expect(";")
             elif self.at_keyword("op"):
                 self.next()
-                name = self.expect("ident", "operator name").text
+                tok = self.expect("ident", "operator name")
+                name = tok.text
                 if name in arities:
-                    raise self.error(f"operator {name!r} declared twice")
+                    raise self.error(f"operator {name!r} declared twice", tok)
                 if name in abbrevs:
-                    raise self.error(f"name {name!r} already in use")
+                    raise self.error(f"name {name!r} already in use", tok)
                 self.expect(":")
                 arity_tok = self.expect("number", "arity")
                 if not arity_tok.text.isdecimal():
@@ -351,9 +354,10 @@ class _Parser:
                 arities[name] = _read(int, arity_tok)
             elif self.at_keyword("term"):
                 self.next()
-                name = self.expect("ident", "abbreviation name").text
+                tok = self.expect("ident", "abbreviation name")
+                name = tok.text
                 if name in abbrevs or name in arities:
-                    raise self.error(f"name {name!r} already in use")
+                    raise self.error(f"name {name!r} already in use", tok)
                 self.expect("=")
                 env = _TermEnv(arities, abbrevs, frozenset(), frozenset(),
                                free_ok=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .denotation import Denotations, lfp_denotations
+from .denotation import lfp_denotations
 from .errors import AllSamplesSkipped, AnalysisRefusal
 from .frontend import SpecDocument
 from .metric import bisim_distance
@@ -178,7 +178,6 @@ def _cached_distance(doc: SpecDocument, u: StateTerm, v: StateTerm,
 def evaluate_sample(doc: SpecDocument, t: StateTerm,
                     sigma1: Mapping[Variable, StateTerm],
                     sigma2: Mapping[Variable, StateTerm], *,
-                    denotations: Denotations | None = None,
                     max_states: int = DEFAULT_MAX_STATES,
                     max_pairs: int | None = None,
                     ) -> SampleResult | str:
@@ -189,7 +188,6 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
     iteration limits were hit).  A bound violation is a bug in the metric
     or the denotation engine, not bad input: it raises ``RuntimeError``.
     """
-    den = denotations if denotations is not None else lfp_denotations(doc)
     variables = sorted(free_vars(t), key=lambda v: v.name)
     subst1 = {v: sigma1[v] for v in variables}
     subst2 = {v: sigma2[v] for v in variables}
@@ -203,7 +201,7 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
                                  substitute(t, subst2), max_states, max_pairs)
     except AnalysisRefusal:
         return "refused"
-    bound = da(den.genset(t), process_distance(dists))
+    bound = da(lfp_denotations(doc).genset(t), process_distance(dists))
     if not exact <= bound:
         raise RuntimeError(
             f"exact distance {exact} exceeds bound {bound} for "

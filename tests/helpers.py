@@ -18,8 +18,10 @@ in the limit; ``kleene_distance`` keeps its iterates as lower bounds, and
 fragments by enumerating the strategies of the bisimulation game.
 
 ``jacobi_denotations`` is the reference for the denotation fixpoint: the
-plain Jacobi iteration that steps every tracked entry on every round,
-without widening, sharing only the step clauses with ``lfp_denotations``.
+plain Jacobi iteration that steps every entry of ``tracked_entries`` on
+every round, without widening, sharing only the step clauses with
+``lfp_denotations``; ``document_flags`` reads the whole document's flags
+off the fixpoint.
 ``UnsoundStep`` is the step clauses without the one copy that testing a
 distribution argument costs; ``unsound_denotations`` runs
 ``lfp_denotations`` with it, so that tests can show that the bound this
@@ -50,8 +52,9 @@ from pgsos.denotation import (
     canonical_rule,
     generic_application,
     lfp_denotations,
-    subterms,
 )
+from pgsos.frontend import Rule
+from pgsos.graphs import strongly_connected_components
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
     D_ZERO,
@@ -76,6 +79,7 @@ from pgsos.terms import (
     convex_sum,
     format_term,
     free_vars,
+    immediate_subterms,
     state_var,
     substitute,
 )
@@ -455,14 +459,43 @@ def check_pseudometric(d, states):
 # The denotation fixpoint by plain Jacobi iteration
 # ---------------------------------------------------------------------------
 
+def subterms(t):
+    """The distinct subterms of ``t``, ``t`` included, innermost first: each
+    in the place of its first occurrence in a left-to-right post-order walk.
+    Subterms form no cycle, so each component of their graph is one term."""
+    return [u for u, in strongly_connected_components([t],
+                                                      immediate_subterms)]
+
+
+def tracked_entries(doc):
+    """The entries of the whole document's fixpoint: the subterms of every
+    canonical rule's target and of every operator's generic application,
+    then the canonical rules.  Querying every generic application solves
+    exactly these (see :func:`document_flags`)."""
+    rules = [canonical_rule(r) for r in doc.rules]
+    roots = [r.target for r in rules]
+    roots += [generic_application(doc, op)[0]
+              for op, _ in doc.signature.operators]
+    return list(dict.fromkeys(u for t in roots for u in subterms(t))) + rules
+
+
+def document_flags(den):
+    """The flags of every operator's generic application together: the
+    ``(widened, over_approximated)`` pair of the whole document."""
+    flags = [den.flags(generic_application(den.doc, op)[0])
+             for op, _ in den.doc.signature.operators]
+    return any(w for w, _ in flags), any(o for _, o in flags)
+
+
 class UnsoundStep(_StepContext):
     """The step clauses with an operator's distribution-level summary not
     raised by the sources its rules test: the unsound bound."""
 
     def rho_dist(self, op):
         rules = self.rules_by_op.get(op, ())
-        gens = [p for r in rules for p in self.rho[r]]
-        self.over_approximated |= not sup_is_exact(gens)
+        gens = [p for r in rules for p in self.value[r]]
+        if not sup_is_exact(gens):
+            self.coarsened.add(op)
         return GenSet((sup_approx(gens),)) if rules else D_ZERO
 
 
@@ -478,58 +511,42 @@ def unsound_denotations(doc) -> Denotations:
 
 def jacobi_iterates(doc, context=_StepContext):
     """Plain Jacobi iteration of the joint step function, without
-    widening: from the zero denotation, every tracked entry is stepped from
-    the previous iterate in every round, by the clauses of ``context`` (a
-    ``_StepContext`` class).  Yields ``(tau, rho, flag)`` after each round,
-    ``flag`` telling whether a non-Dirac supremum was over-approximated in
-    that round.  Bypasses the document's memo table."""
-    rules = tuple(canonical_rule(r) for r in doc.rules)
+    widening: from the zero denotation, every entry of
+    :func:`tracked_entries` is stepped from the previous iterate in every
+    round, by the clauses of ``context`` (a ``_StepContext`` class).
+    Yields ``(value, flag)`` after each round, ``flag`` telling whether a
+    non-Dirac supremum was over-approximated in that round.  Bypasses the
+    document's memo table."""
+    entries = tracked_entries(doc)
     rules_by_op = {}
-    for r in rules:
-        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
-    tracked = []
-    seen = set()
-    roots = [r.target for r in rules]
-    roots += [generic_application(doc, op)[0]
-              for op, _ in doc.signature.operators]
-    for root in roots:
-        for sub in subterms(root):
-            if sub not in seen:
-                seen.add(sub)
-                tracked.append(sub)
-
-    tau = {t: D_ZERO for t in tracked}
-    rho = {r: D_ZERO for r in rules}
+    for r in entries:
+        if isinstance(r, Rule):
+            rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
+    value = dict.fromkeys(entries, D_ZERO)
     while True:
-        ctx = context(doc, rules_by_op, rho, tau.__getitem__)
-        tau = {t: ctx.term_step(t) for t in tracked}
-        rho = {r: ctx.rule_step(r) for r in rules}
-        yield tau, rho, ctx.over_approximated
+        ctx = context(doc, rules_by_op, value)
+        value = {e: ctx.step(e) for e in entries}
+        yield value, bool(ctx.coarsened)
 
 
-def jacobi_denotations(doc, max_iterations=300,
-                       context=_StepContext) -> Denotations:
+def jacobi_denotations(doc, max_iterations=300, context=_StepContext):
     """The joint least fixed point by :func:`jacobi_iterates`, stopping
-    when a round leaves every entry equivalent; raises
-    :class:`AssertionError` after ``max_iterations`` rounds."""
-    tau, rho, over_approx = {}, {}, False
-    iterates = jacobi_iterates(doc, context)
-    for n, (tau2, rho2, flag) in enumerate(iterates, start=1):
+    when a round leaves every entry equivalent, as ``(value,
+    over_approximated)``; raises :class:`AssertionError` after
+    ``max_iterations`` rounds."""
+    value, over_approx = {}, False
+    for n, (value2, flag) in enumerate(jacobi_iterates(doc, context),
+                                       start=1):
         over_approx = over_approx or flag
-        settled = (tau2.keys() == tau.keys()
-                   and all(genset_equiv(gs, tau[t]) for t, gs in tau2.items())
-                   and all(genset_equiv(gs, rho[r]) for r, gs in rho2.items()))
-        tau, rho = tau2, rho2
+        settled = (value2.keys() == value.keys()
+                   and all(genset_equiv(gs, value[e])
+                           for e, gs in value2.items()))
+        value = value2
         if settled:
-            break
+            return value, over_approx
         if n == max_iterations:
             raise AssertionError(
                 f"denotations still changing after {n} rounds")
-    rules_by_op = {}
-    for r in rho:
-        rules_by_op[r.op] = rules_by_op.get(r.op, ()) + (r,)
-    return Denotations(doc, tau, rho, rules_by_op, n, frozenset(),
-                       over_approx)
 
 
 def random_cyclic_spec(rng: random.Random) -> tuple[str, list[str]]:

@@ -173,8 +173,7 @@ def test_criterion_07_replication_widens_and_blocks_the_certificate(examples_doc
     den = lfp_denotations(examples_doc)
     assert genset_equiv(den.genset(t(examples_doc, "bang(x1)")),
                         dirac_gs(mult({X1: INF})))
-    assert den.widened
-    assert X1 in den.widened_vars
+    assert den.flags(t(examples_doc, "bang(x1)"))[0]
     report = is_uniformly_continuous(examples_doc, "bang")
     assert report.verdict == VERDICT_NOT_SHOWN
     assert report.modulus.coefficients == (INF,)

@@ -16,7 +16,7 @@ from pgsos.cli import main
 from pgsos.terms import format_rational
 
 from helpers import dup_spec
-from test_denotation import WIDENING_SPECS
+from test_denotation import MIX, MIX_WITHOUT_P, WIDENING_SPECS
 from test_metric import TWO_ROUNDS
 
 PA = str(resources.files("pgsos").joinpath("data", "pa.pgsos"))
@@ -159,6 +159,30 @@ def test_probabilistic_recursion_answers_over_approximated(tmp_path, capsys):
     report = json.loads(out)
     assert report["flags"] == {"over_approximated": True, "widened": True}
     assert report["results"]["reports"][0]["verdict"] == "not-shown"
+
+
+def test_flags_describe_the_query_alone(tmp_path, capsys):
+    # p's component jumps, and ipar and bang do not depend on p
+    mix, without_p = tmp_path / "mix.pgsos", tmp_path / "without_p.pgsos"
+    mix.write_text(MIX)
+    without_p.write_text(MIX_WITHOUT_P)
+
+    def report(*argv):
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    both = {"over_approximated": True, "widened": True}
+    neither = {"over_approximated": False, "widened": False}
+    assert report("denote", str(mix), "ipar(x, y)")["flags"] == neither
+    assert report("denote", str(mix), "p(x)")["flags"] == both
+    assert report("continuity", str(mix))["flags"] == both
+    bang = report("continuity", str(mix), "bang")
+    assert bang["results"] == report("continuity", str(without_p),
+                                     "bang")["results"]
+    assert bang["flags"] == {"over_approximated": False, "widened": True}
+    assert "not uniformly continuous" in (
+        bang["results"]["reports"][0]["annotation"])
 
 
 def test_bound(capsys):
@@ -380,14 +404,18 @@ RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
 
 
 @pytest.mark.parametrize("decls, argv, message", [
-    pytest.param("op f : 2;", ["check"], "operator 'f' declared twice",
+    pytest.param("op f : 2;", ["check"],
+                 "operator 'f' declared twice (line 4, column 4)",
                  id="operator-twice"),
     pytest.param("set S = {a};\nset S = {a};", ["check"],
-                 "action set 'S' declared twice", id="set-twice"),
+                 "action set 'S' declared twice (line 5, column 5)",
+                 id="set-twice"),
     pytest.param("term t = zero;\nop t : 0;", ["check"],
-                 "name 't' already in use", id="op-after-term"),
+                 "name 't' already in use (line 5, column 4)",
+                 id="op-after-term"),
     pytest.param("op t : 0;\nterm t = zero;", ["check"],
-                 "name 't' already in use", id="term-after-op"),
+                 "name 't' already in use (line 5, column 6)",
+                 id="term-after-op"),
     pytest.param("term t = f(x);", ["check"], "unknown name 'x'",
                  id="open-abbreviation"),
     pytest.param(";", ["check"], "expected a declaration, found ';'",
@@ -434,8 +462,8 @@ RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
     pytest.param("actions a;", ["check"], "action 'a' declared twice",
                  id="action-declared-again"),
     pytest.param("set ACT = {a};", ["check"],
-                 "'ACT' names every action and cannot be declared",
-                 id="set-act"),
+                 "'ACT' names every action and cannot be declared "
+                 "(line 4, column 5)", id="set-act"),
     pytest.param("set S = {a,\n b};", ["check"],
                  "action 'b' is not declared (line 5)",
                  id="undeclared-set-member"),

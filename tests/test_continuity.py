@@ -20,6 +20,7 @@ from pgsos.frontend import parse_spec
 from pgsos.multiplicity import INF
 from pgsos.terms import DistApply, DistVariable
 
+from helpers import document_flags
 from test_denotation import WIDENING_SPECS
 
 F = Fraction
@@ -127,12 +128,13 @@ def test_weighted_sup_flags_non_dirac_join():
 def test_queries_leave_the_fixpoint_flags_alone(tmp_path, capsys):
     doc = parse_spec(MIXED)
     den = lfp_denotations(doc)
-    assert not den.over_approximated
+    assert document_flags(den) == (False, False)
     # the distribution-level summary of mix over-approximates the join of
-    # its non-Dirac rule generators
+    # its non-Dirac rule generators: that query is flagged, no other
     mus = (DistVariable("mu1"), DistVariable("mu2"))
     assert str(den.genset(DistApply("mix", mus))) == "{mu1:3, mu2:1}"
-    assert not den.over_approximated
+    assert den.flags(DistApply("mix", mus)) == (False, True)
+    assert document_flags(den) == (False, False)
     spec = tmp_path / "mixed.pgsos"
     spec.write_text(MIXED)
     # the command line shares the cached fixpoint the query went through
@@ -188,7 +190,7 @@ def test_widening_an_over_approximated_fixpoint_hedges_the_annotation():
     # its own generators, so the widened INF is no proof of unbounded
     # spawning; spawn's count grows without it and keeps the claim
     doc = parse_spec(WIDENING_SPECS["replicate_test"])
-    assert lfp_denotations(doc).over_approximated
+    assert document_flags(lfp_denotations(doc))[1]
     report = is_uniformly_continuous(doc, "rep")
     assert report.verdict == VERDICT_NOT_SHOWN
     assert report.modulus.coefficients == (INF,)

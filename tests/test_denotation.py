@@ -7,9 +7,11 @@ semantic change and not a formatting accident.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +27,9 @@ from pgsos.denotation import (
     fold_rule,
     lfp_denotations,
     power_sum,
-    subterms,
 )
 from pgsos.errors import ArityMismatch
-from pgsos.frontend import parse_spec, parse_term
+from pgsos.frontend import Rule, parse_spec, parse_term
 from pgsos.metric import bisim_distance
 from pgsos.multiplicity import (
     D_ZERO,
@@ -39,7 +40,6 @@ from pgsos.multiplicity import (
     ProbMultiplicity,
     genset_equiv,
     genset_leq,
-    genset_normalize,
     mult,
     process_distance,
     unit,
@@ -55,8 +55,9 @@ from pgsos.terms import (
     state_var,
 )
 
-from helpers import (UnsoundStep, dup_spec, jacobi_denotations,
-                     jacobi_iterates, unsound_denotations)
+from helpers import (UnsoundStep, document_flags, dup_spec,
+                     jacobi_denotations, jacobi_iterates, random_cyclic_spec,
+                     subterms, tracked_entries, unsound_denotations)
 
 F = Fraction
 X = state_var("x")
@@ -144,8 +145,7 @@ def test_subterms_innermost_first(pa_doc):
 def test_finite_algebra_converges_without_widening(pa_doc):
     den = lfp_denotations(pa_doc)
     assert isinstance(den, Denotations)
-    assert not den.widened
-    assert not den.over_approximated
+    assert document_flags(den) == (False, False)
     assert den.iterations <= 16
 
 
@@ -189,9 +189,8 @@ def test_replication_widens_to_infinity(examples_doc):
     den = lfp_denotations(examples_doc)
     assert genset_equiv(den.genset(t(examples_doc, "bang(x1)")),
                         dirac_gs(mult({X1: INF})))
-    assert den.widened
-    assert X1 in den.widened_vars
-    assert not den.over_approximated
+    assert den.flags(t(examples_doc, "bang(x1)")) == (True, False)
+    assert document_flags(den) == (True, False)
 
 
 def test_equal_documents_share_one_fixpoint():
@@ -211,15 +210,13 @@ def test_equal_documents_share_one_fixpoint():
 
 
 def test_fixpoint_property_of_tracked_entries(pa_doc, examples_doc):
-    # one more step, taken through the public query path, changes no entry
+    # one more step, taken from the solved table, changes no entry
     for doc in (pa_doc, examples_doc):
         den = lfp_denotations(doc)
-        for term, gs in den.tau.items():
-            assert genset_equiv(den.genset(term), gs), term
-        for rule, gs in den.rho.items():
-            stepped = genset_normalize(fold_rule(p, rule)
-                                       for p in den.genset(rule.target))
-            assert genset_equiv(stepped, gs), rule.op
+        document_flags(den)  # solves every entry
+        ctx = _StepContext(doc, den.rules_by_op, den.value)
+        for e in tracked_entries(doc):
+            assert genset_equiv(ctx.step(e), den.value[e]), e
 
 
 def test_reactive_testing_of_distribution_arguments(examples_doc):
@@ -367,6 +364,31 @@ rule:
 }
 
 
+# examples.pgsos's ipar and bang, without and with the operator p of the
+# "grow" spec, whose component jumps: p's flags must not reach the others
+MIX_WITHOUT_P = """actions a;
+op zero : 0;
+op ipar : 2;
+op bang : 1;
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  ipar(x1, x2) --c--> ipar(m1, delta(x2))
+rule forall c in ACT:
+  x2 --c--> m2
+  ---
+  ipar(x1, x2) --c--> ipar(delta(x1), m2)
+rule forall c in ACT:
+  x1 --c--> m1
+  ---
+  bang(x1) --c--> ipar(m1, delta(bang(x1)))
+"""
+MIX = MIX_WITHOUT_P + """op p : 1;
+rule:
+  ---
+  p(x1) --a--> 1/3*delta(x1) + 2/3*delta(p(p(x1)))
+"""
+
 DUP_SPECS = {f"dup{k}": dup_spec(k) for k in (2, 9, 20)}
 
 # Cycles whose rules permute their variables: a count travels round the
@@ -423,32 +445,33 @@ def test_fixpoint_matches_plain_jacobi_iteration(spec, sound,
     doc = spec_doc(spec, pa_doc, examples_doc)
     den = lfp_denotations(doc) if sound else unsound_denotations(doc)
     context = _StepContext if sound else UnsoundStep
+    widened, over_approximated = document_flags(den)
     if spec in WIDENING_SPECS and sound:
-        assert den.widened
+        assert widened
     if spec in PERMUTING_SPECS:
-        assert not den.widened
-    if not den.widened:
+        assert not widened
+    entries = tracked_entries(doc)
+    assert den.value.keys() >= set(entries)
+    if not widened:
         # plain iteration settles: the result is its fixed point, entry
         # for entry
-        ref = jacobi_denotations(doc, 300, context)
-        assert list(den.tau.items()) == list(ref.tau.items())
-        assert list(den.rho.items()) == list(ref.rho.items())
-        assert den.over_approximated == ref.over_approximated
+        ref, ref_over_approximated = jacobi_denotations(doc, 300, context)
+        assert {e: den.value[e] for e in entries} == ref
+        assert over_approximated == ref_over_approximated
         return
     # plain iteration never settles (past 20 rounds it slows to a crawl)
-    widened = [(e, x) for table in (den.tau, den.rho)
-               for e, gs in table.items()
-               for x, v in _measure(gs).items() if v is INF]
+    widened = [(e, x) for e in entries
+               for x, v in _measure(den.value[e]).items() if v is INF]
     assert widened
     rounds = list(itertools.islice(jacobi_iterates(doc, context), 20))
 
     def values(e):
-        return [rho[e] if e in rho else tau[e] for tau, rho, _ in rounds]
+        return [value[e] for value, _ in rounds]
 
     if spec in ("grow", "grow_premise"):
         # the component ended at the point at inf: the masses of each of
         # its entries still move
-        assert den.over_approximated
+        assert over_approximated
         for e in {e for e, _ in widened}:
             assert not genset_equiv(values(e)[-1], values(e)[-6]), e
         return
@@ -456,6 +479,28 @@ def test_fixpoint_matches_plain_jacobi_iteration(spec, sound,
     for e, x in widened:
         counts = [_measure(gs).get(x, 0) for gs in values(e)]
         assert counts[-1] > counts[-5], (e, x, counts)
+
+
+POST_FIXED_SPECS = {
+    **{name: resources.files("pgsos").joinpath("data", f"{name}.pgsos")
+       .read_text() for name in ("pa", "examples", "loops")},
+    "gen40": (Path(__file__).parent / "golden" / "gen40.pgsos").read_text(),
+    **WIDENING_SPECS, "mix": MIX,
+    **{f"cyclic{seed}": random_cyclic_spec(random.Random(seed))[0]
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("spec", POST_FIXED_SPECS)
+def test_every_solved_entry_is_a_post_fixed_point(spec):
+    # Park induction: one more step from the table lies below the value of
+    # every solved rule and term, so each value bounds the least fixed point
+    doc = parse_spec(POST_FIXED_SPECS[spec])
+    den = lfp_denotations(doc)
+    document_flags(den)  # solves every entry
+    ctx = _StepContext(doc, den.rules_by_op, den.value)
+    for e in list(den.value):
+        assert genset_leq(ctx.step(e), den.value[e]), e
 
 
 @pytest.mark.parametrize("k", [2, 9, 20])
@@ -466,7 +511,7 @@ def test_finite_copying_is_exact_at_any_depth(k):
     assert den.genset(t(doc, "dup(x1)")) == dirac_gs(mult({X1: k}))
     # dd runs d3 (three copies) over dup (k copies): the counts multiply
     assert den.genset(t(doc, "dd(x1)")) == dirac_gs(mult({X1: 3 * k}))
-    assert not den.widened
+    assert not document_flags(den)[0]
     report = is_uniformly_continuous(doc, "dup")
     assert report.verdict == "uniformly-continuous"
     assert str(report.modulus) == f"min({k}*e1, 1)"
@@ -535,8 +580,8 @@ def test_probabilistic_recursion_ends_at_a_checked_post_fixed_point(
     doc = parse_spec(WIDENING_SPECS["grow"])
     den = lfp_denotations(doc)
     assert den.genset(t(doc, "p(x)")) == dirac_gs(mult({X: INF}))
-    assert den.widened_vars == {X1}
-    assert den.over_approximated
+    assert den.value[t(doc, "p(x1)")] == dirac_gs(mult({X1: INF}))
+    assert den.flags(t(doc, "p(x)")) == (True, True)
     # one check per entry of the component, each of a step from the point
     # against the point
     assert len(checks) == 5
@@ -544,17 +589,37 @@ def test_probabilistic_recursion_ends_at_a_checked_post_fixed_point(
     # a failed check is a bug, raised as such, never an answer
     monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
     monkeypatch.setattr(denotation, "genset_leq", lambda g1, g2: False)
+    den = lfp_denotations(parse_spec(WIDENING_SPECS["grow"]))
     with pytest.raises(RuntimeError, match="denotations of p: the point at "
                                            "inf is not a post-fixed point"):
-        lfp_denotations(parse_spec(WIDENING_SPECS["grow"]))
+        den.genset(t(doc, "p(x)"))
 
 
 def test_widening_specs_raise_and_clear_the_over_approximation_flag():
-    flags = {name: lfp_denotations(parse_spec(text)).over_approximated
+    flags = {name: document_flags(lfp_denotations(parse_spec(text)))[1]
              for name, text in WIDENING_SPECS.items()}
     assert flags == {"spawn_duplicate": False, "replicate_test": True,
                      "probabilistic_spawn": True, "grow": True,
                      "grow_premise": True}
+
+
+def test_a_query_solves_only_its_dependency_cone(monkeypatch):
+    # a fresh memo, so nothing is solved before the queries here
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    doc = parse_spec(MIX)
+    den = lfp_denotations(doc)
+    assert not den.value
+
+    def solved_ops():
+        return {e.op for e in den.value if isinstance(e, Rule)}
+
+    den.genset(t(doc, "ipar(x, zero)"))
+    assert solved_ops() == {"ipar"}
+    assert is_uniformly_continuous(doc, "bang").annotation.endswith(
+        "not uniformly continuous")
+    assert solved_ops() == {"ipar", "bang"}
+    assert den.flags(t(doc, "p(x)")) == (True, True)
+    assert solved_ops() == {"ipar", "bang", "p"}
 
 
 def test_each_acyclic_entry_is_stepped_once(monkeypatch):
@@ -571,12 +636,15 @@ def test_each_acyclic_entry_is_stepped_once(monkeypatch):
             return step(self, entry)
 
         monkeypatch.setattr(_StepContext, name, counted)
-    den = lfp_denotations(parse_spec(data))
-    entries = [*den.tau, *den.rho]
+    doc = parse_spec(data)
+    den = lfp_denotations(doc)
+    document_flags(den)  # solves every entry
+    entries = tracked_entries(doc)
     assert len(entries) == 40
+    assert den.value.keys() == set(entries)
 
     def reads(e):
-        if e in den.rho:
+        if isinstance(e, Rule):
             return (e.target,)
         if isinstance(e, (Apply, DistApply)):
             return e.args + den.rules_by_op.get(e.op, ())

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgsos import oracle
 from pgsos.errors import AllSamplesSkipped
 from pgsos.frontend import parse_term
 from pgsos.oracle import (
@@ -107,7 +108,7 @@ def test_budget_refusals_are_skipped(examples_doc):
     assert out == "refused"
 
 
-def test_unsound_denotations_are_caught(examples_doc):
+def test_unsound_denotations_are_caught(examples_doc, monkeypatch):
     # reactive testing off ignores that g_test probes its argument, so the
     # bound for f_test collapses to 0 while the true distance is 1/10
     s1 = {X: t(examples_doc, "aa0")}
@@ -117,8 +118,9 @@ def test_unsound_denotations_are_caught(examples_doc):
     assert isinstance(sound, SampleResult)
     assert sound.exact == F(1, 10) and sound.bound == F(1, 10)
     unsound = unsound_denotations(examples_doc)
+    monkeypatch.setattr(oracle, "lfp_denotations", lambda doc: unsound)
     with pytest.raises(RuntimeError, match="exceeds bound"):
-        evaluate_sample(examples_doc, term, s1, s2, denotations=unsound)
+        evaluate_sample(examples_doc, term, s1, s2)
 
 
 # -- harness entry points ---------------------------------------------------
