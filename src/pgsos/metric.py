@@ -19,7 +19,8 @@ challenger, each strategy answered by policy iteration over exactly
 solved linear systems, ends at the least fixed point (Bacci, Bacci,
 Larsen & Mardare, TACAS 2013, for exact distances by couplings; Fu,
 ICALP 2012, for the nondeterministic case).  Only the state and pair
-budgets refuse a distance.
+budgets refuse a distance.  Each class pair solved is kept for the
+document, so no later query on it solves that pair again.
 """
 
 from __future__ import annotations
@@ -131,14 +132,25 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
     distributions — which is far smaller than all pairs of a product state
-    space.  ``max_pairs`` optionally bounds that dependency system, counted
-    in pairs of classes; exceeding it raises :class:`PairLimitExceeded`.
-    The strongly connected components of that system are solved inputs
-    first.  A pair on no cycle is settled once from the pairs below it.  A
-    cyclic component is solved exactly with its inputs fixed, by strategy
-    iteration for the challenger of the bisimulation game, which ends at
-    the least fixed point after finitely many strategies (see ``close``).
-    No budget bounds that search, so the answer is always exact.
+    space.  The strongly connected components of that system are solved
+    inputs first.  A pair on no cycle is settled once from the pairs below
+    it.  A cyclic component is solved exactly with its inputs fixed, by
+    strategy iteration for the challenger of the bisimulation game, which
+    ends at the least fixed point after finitely many strategies (see
+    ``close``).  No budget bounds that search, so the answer is always
+    exact.
+
+    Solved pairs go into the document's ``"class distances"`` table, keyed
+    by their class ids, smaller first, once ``settle`` or ``close`` (which
+    tries values on the way) is done with their component.  A pair found
+    there has that value and no pairs below it.  This is exact: components
+    are solved inputs first, so the stored set is closed downward, and
+    fixing its pairs at their exact values leaves the least fixed point of
+    the rest unchanged.  Class ids are document-wide and never given again,
+    and a state that reaches a cycle is a class of its own, so cyclic pairs
+    are stored too.  ``max_pairs`` optionally bounds the pairs this query
+    walks, a stored pair counting as one and its cone as none; exceeding
+    it raises :class:`PairLimitExceeded` before any transport is posed.
     """
     if t1 == t2:
         check_closed(doc, t1, ROOTS_CLOSED)
@@ -181,17 +193,28 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 for b, pis in fragment.transitions[u].items()}
         return moves.get(a, ())
 
+    table = doc.memo("class distances")
+
+    def class_pair(pair: tuple[StateTerm, StateTerm]) -> tuple[int, int]:
+        c, d = class_of[pair[0]], class_of[pair[1]]
+        return (c, d) if c < d else (d, c)
+
     deps: dict[tuple[StateTerm, StateTerm],
                set[tuple[StateTerm, StateTerm]]] = {}
+    memo: dict[tuple[StateTerm, StateTerm], Fraction] = {}
 
     def below(pair: tuple[StateTerm, StateTerm]):
         """The pairs ``pair`` depends on, kept in ``deps``: the supports of
-        the distributions it compares."""
+        the distributions it compares, or none if its class pair is solved."""
         if max_pairs is not None and len(deps) >= max_pairs:
             raise PairLimitExceeded(
                 f"distance depends on more than {max_pairs} state pairs")
-        u, v = pair
         out = deps[pair] = set()
+        known = table.get(class_pair(pair))
+        if known is not None:
+            memo[pair] = known
+            return out
+        u, v = pair
         for a in doc.actions:
             for pu in der(u, a):
                 for pv in der(v, a):
@@ -203,7 +226,6 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                                 out.add(pair_key(x, y))
         return out
 
-    memo: dict[tuple[StateTerm, StateTerm], Fraction] = {}
     kcache: dict[tuple[FiniteDistribution, FiniteDistribution],
                  Fraction] = {}
 
@@ -402,10 +424,13 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     # every pair is found before any is solved, so the budget refuses
     # before any transport is posed
     for comp in strongly_connected_components([root], below):
+        if comp[0] in memo:  # solved by an earlier query
+            continue
         if len(comp) == 1 and comp[0] not in deps[comp[0]]:
             memo[comp[0]] = settle(comp[0])
         else:
             close(comp)
+        table.update((class_pair(p), memo[p]) for p in comp)
     return memo[root]
 
 

@@ -163,8 +163,8 @@ def random_open_term(rng: random.Random, doc: SpecDocument, depth: int,
 
 def _cached_distance(doc: SpecDocument, u: StateTerm, v: StateTerm,
                      max_states: int, max_pairs: int | None) -> Fraction:
-    # The same small closed terms recur across samples; refusals are not
-    # cached so budget semantics are unchanged.
+    # Closed terms recur across samples.  Refusals are not cached: later,
+    # ``max_pairs`` counts only the class pairs still unsolved then.
     memo = doc.memo("distances")
     key = (u, v, max_states, max_pairs)
     hit = memo.get(key)

@@ -74,14 +74,16 @@ class _Node:
         if node is None:
             if len(fields) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", cls._fields_hash(fields))
-            _TABLE[key] = node
+            node = _TABLE[key] = cls._build(fields, hash(fields))
         return node
 
-    _fields_hash = staticmethod(hash)
+    @classmethod
+    def _build(cls, fields: tuple, value_hash: int) -> "_Node":
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_hash", value_hash)
+        return node
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -134,20 +136,20 @@ class Distribution(_Node):
     _masses = "masses"  # what errors call them
 
     def __new__(cls, entries: tuple):
-        total = Fraction(0)
-        for _, q in entries:
-            if q <= 0:
-                raise ValueError(f"{cls._masses} must be positive, "
-                                 f"got {format_rational(q)}")
-            total += q
-        if total != 1:
-            raise ValueError(f"{cls._masses} sum to {format_rational(total)}, "
-                             f"expected 1")
-        return _Node.__new__(cls, entries)
-
-    @staticmethod
-    def _fields_hash(fields: tuple) -> int:
-        return hash(frozenset(fields[0]))
+        key = _EntriesKey(cls, entries)
+        node = _TABLE.get(key)
+        if node is None:
+            total = Fraction(0)
+            for _, q in entries:
+                if q <= 0:
+                    raise ValueError(f"{cls._masses} must be positive, "
+                                     f"got {format_rational(q)}")
+                total += q
+            if total != 1:
+                raise ValueError(f"{cls._masses} sum to "
+                                 f"{format_rational(total)}, expected 1")
+            node = _TABLE[key] = cls._build((entries,), key.hash)
+        return node
 
     def _same_fields(self, other: "Distribution") -> bool:
         return (len(self.entries) == len(other.entries)
@@ -175,6 +177,24 @@ class Distribution(_Node):
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class _EntriesKey:
+    """A distribution's table key: its class and entries in order, with
+    the value hash computed once for the lookup, the store and the node."""
+
+    __slots__ = ("cls", "entries", "hash")
+
+    def __init__(self, cls: type, entries: tuple):
+        self.cls, self.entries = cls, entries
+        self.hash = hash(frozenset(entries))
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is _EntriesKey and self.cls is other.cls
+                and self.entries == other.entries)
 
 
 _ONE = Fraction(1)

@@ -1,10 +1,11 @@
 """Shared fixtures: the specification documents shipped with the package."""
 
+import dataclasses
 from importlib import resources
 
 import pytest
 
-from pgsos import parse_spec
+from pgsos import frontend, parse_spec
 
 # the shared checks in helpers assert too, also under ``python -O``
 pytest.register_assert_rewrite("helpers")
@@ -32,3 +33,14 @@ def loops_doc():
     """Recursive processes: stopping loops, recursion through a prefix and
     a pair whose distance equation has an interval of fixed points."""
     return _load("loops.pgsos")
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """``fresh_memo(doc)``: a document equal to ``doc`` with memo tables of
+    its own, so nothing is derived, classified or solved in it yet, however
+    the tests before it ran."""
+    def fresh(doc):
+        monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+        return dataclasses.replace(doc)
+    return fresh

@@ -223,18 +223,34 @@ def test_distance_axioms_on_sampled_triples(pa_doc):
         informative += d_uv + d_vw < 1
 
 
-def test_pair_budget_refusal(pa_doc):
-    u, v = t(pa_doc, "par(pa0, pa0)"), t(pa_doc, "par(aa0, pa0)")
+# A pair budget counts the pairs not yet solved for the document, so the
+# budget tests run on a fresh memo: what they count does not depend on the
+# tests before them.
+
+def test_pair_budget_refusal(pa_doc, fresh_memo):
+    doc = fresh_memo(pa_doc)
+    u, v = t(doc, "par(pa0, pa0)"), t(doc, "par(aa0, pa0)")
     with pytest.raises(PairLimitExceeded):
-        bisim_distance(pa_doc, u, v, max_pairs=1)
+        bisim_distance(doc, u, v, max_pairs=1)
 
 
-def test_pair_budget_skips_equal_distributions(pa_doc):
+def test_pair_budget_skips_equal_distributions(pa_doc, fresh_memo):
     # two pairs: the roots and (zero, pref_b(zero)); both roots move by a
     # to pa0's one distribution, and that move adds no pair
-    u = t(pa_doc, "alt(pa0, pref_b(zero))")
-    v = t(pa_doc, "alt(pa0, pref_b(pref_b(zero)))")
-    assert bisim_distance(pa_doc, u, v, max_pairs=2) == 1
+    doc = fresh_memo(pa_doc)
+    u = t(doc, "alt(pa0, pref_b(zero))")
+    v = t(doc, "alt(pa0, pref_b(pref_b(zero)))")
+    assert bisim_distance(doc, u, v, max_pairs=2) == 1
+
+
+def test_pair_budget_counts_a_solved_pair_as_one(pa_doc, fresh_memo):
+    doc = fresh_memo(pa_doc)
+    u, v = t(doc, "par(pa0, pa0)"), t(doc, "par(aa0, pa0)")
+    with pytest.raises(PairLimitExceeded):
+        bisim_distance(doc, u, v, max_pairs=1)
+    value = bisim_distance(doc, u, v)
+    # the root's class pair is solved now, and its cone is not walked
+    assert bisim_distance(doc, u, v, max_pairs=1) == value
 
 
 def test_deep_chains_are_explored_and_measured_without_recursion(examples_doc):
@@ -296,11 +312,12 @@ def test_bisimilar_roots_need_no_transport(pa_doc, monkeypatch):
     assert bisim_distance(pa_doc, u, v) == 0
 
 
-def test_pair_budget_counts_pairs_of_classes(pa_doc):
+def test_pair_budget_counts_pairs_of_classes(pa_doc, fresh_memo):
     # 405 joint states in 51 classes; without the quotient the pair system
     # of ``ipar`` nested three times alone has 3,893 pairs
-    u, v = _ipar_chain(pa_doc, 4, "pa0"), _ipar_chain(pa_doc, 4, "pb0")
-    assert bisim_distance(pa_doc, u, v, max_pairs=500) == F(9, 10)
+    doc = fresh_memo(pa_doc)
+    u, v = _ipar_chain(doc, 4, "pa0"), _ipar_chain(doc, 4, "pb0")
+    assert bisim_distance(doc, u, v, max_pairs=500) == F(9, 10)
 
 
 @pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "cyclic"])
@@ -491,3 +508,72 @@ def test_cyclic_but_convergent_pair():
     # self-loop against itself through distinct-but-bisimilar wrappers
     u, v = t(doc, "loop_all"), t(doc, "loop_all")
     assert bisim_distance(doc, u, v) == 0
+
+
+# -- the document's table of class distances ----------------------------------
+
+def _outcome(doc, u, v, **budget):
+    """The distance of ``u`` and ``v``, or the name of the refusal."""
+    try:
+        return bisim_distance(doc, u, v, **budget)
+    except (PairLimitExceeded, StateLimitExceeded) as refusal:
+        return type(refusal).__name__
+
+
+def test_warm_answers_equal_cold_answers(pa_doc, examples_doc, loops_doc,
+                                         fresh_memo):
+    # every pair is asked in one warm document, whose table holds the pairs
+    # solved before it, and again in a fresh one; on small games the brute
+    # force must agree too
+    rng = random.Random(13)
+    asked = []
+    for _ in range(25):
+        text, names = random_cyclic_spec(rng)
+        doc = parse_spec(text)
+        frag = explore_fragment(doc, [t(doc, x) for x in names + ["zero"]])
+        for _ in range(12):
+            asked.append((doc, *rng.sample(frag.states, 2), {}))
+    for doc in (pa_doc, examples_doc, loops_doc):
+        for _ in range(30):
+            u, v = (random_closed_term(rng, doc, rng.randint(1, 3))
+                    for _ in range(2))
+            asked.append((doc, u, v, {"max_states": 64}))
+    rng.shuffle(asked)
+    brute = 0
+    for doc, u, v, budget in asked:
+        warm = _outcome(doc, u, v, **budget)
+        assert warm == _outcome(fresh_memo(doc), u, v, **budget)
+        if isinstance(warm, str):
+            continue
+        frag = explore_fragment(doc, [u, v])
+        if len(frag.states) > 12:
+            continue
+        deps, reaches = pair_dependencies(doc, frag, u, v)
+        if sum(p in reaches[p] for p in deps) <= 2:  # a quick game
+            assert warm == game_distance_bruteforce(doc, frag, u, v)
+            brute += 1
+    assert brute >= 250
+
+
+def test_a_solved_class_pair_poses_no_transport(pa_doc, fresh_memo,
+                                                monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_transport(*args)
+
+    monkeypatch.setattr(metric, "solve_transport", counted)
+
+    def transports(doc, n):
+        calls.clear()
+        bisim_distance(doc, _ipar_chain(doc, n, "pa0"),
+                       _ipar_chain(doc, n, "pb0"))
+        return len(calls)
+
+    assert transports(fresh_memo(pa_doc), 2) == 44
+    doc = fresh_memo(pa_doc)
+    assert transports(doc, 3) == 131
+    assert transports(doc, 3) == 0
+    # the smaller chains' pairs all lie below the larger ones'
+    assert transports(doc, 2) == 0
