@@ -18,16 +18,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .denotation import generic_application, lfp_denotations
 from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
-from .multiplicity import (INF, ext_leq, ext_mul, format_count, sup_approx,
-                           sup_is_exact, weighting_of)
+from .multiplicity import (INF, ExtRational, ext_add, ext_leq, ext_mul,
+                           format_count, sup_approx, sup_is_exact,
+                           weighting_of)
 from .terms import Var
-
-ExtRational = Union[Fraction, object]
 
 VERDICT_CONTINUOUS = "uniformly-continuous"
 VERDICT_NOT_SHOWN = "not-shown"
@@ -61,8 +60,7 @@ class ModulusSpec:
                 f"modulus of arity {self.arity} applied to {len(eps)} values")
         total: ExtRational = Fraction(0)
         for c, e in zip(self.coefficients, eps):
-            term = ext_mul(c, Fraction(e))
-            total = INF if (total is INF or term is INF) else total + term
+            total = ext_add(total, ext_mul(c, Fraction(e)))
         if total is INF:
             return Fraction(1)
         return min(total, Fraction(1))
@@ -235,9 +233,5 @@ def parse_modulus(text: str, arity: int) -> ModulusSpec:
             coef = INF
         else:
             coef = _number(coef_text)
-        prev = coeffs[idx - 1]
-        if prev is INF or coef is INF:
-            coeffs[idx - 1] = INF
-        else:
-            coeffs[idx - 1] = prev + coef
+        coeffs[idx - 1] = ext_add(coeffs[idx - 1], coef)
     return ModulusSpec(arity, tuple(coeffs))

@@ -90,7 +90,7 @@ class DepthLimitExceeded(AnalysisRefusal):
 
 
 class PairLimitExceeded(AnalysisRefusal):
-    """The distance computation depends on more state pairs than budgeted."""
+    """The distance computation depends on more class pairs than budgeted."""
 
 
 class AllSamplesSkipped(AnalysisRefusal):

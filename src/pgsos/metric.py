@@ -7,11 +7,12 @@ the worst case over actions.  :func:`bisim_distance` computes it on the fly,
 only on the pairs the root pair depends on, and over bisimulation classes
 rather than states: the distance is 0 exactly on bisimilar states and sees a
 distribution only through the mass it puts on each class, so the same fixed
-point solved on the quotient of the explored fragment gives the same value.
-The classes are found one strongly connected component of the fragment's
-support graph at a time: a state that reaches a cycle is a class of its
-own, any other gets a bottom-up signature.  Everything is rational: the
-transport problems are solved exactly by :func:`pgsos.lp.solve_transport`.
+point solved over class ids, with each class's moves lifted to masses on
+class ids, gives the same value.  The classes are found one strongly
+connected component of the fragment's support graph at a time: a state
+that reaches a cycle is a class of its own, any other gets a bottom-up
+signature.  Everything is rational: the transport problems are solved
+exactly by :func:`pgsos.lp.solve_transport`.
 
 Pairs that depend on one another in a cycle are solved one cyclic
 component at a time, exactly, as a game: strategy iteration for the
@@ -32,19 +33,19 @@ from .errors import PairLimitExceeded
 from .frontend import SpecDocument
 from .graphs import strongly_connected_components
 from .lp import solve_transport
-from .semantics import (ROOTS_CLOSED, ReachableFragment, check_closed,
-                        explore_fragment)
-from .terms import FiniteDistribution, StateTerm
+from .semantics import (DEFAULT_MAX_STATES, ROOTS_CLOSED, ReachableFragment,
+                        check_closed, explore_fragment)
+from .terms import Distribution, FiniteDistribution, StateTerm
 
 
-def hausdorff(values: Callable[[FiniteDistribution, FiniteDistribution], Fraction],
-              set1: Sequence[FiniteDistribution],
-              set2: Sequence[FiniteDistribution]) -> Fraction:
+def hausdorff(values: Callable[[Distribution, Distribution], Fraction],
+              set1: Sequence[Distribution],
+              set2: Sequence[Distribution]) -> Fraction:
     """Hausdorff lifting of a distance on distributions to finite sets,
     with the conventions ``inf {} = 1`` and ``sup {} = 0`` so that a move
     one side cannot answer at all costs the full distance 1."""
-    def directed(a: Sequence[FiniteDistribution],
-                 b: Sequence[FiniteDistribution]) -> Fraction:
+    def directed(a: Sequence[Distribution],
+                 b: Sequence[Distribution]) -> Fraction:
         worst = Fraction(0)  # sup over the empty set
         for pi in a:
             best = Fraction(1)  # inf over the empty set
@@ -61,6 +62,16 @@ def hausdorff(values: Callable[[FiniteDistribution, FiniteDistribution], Fractio
     return max(directed(set1, set2), directed(set2, set1))
 
 
+class _ClassMasses(Distribution):
+    """A move lifted to classes: the mass it puts on each class id."""
+
+    __slots__ = ("entries",)
+    entries: tuple[tuple[int, Fraction], ...]
+
+
+Pair = tuple[int, int]  # two class ids, the smaller first
+
+
 def _classify(doc: SpecDocument,
               fragment: ReachableFragment) -> dict[StateTerm, int]:
     """Give every state of a fragment its bisimulation class id.
@@ -73,13 +84,16 @@ def _classify(doc: SpecDocument,
     move into its own support, or when a successor already stands for
     itself: these are the states that reach a cycle.  Any other state's
     class is the interned signature that lists, per action in name order,
-    the set of its distributions lifted to ``{class id: mass}``; states
-    with equal signatures are bisimilar.  Signatures depend on the
-    specification alone, so both tables live in the document's memo, and
-    the walk neither starts from nor enters a classified state: a later
-    query pays only for the states no earlier one has seen."""
+    the set of its moves lifted to class ids; states with equal signatures
+    are bisimilar.  Each new class id's moves, per action in name order,
+    are its first state's moves lifted to class ids, distinct ones once
+    each, and go into the ``"class moves"`` table.  Signatures depend on
+    the specification alone, so all three tables live in the document's
+    memo, and the walk neither starts from nor enters a classified state:
+    a later query pays only for the states no earlier one has seen."""
     class_of = doc.memo("state classes")
     signatures = doc.memo("class signatures")
+    class_moves = doc.memo("class moves")
 
     def support(s: StateTerm) -> list[StateTerm]:
         return [x for pis in fragment.transitions[s].values()
@@ -88,6 +102,18 @@ def _classify(doc: SpecDocument,
     def unclassified(s: StateTerm) -> list[StateTerm]:
         return [x for x in support(s) if x not in class_of]
 
+    def lift(pi: FiniteDistribution) -> _ClassMasses:
+        """The mass ``pi`` puts on each class."""
+        mass: dict[int, Fraction] = {}
+        for x, q in pi:
+            c = class_of[x]
+            mass[c] = mass[c] + q if c in mass else q
+        return _ClassMasses(tuple(mass.items()))
+
+    def lifted(s: StateTerm) -> dict[str, tuple[_ClassMasses, ...]]:
+        return {a: tuple(dict.fromkeys(map(lift, pis)))
+                for a, pis in fragment.transitions[s].items()}
+
     for comp in strongly_connected_components(
             [s for s in fragment.states if s not in class_of], unclassified):
         s = comp[0]
@@ -95,39 +121,30 @@ def _classify(doc: SpecDocument,
                                 for x in support(s)):
             for s in comp:
                 class_of[s] = signatures.setdefault(s, len(signatures))
+            for s in comp:
+                class_moves[class_of[s]] = lifted(s)
         else:
-            key = tuple(
-                (a, frozenset(frozenset(_lift(class_of, pi).items())
-                              for pi in pis))
-                for a, pis in fragment.transitions[s].items())
+            moves = lifted(s)
+            key = tuple((a, frozenset(pis)) for a, pis in moves.items())
             class_of[s] = signatures.setdefault(key, len(signatures))
+            class_moves.setdefault(class_of[s], moves)
     return class_of
 
 
-def _lift(class_of: dict[StateTerm, int],
-          pi: FiniteDistribution) -> dict[int, Fraction]:
-    """The mass ``pi`` puts on each class."""
-    mass: dict[int, Fraction] = {}
-    for x, q in pi:
-        c = class_of[x]
-        mass[c] = mass[c] + q if c in mass else q
-    return mass
-
-
 def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
-                   max_states: int | None = None,
+                   max_states: int = DEFAULT_MAX_STATES,
                    max_pairs: int | None = None) -> Fraction:
     """Distance between two closed terms over their joint reachable fragment.
 
     The distance is 0 exactly on bisimilar states and depends on a
     distribution only through the mass it puts on each bisimulation class,
-    so the fixed point is solved on the quotient: each class of the
-    fragment is represented by its first state in breadth-first order
-    (``fragment.states``), with its distributions mapped onto
-    representatives, and two roots in one class are at distance 0 without
-    further work.  States that can reach a cycle are classes of their own.
-    A pair of representatives is kept with the one explored first on the
-    left, so no order the solver sees depends on the hash seed.
+    so the fixed point is solved over class ids: the fragment is
+    classified, two roots in one class are at distance 0 without further
+    work, and the solver reads each class's moves, lifted to class ids,
+    from the document's ``"class moves"`` table.  States that can reach a
+    cycle are classes of their own.  A pair of classes is kept with the
+    smaller id first; ids are given in an order that follows the
+    exploration, so no order the solver sees depends on the hash seed.
 
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
@@ -140,77 +157,50 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     ``close``).  No budget bounds that search, so the answer is always
     exact.
 
-    Solved pairs go into the document's ``"class distances"`` table, keyed
-    by their class ids, smaller first, once ``settle`` or ``close`` (which
-    tries values on the way) is done with their component.  A pair found
-    there has that value and no pairs below it.  This is exact: components
-    are solved inputs first, so the stored set is closed downward, and
-    fixing its pairs at their exact values leaves the least fixed point of
-    the rest unchanged.  Class ids are document-wide and never given again,
-    and a state that reaches a cycle is a class of its own, so cyclic pairs
-    are stored too.  ``max_pairs`` optionally bounds the pairs this query
-    walks, a stored pair counting as one and its cone as none; exceeding
-    it raises :class:`PairLimitExceeded` before any transport is posed.
+    Solved pairs go into the document's ``"class distances"`` table, under
+    the same key, once ``settle`` or ``close`` (which tries values on the
+    way) is done with their component.  A pair found there has that value
+    and no pairs below it.  This is exact: components are solved inputs
+    first, so the stored set is closed downward, and fixing its pairs at
+    their exact values leaves the least fixed point of the rest unchanged.
+    Class ids are document-wide and never given again, and a state that
+    reaches a cycle is a class of its own, so cyclic pairs are stored too.
+
+    Two budgets refuse a distance.  ``max_states`` bounds the joint
+    fragment, which every query explores, also one whose root pair is
+    already solved; exceeding it raises :class:`StateLimitExceeded`.
+    ``max_pairs`` optionally bounds the class pairs this query walks, a
+    stored pair counting as one and its cone as none; exceeding it raises
+    :class:`PairLimitExceeded` before any transport is posed.
     """
     if t1 == t2:
         check_closed(doc, t1, ROOTS_CLOSED)
         return Fraction(0)
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    fragment = explore_fragment(doc, [t1, t2], **kwargs)
-
-    class_of = _classify(doc, fragment)
-    if class_of[t1] == class_of[t2]:
+    class_of = _classify(doc, explore_fragment(doc, [t1, t2],
+                                               max_states=max_states))
+    c1, c2 = class_of[t1], class_of[t2]
+    if c1 == c2:
         return Fraction(0)
-    # ``rep`` maps each state merged into an earlier one to its class's first
-    first: dict[int, StateTerm] = {}
-    rep: dict[StateTerm, StateTerm] = {}
-    for s in fragment.states:
-        r = first.setdefault(class_of[s], s)
-        if r is not s:
-            rep[s] = r
-    t1, t2 = rep.get(t1, t1), rep.get(t2, t2)
-    position = {s: i for i, s in enumerate(fragment.states)}
-
-    def pair_key(x: StateTerm, y: StateTerm) -> tuple[StateTerm, StateTerm]:
-        """A pair oriented by the states' places in the fragment."""
-        return (x, y) if position[x] <= position[y] else (y, x)
-
-    def onto(pi: FiniteDistribution) -> FiniteDistribution:
-        if not any(x in rep for x, _ in pi):
-            return pi
-        return FiniteDistribution.from_pairs((rep.get(x, x), q) for x, q in pi)
-
-    # A representative's moves are mapped onto representatives, dropping
-    # distributions that become equal, when first asked for; when no two
-    # states merge, the fragment's own are used.
-    quotient = {} if rep else fragment.transitions
-
-    def der(u: StateTerm, a: str) -> tuple[FiniteDistribution, ...]:
-        moves = quotient.get(u)
-        if moves is None:
-            moves = quotient[u] = {
-                b: tuple(dict.fromkeys(map(onto, pis)))
-                for b, pis in fragment.transitions[u].items()}
-        return moves.get(a, ())
-
+    class_moves = doc.memo("class moves")
     table = doc.memo("class distances")
 
-    def class_pair(pair: tuple[StateTerm, StateTerm]) -> tuple[int, int]:
-        c, d = class_of[pair[0]], class_of[pair[1]]
-        return (c, d) if c < d else (d, c)
+    def der(c: int, a: str) -> tuple[_ClassMasses, ...]:
+        return class_moves[c].get(a, ())
 
-    deps: dict[tuple[StateTerm, StateTerm],
-               set[tuple[StateTerm, StateTerm]]] = {}
-    memo: dict[tuple[StateTerm, StateTerm], Fraction] = {}
+    def pair_key(x: int, y: int) -> Pair:
+        return (x, y) if x < y else (y, x)
 
-    def below(pair: tuple[StateTerm, StateTerm]):
+    deps: dict[Pair, set[Pair]] = {}
+    memo: dict[Pair, Fraction] = {}
+
+    def below(pair: Pair) -> set[Pair]:
         """The pairs ``pair`` depends on, kept in ``deps``: the supports of
-        the distributions it compares, or none if its class pair is solved."""
+        the distributions it compares, or none if it is solved."""
         if max_pairs is not None and len(deps) >= max_pairs:
             raise PairLimitExceeded(
-                f"distance depends on more than {max_pairs} state pairs")
+                f"distance depends on more than {max_pairs} class pairs")
         out = deps[pair] = set()
-        known = table.get(class_pair(pair))
+        known = table.get(pair)
         if known is not None:
             memo[pair] = known
             return out
@@ -226,15 +216,13 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                                 out.add(pair_key(x, y))
         return out
 
-    kcache: dict[tuple[FiniteDistribution, FiniteDistribution],
-                 Fraction] = {}
+    kcache: dict[tuple[_ClassMasses, _ClassMasses], Fraction] = {}
 
-    def getd(x: StateTerm, y: StateTerm) -> Fraction:
+    def getd(x: int, y: int) -> Fraction:
         return Fraction(0) if x == y else memo[pair_key(x, y)]
 
-    def transport(pu: FiniteDistribution, pv: FiniteDistribution,
-                  ) -> tuple[Fraction, list[tuple[StateTerm, StateTerm,
-                                                  Fraction]]]:
+    def transport(pu: _ClassMasses, pv: _ClassMasses,
+                  ) -> tuple[Fraction, list[tuple[int, int, Fraction]]]:
         """Transport optimum of ``pu`` onto ``pv`` under ``memo``, with an
         optimal coupling as ``(x, y, mass)`` cells: the identity coupling
         when the two are equal, the product coupling when one side is a
@@ -256,14 +244,14 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         return value, [(x, y, m) for (x, _), row in zip(pu, plan)
                        for (y, _), m in zip(pv, row) if m]
 
-    def kv(pu: FiniteDistribution, pv: FiniteDistribution) -> Fraction:
+    def kv(pu: _ClassMasses, pv: _ClassMasses) -> Fraction:
         """``transport``'s optimum, cached for the acyclic pass."""
         hit = kcache.get((pu, pv))
         if hit is None:
             hit = kcache[(pu, pv)] = kcache[(pv, pu)] = transport(pu, pv)[0]
         return hit
 
-    def settle(pair: tuple[StateTerm, StateTerm]) -> Fraction:
+    def settle(pair: Pair) -> Fraction:
         u, v = pair
         value = Fraction(0)
         for a in doc.actions:
@@ -274,7 +262,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 break
         return value
 
-    def challenges(pair: tuple[StateTerm, StateTerm]):
+    def challenges(pair: Pair):
         """Each move one side of ``pair`` can make, with the other side's
         answers to it: ``(distribution, answers)``."""
         u, v = pair
@@ -285,7 +273,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             for pi in dv:
                 yield pi, du
 
-    def cheapest(pi: FiniteDistribution, answers, floor: Fraction):
+    def cheapest(pi: _ClassMasses, answers, floor: Fraction):
         """The cheapest answer to ``pi`` under ``memo``, as ``(cost,
         coupling)``: cost 1 and no coupling when there is none.  It stops
         at the first answer that costs at most ``floor``."""
@@ -298,7 +286,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                 break
         return best
 
-    def close(comp: list[tuple[StateTerm, StateTerm]]) -> None:
+    def close(comp: list[Pair]) -> None:
         """Solve one cyclic component ``C`` into ``memo``, where its
         inputs are settled, for the least fixed point ``lfp`` of the
         functional ``F`` on ``C``, by strategy iteration for the
@@ -345,7 +333,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         rise, no strategy repeats, and there are finitely many."""
         inside = set(comp)
         moves = {p: list(challenges(p)) for p in comp}
-        sigma: dict[tuple[StateTerm, StateTerm], int] = {}
+        sigma: dict[Pair, int] = {}
         plans: dict = {}  # per pair, its challenge's coupling or None
 
         def improve(p, floor: Fraction) -> bool:
@@ -377,7 +365,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             pair of ``rest``, and the cost of the rest as a constant."""
             if cells is None:
                 return {}, Fraction(1)
-            coeffs: dict[tuple[StateTerm, StateTerm], Fraction] = {}
+            coeffs: dict[Pair, Fraction] = {}
             const = Fraction(0)
             for x, y, m in cells:
                 if x != y:
@@ -420,7 +408,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             if not switched:
                 return
 
-    root = pair_key(t1, t2)
+    root = pair_key(c1, c2)
     # every pair is found before any is solved, so the budget refuses
     # before any transport is posed
     for comp in strongly_connected_components([root], below):
@@ -430,7 +418,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             memo[comp[0]] = settle(comp[0])
         else:
             close(comp)
-        table.update((class_pair(p), memo[p]) for p in comp)
+        table.update((p, memo[p]) for p in comp)
     return memo[root]
 
 

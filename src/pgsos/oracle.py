@@ -161,20 +161,6 @@ def random_open_term(rng: random.Random, doc: SpecDocument, depth: int,
 # Single-sample evaluation
 # ---------------------------------------------------------------------------
 
-def _cached_distance(doc: SpecDocument, u: StateTerm, v: StateTerm,
-                     max_states: int, max_pairs: int | None) -> Fraction:
-    # Closed terms recur across samples.  Refusals are not cached: later,
-    # ``max_pairs`` counts only the class pairs still unsolved then.
-    memo = doc.memo("distances")
-    key = (u, v, max_states, max_pairs)
-    hit = memo.get(key)
-    if hit is None:
-        hit = bisim_distance(doc, u, v, max_states=max_states,
-                             max_pairs=max_pairs)
-        memo[key] = memo[(v, u, max_states, max_pairs)] = hit
-    return hit
-
-
 def evaluate_sample(doc: SpecDocument, t: StateTerm,
                     sigma1: Mapping[Variable, StateTerm],
                     sigma2: Mapping[Variable, StateTerm], *,
@@ -192,13 +178,14 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
     subst1 = {v: sigma1[v] for v in variables}
     subst2 = {v: sigma2[v] for v in variables}
     try:
-        dists = {v: _cached_distance(doc, subst1[v], subst2[v],
-                                     max_states, max_pairs)
+        dists = {v: bisim_distance(doc, subst1[v], subst2[v],
+                                   max_states=max_states, max_pairs=max_pairs)
                  for v in variables}
         if any(e == 1 for e in dists.values()):
             return "distance-one"
-        exact = _cached_distance(doc, substitute(t, subst1),
-                                 substitute(t, subst2), max_states, max_pairs)
+        exact = bisim_distance(doc, substitute(t, subst1),
+                               substitute(t, subst2), max_states=max_states,
+                               max_pairs=max_pairs)
     except AnalysisRefusal:
         return "refused"
     bound = da(lfp_denotations(doc).genset(t), process_distance(dists))

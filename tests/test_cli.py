@@ -324,6 +324,8 @@ IPAR3 = "ipar(ipar(ipar({}, pa0), pa0), pa0)"
     ["explore", PA, IPAR3.format("pa0"), IPAR3.format("pb0")],
     ["transitions", EXAMPLES, "bang(aa0)"],
     ["distance", LOOPS, "choose_l", "choose_r"],
+    # cyclic components on the oracle's path; pairs are ordered by class id
+    ["oracle", LOOPS, "--samples", "30", "--seed", "7"],
 ])
 def test_json_is_identical_across_hash_seeds(argv):
     outputs = []
@@ -635,6 +637,7 @@ GOLDEN = Path(__file__).parent / "golden"
     # benchmark/inputs.generated_spec(random.Random(0), 40), drawn after
     # sizes 6, 14 and 24: recursive operators whose counts are widened
     ("continuity_gen40", ["continuity", str(GOLDEN / "gen40.pgsos")]),
+    ("oracle_loops", ["oracle", LOOPS, "--samples", "60", "--seed", "7"]),
 ])
 def test_json_reports_match_golden_files(capsys, name, argv):
     code, out, _ = run(capsys, "--json", *argv)

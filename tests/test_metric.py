@@ -378,6 +378,45 @@ def _check_cyclic_classes(rng):
                             == (bisim_distance(doc, x, y) == 0)), text
 
 
+@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "loops_doc",
+                                  "cyclic"])
+def test_each_state_moves_as_its_class_does(spec, request):
+    # the solver reads a class's moves from the "class moves" table, which
+    # holds those of the class's first state: every state of the class,
+    # whichever query classified it, must move the same, lifted to class ids
+    rng = random.Random(11)
+    fragments = 0
+    while fragments < 10:
+        if spec == "cyclic":
+            text, names = random_cyclic_spec(rng)
+            doc = parse_spec(text)
+            roots = [t(doc, x) for x in names + ["zero"]]
+        else:
+            doc = request.getfixturevalue(spec)
+            u = random_closed_term(rng, doc, rng.randint(1, 3))
+            roots = [u, perturbed_term(rng, doc, u)]
+        try:
+            frag = explore_fragment(doc, roots, max_states=64)
+        except StateLimitExceeded:
+            continue
+        fragments += 1
+        class_of = metric._classify(doc, frag)
+        class_moves = doc.memo("class moves")
+        for s in frag.states:
+            lifted = {}
+            for a, pis in frag.transitions[s].items():
+                lifted[a] = set()
+                for pi in pis:
+                    mass = {}
+                    for x, q in pi:
+                        mass[class_of[x]] = mass.get(class_of[x], 0) + q
+                    lifted[a].add(frozenset(mass.items()))
+            entry = class_moves[class_of[s]]
+            assert all(len(set(ds)) == len(ds) for ds in entry.values())
+            assert {a: {frozenset(d) for d in ds}
+                    for a, ds in entry.items()} == lifted
+
+
 @pytest.mark.parametrize("u, v, states, classes", [
     ("ipar(ipar(ipar(loop_4_5, rec), pref_a(loop_1_2)), pref_a(zero))",
      "ipar(ipar(rec, pref_a(loop_1_2)), pref_a(zero))", 54, 52),
