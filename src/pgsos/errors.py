@@ -82,7 +82,7 @@ class AnalysisRefusal(PgsosError):
 
 
 class StateLimitExceeded(AnalysisRefusal):
-    """Reachable-state closure exceeded the configured state budget."""
+    """A query had more states to explore or classify than budgeted."""
 
 
 class DepthLimitExceeded(AnalysisRefusal):

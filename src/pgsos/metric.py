@@ -29,12 +29,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import PairLimitExceeded
+from .errors import PairLimitExceeded, StateLimitExceeded
 from .frontend import SpecDocument
 from .graphs import strongly_connected_components
 from .lp import solve_transport
-from .semantics import (DEFAULT_MAX_STATES, ROOTS_CLOSED, ReachableFragment,
-                        check_closed, explore_fragment)
+from .semantics import (DEFAULT_MAX_STATES, ROOTS_CLOSED, check_closed,
+                        transitions)
 from .terms import Distribution, FiniteDistribution, StateTerm
 
 
@@ -72,16 +72,20 @@ class _ClassMasses(Distribution):
 Pair = tuple[int, int]  # two class ids, the smaller first
 
 
-def _classify(doc: SpecDocument,
-              fragment: ReachableFragment) -> dict[StateTerm, int]:
-    """Give every state of a fragment its bisimulation class id.
+def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
+              max_states: int = DEFAULT_MAX_STATES) -> dict[StateTerm, int]:
+    """Give every state reachable from ``roots`` its bisimulation class id.
 
-    The states no earlier query has classified are walked one strongly
-    connected component of the support graph at a time, each after every
-    component it reaches.  A component's states stand for themselves
-    (their signature key is the state), which is exact but merges
-    nothing, when it has two or more states, when its one state has a
-    move into its own support, or when a successor already stands for
+    One walk from the roots visits only the states no earlier query has
+    classified, the roots among them checked to be closed: a classified
+    state is a leaf, as its successors are classified too.  More than
+    ``max_states`` states to visit raise :class:`StateLimitExceeded`
+    before any id is given.  The states visited are classified one
+    strongly connected component of the support graph at a time, each
+    after every component it reaches.  A component's states stand for
+    themselves (their signature key is the state), which is exact but
+    merges nothing, when it has two or more states, when its one state has
+    a move into its own support, or when a successor already stands for
     itself: these are the states that reach a cycle.  Any other state's
     class is the interned signature that lists, per action in name order,
     the set of its moves lifted to class ids; states with equal signatures
@@ -89,18 +93,29 @@ def _classify(doc: SpecDocument,
     are its first state's moves lifted to class ids, distinct ones once
     each, and go into the ``"class moves"`` table.  Signatures depend on
     the specification alone, so all three tables live in the document's
-    memo, and the walk neither starts from nor enters a classified state:
-    a later query pays only for the states no earlier one has seen."""
+    memo, and a later query pays only for states no earlier one saw."""
     class_of = doc.memo("state classes")
     signatures = doc.memo("class signatures")
     class_moves = doc.memo("class moves")
+    fresh = [r for r in dict.fromkeys(roots) if r not in class_of]
+    for r in fresh:
+        check_closed(doc, r, ROOTS_CLOSED)
+    if len(fresh) > max_states:
+        raise StateLimitExceeded(
+            f"{len(fresh)} roots already exceed max_states={max_states}")
+    reached = set(fresh)  # counted when found, before their moves are derived
 
     def support(s: StateTerm) -> list[StateTerm]:
-        return [x for pis in fragment.transitions[s].values()
+        return [x for pis in transitions(doc, s).values()
                 for pi in pis for x, _ in pi]
 
     def unclassified(s: StateTerm) -> list[StateTerm]:
-        return [x for x in support(s) if x not in class_of]
+        out = [x for x in support(s) if x not in class_of]
+        reached.update(out)
+        if len(reached) > max_states:
+            raise StateLimitExceeded(
+                f"more than max_states={max_states} reachable states")
+        return out
 
     def lift(pi: FiniteDistribution) -> _ClassMasses:
         """The mass ``pi`` puts on each class."""
@@ -112,10 +127,9 @@ def _classify(doc: SpecDocument,
 
     def lifted(s: StateTerm) -> dict[str, tuple[_ClassMasses, ...]]:
         return {a: tuple(dict.fromkeys(map(lift, pis)))
-                for a, pis in fragment.transitions[s].items()}
+                for a, pis in transitions(doc, s).items()}
 
-    for comp in strongly_connected_components(
-            [s for s in fragment.states if s not in class_of], unclassified):
+    for comp in strongly_connected_components(fresh, unclassified):
         s = comp[0]
         if len(comp) > 1 or any(x == s or x in signatures
                                 for x in support(s)):
@@ -134,17 +148,17 @@ def _classify(doc: SpecDocument,
 def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
                    max_states: int = DEFAULT_MAX_STATES,
                    max_pairs: int | None = None) -> Fraction:
-    """Distance between two closed terms over their joint reachable fragment.
+    """Distance between two closed terms, solved over bisimulation classes.
 
     The distance is 0 exactly on bisimilar states and depends on a
     distribution only through the mass it puts on each bisimulation class,
-    so the fixed point is solved over class ids: the fragment is
-    classified, two roots in one class are at distance 0 without further
-    work, and the solver reads each class's moves, lifted to class ids,
-    from the document's ``"class moves"`` table.  States that can reach a
+    so the fixed point is solved over class ids: the states the roots
+    reach are classified, two roots in one class are at distance 0 without
+    further work, and the solver reads each class's moves, lifted to class
+    ids, from the document's ``"class moves"`` table.  States that can reach a
     cycle are classes of their own.  A pair of classes is kept with the
-    smaller id first; ids are given in an order that follows the
-    exploration, so no order the solver sees depends on the hash seed.
+    smaller id first; ids are given in an order that follows the walk from
+    the roots, so no order the solver sees depends on the hash seed.
 
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
@@ -166,18 +180,18 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     Class ids are document-wide and never given again, and a state that
     reaches a cycle is a class of its own, so cyclic pairs are stored too.
 
-    Two budgets refuse a distance.  ``max_states`` bounds the joint
-    fragment, which every query explores, also one whose root pair is
-    already solved; exceeding it raises :class:`StateLimitExceeded`.
-    ``max_pairs`` optionally bounds the class pairs this query walks, a
-    stored pair counting as one and its cone as none; exceeding it raises
+    Two budgets refuse a distance.  ``max_states`` bounds the states this
+    query has to classify, a state an earlier query classified counting as
+    none, so for a fresh document it bounds the joint reachable fragment;
+    exceeding it raises :class:`StateLimitExceeded`.  ``max_pairs``
+    optionally bounds the class pairs this query walks, a stored pair
+    counting as one and its cone as none; exceeding it raises
     :class:`PairLimitExceeded` before any transport is posed.
     """
     if t1 == t2:
         check_closed(doc, t1, ROOTS_CLOSED)
         return Fraction(0)
-    class_of = _classify(doc, explore_fragment(doc, [t1, t2],
-                                               max_states=max_states))
+    class_of = _classify(doc, [t1, t2], max_states)
     c1, c2 = class_of[t1], class_of[t2]
     if c1 == c2:
         return Fraction(0)

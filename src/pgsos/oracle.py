@@ -9,8 +9,8 @@ the metric engine or the denotation engine, so it is raised immediately
 rather than recorded.
 
 Samples whose per-variable distance reaches 1 are discarded (the bound is
-only claimed for strictly smaller distances), as are samples whose state
-space exceeds the exploration budget.
+only claimed for strictly smaller distances), as are samples that hit the
+state budget or the pair budget.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
     """Exact distance of the two instances against the denotational bound.
 
     Returns the comparison record, or a skip reason ("distance-one" when
-    some per-variable distance is 1, "refused" when exploration or
-    iteration limits were hit).  A bound violation is a bug in the metric
+    some per-variable distance is 1, "refused" when the state budget or
+    the pair budget was hit).  A bound violation is a bug in the metric
     or the denotation engine, not bad input: it raises ``RuntimeError``.
     """
     variables = sorted(free_vars(t), key=lambda v: v.name)

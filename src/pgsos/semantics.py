@@ -21,17 +21,18 @@ from .frontend import SpecDocument
 from .terms import (Apply, FiniteDistribution, StateTerm, check_arities,
                     free_vars, instantiate)
 
-Moves = tuple[tuple[str, FiniteDistribution], ...]
+Moves = dict[str, tuple[FiniteDistribution, ...]]
 
 
-def _transitions(doc: SpecDocument, memo: dict, t: StateTerm) -> Moves:
-    """Transitions of a closed, arity-checked term, in the order
-    :func:`_fire` derives them; ``memo`` is the document's
-    ``"transitions"`` table.
+def transitions(doc: SpecDocument, t: StateTerm) -> Moves:
+    """The moves of a closed, arity-checked term, kept once in the
+    document's ``"transitions"`` table: per action in name order, the
+    distinct target distributions in the order :func:`_fire` derives them.
 
-    The subterms whose transitions are not yet known are derived bottom-up
-    from an explicit stack, so the depth of ``t`` is not limited by the
+    The subterms whose moves are not yet known are derived bottom-up from
+    an explicit stack, so the depth of ``t`` is not limited by the
     interpreter's recursion limit."""
+    memo = doc.memo("transitions")
     cached = memo.get(t)
     if cached is not None:
         return cached
@@ -51,23 +52,22 @@ def _transitions(doc: SpecDocument, memo: dict, t: StateTerm) -> Moves:
     return memo[t]
 
 
-def _fire(doc: SpecDocument, t: Apply,
-          arg_transitions: list[Moves]) -> Moves:
-    """The transitions the rules for ``t.op`` derive from the transitions
-    of ``t``'s arguments, each once, in the order the rules, their premises
-    and the arguments' transitions give them."""
-    out: dict[tuple[str, FiniteDistribution], None] = {}
+def _fire(doc: SpecDocument, t: Apply, arg_moves: list[Moves]) -> Moves:
+    """The moves the rules for ``t.op`` derive from the moves of ``t``'s
+    arguments, each once, in the order the rules, their premises and the
+    arguments' moves give them, grouped per action in name order."""
+    out: dict[str, dict[FiniteDistribution, None]] = {}
     for rule in doc.rules_for(t.op):
-        moves = dict(zip(rule.sources, arg_transitions))
-        if any(a == n.action for n in rule.neg for a, _ in moves[n.source]):
+        moves = dict(zip(rule.sources, arg_moves))
+        if any(n.action in moves[n.source] for n in rule.neg):
             continue
-        choices = [[pi for a, pi in moves[p.source] if a == p.action]
-                   for p in rule.pos]
+        choices = [moves[p.source].get(p.action, ()) for p in rule.pos]
         states = dict(zip(rule.sources, t.args))
         for combo in itertools.product(*choices):
             dists = dict(zip(rule.derivatives(), combo))
-            out[rule.action, instantiate(rule.target, states, dists)] = None
-    return tuple(out)
+            out.setdefault(rule.action, {})[
+                instantiate(rule.target, states, dists)] = None
+    return {a: tuple(out[a]) for a in sorted(out)}
 
 
 def check_closed(doc: SpecDocument, t: StateTerm, what: str) -> None:
@@ -84,7 +84,8 @@ def derive_transitions(doc: SpecDocument,
                        t: StateTerm) -> frozenset[tuple[str, FiniteDistribution]]:
     """All transitions ``(action, distribution)`` of a closed term."""
     check_closed(doc, t, "transitions need a closed term")
-    return frozenset(_transitions(doc, doc.memo("transitions"), t))
+    return frozenset((a, pi) for a, pis in transitions(doc, t).items()
+                     for pi in pis)
 
 
 @dataclass
@@ -93,12 +94,11 @@ class ReachableFragment:
 
     ``states`` lists the states in breadth-first order from the roots, and
     ``depths[state]`` is a state's distance from the nearest root.
-    ``transitions[state][action]`` lists the distinct target distributions
-    in the order they were derived.
+    ``transitions[state]`` holds the state's moves from :func:`transitions`.
     """
 
     states: tuple[StateTerm, ...]
-    transitions: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]]
+    transitions: dict[StateTerm, Moves]
     depths: dict[StateTerm, int]
 
     @property
@@ -128,15 +128,10 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
         raise StateLimitExceeded(
             f"{len(depth)} roots already exceed max_states={max_states}")
 
-    memo = doc.memo("transitions")
-    table: dict[StateTerm, dict[str, tuple[FiniteDistribution, ...]]] = {}
+    table: dict[StateTerm, Moves] = {}
     queue: list[StateTerm] = list(depth)
     for state in queue:  # grows while it is walked
-        by_action: dict[str, list[FiniteDistribution]] = {}
-        for a, pi in _transitions(doc, memo, state):
-            by_action.setdefault(a, []).append(pi)
-        table[state] = moves = {a: tuple(by_action[a])
-                                for a in sorted(by_action)}
+        table[state] = moves = transitions(doc, state)
         d = depth[state] + 1
         for pis in moves.values():
             for pi in pis:

@@ -253,6 +253,64 @@ def test_pair_budget_counts_a_solved_pair_as_one(pa_doc, fresh_memo):
     assert bisim_distance(doc, u, v, max_pairs=1) == value
 
 
+# The state budget follows the same rule: it counts the states a query has
+# to classify, and a state an earlier query classified counts as none.
+
+
+def test_state_budget_counts_only_states_to_classify(pa_doc, fresh_memo):
+    u, v = _ipar_chain(pa_doc, 2, "pa0"), _ipar_chain(pa_doc, 2, "pb0")
+    pa0 = t(pa_doc, "pa0")
+    joint = explore_fragment(pa_doc, [u, v]).states
+    known = explore_fragment(pa_doc, [u, pa0]).states
+    need = len(set(joint) - set(known))
+    assert (len(joint), need) == (45, 18)
+    cold = fresh_memo(pa_doc)
+    with pytest.raises(StateLimitExceeded):
+        bisim_distance(cold, u, v, max_states=need)
+    value = bisim_distance(cold, u, v, max_states=len(joint))
+    warm = fresh_memo(pa_doc)
+    bisim_distance(warm, u, pa0)  # classifies the 30 states of ``known``
+    with pytest.raises(StateLimitExceeded):
+        bisim_distance(warm, u, v, max_states=need - 1)
+    assert bisim_distance(warm, u, v, max_states=need) == value
+
+
+def test_a_refused_walk_leaves_the_class_tables_as_they_were(pa_doc,
+                                                             fresh_memo):
+    # the walk refuses part-way, after deriving moves for some states; no
+    # class id is given until it is complete
+    doc = fresh_memo(pa_doc)
+    u, v = _ipar_chain(doc, 2, "pa0"), _ipar_chain(doc, 2, "pb0")
+    bisim_distance(doc, u, t(doc, "pa0"))
+    tables = ("state classes", "class signatures", "class moves",
+              "class distances")
+    before = {name: dict(doc.memo(name)) for name in tables}
+    with pytest.raises(StateLimitExceeded):
+        metric._classify(doc, [u, v], 17)
+    with pytest.raises(StateLimitExceeded):
+        bisim_distance(doc, u, v, max_states=17)
+    assert {name: dict(doc.memo(name)) for name in tables} == before
+
+
+def test_classified_roots_are_neither_walked_nor_checked(pa_doc, fresh_memo,
+                                                         monkeypatch):
+    doc = fresh_memo(pa_doc)
+    u, v = _ipar_chain(doc, 2, "pa0"), _ipar_chain(doc, 2, "pb0")
+    value = bisim_distance(doc, u, v)
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for name in ("transitions", "check_closed"):
+        monkeypatch.setattr(metric, name, counted(getattr(metric, name)))
+    assert bisim_distance(doc, u, v) == value
+    assert calls == []
+
+
 def test_deep_chains_are_explored_and_measured_without_recursion(examples_doc):
     u = Apply("zero")
     for _ in range(1999):
@@ -337,7 +395,7 @@ def test_classes_are_the_distance_zero_pairs(spec, request):
             continue
         fragments += 1
         d = distance_table(doc, frag)
-        class_of = metric._classify(doc, frag)
+        class_of = metric._classify(doc, frag.states)
         for x in frag.states:
             for y in frag.states:
                 assert (class_of[x] == class_of[y]) == (d[(x, y)] == 0)
@@ -352,9 +410,9 @@ def _check_cyclic_classes(rng):
     for _ in range(30):
         text, names = random_cyclic_spec(rng)
         doc = parse_spec(text)
-        metric._classify(doc, explore_fragment(doc, [t(doc, names[-1])]))
+        metric._classify(doc, [t(doc, names[-1])])
         frag = explore_fragment(doc, [t(doc, x) for x in names + ["zero"]])
-        class_of = metric._classify(doc, frag)
+        class_of = metric._classify(doc, frag.states)
         after = {s: {x for pis in frag.transitions[s].values()
                      for pi in pis for x in pi.support()}
                  for s in frag.states}
@@ -400,7 +458,7 @@ def test_each_state_moves_as_its_class_does(spec, request):
         except StateLimitExceeded:
             continue
         fragments += 1
-        class_of = metric._classify(doc, frag)
+        class_of = metric._classify(doc, frag.states)
         class_moves = doc.memo("class moves")
         for s in frag.states:
             lifted = {}
@@ -428,7 +486,7 @@ def test_states_reaching_a_cycle_stand_for_themselves(loops_doc, u, v,
     # bisimulation has 36 and 27 classes on these fragments; refining the
     # states that reach a cycle would find them
     frag = explore_fragment(loops_doc, [t(loops_doc, u), t(loops_doc, v)])
-    class_of = metric._classify(loops_doc, frag)
+    class_of = metric._classify(loops_doc, frag.states)
     assert len(frag.states) == states
     assert len({class_of[s] for s in frag.states}) == classes
 
