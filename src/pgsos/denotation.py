@@ -38,8 +38,8 @@ from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
 from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
-                    StateTerm, Term, Var, Variable, check_arities,
-                    immediate_subterms, substitute)
+                    StateTerm, Term, Var, Variable, immediate_subterms,
+                    scan_term, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,9 @@ class Denotations:
         :class:`ArityMismatch` or :class:`UndeclaredSymbol` for a term the
         signature does not admit."""
         if t not in self._flags:
-            check_arities(t, self.doc.signature)
+            error = scan_term(t, self.doc.signature)[1]
+            if error is not None:
+                raise error
             self._solve(t)
         return self.value[t]
 

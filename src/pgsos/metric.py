@@ -95,9 +95,12 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
     the specification alone, so all three tables live in the document's
     memo, and a later query pays only for states no earlier one saw."""
     class_of = doc.memo("state classes")
+    fresh = [r for r in dict.fromkeys(roots) if r not in class_of]
+    if not fresh:
+        return class_of
     signatures = doc.memo("class signatures")
     class_moves = doc.memo("class moves")
-    fresh = [r for r in dict.fromkeys(roots) if r not in class_of]
+    moves_of = doc.memo("transitions")
     for r in fresh:
         check_closed(doc, r, ROOTS_CLOSED)
     if len(fresh) > max_states:
@@ -105,12 +108,9 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
             f"{len(fresh)} roots already exceed max_states={max_states}")
     reached = set(fresh)  # counted when found, before their moves are derived
 
-    def support(s: StateTerm) -> list[StateTerm]:
-        return [x for pis in transitions(doc, s).values()
-                for pi in pis for x, _ in pi]
-
     def unclassified(s: StateTerm) -> list[StateTerm]:
-        out = [x for x in support(s) if x not in class_of]
+        out = [x for pis in transitions(doc, s).values() for pi in pis
+               for x, _ in pi if x not in class_of]
         reached.update(out)
         if len(reached) > max_states:
             raise StateLimitExceeded(
@@ -127,12 +127,13 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
 
     def lifted(s: StateTerm) -> dict[str, tuple[_ClassMasses, ...]]:
         return {a: tuple(dict.fromkeys(map(lift, pis)))
-                for a, pis in transitions(doc, s).items()}
+                for a, pis in moves_of[s].items()}
 
     for comp in strongly_connected_components(fresh, unclassified):
         s = comp[0]
         if len(comp) > 1 or any(x == s or x in signatures
-                                for x in support(s)):
+                                for pis in moves_of[s].values()
+                                for pi in pis for x, _ in pi):
             for s in comp:
                 class_of[s] = signatures.setdefault(s, len(signatures))
             for s in comp:
@@ -195,8 +196,11 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     c1, c2 = class_of[t1], class_of[t2]
     if c1 == c2:
         return Fraction(0)
-    class_moves = doc.memo("class moves")
     table = doc.memo("class distances")
+    root = (c1, c2) if c1 < c2 else (c2, c1)
+    if root in table and (max_pairs is None or max_pairs >= 1):
+        return table[root]
+    class_moves = doc.memo("class moves")
 
     def der(c: int, a: str) -> tuple[_ClassMasses, ...]:
         return class_moves[c].get(a, ())
@@ -422,7 +426,6 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             if not switched:
                 return
 
-    root = pair_key(c1, c2)
     # every pair is found before any is solved, so the budget refuses
     # before any transport is posed
     for comp in strongly_connected_components([root], below):

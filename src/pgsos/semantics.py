@@ -7,7 +7,8 @@ negative premise holds when the argument has no transition for the
 forbidden action.  The target is then instantiated straight into one
 distribution, its sources bound to the ``t_i`` and its derivatives to the
 picked distributions.  Premises only ever test proper subterms, so the
-derivation is well-founded and yields the unique supported model.
+derivation is well-founded and yields the unique supported model.  Each
+rule is compiled once per document, the first time its operator fires.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DepthLimitExceeded, OpenTermError, StateLimitExceeded
-from .frontend import SpecDocument
-from .terms import (Apply, FiniteDistribution, StateTerm, check_arities,
-                    free_vars, instantiate)
+from .frontend import Rule, SpecDocument
+from .terms import (Apply, FiniteDistribution, StateTerm, compile_target,
+                    run_target, scan_term)
 
 Moves = dict[str, tuple[FiniteDistribution, ...]]
 
@@ -56,28 +57,40 @@ def _fire(doc: SpecDocument, t: Apply, arg_moves: list[Moves]) -> Moves:
     """The moves the rules for ``t.op`` derive from the moves of ``t``'s
     arguments, each once, in the order the rules, their premises and the
     arguments' moves give them, grouped per action in name order."""
+    plans = doc.memo("rule plans")
+    if t.op not in plans:
+        plans[t.op] = tuple(map(_plan, doc.rules_for(t.op)))
     out: dict[str, dict[FiniteDistribution, None]] = {}
-    for rule in doc.rules_for(t.op):
-        moves = dict(zip(rule.sources, arg_moves))
-        if any(n.action in moves[n.source] for n in rule.neg):
+    for action, pos, neg, program in plans[t.op]:
+        if any(a in arg_moves[i] for i, a in neg):
             continue
-        choices = [moves[p.source].get(p.action, ()) for p in rule.pos]
-        states = dict(zip(rule.sources, t.args))
+        choices = [arg_moves[i].get(a, ()) for i, a in pos]
         for combo in itertools.product(*choices):
-            dists = dict(zip(rule.derivatives(), combo))
-            out.setdefault(rule.action, {})[
-                instantiate(rule.target, states, dists)] = None
+            out.setdefault(action, {})[
+                run_target(program, t.args, combo)] = None
     return {a: tuple(out[a]) for a in sorted(out)}
+
+
+def _plan(rule: Rule) -> tuple:
+    """A rule compiled for :func:`_fire`, kept in the ``"rule plans"``
+    table: its action, its positive and negative premises as ``(argument
+    index, action)`` pairs, and its target over arguments and derivatives."""
+    index = {x: i for i, x in enumerate(rule.sources)}
+    return (rule.action, [(index[p.source], p.action) for p in rule.pos],
+            [(index[n.source], n.action) for n in rule.neg],
+            compile_target(rule.target, rule.sources, rule.derivatives()))
 
 
 def check_closed(doc: SpecDocument, t: StateTerm, what: str) -> None:
     """Raise :class:`OpenTermError` (message ``what``, then the free
     variables) unless ``t`` is closed, and :class:`ArityMismatch` unless
-    every operator in it has its declared arity."""
-    names = sorted(x.name for x in free_vars(t))
-    if names:
-        raise OpenTermError(f"{what}; free: {', '.join(names)}")
-    check_arities(t, doc.signature)
+    every operator in it has its declared arity, from one walk."""
+    free, error = scan_term(t, doc.signature)
+    if free:
+        names = ", ".join(sorted(x.name for x in free))
+        raise OpenTermError(f"{what}; free: {names}")
+    if error is not None:
+        raise error
 
 
 def derive_transitions(doc: SpecDocument,

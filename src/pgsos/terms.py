@@ -20,8 +20,9 @@ from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
-from weakref import WeakValueDictionary
+from weakref import KeyedRef
 
 from .errors import ArityMismatch, KindMismatch, UndeclaredSymbol
 
@@ -70,11 +71,12 @@ class _Node:
 
     def __new__(cls, *fields):
         key = (cls, fields)
-        node = _TABLE.get(key)
+        node = ref() if (ref := _TABLE.get(key)) is not None else None
         if node is None:
             if len(fields) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
-            node = _TABLE[key] = cls._build(fields, hash(fields))
+            node = cls._build(fields, hash(fields))
+            _TABLE[key] = KeyedRef(node, _drop, key)
         return node
 
     @classmethod
@@ -117,7 +119,13 @@ class _Node:
         return (self.__class__, self._values())
 
 
-_TABLE: "WeakValueDictionary[tuple, _Node]" = WeakValueDictionary()
+_TABLE: dict[object, KeyedRef] = {}  # table key -> weak reference to its node
+
+
+def _drop(ref: KeyedRef) -> None:
+    """Delete a dead node's entry, unless a rebuilt node has taken it."""
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 class Distribution(_Node):
@@ -137,18 +145,21 @@ class Distribution(_Node):
 
     def __new__(cls, entries: tuple):
         key = _EntriesKey(cls, entries)
-        node = _TABLE.get(key)
+        node = ref() if (ref := _TABLE.get(key)) is not None else None
         if node is None:
-            total = Fraction(0)
+            num, den = 0, 1  # the sum so far, over the lcm of denominators
             for _, q in entries:
-                if q <= 0:
+                n, d = q.as_integer_ratio()
+                if n <= 0:
                     raise ValueError(f"{cls._masses} must be positive, "
                                      f"got {format_rational(q)}")
-                total += q
-            if total != 1:
-                raise ValueError(f"{cls._masses} sum to "
-                                 f"{format_rational(total)}, expected 1")
-            node = _TABLE[key] = cls._build((entries,), key.hash)
+                g = gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+            if num != den:
+                total = format_rational(Fraction(num, den))
+                raise ValueError(f"{cls._masses} sum to {total}, expected 1")
+            node = cls._build((entries,), key.hash)
+            _TABLE[key] = KeyedRef(node, _drop, key)
         return node
 
     def _same_fields(self, other: "Distribution") -> bool:
@@ -375,12 +386,18 @@ def immediate_subterms(t: Term) -> tuple[Term, ...]:
 
 
 def free_vars(t: Term) -> frozenset[Var]:
-    """The set of all state and distribution variables occurring in ``t``.
+    """The set of all state and distribution variables occurring in ``t``."""
+    return scan_term(t)[0]
 
-    Walks an explicit stack, so the depth of ``t`` is not limited by the
-    interpreter's recursion limit; a subterm shared by identity, as
-    hash-consed ones are, is walked once."""
+
+def scan_term(t: Term, sig: Signature | None = None
+              ) -> tuple[frozenset[Var], Exception | None]:
+    """The variables occurring in ``t`` and, given ``sig``, the error at
+    the first operator in the text (outermost first, left to right) not
+    declared with the arity used, or ``None``: one walk, from an explicit
+    stack, each subterm shared by identity once."""
     out: set[Var] = set()
+    error = None
     seen: set[int] = set()
     stack = [t]
     while stack:
@@ -390,8 +407,17 @@ def free_vars(t: Term) -> frozenset[Var]:
             out.add(u)
         elif id(u) not in seen:
             seen.add(id(u))
-            stack.extend(immediate_subterms(u))
-    return frozenset(out)
+            if (sig is not None and error is None
+                    and (cls is Apply or cls is DistApply)):
+                try:
+                    if sig.arity(u.op) != len(u.args):
+                        raise ArityMismatch(
+                            f"{u.op} expects {sig.arity(u.op)} argument(s), "
+                            f"got {len(u.args)}")
+                except (ArityMismatch, UndeclaredSymbol) as err:
+                    error = err
+            stack.extend(reversed(immediate_subterms(u)))
+    return frozenset(out), error
 
 
 Substitution = Mapping[Var, Term]
@@ -470,65 +496,91 @@ def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
     is the point mass at ``t`` instantiated, sums mix pointwise, and
     ``f(th_1, ..., th_n)`` puts mass ``prod_i pi_i(t_i)`` on ``f(t_1, ...,
     t_n)``.  A state reached twice is merged where it first occurs.
-    Raises :class:`ValueError` on an unbound distribution variable.
+    Raises :class:`ValueError` on an unbound distribution variable."""
+    return run_target(compile_target(theta, tuple(states), tuple(dists)),
+                      tuple(states.values()), tuple(dists.values()))
 
-    Walks an explicit stack, subterms left to right, so the depth of
-    ``theta`` is not limited by the interpreter's recursion limit."""
-    if theta.__class__ is DistVariable and theta in dists:
-        return dists[theta]
-    done: list = []  # per finished subterm its entries, each state once
+
+# The codes of a compiled target's instructions, (code, operand, n): each
+# pops n values and pushes one.
+_ARG, _DERIV, _DIRAC, _LIFT, _APPLY, _SUM, _CONST = range(7)
+
+
+def compile_target(theta: DistTerm, sources: tuple[Variable, ...],
+                   derivatives: tuple[DistVariable, ...]) -> list[tuple]:
+    """``theta`` as a postfix program for :func:`run_target`, which binds
+    ``sources`` and ``derivatives`` by position.  Subterms come left to
+    right; one that mentions neither is evaluated here, into a constant.
+    An explicit stack, so no recursion limit bounds ``theta``'s depth."""
+    arg = {x: i for i, x in enumerate(sources)}
+    der = {x: k for k, x in enumerate(derivatives)}
+    program: list[tuple] = []
     stack: list = [theta]
     while stack:
         u = stack.pop()
         cls = u.__class__
-        if cls is DistVariable:
-            if u not in dists:
+        if cls is tuple:  # an instruction, once its subterms are compiled
+            operands = program[len(program) - u[2]:]
+            if all(code == _CONST for code, _, _ in operands):
+                del program[len(program) - u[2]:]
+                u = (_CONST, run_target(operands + [u], (), ()), 0)
+            program.append(u)
+        elif cls is Variable:
+            program.append((_ARG, arg[u], 0) if u in arg else (_CONST, u, 0))
+        elif cls is DistVariable:
+            if u not in der:
                 raise ValueError(f"distribution term is not closed: {u.name}")
-            done.append(dists[u].entries)
-        elif cls is InstDirac:
-            done.append(((substitute(u.term, states), _ONE),))
-        elif cls is tuple:  # (node, n): the last n entries are its subterms'
-            u, n = u
-            entries = done[len(done) - n:]
-            del done[len(done) - n:]
-            if u.__class__ is ConvexSum:
-                merged: dict[StateTerm, Fraction] = {}
-                for (_, q), pairs in zip(u.entries, entries):
-                    for t, r in pairs:
-                        m = q * r if len(pairs) > 1 else q
-                        merged[t] = merged[t] + m if t in merged else m
-                done.append(merged.items())
-            else:
-                combos = [((), _ONE)]
-                for pairs in entries:
-                    combos = [(prefix + (t,), q * r if len(pairs) > 1 else q)
-                              for prefix, q in combos for t, r in pairs]
-                done.append([(Apply(u.op, prefix), q) for prefix, q in combos])
-        elif cls is ConvexSum or cls is DistApply:
-            kids = immediate_subterms(u)
-            stack.append((u, len(kids)))
-            stack += reversed(kids)
+            program.append((_DERIV, der[u], 0))
         else:
-            raise TypeError(f"not a distribution term: {u!r}")
-    return FiniteDistribution(tuple(done[0]))
+            kids = immediate_subterms(u)
+            stack.append((_APPLY, u.op, len(kids)) if cls is Apply else
+                         (_LIFT, u.op, len(kids)) if cls is DistApply else
+                         (_DIRAC, None, 1) if cls is InstDirac else
+                         (_SUM, [q for _, q in u.entries], len(kids)))
+            stack += reversed(kids)
+    return program
 
 
-def check_arities(t: Term, sig: Signature) -> None:
-    """Verify every operator in ``t`` is declared with the arity used.
-
-    Operators are checked outermost first, left to right, so the error
-    reported is the one at the first offending operator in the text.  Like
-    :func:`free_vars`, walks an explicit stack and each shared node once."""
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if id(u) in seen:
-            continue
-        seen.add(id(u))
-        if u.__class__ is Apply or u.__class__ is DistApply:
-            expected = sig.arity(u.op)
-            if expected != len(u.args):
-                raise ArityMismatch(
-                    f"{u.op} expects {expected} argument(s), got {len(u.args)}")
-        stack.extend(reversed(immediate_subterms(u)))
+def run_target(program: list[tuple], args: tuple[StateTerm, ...],
+               dists: tuple[FiniteDistribution, ...]):
+    """The value a program of :func:`compile_target` denotes with its
+    sources bound to ``args`` and its derivatives to ``dists``: a
+    distribution, or a state term for a program compiled from one."""
+    stack: list = []  # state terms, and distributions or their entries
+    push = stack.append
+    for code, x, n in program:
+        if code == _ARG:
+            push(args[x])
+        elif code == _DERIV:
+            push(dists[x])
+        elif code == _DIRAC:
+            push(((stack.pop(), _ONE),))
+        elif code == _LIFT:  # each combination of points, in order
+            combos = [((), _ONE)]
+            for pairs in stack[len(stack) - n:]:
+                if len(pairs) == 1:
+                    ((t, _),) = pairs
+                    combos = [(prefix + (t,), q) for prefix, q in combos]
+                else:
+                    combos = [(prefix + (t,), r if q is _ONE else q * r)
+                              for prefix, q in combos for t, r in pairs]
+            del stack[len(stack) - n:]
+            push([(Apply(x, prefix), q) for prefix, q in combos])
+        elif code == _APPLY:
+            kids = tuple(stack[len(stack) - n:])
+            del stack[len(stack) - n:]
+            push(Apply(x, kids))
+        elif code == _SUM:  # x: the weights
+            merged: dict[StateTerm, Fraction] = {}
+            for q, pairs in zip(x, stack[len(stack) - n:]):
+                for t, r in pairs:
+                    m = q * r if len(pairs) > 1 else q
+                    merged[t] = merged[t] + m if t in merged else m
+            del stack[len(stack) - n:]
+            push(merged.items())
+        else:
+            push(x)
+    top = stack[0]
+    if top.__class__ is FiniteDistribution or top.__class__ is Apply:
+        return top
+    return FiniteDistribution(tuple(top))

@@ -30,6 +30,9 @@ leaves is unsound, and both Jacobi helpers take it as their ``context``.
 ``round_trip`` is the reference for ``terms.instantiate``: it embeds each
 premise distribution back into syntax, substitutes that syntax into the
 rule target and evaluates the closed result node by node.
+``fire_reference`` is the reference for one step of
+``semantics.transitions``: it reads a term's rules afresh and evaluates
+each target by ``round_trip``.
 
 The printers, ``is_closed``, ``assert_one_object`` and ``E_ZERO`` serve
 the tests alone.
@@ -68,7 +71,7 @@ from pgsos.multiplicity import (
     sup_approx,
     sup_is_exact,
 )
-from pgsos.semantics import derive_transitions
+from pgsos.semantics import derive_transitions, transitions
 from pgsos.terms import (
     Apply,
     ConvexSum,
@@ -654,6 +657,26 @@ def round_trip(theta, states, dists):
     sigma = dict(states)
     sigma.update((x, embed(pi)) for x, pi in dists.items())
     return eval_closed(substitute(theta, sigma))
+
+
+def fire_reference(doc, t):
+    """The moves of the closed term ``t``, per action in name order, each
+    distinct distribution once in derivation order: the rules for ``t.op``
+    read afresh, premises checked against the arguments' moves, and each
+    target evaluated by ``round_trip``."""
+    arg_moves = [transitions(doc, arg) for arg in t.args]
+    out = {}
+    for rule in doc.rules_for(t.op):
+        moves = dict(zip(rule.sources, arg_moves))
+        if any(n.action in moves[n.source] for n in rule.neg):
+            continue
+        choices = [moves[p.source].get(p.action, ()) for p in rule.pos]
+        states = dict(zip(rule.sources, t.args))
+        for combo in itertools.product(*choices):
+            dists = dict(zip(rule.derivatives(), combo))
+            out.setdefault(rule.action, {})[
+                round_trip(rule.target, states, dists)] = None
+    return {a: tuple(out[a]) for a in sorted(out)}
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,23 @@ def test_pair_budget_counts_a_solved_pair_as_one(pa_doc, fresh_memo):
     assert bisim_distance(doc, u, v, max_pairs=1) == value
 
 
+def test_a_stored_root_pair_is_answered_at_once(pa_doc, fresh_memo,
+                                               monkeypatch):
+    doc = fresh_memo(pa_doc)
+    u, v = t(doc, "par(pa0, pa0)"), t(doc, "par(aa0, pa0)")
+    value = bisim_distance(doc, u, v)
+    # a budget of no pairs refuses even a stored one
+    with pytest.raises(PairLimitExceeded):
+        bisim_distance(doc, u, v, max_pairs=0)
+
+    def walked(*args):
+        raise AssertionError("a stored pair walks no graph")
+
+    monkeypatch.setattr(metric, "strongly_connected_components", walked)
+    assert bisim_distance(doc, u, v) == value
+    assert bisim_distance(doc, v, u, max_pairs=1) == value
+
+
 # The state budget follows the same rule: it counts the states a query has
 # to classify, and a state an earlier query classified counts as none.
 

@@ -1,12 +1,15 @@
 """Rule-driven transition derivation and reachable-fragment exploration."""
 
+import gc
 import itertools
 import random
+import types
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from pgsos import terms
 from pgsos.errors import (
     ArityMismatch,
     DepthLimitExceeded,
@@ -16,10 +19,12 @@ from pgsos.errors import (
 )
 from pgsos.frontend import parse_spec, parse_term
 from pgsos.oracle import random_closed_term
-from pgsos.semantics import derive_transitions, explore_fragment
+from pgsos.semantics import (check_closed, derive_transitions,
+                             explore_fragment, transitions)
 from pgsos.terms import Apply, FiniteDistribution, Variable, instantiate
 
-from helpers import dup_spec, enabled_actions, random_cyclic_spec, round_trip
+from helpers import (dup_spec, enabled_actions, fire_reference,
+                     random_cyclic_spec, round_trip, subterms)
 
 F = Fraction
 
@@ -132,6 +137,54 @@ def test_wrong_arity_is_an_arity_mismatch(pa_doc):
         explore_fragment(pa_doc, [one_arg_par])
 
 
+def test_a_term_is_checked_in_one_walk(pa_doc, monkeypatch):
+    """Free variables come first, all of them, sorted, whatever else is
+    wrong; a closed term's error is at its first operator in the text with
+    a wrong arity or no declaration, outermost first, left to right; and
+    every subterm is read once."""
+    x, y, zero = Variable("x"), Variable("y"), Apply("zero")
+    with pytest.raises(OpenTermError, match="; free: x, y$"):
+        check_closed(pa_doc, Apply("par", (Apply("par", (y,)), Apply(
+            "nonsense", (x, Apply("ipar", (x, y)))))), "open")
+    with pytest.raises(ArityMismatch, match="^ipar expects 2"):
+        check_closed(pa_doc, Apply("ipar", (Apply("par", (zero,)),)), "")
+    with pytest.raises(ArityMismatch, match="^par expects 2"):
+        check_closed(pa_doc, Apply("ipar", (Apply("par", (zero,)),
+                                            Apply("nonsense"))), "")
+    with pytest.raises(UndeclaredSymbol, match="'nonsense'"):
+        check_closed(pa_doc, Apply("ipar", (Apply("nonsense"),
+                                            Apply("par", (zero,)))), "")
+    root = t(pa_doc, "par(ipar(pa0, aa0), ipar(pa0, pref_a(aa0)))")
+    reads = []
+    read = terms.immediate_subterms
+    monkeypatch.setattr(terms, "immediate_subterms",
+                        lambda u: reads.append(u) or read(u))
+    check_closed(pa_doc, root, "")
+    assert sorted(map(id, reads)) == sorted(map(id, subterms(root)))
+
+
+def test_rule_plans_hold_no_reference_to_the_document():
+    """Nothing reachable from the plans table is the document, so the
+    plans cannot keep it alive (types and modules, which reach everything,
+    are not followed; functions only through their closures)."""
+    doc = _load("examples.pgsos")
+    explore_fragment(doc, [t(doc, "par(ipar(pref_a(zero), zero), "
+                                  "alt(zero, zero))")])
+    plans = doc.memo("rule plans")
+    assert plans
+    seen, stack = set(), [plans]
+    while stack:
+        obj = stack.pop()
+        assert obj is not doc
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            stack += obj.__closure__ or ()
+        else:
+            stack += gc.get_referents(obj)
+
+
 def test_explore_complete_fragment(pa_doc):
     frag = explore_fragment(pa_doc, [t(pa_doc, "par(aa0, aa0)"),
                                      t(pa_doc, "par(pa0, pa0)")])
@@ -224,6 +277,15 @@ def _small(doc, root):
     return True
 
 
+def _roots(doc, roots, rng):
+    """The named roots, or a dozen random closed terms with small
+    fragments."""
+    if roots is None:
+        return [r for r in (random_closed_term(rng, doc, 3)
+                            for _ in range(12)) if _small(doc, r)]
+    return [t(doc, r) for r in roots]
+
+
 def _instantiation_docs():
     rng = random.Random(15)
     yield "pa", _load("pa.pgsos"), None
@@ -239,14 +301,27 @@ def _instantiation_docs():
     pytest.param(*case, id=case[0]) for case in _instantiation_docs()])
 def test_instantiate_equals_the_round_trip_through_syntax(name, doc, roots):
     rng = random.Random(name)
-    if roots is None:
-        roots = [r for r in (random_closed_term(rng, doc, 3)
-                             for _ in range(12)) if _small(doc, r)]
-    else:
-        roots = [t(doc, r) for r in roots]
+    roots = _roots(doc, roots, rng)
     fired = set()
     for rule, states, dists in _instantiation_cases(doc, roots, rng):
         pi = instantiate(rule.target, states, dists)
         assert pi.entries == round_trip(rule.target, states, dists).entries
         fired.add(rule)
     assert fired == set(doc.rules)
+
+
+@pytest.mark.parametrize("name, doc, roots", [
+    pytest.param(*case, id=case[0]) for case in _instantiation_docs()])
+def test_transitions_equal_the_rules_read_afresh(name, doc, roots):
+    """Every state's moves equal the reference's: the actions in name
+    order, per action the distributions in order, each with its entries in
+    order (equality alone would ignore that order)."""
+    if name == "dup9":  # dd(pa) reaches d3(dup(pa)), a move of 512**3 points
+        roots = ["dup(pa)", "pa"]
+    rng = random.Random(name)
+    for s in explore_fragment(doc, _roots(doc, roots, rng)).states:
+        moves, expected = transitions(doc, s), fire_reference(doc, s)
+        assert list(moves) == list(expected)
+        for a, pis in moves.items():
+            assert [pi.entries for pi in pis] == [
+                pi.entries for pi in expected[a]]

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgsos import terms
 from pgsos.errors import ArityMismatch, KindMismatch
 from pgsos.frontend import Rule, parse_spec, parse_term
 from pgsos.oracle import random_closed_term
@@ -25,12 +26,12 @@ from pgsos.terms import (
     InstDirac,
     Signature,
     Variable,
-    check_arities,
     convex_sum,
     format_rational,
     format_term,
     free_vars,
     instantiate,
+    scan_term,
     state_var,
     substitute,
 )
@@ -177,6 +178,31 @@ def test_deep_distribution_terms_are_hashed_without_recursion():
     assert {theta: 1}[theta] == 1
 
 
+def test_the_table_forgets_dead_nodes_and_keeps_live_ones():
+    gc.collect()
+    before = len(terms._TABLE)
+    for i in range(10 ** 4):
+        leaf = Apply(f"leaf_{i}")
+        FiniteDistribution(((Apply("pref_a", (leaf,)), Fraction(1, 3)),
+                            (leaf, Fraction(2, 3))))
+    del leaf
+    gc.collect()
+    assert len(terms._TABLE) == before
+
+    # a node rebuilt after its entry died has the dead node's hash
+    node = Apply("pref_a", (Apply("fresh"),))
+    value_hash, key = hash(node), (Apply, ("pref_a", (Apply("fresh"),)))
+    dead = terms._TABLE[key]
+    del node
+    assert dead() is None and key not in terms._TABLE
+    node = Apply("pref_a", (Apply("fresh"),))
+    assert hash(node) == value_hash
+    # a late callback for the dead node leaves the new node's entry alone
+    terms._drop(dead)
+    assert terms._TABLE[key]() is node
+    assert Apply("pref_a", (Apply("fresh"),)) is node
+
+
 # Values that store their hash, built the same way in every process.
 STORED_HASH_VALUES = """
 from fractions import Fraction
@@ -283,6 +309,14 @@ def test_finite_distribution_normalizes_and_checks_mass():
     assert pi.entries == ((ZERO, Fraction(3, 4)), (A_ZERO, Fraction(1, 4)))
     with pytest.raises(ValueError):
         FiniteDistribution(((ZERO, Fraction(1, 2)),))
+    # masses over different denominators are summed exactly
+    mixed = ((ZERO, Fraction(1, 2)), (A_ZERO, Fraction(1, 3)),
+             (Apply("a_pref", (A_ZERO,)), Fraction(1, 6)))
+    assert FiniteDistribution(mixed).entries == mixed
+    with pytest.raises(ValueError, match="^masses sum to 5/6, expected 1$"):
+        FiniteDistribution(mixed[:2])
+    with pytest.raises(ValueError, match="^masses must be positive, got -1/6"):
+        FiniteDistribution(((ZERO, Fraction(7, 6)), (A_ZERO, Fraction(-1, 6))))
 
 
 def test_instantiate_closed_and_embedding_roundtrip():
@@ -336,16 +370,21 @@ def test_instantiate_rejects_an_unbound_distribution_variable(theta):
 def test_check_arities():
     sig = Signature(operators=(("zero", 0), ("a_pref", 1), ("par", 2)),
                     actions=("a",))
-    check_arities(Apply("par", (ZERO, A_ZERO)), sig)
-    with pytest.raises(ArityMismatch):
-        check_arities(Apply("a_pref", (ZERO, ZERO)), sig)
-    with pytest.raises(ArityMismatch):
-        check_arities(Apply("par", (ZERO,)), sig)
+
+    def error(t):
+        return scan_term(t, sig)[1]
+
+    assert error(Apply("par", (ZERO, A_ZERO))) is None
+    assert isinstance(error(Apply("a_pref", (ZERO, ZERO))), ArityMismatch)
+    assert isinstance(error(Apply("par", (ZERO,))), ArityMismatch)
     # the outermost offending operator is reported, before any below it
-    with pytest.raises(ArityMismatch, match="^par expects 2"):
-        check_arities(Apply("par", (Apply("a_pref", (ZERO, ZERO)),)), sig)
-    with pytest.raises(ArityMismatch, match="^par expects 2"):
-        check_arities(Apply("par", (Apply("undeclared"),)), sig)
+    assert str(error(Apply("par", (Apply("a_pref", (ZERO, ZERO)),)))
+               ).startswith("par expects 2")
+    assert str(error(Apply("par", (Apply("undeclared"),)))
+               ).startswith("par expects 2")
+    # the variables are found in the same walk, and without a signature
+    assert scan_term(Apply("par", (X, Apply("undeclared", (Y,))))) == (
+        frozenset({X, Y}), None)
 
 
 def test_deep_terms_are_substituted_without_recursion():
