@@ -11,6 +11,9 @@ rather than recorded.
 Samples whose per-variable distance reaches 1 are discarded (the bound is
 only claimed for strictly smaller distances), as are samples that hit the
 state budget or the pair budget.
+
+The one harness is :func:`oracle_suite`, over a fixed open term or over
+drawn ones; :func:`evaluate_sample` checks a single instance.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .denotation import lfp_denotations
 from .errors import AllSamplesSkipped, AnalysisRefusal
@@ -30,19 +33,8 @@ from .terms import (Apply, StateTerm, Variable, format_term, free_vars,
                     substitute)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Reproducible sampling parameters: identical config, seed and
-    document give identical summaries."""
-
-    seed: int = 0
-    samples: int = 200
-    max_depth: int = 3
-    max_states: int = 256
-    max_pairs: int = 2000
-
-
 VARIABLES = ("x", "y")  # the variables of the open terms the suite draws
+MAX_PAIRS = 2000  # the pair budget of each distance a sample computes
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,6 @@ class OracleSummary:
     max_gap: Fraction
     tight: int
     results: tuple[SampleResult, ...] = field(repr=False)
-
-    @property
-    def violations(self) -> int:
-        # A violated bound raises before any summary is produced.
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,64 +191,38 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
 
 
 # ---------------------------------------------------------------------------
-# Harness entry points
+# The harness
 # ---------------------------------------------------------------------------
 
-def _sample(doc: SpecDocument, cfg: OracleConfig,
-            draws: Iterable[tuple[StateTerm, Mapping[Variable, StateTerm],
-                                  Mapping[Variable, StateTerm]]],
-            ) -> OracleSummary:
-    """Evaluate each drawn ``(term, sigma1, sigma2)`` and tally the
-    outcomes."""
-    requested = 0
+def oracle_suite(doc: SpecDocument, term: StateTerm | None = None, *,
+                 seed: int = 0, samples: int = 200, depth: int = 3,
+                 max_states: int = 256) -> OracleSummary:
+    """Check the bound on ``samples`` sampled instances and tally them.
+
+    Each sample draws a pair of substitutions into ``term``, or first
+    draws an open term over :data:`VARIABLES` when ``term`` is None.  The
+    same document, term and parameters give the same summary.  Raises
+    ``AllSamplesSkipped`` when no sample was compared.
+    """
+    rng = random.Random(seed)
     results: list[SampleResult] = []
     skipped: dict[str, int] = {}
-    for t, s1, s2 in draws:
-        requested += 1
-        outcome = evaluate_sample(doc, t, s1, s2, max_states=cfg.max_states,
-                                  max_pairs=cfg.max_pairs)
+    for _ in range(samples):
+        t = (random_open_term(rng, doc, depth, VARIABLES) if term is None
+             else term)
+        variables = sorted(free_vars(t), key=lambda v: v.name)
+        s1, s2 = substitution_pair(rng, doc, variables, depth)
+        outcome = evaluate_sample(doc, t, s1, s2, max_states=max_states,
+                                  max_pairs=MAX_PAIRS)
         if isinstance(outcome, str):
             skipped[outcome] = skipped.get(outcome, 0) + 1
         else:
             results.append(outcome)
-    if requested and not results:
+    if samples and not results:
         raise AllSamplesSkipped(
-            f"all {requested} samples were skipped: "
+            f"all {samples} samples were skipped: "
             + ", ".join(f"{k}={v}" for k, v in sorted(skipped.items())))
     max_gap = max((r.gap for r in results), default=Fraction(0))
     tight = sum(1 for r in results if r.gap == 0)
-    return OracleSummary(requested, len(results), dict(sorted(skipped.items())),
+    return OracleSummary(samples, len(results), dict(sorted(skipped.items())),
                          max_gap, tight, tuple(results))
-
-
-def oracle_compare(doc: SpecDocument, t: StateTerm,
-                   cfg: OracleConfig = OracleConfig(), *,
-                   include: Iterable[tuple[Mapping[Variable, StateTerm],
-                                           Mapping[Variable, StateTerm]]] = (),
-                   ) -> OracleSummary:
-    """Check the bound for a fixed open term across sampled substitution
-    pairs; explicitly supplied pairs are evaluated before the random ones."""
-    rng = random.Random(cfg.seed)
-    variables = sorted(free_vars(t), key=lambda v: v.name)
-
-    def draws():
-        for s1, s2 in include:
-            yield t, s1, s2
-        for _ in range(cfg.samples):
-            yield (t, *substitution_pair(rng, doc, variables, cfg.max_depth))
-
-    return _sample(doc, cfg, draws())
-
-
-def oracle_suite(doc: SpecDocument,
-                 cfg: OracleConfig = OracleConfig()) -> OracleSummary:
-    """Check the bound across sampled (term, substitution pair) triples."""
-    rng = random.Random(cfg.seed)
-
-    def draws():
-        for _ in range(cfg.samples):
-            t = random_open_term(rng, doc, cfg.max_depth, VARIABLES)
-            variables = sorted(free_vars(t), key=lambda v: v.name)
-            yield (t, *substitution_pair(rng, doc, variables, cfg.max_depth))
-
-    return _sample(doc, cfg, draws())

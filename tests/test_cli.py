@@ -638,6 +638,9 @@ GOLDEN = Path(__file__).parent / "golden"
     # sizes 6, 14 and 24: recursive operators whose counts are widened
     ("continuity_gen40", ["continuity", str(GOLDEN / "gen40.pgsos")]),
     ("oracle_loops", ["oracle", LOOPS, "--samples", "60", "--seed", "7"]),
+    # a fixed open term: every sample substitutes into par(x, y)
+    ("oracle_pa_term", ["oracle", PA, "par(x, y)", "--samples", "60",
+                        "--seed", "5"]),
 ])
 def test_json_reports_match_golden_files(capsys, name, argv):
     code, out, _ = run(capsys, "--json", *argv)

@@ -15,10 +15,8 @@ from pgsos import oracle
 from pgsos.errors import AllSamplesSkipped
 from pgsos.frontend import parse_term
 from pgsos.oracle import (
-    OracleConfig,
     SampleResult,
     evaluate_sample,
-    oracle_compare,
     oracle_suite,
     perturbed_term,
     random_closed_term,
@@ -123,41 +121,40 @@ def test_unsound_denotations_are_caught(examples_doc, monkeypatch):
         evaluate_sample(examples_doc, term, s1, s2)
 
 
-# -- harness entry points ---------------------------------------------------
+# -- the harness -----------------------------------------------------------
 
-def test_compare_with_pinned_pair(pa_doc):
+def test_compare_counts_every_sample(pa_doc):
     term = t(pa_doc, "par(x, x)")
-    pinned = [({X: t(pa_doc, "aa0")}, {X: t(pa_doc, "pa0")})]
-    summary = oracle_compare(pa_doc, term, OracleConfig(seed=7, samples=10),
-                             include=pinned)
-    assert summary.requested == 11
-    assert summary.used >= 1
-    assert summary.violations == 0
-    assert summary.tight >= 1  # the pinned pair is exactly at the bound
-    assert summary.results[0].exact == F(19, 100)
+    summary = oracle_suite(pa_doc, term, seed=7, samples=10)
+    assert summary.requested == 10
+    assert summary.used == 7
+    assert summary.skipped == {"distance-one": 3}
+    assert summary.tight == 5
+    assert summary.max_gap == F(9, 50)
+    for r in summary.results:
+        assert r.term == "par(x, x)"
+        assert r.exact <= r.bound
 
 
 def test_compare_is_deterministic(pa_doc):
     term = t(pa_doc, "par(x, x)")
-    cfg = OracleConfig(seed=21, samples=15)
-    assert oracle_compare(pa_doc, term, cfg) == oracle_compare(pa_doc, term, cfg)
+    assert (oracle_suite(pa_doc, term, seed=21, samples=15)
+            == oracle_suite(pa_doc, term, seed=21, samples=15))
 
 
 def test_all_samples_skipped_is_a_refusal(pa_doc):
     term = t(pa_doc, "par(x, x)")
-    pinned = [({X: t(pa_doc, "a0")}, {X: t(pa_doc, "bb0")})]
-    with pytest.raises(AllSamplesSkipped):
-        oracle_compare(pa_doc, term, OracleConfig(samples=0), include=pinned)
+    with pytest.raises(AllSamplesSkipped) as info:
+        oracle_suite(pa_doc, term, samples=3, max_states=1)
+    assert str(info.value) == "all 3 samples were skipped: refused=3"
 
 
 def test_suite_runs_clean_and_reproducibly(pa_doc):
-    cfg = OracleConfig(seed=11, samples=40)
-    s1 = oracle_suite(pa_doc, cfg)
-    s2 = oracle_suite(pa_doc, cfg)
+    s1 = oracle_suite(pa_doc, seed=11, samples=40)
+    s2 = oracle_suite(pa_doc, seed=11, samples=40)
     assert s1 == s2
     assert s1.requested == 40
     assert s1.used > 0
-    assert s1.violations == 0
     assert 0 <= s1.max_gap <= 1
     assert s1.used + sum(s1.skipped.values()) == 40
     for r in s1.results:
@@ -167,9 +164,9 @@ def test_suite_runs_clean_and_reproducibly(pa_doc):
 def test_suite_on_unbounded_operators(examples_doc):
     # replication appears in sampled terms; refusals must stay refusals
     # and every evaluated sample must still respect its bound
-    summary = oracle_suite(examples_doc, OracleConfig(seed=3, samples=25,
-                                                      max_states=64,
-                                                      max_pairs=500))
-    assert summary.violations == 0
+    summary = oracle_suite(examples_doc, seed=3, samples=25, max_states=64)
+    assert summary.requested == 25
+    assert summary.used == 14
+    assert summary.skipped == {"distance-one": 5, "refused": 6}
     for r in summary.results:
         assert r.exact <= r.bound
