@@ -70,6 +70,8 @@ class _ClassMasses(Distribution):
 
 
 Pair = tuple[int, int]  # two class ids, the smaller first
+# a class's moves: per action it enables, in name order, its distinct moves
+Moves = tuple[tuple[str, tuple[_ClassMasses, ...]], ...]
 
 
 def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
@@ -87,11 +89,12 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
     merges nothing, when it has two or more states, when its one state has
     a move into its own support, or when a successor already stands for
     itself: these are the states that reach a cycle.  Any other state's
-    class is the interned signature that lists, per action in name order,
-    the set of its moves lifted to class ids; states with equal signatures
-    are bisimilar.  Each new class id's moves, per action in name order,
-    are its first state's moves lifted to class ids, distinct ones once
-    each, and go into the ``"class moves"`` table.  Signatures depend on
+    class is its interned signature, which lists per action it enables, in
+    name order, its moves lifted to class ids, each once, ordered by their
+    sorted entries and so by no hash; states with equal signatures are
+    bisimilar.  That signature is the class's moves: the ``"class moves"``
+    table holds the key object itself, and for a class that stands for
+    itself, its state's moves lifted the same way.  Signatures depend on
     the specification alone, so all three tables live in the document's
     memo, and a later query pays only for states no earlier one saw."""
     class_of = doc.memo("state classes")
@@ -125,9 +128,10 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
             mass[c] = mass[c] + q if c in mass else q
         return _ClassMasses(tuple(mass.items()))
 
-    def lifted(s: StateTerm) -> dict[str, tuple[_ClassMasses, ...]]:
-        return {a: tuple(dict.fromkeys(map(lift, pis)))
-                for a, pis in moves_of[s].items()}
+    def lifted(s: StateTerm) -> Moves:
+        return tuple((a, tuple(sorted(set(map(lift, pis)),
+                                      key=lambda pi: sorted(pi.entries))))
+                     for a, pis in moves_of[s].items())
 
     for comp in strongly_connected_components(fresh, unclassified):
         s = comp[0]
@@ -140,8 +144,7 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
                 class_moves[class_of[s]] = lifted(s)
         else:
             moves = lifted(s)
-            key = tuple((a, frozenset(pis)) for a, pis in moves.items())
-            class_of[s] = signatures.setdefault(key, len(signatures))
+            class_of[s] = signatures.setdefault(moves, len(signatures))
             class_moves.setdefault(class_of[s], moves)
     return class_of
 
@@ -156,10 +159,14 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     so the fixed point is solved over class ids: the states the roots
     reach are classified, two roots in one class are at distance 0 without
     further work, and the solver reads each class's moves, lifted to class
-    ids, from the document's ``"class moves"`` table.  States that can reach a
-    cycle are classes of their own.  A pair of classes is kept with the
-    smaller id first; ids are given in an order that follows the walk from
-    the roots, so no order the solver sees depends on the hash seed.
+    ids, from the document's ``"class moves"`` table, where they are the
+    class's interned signature.  It walks a pair one action at a time, and
+    only the actions one of its classes enables: an action neither enables
+    adds no challenge and Hausdorff distance 0, so it is skipped.  States
+    that can reach a cycle are classes of their own.  A pair of classes is
+    kept with the smaller id first; ids are given in an order that follows
+    the walk from the roots, so no order the solver sees depends on the
+    hash seed.
 
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition
@@ -202,8 +209,15 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         return table[root]
     class_moves = doc.memo("class moves")
 
-    def der(c: int, a: str) -> tuple[_ClassMasses, ...]:
-        return class_moves[c].get(a, ())
+    def enabled(pair: Pair):
+        """``(moves of u, moves of v)`` per action ``u`` or ``v`` enables,
+        ``()`` on a side that does not, where ``pair`` is ``(u, v)``."""
+        u, v = pair
+        rest = dict(class_moves[v])
+        for a, du in class_moves[u]:
+            yield du, rest.pop(a, ())
+        for dv in rest.values():
+            yield (), dv
 
     def pair_key(x: int, y: int) -> Pair:
         return (x, y) if x < y else (y, x)
@@ -222,10 +236,9 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         if known is not None:
             memo[pair] = known
             return out
-        u, v = pair
-        for a in doc.actions:
-            for pu in der(u, a):
-                for pv in der(v, a):
+        for du, dv in enabled(pair):
+            for pu in du:
+                for pv in dv:
                     if pu == pv:
                         continue
                     for x in pu.support():
@@ -270,10 +283,9 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
         return hit
 
     def settle(pair: Pair) -> Fraction:
-        u, v = pair
         value = Fraction(0)
-        for a in doc.actions:
-            h = hausdorff(kv, der(u, a), der(v, a))
+        for du, dv in enabled(pair):
+            h = hausdorff(kv, du, dv)
             if h > value:
                 value = h
             if value == 1:
@@ -283,9 +295,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     def challenges(pair: Pair):
         """Each move one side of ``pair`` can make, with the other side's
         answers to it: ``(distribution, answers)``."""
-        u, v = pair
-        for a in doc.actions:
-            du, dv = der(u, a), der(v, a)
+        for du, dv in enabled(pair):
             for pi in du:
                 yield pi, dv
             for pi in dv:

@@ -488,19 +488,6 @@ class FiniteDistribution(Distribution):
                           sorted((format_term(t), q) for t, q in self.entries))
 
 
-def instantiate(theta: DistTerm, states: Mapping[Variable, StateTerm],
-                dists: Mapping[DistVariable, FiniteDistribution]
-                ) -> FiniteDistribution:
-    """The distribution ``theta`` denotes with its state variables bound
-    by ``states`` and its distribution variables by ``dists``: ``delta(t)``
-    is the point mass at ``t`` instantiated, sums mix pointwise, and
-    ``f(th_1, ..., th_n)`` puts mass ``prod_i pi_i(t_i)`` on ``f(t_1, ...,
-    t_n)``.  A state reached twice is merged where it first occurs.
-    Raises :class:`ValueError` on an unbound distribution variable."""
-    return run_target(compile_target(theta, tuple(states), tuple(dists)),
-                      tuple(states.values()), tuple(dists.values()))
-
-
 # The codes of a compiled target's instructions, (code, operand, n): each
 # pops n values and pushes one.
 _ARG, _DERIV, _DIRAC, _LIFT, _APPLY, _SUM, _CONST = range(7)

@@ -27,9 +27,10 @@ distribution argument costs; ``unsound_denotations`` runs
 ``lfp_denotations`` with it, so that tests can show that the bound this
 leaves is unsound, and both Jacobi helpers take it as their ``context``.
 
-``round_trip`` is the reference for ``terms.instantiate``: it embeds each
-premise distribution back into syntax, substitutes that syntax into the
-rule target and evaluates the closed result node by node.
+``instantiate`` binds a rule target through ``terms.compile_target`` and
+``terms.run_target``, as the rules fire; ``round_trip`` is its reference:
+it embeds each premise distribution back into syntax, substitutes that
+syntax into the rule target and evaluates the closed result node by node.
 ``fire_reference`` is the reference for one step of
 ``semantics.transitions``: it reads a term's rules afresh and evaluates
 each target by ``round_trip``.
@@ -79,10 +80,12 @@ from pgsos.terms import (
     DistVariable,
     FiniteDistribution,
     InstDirac,
+    compile_target,
     convex_sum,
     format_term,
     free_vars,
     immediate_subterms,
+    run_target,
     state_var,
     substitute,
 )
@@ -649,6 +652,18 @@ def eval_closed(theta):
                   for t, r in dist]
     return FiniteDistribution.from_pairs(
         (Apply(theta.op, prefix), q) for prefix, q in combos)
+
+
+def instantiate(theta, states, dists):
+    """The distribution ``theta`` denotes with its state variables bound
+    by ``states`` and its distribution variables by ``dists``, through the
+    compiled target the rules fire: ``delta(t)`` is the point mass at
+    ``t`` instantiated, sums mix pointwise, and ``f(th_1, ..., th_n)`` puts
+    mass ``prod_i pi_i(t_i)`` on ``f(t_1, ..., t_n)``.  A state reached
+    twice is merged where it first occurs.  Raises :class:`ValueError` on
+    an unbound distribution variable."""
+    return run_target(compile_target(theta, tuple(states), tuple(dists)),
+                      tuple(states.values()), tuple(dists.values()))
 
 
 def round_trip(theta, states, dists):

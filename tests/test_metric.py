@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -453,12 +454,10 @@ def _check_cyclic_classes(rng):
                             == (bisim_distance(doc, x, y) == 0)), text
 
 
-@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "loops_doc",
-                                  "cyclic"])
-def test_each_state_moves_as_its_class_does(spec, request):
-    # the solver reads a class's moves from the "class moves" table, which
-    # holds those of the class's first state: every state of the class,
-    # whichever query classified it, must move the same, lifted to class ids
+def _sampled_fragments(spec, request):
+    """Ten ``(doc, fragment)`` pairs of at most 64 states: sampled term
+    pairs of the fixture ``spec``, or all the constants of a random
+    recursive specification when ``spec`` is ``"cyclic"``."""
     rng = random.Random(11)
     fragments = 0
     while fragments < 10:
@@ -475,6 +474,16 @@ def test_each_state_moves_as_its_class_does(spec, request):
         except StateLimitExceeded:
             continue
         fragments += 1
+        yield doc, frag
+
+
+@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "loops_doc",
+                                  "cyclic"])
+def test_each_state_moves_as_its_class_does(spec, request):
+    # the solver reads a class's moves from the "class moves" table, which
+    # holds those of the class's first state: every state of the class,
+    # whichever query classified it, must move the same, lifted to class ids
+    for doc, frag in _sampled_fragments(spec, request):
         class_of = metric._classify(doc, frag.states)
         class_moves = doc.memo("class moves")
         for s in frag.states:
@@ -486,10 +495,56 @@ def test_each_state_moves_as_its_class_does(spec, request):
                     for x, q in pi:
                         mass[class_of[x]] = mass.get(class_of[x], 0) + q
                     lifted[a].add(frozenset(mass.items()))
-            entry = class_moves[class_of[s]]
+            entry = dict(class_moves[class_of[s]])
             assert all(len(set(ds)) == len(ds) for ds in entry.values())
             assert {a: {frozenset(d) for d in ds}
                     for a, ds in entry.items()} == lifted
+
+
+@pytest.mark.parametrize("spec", ["pa_doc", "examples_doc", "loops_doc",
+                                  "cyclic"])
+def test_a_class_keeps_its_signature_as_its_moves(spec, request):
+    # a class that does not stand for itself keeps its moves once: the
+    # "class moves" entry is the very key of "class signatures"
+    merged = 0
+    for doc, frag in _sampled_fragments(spec, request):
+        class_of = metric._classify(doc, frag.states)
+        signatures = doc.memo("class signatures")
+        key_of = {c: key for key, c in signatures.items()}
+        class_moves = doc.memo("class moves")
+        for s in frag.states:
+            if s not in signatures:
+                merged += 1
+                assert class_moves[class_of[s]] is key_of[class_of[s]]
+    assert merged
+
+
+def test_declared_actions_no_class_enables_cost_nothing(pa_doc, fresh_memo,
+                                                        monkeypatch):
+    # 100 more declared actions, none of which a state of these pairs
+    # enables, leave each distance and each Hausdorff lifting it takes as
+    # they were; the second pair has actions only one side enables
+    text = resources.files("pgsos").joinpath("data", "pa.pgsos").read_text()
+    extra = ", ".join(f"a_{i}" for i in range(100))
+    assert "actions a, b;" in text
+    wide = parse_spec(text.replace("actions a, b;",
+                                   f"actions a, {extra}, b;"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hausdorff(*args)
+
+    monkeypatch.setattr(metric, "hausdorff", counted)
+    for u, v in [("ipar(ipar(pa0, pa0), pa0)", "ipar(ipar(pb0, pa0), pa0)"),
+                 ("alt(ppref_a_9_1(a0, zero), pref_b(a0))",
+                  "ppref_a_9_1(a0, a0)")]:
+        seen = []
+        for doc in (fresh_memo(pa_doc), fresh_memo(wide)):
+            calls.clear()
+            seen.append((bisim_distance(doc, t(doc, u), t(doc, v)),
+                         len(calls)))
+        assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("u, v, states, classes", [

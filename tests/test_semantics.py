@@ -21,9 +21,9 @@ from pgsos.frontend import parse_spec, parse_term
 from pgsos.oracle import random_closed_term
 from pgsos.semantics import (check_closed, derive_transitions,
                              explore_fragment, transitions)
-from pgsos.terms import Apply, FiniteDistribution, Variable, instantiate
+from pgsos.terms import Apply, FiniteDistribution, Variable
 
-from helpers import (dup_spec, enabled_actions, fire_reference,
+from helpers import (dup_spec, enabled_actions, fire_reference, instantiate,
                      random_cyclic_spec, round_trip, subterms)
 
 F = Fraction

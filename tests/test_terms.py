@@ -30,13 +30,12 @@ from pgsos.terms import (
     format_rational,
     format_term,
     free_vars,
-    instantiate,
     scan_term,
     state_var,
     substitute,
 )
 
-from helpers import assert_one_object, embed, is_closed
+from helpers import assert_one_object, embed, instantiate, is_closed
 
 X = state_var("x")
 Y = state_var("y")
