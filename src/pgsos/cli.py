@@ -105,11 +105,15 @@ def parse_dist(text: str) -> ProcessDistance:
         name, sep, raw = part.partition("=")
         if not sep:
             raise InputError(f"expected name=value in --dist, got '{part}'")
+        x = Variable(name.strip())
+        if not x.name:
+            raise InputError(f"empty variable name in --dist, got '{part}'")
+        if x in values:
+            raise InputError(f"variable '{x.name}' given twice in --dist")
         try:
-            q = Fraction(raw.strip())
+            values[x] = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational '{raw.strip()}' in --dist") from None
-        values[Variable(name.strip())] = q
     try:
         return process_distance(values)
     except ValueError as err:

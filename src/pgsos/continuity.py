@@ -114,11 +114,8 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
     infinite_vars: list[Var] = []
     for p in gens:
         w = weighting_of(p)
-        for x, v in w.entries:
-            if x not in sources:
-                reasons.append(
-                    f"copies of non-argument variable {x.name} can appear")
-            elif v is INF:
+        for x, v in w.entries:  # f(x1..xn)'s generators count x1..xn only
+            if v is INF:
                 if x not in infinite_vars:
                     infinite_vars.append(x)
             elif not ext_leq(v, worst):
@@ -138,20 +135,19 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
         reasons.append("modulus coefficients over-approximate a "
                        "non-Dirac supremum")
 
-    if not infinite_vars and all(r.startswith("modulus") for r in reasons):
+    if not infinite_vars:
         verdict = VERDICT_CONTINUOUS
         copies = math.ceil(worst) if sources else 0
         annotation = None
     else:
         verdict = VERDICT_NOT_SHOWN
         copies = None
-        annotation = None
-        if infinite_vars and over_approximated:
+        if over_approximated:
             annotation = ("no finite copy bound was found: the infinite "
                           "count was widened in a fixed point that "
                           "over-approximates the least one, so the "
                           "operator may still be uniformly continuous")
-        elif infinite_vars:
+        else:
             annotation = ("contexts can spawn unboundedly many copies of "
                           "the argument, so no modulus of continuity exists "
                           "and the operator is not uniformly continuous")

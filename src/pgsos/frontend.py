@@ -28,11 +28,21 @@ set or rule.  The parser reads the text once: it evaluates each set
 expression and expands each template into its rules where they are written.
 
 Rationals are written ``9/10`` or as exact decimals ``0.9``.
+
+Lexically (the pattern ``_PIECE``), lines end at ``\\n``, a ``#`` starts a
+comment that runs to the end of the line, and blanks are space, tab and
+``\\r``.  The tokens are names (a letter or ``_``, then word characters:
+letters, digits and ``_``), numbers (decimal digits, with an optional ``.``
+and more digits), the one-character punctuation
+``; , ( ) { } = : | & \\ + * /`` and the dashes: ``---`` or longer,
+``-->``, ``--``, ``-/`` and ``->``.  Any other character is a syntax
+error.  Positions are 1-based lines and columns, one column per character.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,81 +194,38 @@ class Token(NamedTuple):
 
 
 _PUNCT = ";,(){}=:|&\\+*/"
+# Each character of a line falls in one piece.  A run of blanks is a piece of
+# its own, so the alternatives are not tried again at each of its blanks.
+_PIECE = re.compile(r"[ \t\r]+|#.*|-{3,}|-->|-[-/>]?|\d+(?:\.\d+)?|\w+|.")
+_DASHES = {"-->": "arrow", "--": "dash2", "-/": "negdash", "->": "rarrow"}
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-":
-            dashes = 0
-            while i < n and text[i] == "-":
-                dashes += 1
-                i += 1
-                col += 1
-            if dashes >= 3:
-                toks.append(Token("sep", "-" * dashes, line, start_col))
-            elif dashes == 2:
-                if i < n and text[i] == ">":
-                    i += 1
-                    col += 1
-                    toks.append(Token("arrow", "-->", line, start_col))
-                else:
-                    toks.append(Token("dash2", "--", line, start_col))
-            else:
-                if i < n and text[i] == "/":
-                    i += 1
-                    col += 1
-                    toks.append(Token("negdash", "-/", line, start_col))
-                elif i < n and text[i] == ">":
-                    i += 1
-                    col += 1
-                    toks.append(Token("rarrow", "->", line, start_col))
-                else:
-                    raise SpecSyntaxError("stray '-'", line, start_col)
-            continue
-        if ch.isdecimal():  # the digits int and Fraction read
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            toks.append(Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, start_col)
+    make = tuple.__new__  # a Token without its Python-level __new__
+    for line, chars in enumerate(text.split("\n"), 1):
+        col = 1
+        for piece in _PIECE.findall(chars):
+            ch = piece[0]
+            if ch.isalpha() or ch == "_":
+                kind = "ident"
+            elif ch in _PUNCT:
+                kind = ch
+            elif ch in " \t\r":
+                col += len(piece)
+                continue
+            elif ch == "-":
+                if piece == "-":
+                    raise SpecSyntaxError("stray '-'", line, col)
+                kind = _DASHES.get(piece, "sep")
+            elif ch.isdecimal():
+                kind = "number"
+            elif ch == "#":  # the rest of the line; its columns are not counted
+                continue
+            else:  # '.', a form feed, or a superscript 2 leading a \w piece
+                raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+            toks.append(make(Token, (kind, piece, line, col)))
+            col += len(piece)
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -717,18 +684,15 @@ def parse_spec(data: bytes | str) -> SpecDocument:
     return _Parser(text).parse_document(digest)
 
 
-def parse_term(text: str, doc: SpecDocument, *, free_ok: bool = True,
-               kind: str = "state") -> StateTerm | DistTerm:
-    """Parse a single term against a document's signature.
+def parse_term(text: str, doc: SpecDocument) -> StateTerm:
+    """Parse a single state term against a document's signature.
 
-    Unknown identifiers become free variables when ``free_ok`` is set;
-    otherwise they are reported as undeclared.
+    Unknown identifiers become free variables.
     """
     parser = _Parser(text)
     env = _TermEnv(doc.signature.arities, doc.abbrev_map, frozenset(),
-                   frozenset(), free_ok=free_ok)
-    term = (parser._state_term(env) if kind == "state"
-            else parser._dist_term(env))
+                   frozenset(), free_ok=True)
+    term = parser._state_term(env)
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise parser.error(f"unexpected trailing input {trailing.text!r}",

@@ -35,6 +35,9 @@ syntax into the rule target and evaluates the closed result node by node.
 ``semantics.transitions``: it reads a term's rules afresh and evaluates
 each target by ``round_trip``.
 
+``tokenize_reference`` is the reference for ``frontend._tokenize``: the
+lexer as a loop over the characters, with its own column count.
+
 The printers, ``is_closed``, ``assert_one_object`` and ``E_ZERO`` serve
 the tests alone.
 """
@@ -57,7 +60,8 @@ from pgsos.denotation import (
     generic_application,
     lfp_denotations,
 )
-from pgsos.frontend import Rule
+from pgsos.errors import SpecSyntaxError
+from pgsos.frontend import _PUNCT, Rule, Token
 from pgsos.graphs import strongly_connected_components
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
@@ -692,6 +696,88 @@ def fire_reference(doc, t):
             out.setdefault(rule.action, {})[
                 round_trip(rule.target, states, dists)] = None
     return {a: tuple(out[a]) for a in sorted(out)}
+
+
+# ---------------------------------------------------------------------------
+# The lexer, one character at a time
+# ---------------------------------------------------------------------------
+
+def tokenize_reference(text: str) -> list[Token]:
+    """The tokens of ``text``, read one character at a time."""
+    toks: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == "-":
+            dashes = 0
+            while i < n and text[i] == "-":
+                dashes += 1
+                i += 1
+                col += 1
+            if dashes >= 3:
+                toks.append(Token("sep", "-" * dashes, line, start_col))
+            elif dashes == 2:
+                if i < n and text[i] == ">":
+                    i += 1
+                    col += 1
+                    toks.append(Token("arrow", "-->", line, start_col))
+                else:
+                    toks.append(Token("dash2", "--", line, start_col))
+            else:
+                if i < n and text[i] == "/":
+                    i += 1
+                    col += 1
+                    toks.append(Token("negdash", "-/", line, start_col))
+                elif i < n and text[i] == ">":
+                    i += 1
+                    col += 1
+                    toks.append(Token("rarrow", "->", line, start_col))
+                else:
+                    raise SpecSyntaxError("stray '-'", line, start_col)
+            continue
+        if ch.isdecimal():  # the digits int and Fraction read
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
+                j += 1
+                while j < n and text[j].isdecimal():
+                    j += 1
+            toks.append(Token("number", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            toks.append(Token(ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise SpecSyntaxError(f"unexpected character {ch!r}", line, start_col)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 # ---------------------------------------------------------------------------

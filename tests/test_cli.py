@@ -482,6 +482,11 @@ RULE = "rule:\n  ---\n  f(x1) --a--> {}\n"
                  "expected name=value in --dist, got 'x'", id="dist-no-value"),
     pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "x=1"],
                  "process distance 1 for x outside [0,1)", id="dist-one"),
+    pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "x=1/2,x=1/3"],
+                 "variable 'x' given twice in --dist", id="dist-repeated-name"),
+    pytest.param(None, ["bound", PA, "par(x, x)", "--dist", "=1/2"],
+                 "empty variable name in --dist, got '=1/2'",
+                 id="dist-empty-name"),
 ])
 def test_malformed_input_is_an_input_error(tmp_path, capsys, decls, argv,
                                            message):

@@ -1,7 +1,10 @@
 """Operator compositionality: moduli of continuity, verdicts, modulus checks."""
 
 import json
+import random
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +17,13 @@ from pgsos.continuity import (
     is_uniformly_continuous,
     parse_modulus,
 )
-from pgsos.denotation import lfp_denotations
+from pgsos.denotation import generic_application, lfp_denotations
 from pgsos.errors import ArityMismatch, UndeclaredSymbol, UnsupportedModulusShape
 from pgsos.frontend import parse_spec
-from pgsos.multiplicity import INF
+from pgsos.multiplicity import INF, weighting_of
 from pgsos.terms import DistApply, DistVariable
 
-from helpers import document_flags
+from helpers import document_flags, dup_spec, random_cyclic_spec
 from test_denotation import WIDENING_SPECS
 
 F = Fraction
@@ -205,6 +208,28 @@ def test_widening_an_over_approximated_fixpoint_hedges_the_annotation():
     spawn = is_uniformly_continuous(
         parse_spec(WIDENING_SPECS["spawn_duplicate"]), "spawn")
     assert "not uniformly continuous" in spawn.annotation
+
+
+def test_generators_of_a_generic_application_count_its_arguments_only():
+    # f(x1..xn) composes each argument's {x_i: 1}, which keeps no other
+    # coordinate, so the verdict reads the infinite counts alone
+    data = resources.files("pgsos").joinpath("data")
+    texts = [data.joinpath(f"{name}.pgsos").read_text(encoding="utf-8")
+             for name in ("pa", "examples", "loops")]
+    texts += [(Path(__file__).parent / "golden" / "gen40.pgsos").read_text(
+        encoding="utf-8"), dup_spec(4)]
+    rng = random.Random(0)
+    texts += [random_cyclic_spec(rng)[0] for _ in range(200)]
+    for text in texts:
+        doc = parse_spec(text)
+        den = lfp_denotations(doc)
+        for op, _arity in doc.signature.operators:
+            generic, sources = generic_application(doc, op)
+            for p in den.genset(generic):
+                assert {x for x, _ in weighting_of(p).entries} <= set(sources)
+            report = is_uniformly_continuous(doc, op)
+            assert ((report.verdict == VERDICT_CONTINUOUS)
+                    == report.modulus.is_finite()), op
 
 
 def test_derived_modulus_satisfies_its_own_check(pa_doc, examples_doc):

@@ -51,6 +51,7 @@ from pgsos.terms import (
     DistApply,
     DistVariable,
     InstDirac,
+    convex_sum,
     immediate_subterms,
     state_var,
 )
@@ -74,8 +75,8 @@ def dirac_gs(m):
     return GenSet((ProbMultiplicity.dirac(m),))
 
 
-def t(doc, text, kind="state"):
-    return parse_term(text, doc, kind=kind)
+def t(doc, text):
+    return parse_term(text, doc)
 
 
 # -- composition primitives -------------------------------------------------
@@ -233,7 +234,8 @@ def test_reactive_testing_of_distribution_arguments(examples_doc):
 
 
 def test_convex_sum_denotation(pa_doc):
-    theta = t(pa_doc, "1/2*delta(par(x, x)) + 1/2*delta(zero)", kind="dist")
+    theta = convex_sum([(F(1, 2), InstDirac(Apply("par", (X, X)))),
+                        (F(1, 2), InstDirac(Apply("zero")))])
     den = lfp_denotations(pa_doc)
     assert genset_equiv(den.genset(theta),
                         g([(M_ZERO, F(1, 2)), (mult({X: 2}), F(1, 2))]))

@@ -2,8 +2,12 @@
 
 import warnings
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsos.errors import (
     ArityMismatch,
@@ -16,6 +20,8 @@ from pgsos.errors import (
 from pgsos.frontend import (
     EmptyExpansion,
     Rule,
+    Token,
+    _tokenize,
     parse_spec,
     parse_term,
     validate_rule,
@@ -29,7 +35,7 @@ from pgsos.terms import (
     state_var,
 )
 
-from helpers import print_rule, print_spec
+from helpers import print_rule, print_spec, tokenize_reference
 
 MINI = """
 actions a, b;
@@ -92,6 +98,70 @@ def test_syntax_error_carries_position():
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec("actions a;\nop zero 0;\n")
     assert err.value.line == 2
+
+
+def _lex(tokenize, text):
+    """The tokens of ``text``, or the message of its syntax error."""
+    try:
+        return tokenize(text)
+    except SpecSyntaxError as err:
+        return str(err)
+
+
+# the characters at which the lexer's pieces start and end, few enough that
+# any two meet often, and characters it must refuse: a digit that is no
+# decimal, a number, and blanks other than space, tab and carriage return;
+# a non-ASCII decimal and letter are read like 1 and a
+SPEC_TEXT = st.text(st.sampled_from(" \t\r\n#-/>.;(1a_\u00b2\u00bd\u0663"
+                                    "\u00e9\f\x0b\x85"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | SPEC_TEXT)
+def test_lexer_equals_the_character_loop(text):
+    assert _lex(_tokenize, text) == _lex(tokenize_reference, text)
+
+
+def test_lexer_equals_the_character_loop_on_the_shipped_specs():
+    data = resources.files("pgsos").joinpath("data")
+    texts = [data.joinpath(f"{name}.pgsos").read_text(encoding="utf-8")
+             for name in ("pa", "examples", "loops")]
+    texts.append((Path(__file__).parent / "golden" / "gen40.pgsos").read_text(
+        encoding="utf-8"))
+    for text in texts:
+        assert _tokenize(text) == tokenize_reference(text)
+
+
+def test_eof_after_a_trailing_comment_is_where_the_comment_starts():
+    # a comment's characters take no columns, so the end of a text that
+    # ends in one, without a newline, is the column of its '#'
+    assert _tokenize("a # note")[-1] == Token("eof", "", 1, 3)
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec("actions a # the one action")
+    assert str(err.value) == "expected ;, found '' (line 1, column 11)"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("actions a;\f", "unexpected character '\\x0c' "
+                 "(line 1, column 11)", id="form-feed"),
+    pytest.param("actions\x85a;", "unexpected character '\\x85' "
+                 "(line 1, column 8)", id="next-line"),
+])
+def test_blanks_other_than_space_tab_and_cr_are_unexpected(text, message):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
+def test_crlf_line_ends_count_the_cr_as_a_blank():
+    crlf = MINI.replace("\n", "\r\n")
+    assert parse_spec(crlf).rules == parse_spec(MINI).rules
+    assert _tokenize("a\r\nb") == [Token("ident", "a", 1, 1),
+                                    Token("ident", "b", 2, 1),
+                                    Token("eof", "", 2, 2)]
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec("actions a;\r\nop zero 0;\r\n")
+    assert str(err.value) == "expected :, found '0' (line 2, column 9)"
 
 
 def test_undeclared_action_in_rule():
@@ -200,20 +270,10 @@ def test_parse_term_expands_abbreviations(pa_doc):
     assert free_vars(t) == frozenset({state_var("x")})
 
 
-def test_parse_term_rejects_free_when_asked(pa_doc):
-    with pytest.raises((OpenTermError, UndeclaredSymbol)):
-        parse_term("par(aa0, x)", pa_doc, free_ok=False)
-
-
 def test_parse_term_checks_arity(pa_doc):
     with pytest.raises(Exception) as err:
         parse_term("par(zero)", pa_doc)
     assert "par" in str(err.value)
-
-
-def test_parse_dist_term(pa_doc):
-    theta = parse_term("1/2*delta(zero) + 1/2*delta(a0)", pa_doc, kind="dist")
-    assert format_term(theta) == "1/2*delta(zero) + 1/2*delta(pref_a(zero))"
 
 
 def test_abbreviations_must_be_closed():
@@ -260,7 +320,7 @@ def test_deep_set_expressions_parse_and_evaluate_without_recursion():
         parse_spec("actions a; set B = ({a} | ()); op zero : 0;")
 
 
-def test_state_names_in_a_distribution_ask_for_delta(pa_doc):
+def test_state_names_in_a_distribution_ask_for_delta():
     # a term abbreviation, like a state variable, names a state, not a
     # distribution: it is neither a free distribution variable nor unknown
     spec = MINI + "term z = f(zero);\nrule:\n  ---\n  f(x1) --b--> z\n"
@@ -269,8 +329,6 @@ def test_state_names_in_a_distribution_ask_for_delta(pa_doc):
         parse_spec(spec)
     assert str(err.value) == (f"z is a state term; write delta(z) for its "
                               f"point mass (line {line})")
-    with pytest.raises(KindMismatch, match=r"write delta\(aa0\)"):
-        parse_term("aa0", pa_doc, kind="dist", free_ok=False)
     with pytest.raises(KindMismatch, match=r"x1 is a state variable"):
         parse_spec(MINI + "rule:\n  ---\n  f(x1) --b--> x1\n")
 
