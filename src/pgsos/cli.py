@@ -198,7 +198,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
     doc = load_spec(args.spec)
     t1 = parse_term(args.term1, doc)
     t2 = parse_term(args.term2, doc)
-    value = bisim_distance(doc, t1, t2, max_states=args.max_states)
+    value = bisim_distance(doc, t1, t2, max_states=args.max_states,
+                           max_pairs=args.max_pairs)
     emit(args, "distance", doc,
          {"term1": format_term(t1), "term2": format_term(t2)},
          {"distance": value}, {}, format_rational(value))
@@ -357,6 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term2")
     p.add_argument("--max-states", type=int_at_least(1),
                    default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-pairs", type=int_at_least(1), default=None,
+                   help="bound on the class pairs the distance depends on "
+                        "(default: no bound)")
 
     p = add("denote", "denotation of an open term")
     p.add_argument("term")

@@ -13,7 +13,10 @@ solvers of Le Charlier & Van Hentenryck (1992) and Fecht & Seidl (SCP
 solved.  An entry on no cycle is stepped once, a count that a cycle pumps
 for ever is promoted to ``INF``, and a cycle whose masses move for ever
 is replaced by a checked post-fixed point.  Each entry carries the flags
-of its own dependency cone.
+of its own dependency cone.  The step's clauses are pure functions of
+hash-consed values, so the table's one step context memoises its operator
+summaries and operator compositions under their inputs, exactly: a
+computed table, as in BDD packages (Brace, Rudell & Bryant, DAC 1990).
 
 Operators applied to distribution terms are coarsened to a single
 generator: the least probabilistic multiplicity covering every rule of the
@@ -163,8 +166,13 @@ class _StepContext:
     """Evaluates the step function clauses against one ``value`` table of
     terms and rules.
 
-    An operator's summaries are memoised by the operator and the values
-    of its rules, so a changed value finds no stale summary.
+    Every clause is a pure function of hash-consed values, so one table,
+    ``_memo``, keeps each costly result under its inputs, tagged by clause:
+    an operator's summaries under the operator and its rules' values, and
+    an operator composition under the operator summary and the arguments'
+    values.  A changed value finds no stale entry, so the table gives
+    exactly what a fresh step would.  The context, and so the table, is
+    owned by the document's :class:`Denotations`; no value holds a document.
     ``coarsened`` holds the operators whose distribution-level summary
     over-approximated a non-Dirac supremum.
     """
@@ -176,31 +184,31 @@ class _StepContext:
         self.rules_by_op = rules_by_op
         self.value = value
         self.coarsened: set[str] = set()
-        self._state_cache: dict[tuple, GenSet] = {}
-        self._dist_cache: dict[tuple, GenSet] = {}
+        self._memo: dict[tuple, GenSet] = {}
 
-    def _key(self, op: str) -> tuple:
-        return (op, *(self.value[r] for r in self.rules_by_op.get(op, ())))
+    def _key(self, tag: str, op: str) -> tuple:
+        return (tag, op,
+                *(self.value[r] for r in self.rules_by_op.get(op, ())))
 
     def rho_state(self, op: str) -> GenSet:
-        key = self._key(op)
-        if key not in self._state_cache:
-            self._state_cache[key] = genset_normalize(
-                p for gs in key[1:] for p in gs) if key[1:] else D_ZERO
-        return self._state_cache[key]
+        key = self._key("state", op)
+        if key not in self._memo:
+            self._memo[key] = genset_normalize(
+                p for gs in key[2:] for p in gs) if key[2:] else D_ZERO
+        return self._memo[key]
 
     def rho_dist(self, op: str) -> GenSet:
-        key = self._key(op)
-        if key not in self._dist_cache:
+        key = self._key("dist", op)
+        if key not in self._memo:
             rules = self.rules_by_op.get(op, ())
-            gens = [p for gs in key[1:] for p in gs]
+            gens = [p for gs in key[2:] for p in gs]
             if not sup_is_exact(gens):
                 self.coarsened.add(op)
             tested = [ProbMultiplicity.dirac(unit(*r.tested_sources()))
                       for r in rules]
-            self._dist_cache[key] = GenSet(
+            self._memo[key] = GenSet(
                 (sup_approx(gens + tested),)) if rules else D_ZERO
-        return self._dist_cache[key]
+        return self._memo[key]
 
     def term_step(self, t: Term) -> GenSet:
         if isinstance(t, (Variable, DistVariable)):
@@ -212,11 +220,15 @@ class _StepContext:
             gensets = tuple(self.value[theta] for theta, _ in t.entries)
             return convex_combine(weights, gensets)
         if isinstance(t, (Apply, DistApply)):
+            # the summary first: it records a coarsened operator
             rho_f = (self.rho_state(t.op) if isinstance(t, Apply)
                      else self.rho_dist(t.op))
-            sources = generic_application(self.doc, t.op)[1]
-            return compose_operator(rho_f, sources,
-                                    tuple(self.value[a] for a in t.args))
+            args = tuple(self.value[a] for a in t.args)
+            key = ("apply", rho_f, args)  # the arity is len(args)
+            if key not in self._memo:
+                sources = generic_application(self.doc, t.op)[1]
+                self._memo[key] = compose_operator(rho_f, sources, args)
+            return self._memo[key]
         raise TypeError(f"not a term: {t!r}")
 
     def rule_step(self, rule: Rule) -> GenSet:

@@ -366,13 +366,15 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
 
         def improve(p, floor: Fraction) -> bool:
             """Switch ``p`` to the challenge whose cheapest answer costs
-            most, where that is strictly above ``floor``."""
+            most, where that is strictly above ``floor``.  The floor rises
+            to the best cost so far: a challenge is taken only above it, so
+            pricing one may stop at the first answer at or below it."""
             best = None
             for i, (pi, answers) in enumerate(moves[p]):
                 if i != sigma.get(p):
                     k, cells = cheapest(pi, answers, floor)
-                    if k > floor and (best is None or k > best[0]):
-                        best = (k, i, cells)
+                    if k > floor:
+                        best, floor = (k, i, cells), k
             if best is not None:
                 _, sigma[p], plans[p] = best
             return best is not None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pgsos import cli
+from pgsos import cli, frontend
 from pgsos.cli import main
 from pgsos.terms import format_rational
 
@@ -553,6 +553,31 @@ def test_distance_refusal_exits_one(capsys):
     assert code == 1
 
 
+# the pair budget tests run on a fresh memo: a root pair that an earlier
+# test solved would answer at once
+DISTANCE_PAR = ["distance", PA, "par(pa0, pa0)", "par(aa0, pa0)"]
+
+
+def test_distance_pair_budget_refuses(capsys, monkeypatch):
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    code, out, err = run(capsys, *DISTANCE_PAR, "--max-pairs", "1")
+    assert (code, out) == (1, "")
+    assert err == "refused: distance depends on more than 1 class pairs\n"
+
+
+def test_distance_has_no_pair_budget_by_default(capsys, monkeypatch):
+    outs = []
+    for budget in ([], ["--max-pairs", "1000"]):
+        monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+        code, out, _ = run(capsys, "--json", *DISTANCE_PAR, *budget)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert sorted(report["inputs"]) == ["term1", "term2"]
+    assert report["results"] == {"distance": "9/100"}
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def crash(_args):
         raise RuntimeError("boom")
@@ -604,6 +629,7 @@ def test_cyclic_distance_with_a_wrong_first_coupling(tmp_path, capsys):
     ["explore", PA, "pa0", "--max-states", "-1"],
     ["explore", PA, "pa0", "--max-depth", "-1"],
     ["distance", PA, "aa0", "pa0", "--max-states", "0"],
+    ["distance", PA, "aa0", "pa0", "--max-pairs", "0"],
     ["oracle", PA, "--samples", "0"],
     ["oracle", PA, "--samples", "-2"],
     ["oracle", PA, "--depth", "-2"],

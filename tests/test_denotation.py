@@ -31,6 +31,7 @@ from pgsos.denotation import (
 from pgsos.errors import ArityMismatch
 from pgsos.frontend import Rule, parse_spec, parse_term
 from pgsos.metric import bisim_distance
+from pgsos.oracle import random_open_term
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
@@ -675,6 +676,40 @@ def test_each_acyclic_entry_is_stepped_once(monkeypatch):
     # and a round steps only the entries whose inputs changed
     assert den.iterations == 11
     assert sum(calls.values()) == 56
+
+
+@pytest.mark.parametrize("spec", ["pa", "examples"])
+def test_a_warm_table_answers_as_a_fresh_one(spec, pa_doc, examples_doc,
+                                             fresh_memo):
+    # the step's memo is shared by every query on the document's table; a
+    # table that has solved nothing yet answers each term from scratch
+    doc = spec_doc(spec, pa_doc, examples_doc)
+    rng = random.Random(11)
+    terms = [random_open_term(rng, doc, 3, ("x", "y")) for _ in range(40)]
+    warm = lfp_denotations(doc)
+    answers = [(warm.genset(u), warm.flags(u)) for u in terms]
+    for u, answer in zip(terms, answers):
+        cold = lfp_denotations(fresh_memo(doc))
+        assert (cold.genset(u), cold.flags(u)) == answer, u
+
+
+def test_an_operator_composition_is_computed_once(pa_doc, fresh_memo,
+                                                  monkeypatch):
+    doc = fresh_memo(pa_doc)
+    den = lfp_denotations(doc)
+    for text in ("par(x, y)", "pa0", "aa0"):  # par's rules and the arguments
+        den.genset(t(doc, text))
+    calls = []
+    compose = denotation.compose_operator
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(denotation, "compose_operator", counted)
+    # two closed arguments: equal denotations, so one composition
+    assert den.genset(t(doc, "par(x, pa0)")) == den.genset(t(doc, "par(x, aa0)"))
+    assert len(calls) == 1
 
 
 # -- distance bounds from denotations --------------------------------------
