@@ -15,8 +15,9 @@ for ever is promoted to ``INF``, and a cycle whose masses move for ever
 is replaced by a checked post-fixed point.  Each entry carries the flags
 of its own dependency cone.  The step's clauses are pure functions of
 hash-consed values, so the table's one step context memoises its operator
-summaries and operator compositions under their inputs, exactly: a
-computed table, as in BDD packages (Brace, Rudell & Bryant, DAC 1990).
+summaries, operator compositions and generator weightings under their
+inputs, exactly: a computed table, as in BDD packages (Brace, Rudell &
+Bryant, DAC 1990).
 
 Operators applied to distribution terms are coarsened to a single
 generator: the least probabilistic multiplicity covering every rule of the
@@ -36,7 +37,7 @@ from .frontend import Rule, SpecDocument
 from .graphs import strongly_connected_components
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
-                           ext_leq, genset_equiv, genset_leq,
+                           Weighting, ext_leq, genset_equiv, genset_leq,
                            genset_normalize, m_scale,
                            m_sum, mult, p_sum, sup_approx, sup_is_exact,
                            unit, weighting_of, da)
@@ -127,7 +128,9 @@ def fold_rule(p: ProbMultiplicity, rule: Rule) -> ProbMultiplicity:
                 acc = m_sum(acc, m_scale(k, unit(prem.source)))
         return acc
 
-    return ProbMultiplicity.from_pairs((raise_one(m), q) for m, q in p)
+    raised = tuple((raise_one(m), q) for m, q in p)
+    # a draw that holds no derivative is raised to itself
+    return p if raised == p.entries else ProbMultiplicity.from_pairs(raised)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +171,13 @@ class _StepContext:
 
     Every clause is a pure function of hash-consed values, so one table,
     ``_memo``, keeps each costly result under its inputs, tagged by clause:
-    an operator's summaries under the operator and its rules' values, and
-    an operator composition under the operator summary and the arguments'
-    values.  A changed value finds no stale entry, so the table gives
-    exactly what a fresh step would.  The context, and so the table, is
-    owned by the document's :class:`Denotations`; no value holds a document.
+    an operator's summaries under the operator and its rules' values, an
+    operator composition under the operator summary and the arguments'
+    values, and a generator's weighting, which the pumping test of
+    :meth:`Denotations._iterate` reads, under the generator.  A changed
+    value finds no stale entry, so the table gives exactly what a fresh
+    step would.  The context, and so the table, is owned by the document's
+    :class:`Denotations`; no value holds a document.
     ``coarsened`` holds the operators whose distribution-level summary
     over-approximated a non-Dirac supremum.
     """
@@ -184,7 +189,7 @@ class _StepContext:
         self.rules_by_op = rules_by_op
         self.value = value
         self.coarsened: set[str] = set()
-        self._memo: dict[tuple, GenSet] = {}
+        self._memo: dict[tuple, GenSet | Weighting] = {}
 
     def _key(self, tag: str, op: str) -> tuple:
         return (tag, op,
@@ -208,6 +213,12 @@ class _StepContext:
                       for r in rules]
             self._memo[key] = GenSet(
                 (sup_approx(gens + tested),)) if rules else D_ZERO
+        return self._memo[key]
+
+    def weighting(self, p: ProbMultiplicity) -> Weighting:
+        key = ("weighting", p)
+        if key not in self._memo:
+            self._memo[key] = weighting_of(p)
         return self._memo[key]
 
     def term_step(self, t: Term) -> GenSet:
@@ -387,7 +398,7 @@ class Denotations:
     def _iterate(self, comp: list, inputs: Mapping[object, tuple]) -> int:
         """Solve the cyclic component ``comp`` in rounds, as
         :meth:`_solve` sets out, and return the flags it raised itself."""
-        value, step = self.value, self._step.step
+        value, step, weigh = self.value, self._step.step, self._step.weighting
         value.update(dict.fromkeys(comp, D_ZERO))
         measures: dict[object, dict[Var, object]] = {e: {} for e in comp}
         forced: dict[object, set[Var]] = {e: set() for e in comp}
@@ -398,7 +409,7 @@ class Denotations:
                    if not changed.isdisjoint(inputs[e])}
             grown: dict[object, list[Var]] = {}
             for e, gs in new.items():
-                measure = _measure(gs)
+                measure = _measure(gs, weigh)
                 grown[e] = [x for x, v in measure.items()
                             if not ext_leq(v, measures[e].get(x, 0))]
                 measures[e] = measure
@@ -431,10 +442,11 @@ class Denotations:
                 | (_WIDENED if any(forced.values()) else 0))
 
 
-def _measure(gs: GenSet) -> dict[Var, object]:
+def _measure(gs: GenSet, weigh=weighting_of) -> dict[Var, object]:
+    """Each variable's largest expected count over the generators of ``gs``."""
     out: dict[Var, object] = {}
     for p in gs:
-        for x, v in weighting_of(p).entries:
+        for x, v in weigh(p).entries:
             prev = out.get(x, Fraction(0))
             out[x] = v if not ext_leq(v, prev) else prev
     return out

@@ -189,8 +189,10 @@ class ProbMultiplicity(Distribution):
     def from_pairs(cls, pairs: Iterable[tuple[Multiplicity, Fraction]]
                    ) -> "ProbMultiplicity":
         # sorted first, so the merged entries come in canonical order
-        return super().from_pairs(sorted(pairs,
-                                         key=lambda it: it[0].sort_key()))
+        pairs = list(pairs)
+        if len(pairs) > 1:  # one pair is in canonical order already
+            pairs.sort(key=lambda it: it[0].sort_key())
+        return super().from_pairs(pairs)
 
     def is_dirac(self) -> bool:
         return len(self.entries) == 1
@@ -209,7 +211,12 @@ P_ZERO = ProbMultiplicity.dirac(M_ZERO)
 
 def p_sum(p1: ProbMultiplicity, p2: ProbMultiplicity) -> ProbMultiplicity:
     """Image measure of the product ``p1 x p2`` under pointwise addition:
-    the multiplicity of two independent draws added together."""
+    the multiplicity of two independent draws added together.  ``P_ZERO``
+    is its unit: with it, the other operand is the sum."""
+    if p1 is P_ZERO:
+        return p2
+    if p2 is P_ZERO:
+        return p1
     return ProbMultiplicity.from_pairs(
         (m_sum(m1, m2), q1 * q2) for m1, q1 in p1 for m2, q2 in p2)
 
@@ -378,9 +385,12 @@ def genset_normalize(ps: Iterable[ProbMultiplicity]) -> GenSet:
     """Drop generators below another retained generator.  The downward
     closure is unchanged; of mutually equivalent generators the first in
     canonical order survives."""
-    unique = sorted(set(ps), key=lambda p: p.sort_key())
+    unique = set(ps)
     if not unique:
         raise ValueError("cannot normalize an empty generator collection")
+    if len(unique) == 1:  # nothing to compare it with
+        return GenSet(tuple(unique))
+    unique = sorted(unique, key=lambda p: p.sort_key())
     kept: list[ProbMultiplicity] = []
     for i, p in enumerate(unique):
         dominated = False

@@ -6,6 +6,7 @@ sampling oracle (see test_oracle.py), so any regression here is a real
 semantic change and not a formatting accident.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -41,7 +42,11 @@ from pgsos.multiplicity import (
     ProbMultiplicity,
     genset_equiv,
     genset_leq,
+    genset_normalize,
+    m_scale,
+    m_sum,
     mult,
+    p_sum,
     process_distance,
     unit,
     weighting_of,
@@ -504,6 +509,65 @@ def test_every_solved_entry_is_a_post_fixed_point(spec):
     ctx = _StepContext(doc, den.rules_by_op, den.value)
     for e in list(den.value):
         assert genset_leq(ctx.step(e), den.value[e]), e
+
+
+EXACTNESS_SPECS = {
+    **{name: POST_FIXED_SPECS[name]
+       for name in ("pa", "examples", "loops", "gen40")},
+    **{f"cyclic{seed}": random_cyclic_spec(random.Random(seed))[0]
+       for seed in range(50)},
+}
+
+
+def fold_every_draw(p, rule):
+    """``fold_rule`` without its shortcut: every draw raised and the
+    distribution built again."""
+    return ProbMultiplicity.from_pairs(
+        (functools.reduce(m_sum, (m_scale(m.get(prem.derivative),
+                                          unit(prem.source))
+                                  for prem in rule.pos), m), q)
+        for m, q in p)
+
+
+@pytest.mark.parametrize("spec", EXACTNESS_SPECS)
+def test_the_step_shortcuts_return_the_node_the_long_path_builds(spec):
+    # the sum with P_ZERO, the one-generator set and the fold that raises
+    # no draw return their operand; that is the node the long path builds
+    # because every generator is canonical
+    doc = parse_spec(EXACTNESS_SPECS[spec])
+    for op, _ in doc.signature.operators:
+        is_uniformly_continuous(doc, op)
+    den = lfp_denotations(doc)
+    tables = [*den.value.values(), *(v for v in den._step._memo.values()
+                                     if isinstance(v, GenSet))]
+    for p in {p for gs in tables for p in gs}:
+        assert ProbMultiplicity.from_pairs(p.entries) is p
+        assert ProbMultiplicity.from_pairs(
+            (m_sum(M_ZERO, m), q) for m, q in p) is p
+        assert p_sum(P_ZERO, p) is p is p_sum(p, P_ZERO)
+        assert genset_normalize([p, p]) is GenSet((p,))
+    for rules in den.rules_by_op.values():
+        for rule in rules:
+            for p in den.value[rule.target]:
+                assert fold_rule(p, rule) is fold_every_draw(p, rule)
+
+
+def test_continuity_weighs_each_generator_once(fresh_memo, monkeypatch):
+    # the pumping test reads every generator's weighting from the step's
+    # memo: on gen40 it weighed the same generators again in every round
+    doc = fresh_memo(parse_spec(POST_FIXED_SPECS["gen40"]))
+    weighed = []
+    weigh = denotation.weighting_of
+
+    def counted(p):
+        weighed.append(p)
+        return weigh(p)
+
+    monkeypatch.setattr(denotation, "weighting_of", counted)
+    for op, _ in doc.signature.operators:
+        is_uniformly_continuous(doc, op)
+    assert weighed
+    assert len(weighed) == len(set(weighed))
 
 
 @pytest.mark.parametrize("k", [2, 9, 20])

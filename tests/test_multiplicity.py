@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgsos import multiplicity
 from pgsos.multiplicity import (
     D_ZERO,
     INF,
@@ -220,6 +221,26 @@ def test_genset_order_and_equivalence():
     assert genset_equiv(genset_normalize([d1, d2]), g2)
     assert genset_leq(D_ZERO, g1)
     assert D_ZERO.generators == (P_ZERO,)
+
+
+def test_the_identities_of_the_algebra_compare_nothing(monkeypatch):
+    # a one-generator set, a one-pair distribution and a sum with the unit
+    # are the operand itself: nothing is ordered or compared to build them
+    p = ProbMultiplicity.from_pairs([(unit(X), F(1, 2)), (M_ZERO, F(1, 2))])
+    m = mult({X: 2})
+
+    def compared(*args):
+        raise AssertionError("compared")
+
+    monkeypatch.setattr(multiplicity, "p_leq", compared)
+    monkeypatch.setattr(ProbMultiplicity, "sort_key", compared)
+    monkeypatch.setattr(Multiplicity, "sort_key", compared)
+    assert genset_normalize([p, p]) is GenSet((p,))
+    assert genset_normalize(iter([p])) is GenSet((p,))
+    assert ProbMultiplicity.from_pairs([(m, F(1))]) is ProbMultiplicity.dirac(m)
+    assert p_sum(P_ZERO, p) is p is p_sum(p, P_ZERO)
+    with pytest.raises(ValueError):
+        genset_normalize([])
 
 
 def test_sup_approx_dirac_inputs_exact():
