@@ -24,8 +24,7 @@ from .denotation import generic_application, lfp_denotations
 from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
 from .multiplicity import (INF, ExtRational, ext_add, ext_leq, ext_mul,
-                           format_count, sup_approx, sup_is_exact,
-                           weighting_of)
+                           format_count, sup_approx, sup_is_exact)
 from .terms import Var
 
 VERDICT_CONTINUOUS = "uniformly-continuous"
@@ -113,7 +112,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
     worst = Fraction(0)
     infinite_vars: list[Var] = []
     for p in gens:
-        w = weighting_of(p)
+        w = den.weighting(p)
         for x, v in w.entries:  # f(x1..xn)'s generators count x1..xn only
             if v is INF:
                 if x not in infinite_vars:
@@ -128,7 +127,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
         reasons.append("denotation required widening of an unbounded "
                        "growth chain")
 
-    sup = weighting_of(gens[0] if len(gens) == 1 else sup_approx(gens))
+    sup = den.weighting(gens[0] if len(gens) == 1 else sup_approx(gens))
     modulus = ModulusSpec(len(sources), tuple(sup.get(x) for x in sources))
     over_approx = len(gens) > 1 and not sup_is_exact(gens)
     if over_approx:

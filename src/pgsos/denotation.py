@@ -37,10 +37,9 @@ from .frontend import Rule, SpecDocument
 from .graphs import strongly_connected_components
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
-                           Weighting, ext_leq, genset_equiv, genset_leq,
-                           genset_normalize, m_scale,
-                           m_sum, mult, p_sum, sup_approx, sup_is_exact,
-                           unit, weighting_of, da)
+                           Weighting, ext_add, ext_leq, genset_equiv,
+                           genset_leq, genset_normalize, mult, p_sum,
+                           sup_approx, sup_is_exact, unit, weighting_of, da)
 from .terms import (Apply, ConvexSum, DistApply, DistVariable, InstDirac,
                     StateTerm, Term, Var, Variable, immediate_subterms,
                     scan_term, substitute)
@@ -119,14 +118,16 @@ def fold_rule(p: ProbMultiplicity, rule: Rule) -> ProbMultiplicity:
     """Push a target generator through the rule view: every copy of a
     derivative also stands for one copy of the source it came from, so
     each draw ``m`` is raised by ``m(mu) * 1_{x_i}`` per positive premise
-    ``x_i --a--> mu``."""
+    ``x_i --a--> mu``, all in one ``mult``."""
     def raise_one(m: Multiplicity) -> Multiplicity:
-        acc = m
+        counts = None
         for prem in rule.pos:
             k = m.get(prem.derivative)
             if k != 0:
-                acc = m_sum(acc, m_scale(k, unit(prem.source)))
-        return acc
+                if counts is None:
+                    counts = dict(m.entries)
+                counts[prem.source] = ext_add(counts.get(prem.source, 0), k)
+        return m if counts is None else mult(counts)
 
     raised = tuple((raise_one(m), q) for m, q in p)
     # a draw that holds no derivative is raised to itself
@@ -174,10 +175,11 @@ class _StepContext:
     an operator's summaries under the operator and its rules' values, an
     operator composition under the operator summary and the arguments'
     values, and a generator's weighting, which the pumping test of
-    :meth:`Denotations._iterate` reads, under the generator.  A changed
-    value finds no stale entry, so the table gives exactly what a fresh
-    step would.  The context, and so the table, is owned by the document's
-    :class:`Denotations`; no value holds a document.
+    :meth:`Denotations._iterate` and the continuity verdicts read, under
+    the generator.  A changed value finds no stale entry, so the table
+    gives exactly what a fresh step would.  The context, and so the table,
+    is owned by the document's :class:`Denotations`; no value holds a
+    document.
     ``coarsened`` holds the operators whose distribution-level summary
     over-approximated a non-Dirac supremum.
     """
@@ -287,6 +289,10 @@ class Denotations:
                 raise error
             self._solve(t)
         return self.value[t]
+
+    def weighting(self, p: ProbMultiplicity) -> Weighting:
+        """The weighting of ``p``, from the step context's memo."""
+        return self._step.weighting(p)
 
     def flags(self, t: Term) -> tuple[bool, bool]:
         """``(widened, over_approximated)`` for the denotation of ``t``:

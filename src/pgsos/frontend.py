@@ -36,7 +36,9 @@ letters, digits and ``_``), numbers (decimal digits, with an optional ``.``
 and more digits), the one-character punctuation
 ``; , ( ) { } = : | & \\ + * /`` and the dashes: ``---`` or longer,
 ``-->``, ``--``, ``-/`` and ``->``.  Any other character is a syntax
-error.  Positions are 1-based lines and columns, one column per character.
+error.  One ``findall`` reads the token texts, each match taking the blanks
+and comments before its token.  Positions, 1-based lines and columns with
+one column per character outside a comment, are computed for messages only.
 """
 
 from __future__ import annotations
@@ -194,40 +196,41 @@ class Token(NamedTuple):
 
 
 _PUNCT = ";,(){}=:|&\\+*/"
-# Each character of a line falls in one piece.  A run of blanks is a piece of
-# its own, so the alternatives are not tried again at each of its blanks.
-_PIECE = re.compile(r"[ \t\r]+|#.*|-{3,}|-->|-[-/>]?|\d+(?:\.\d+)?|\w+|.")
+# One match per token, with the blanks and comments before it, and an empty
+# one at the end: no match can fail, so none is tried again further on.
+_PIECE = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*"
+                    r"(-{3,}|-->|-[-/>]?|\d+(?:\.\d+)?|\w+|[^ \t\r\n#]|\Z)")
 _DASHES = {"-->": "arrow", "--": "dash2", "-/": "negdash", "->": "rarrow"}
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` with their positions, ending in ``eof``."""
     toks: list[Token] = []
-    make = tuple.__new__  # a Token without its Python-level __new__
-    for line, chars in enumerate(text.split("\n"), 1):
-        col = 1
-        for piece in _PIECE.findall(chars):
-            ch = piece[0]
-            if ch.isalpha() or ch == "_":
-                kind = "ident"
-            elif ch in _PUNCT:
-                kind = ch
-            elif ch in " \t\r":
-                col += len(piece)
-                continue
-            elif ch == "-":
-                if piece == "-":
-                    raise SpecSyntaxError("stray '-'", line, col)
-                kind = _DASHES.get(piece, "sep")
-            elif ch.isdecimal():
-                kind = "number"
-            elif ch == "#":  # the rest of the line; its columns are not counted
-                continue
-            else:  # '.', a form feed, or a superscript 2 leading a \w piece
-                raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-            toks.append(make(Token, (kind, piece, line, col)))
-            col += len(piece)
-    toks.append(Token("eof", "", line, col))
-    return toks
+    line, start = 1, 0  # the line of the last token, and where it starts
+    for m in _PIECE.finditer(text):
+        piece, at = m[1], m.start(1)
+        if "\n" in m[0]:
+            line += text.count("\n", m.start(), at)
+            start = text.rfind("\n", m.start(), at) + 1
+        if not piece:  # a comment's characters take no columns
+            comment = text.find("#", max(m.start(), start), at)
+            toks.append(Token("eof", "", line,
+                              (at if comment < 0 else comment) - start + 1))
+            return toks
+        ch, col = piece[0], at - start + 1
+        if ch.isalpha() or ch == "_":
+            kind = "ident"
+        elif ch in _PUNCT:
+            kind = ch
+        elif ch == "-":
+            if piece == "-":
+                raise SpecSyntaxError("stray '-'", line, col)
+            kind = _DASHES.get(piece, "sep")
+        elif ch.isdecimal():
+            kind = "number"
+        else:  # '.', a form feed, or a superscript 2 leading a \w piece
+            raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+        toks.append(Token(kind, piece, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -244,97 +247,121 @@ class _TermEnv:
 
 
 class _Parser:
+    """Reads the token texts by index; ``idents`` holds those that are
+    names.  Positions come from :func:`_tokenize`, for messages only."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = _PIECE.findall(text)
         self.pos = 0
+        self.idents: set[str] = set()
+        for piece in set(self.toks) - {""}:
+            ch = piece[0]
+            if ch.isalpha() or ch == "_":
+                self.idents.add(piece)
+            elif not (ch in _PUNCT or ch.isdecimal()
+                      or ch == "-" and piece != "-"):
+                _tokenize(text)  # raises the first lexical error
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def line(self, i: int) -> int:
+        return _tokenize(self.text)[i].line
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None) -> SpecSyntaxError:
-        tok = tok or self.peek()
+    def error(self, message: str, i: int | None = None) -> SpecSyntaxError:
+        tok = _tokenize(self.text)[self.pos if i is None else i]
         return SpecSyntaxError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise self.error(f"expected {what or kind}, found {tok.text!r}", tok)
-        return tok
+    def expect(self, text: str, what: str | None = None) -> None:
+        if self.toks[self.pos] != text:
+            raise self.error(f"expected {what or text}, found "
+                             f"{self.toks[self.pos]!r}")
+        self.pos += 1
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+    def ident(self, what: str = "ident") -> int:
+        """The index of the next token, a name."""
+        if self.toks[self.pos] not in self.idents:
+            raise self.error(f"expected {what}, found {self.toks[self.pos]!r}")
+        self.pos += 1
+        return self.pos - 1
+
+    def number(self, what: str = "number") -> int:
+        """The index of the next token, a number."""
+        if not self.toks[self.pos][:1].isdecimal():
+            raise self.error(f"expected {what}, found {self.toks[self.pos]!r}")
+        self.pos += 1
+        return self.pos - 1
+
+    def read(self, convert, i: int):
+        """``convert`` of the number at token ``i``, or a syntax error where
+        it has more digits than ``int`` and ``Fraction`` convert
+        (``sys.get_int_max_str_digits``)."""
+        try:
+            return convert(self.toks[i])
+        except ValueError:
+            raise self.error(f"number of {len(self.toks[i])} characters is "
+                             f"too long to read", i) from None
 
     # -- document -----------------------------------------------------------
 
     def parse_document(self, digest: str) -> SpecDocument:
+        toks = self.toks
         actions: dict[str, None] = {}  # insertion-ordered, O(1) lookups
         arities: dict[str, int] = {}
         named: dict[str, frozenset[str]] = {}
         abbrevs: dict[str, StateTerm] = {}
         blocks: list[list[Rule]] = []
-        if self.peek().kind == "eof":
+        if not toks[0]:
             raise SpecSyntaxError("empty specification", 1, 1)
-        while self.peek().kind != "eof":
-            if self.at_keyword("actions"):
+        while toks[self.pos]:
+            word = toks[self.pos]
+            if word == "actions":
                 if named or blocks:
                     raise self.error("actions declared after a set or rule")
-                self.next()
-                for tok in self._ident_list():
-                    if tok.text in actions:
-                        raise self.error(f"action {tok.text!r} declared twice",
-                                         tok)
-                    actions[tok.text] = None
+                self.pos += 1
+                for i in self._ident_list():
+                    if toks[i] in actions:
+                        raise self.error(f"action {toks[i]!r} declared twice",
+                                         i)
+                    actions[toks[i]] = None
                 self.expect(";")
-            elif self.at_keyword("set"):
-                self.next()
-                tok = self.expect("ident", "set name")
-                name = tok.text
+            elif word == "set":
+                self.pos += 1
+                name = toks[i := self.ident("set name")]
                 if name in named:
-                    raise self.error(f"action set {name!r} declared twice",
-                                     tok)
+                    raise self.error(f"action set {name!r} declared twice", i)
                 if name == "ACT":
                     raise self.error("'ACT' names every action and cannot be "
-                                     "declared", tok)
+                                     "declared", i)
                 self.expect("=")
                 named[name] = self._setexpr(actions, named)
                 self.expect(";")
-            elif self.at_keyword("op"):
-                self.next()
-                tok = self.expect("ident", "operator name")
-                name = tok.text
+            elif word == "op":
+                self.pos += 1
+                name = toks[i := self.ident("operator name")]
                 if name in arities:
-                    raise self.error(f"operator {name!r} declared twice", tok)
+                    raise self.error(f"operator {name!r} declared twice", i)
                 if name in abbrevs:
-                    raise self.error(f"name {name!r} already in use", tok)
+                    raise self.error(f"name {name!r} already in use", i)
                 self.expect(":")
-                arity_tok = self.expect("number", "arity")
-                if not arity_tok.text.isdecimal():
-                    raise self.error("arity must be a natural number", arity_tok)
+                j = self.number("arity")
+                if not toks[j].isdecimal():
+                    raise self.error("arity must be a natural number", j)
                 self.expect(";")
-                arities[name] = _read(int, arity_tok)
-            elif self.at_keyword("term"):
-                self.next()
-                tok = self.expect("ident", "abbreviation name")
-                name = tok.text
+                arities[name] = self.read(int, j)
+            elif word == "term":
+                self.pos += 1
+                name = toks[i := self.ident("abbreviation name")]
                 if name in abbrevs or name in arities:
-                    raise self.error(f"name {name!r} already in use", tok)
+                    raise self.error(f"name {name!r} already in use", i)
                 self.expect("=")
                 env = _TermEnv(arities, abbrevs, frozenset(), frozenset(),
                                free_ok=False)
                 term = self._state_term(env)
                 self.expect(";")
                 abbrevs[name] = term
-            elif self.at_keyword("rule"):
+            elif word == "rule":
                 blocks.append(self._rule_block(arities, abbrevs, actions, named))
             else:
-                raise self.error(f"expected a declaration, found {self.peek().text!r}")
+                raise self.error(f"expected a declaration, found {word!r}")
         # the rules of a block differ only in their labels, which
         # validate_rule does not read, so each block is validated once
         problems = [v for block in blocks for rule in block[:1]
@@ -348,12 +375,13 @@ class _Parser:
                   for name, members in named.items()),
             tuple(abbrevs.items()), source_digest=digest)
 
-    def _ident_list(self) -> list[Token]:
-        toks = [self.expect("ident")]
-        while self.peek().kind == ",":
-            self.next()
-            toks.append(self.expect("ident"))
-        return toks
+    def _ident_list(self) -> list[int]:
+        """The indices of a comma-separated list of names."""
+        out = [self.ident()]
+        while self.toks[self.pos] == ",":
+            self.pos += 1
+            out.append(self.ident())
+        return out
 
     # -- set expressions ----------------------------------------------------
 
@@ -363,11 +391,12 @@ class _Parser:
         left-associative, evaluated on an explicit stack of open groups:
         each holds the value left of its pending operator and that operator
         (``None`` before any)."""
+        toks = self.toks
         groups: list[tuple[frozenset[str] | None, str | None]] = []
         left, op = None, None
         while True:
-            if self.peek().kind == "(":
-                self.next()
+            if toks[self.pos] == "(":
+                self.pos += 1
                 groups.append((left, op))
                 left, op = None, None
                 continue
@@ -375,8 +404,9 @@ class _Parser:
             while True:  # close every group this operand completes
                 left = (value if op is None else left | value if op == "|"
                         else left & value if op == "&" else left - value)
-                if self.peek().kind in ("|", "&", "\\"):
-                    op = self.next().kind
+                if toks[self.pos] in ("|", "&", "\\"):
+                    op = toks[self.pos]
+                    self.pos += 1
                     break
                 if not groups:
                     return left
@@ -387,19 +417,21 @@ class _Parser:
     def _set_primary(self, actions: Mapping[str, None],
                      named: Mapping[str, frozenset[str]]) -> frozenset[str]:
         """The actions of a set literal, a declared set name or ``ACT``."""
-        tok = self.next()
-        if tok.kind == "{":
-            members = [] if self.peek().kind == "}" else self._ident_list()
+        i = self.pos
+        name = self.toks[i]
+        self.pos += 1
+        if name == "{":
+            members = [] if self.toks[self.pos] == "}" else self._ident_list()
             self.expect("}")
-            return frozenset(self._action(actions, tok=m) for m in members)
-        if tok.kind != "ident":
-            raise self.error("expected a set expression", tok)
-        if tok.text == "ACT":
+            return frozenset(self._action(actions, i=m) for m in members)
+        if name not in self.idents:
+            raise self.error("expected a set expression", i)
+        if name == "ACT":
             return frozenset(actions)
-        if tok.text not in named:
-            raise UndeclaredSymbol(f"action set {tok.text!r} is not declared "
-                                   f"(line {tok.line})")
-        return named[tok.text]
+        if name not in named:
+            raise UndeclaredSymbol(f"action set {name!r} is not declared "
+                                   f"(line {self.line(i)})")
+        return named[name]
 
     # -- rules --------------------------------------------------------------
 
@@ -409,55 +441,59 @@ class _Parser:
                     named: Mapping[str, frozenset[str]]) -> list[Rule]:
         """The rules of one block: the rule itself, or for a ``forall``
         template one rule per member of its set, in sorted order."""
-        rule_tok = self.expect("ident")  # 'rule'
+        toks = self.toks
+        rule_at = self.pos  # 'rule'
+        self.pos += 1
         var, members = None, (None,)  # a plain rule is its one instance
-        if self.at_keyword("forall"):
-            self.next()
-            var = self.expect("ident", "template action variable").text
-            if not self.at_keyword("in"):
+        if toks[self.pos] == "forall":
+            self.pos += 1
+            var = toks[self.ident("template action variable")]
+            if toks[self.pos] != "in":
                 raise self.error("expected 'in'")
-            self.next()
+            self.pos += 1
             members = self._setexpr(actions, named)
         self.expect(":")
 
         pos: list[PosPremise] = []
         neg: list[NegPremise] = []
-        while self.peek().kind != "sep":
-            source = Variable(self.expect("ident", "a premise or '---'").text)
-            shape = self.next()
-            if shape.kind == "dash2":
+        while not toks[self.pos].startswith("---"):
+            source = Variable(toks[self.ident("a premise or '---'")])
+            shape = toks[self.pos]
+            self.pos += 1
+            if shape == "--":
                 label = self._action(actions, var)
-                self.expect("arrow", "'-->'")
-                deriv = self.expect("ident", "derivative variable").text
+                self.expect("-->", "'-->'")
+                deriv = toks[self.ident("derivative variable")]
                 pos.append(PosPremise(source, label, DistVariable(deriv)))
-            elif shape.kind == "negdash":
+            elif shape == "-/":
                 label = self._action(actions, var)
-                self.expect("rarrow", "'->'")
+                self.expect("->", "'->'")
                 neg.append(NegPremise(source, label))
             else:
-                raise self.error("expected '--' or '-/' in premise", shape)
-            if self.peek().kind == ",":
-                self.next()
-        self.expect("sep")
+                raise self.error("expected '--' or '-/' in premise",
+                                 self.pos - 1)
+            if toks[self.pos] == ",":
+                self.pos += 1
+        self.pos += 1  # the separator
 
-        op_tok = self.expect("ident", "operator symbol")
-        if op_tok.text not in arities:
-            raise UndeclaredSymbol(
-                f"operator {op_tok.text!r} is not declared (line {op_tok.line})")
+        op = toks[op_at := self.ident("operator symbol")]
+        if op not in arities:
+            raise UndeclaredSymbol(f"operator {op!r} is not declared "
+                                   f"(line {self.line(op_at)})")
         source_names: list[str] = []
-        if self.peek().kind == "(":
-            self.next()
-            if self.peek().kind != ")":
-                source_names = [t.text for t in self._ident_list()]
+        if toks[self.pos] == "(":
+            self.pos += 1
+            if toks[self.pos] != ")":
+                source_names = [toks[i] for i in self._ident_list()]
             self.expect(")")
-        arity = arities[op_tok.text]
+        arity = arities[op]
         if arity != len(source_names):
             raise ArityMismatch(
-                f"{op_tok.text} expects {arity} source variable(s), got "
-                f"{len(source_names)} (line {op_tok.line})")
-        self.expect("dash2", "'--'")
+                f"{op} expects {arity} source variable(s), got "
+                f"{len(source_names)} (line {self.line(op_at)})")
+        self.expect("--", "'--'")
         label = self._action(actions, var)
-        self.expect("arrow", "'-->'")
+        self.expect("-->", "'-->'")
 
         env = _TermEnv(arities, abbrevs, frozenset(source_names),
                        frozenset(p.derivative.name for p in pos),
@@ -467,7 +503,7 @@ class _Parser:
 
         def instance(c: str | None) -> Rule:
             """The rule with the action ``c`` for the template variable."""
-            return Rule(op_tok.text, sources,
+            return Rule(op, sources,
                         tuple(p._replace(action=c) if p.action == var else p
                               for p in pos),
                         tuple(n._replace(action=c) if n.action == var else n
@@ -476,19 +512,20 @@ class _Parser:
 
         if not members:
             warnings.warn(
-                f"rule template for {op_tok.text} (line {rule_tok.line}) "
+                f"rule template for {op} (line {self.line(rule_at)}) "
                 f"ranges over an empty action set", EmptyExpansion, stacklevel=2)
         return [instance(c) for c in sorted(members)]
 
     def _action(self, actions: Mapping[str, None], var: str | None = None,
-                tok: Token | None = None) -> str:
-        """The action label ``tok``, by default the next token: a declared
-        action or the template variable ``var``."""
-        tok = tok or self.expect("ident", "action label")
-        if tok.text != var and tok.text not in actions:
-            raise UndeclaredSymbol(
-                f"action {tok.text!r} is not declared (line {tok.line})")
-        return tok.text
+                i: int | None = None) -> str:
+        """The action label at token ``i``, by default the next token: a
+        declared action or the template variable ``var``."""
+        i = self.ident("action label") if i is None else i
+        label = self.toks[i]
+        if label != var and label not in actions:
+            raise UndeclaredSymbol(f"action {label!r} is not declared "
+                                   f"(line {self.line(i)})")
+        return label
 
     # -- terms --------------------------------------------------------------
 
@@ -496,101 +533,117 @@ class _Parser:
         """A state term, parsed on an explicit stack of open applications
         (operator token and the arguments read so far), so its depth is not
         limited by the interpreter's recursion limit."""
-        open_apps: list[tuple[Token, list[StateTerm]]] = []
+        toks = self.toks
+        open_apps: list[tuple[int, list[StateTerm]]] = []
         while True:
-            tok = self.expect("ident", "a process term")
-            if self.peek().kind != "(":
-                term = self._resolve_state_ident(tok, env)
+            i = self.ident("a process term")
+            name = toks[i]
+            if toks[self.pos] != "(":
+                term = self._resolve_state_ident(i, env)
             else:
-                self._open_application(tok, env)
-                if self.peek().kind != ")":
-                    open_apps.append((tok, []))
+                self._open_application(i, env)
+                if toks[self.pos] != ")":
+                    open_apps.append((i, []))
                     continue
-                self.next()
-                _check_arity(tok, env, 0)
-                term = Apply(tok.text)
+                self.pos += 1
+                self._check_arity(i, env, 0)
+                term = Apply(name)
             # close every application this term completes
             while open_apps:
-                op_tok, args = open_apps[-1]
+                op_at, args = open_apps[-1]
                 args.append(term)
-                if self.peek().kind == ",":
-                    self.next()
+                if toks[self.pos] == ",":
+                    self.pos += 1
                     break
                 self.expect(")")
                 open_apps.pop()
-                _check_arity(op_tok, env, len(args))
-                term = Apply(op_tok.text, tuple(args))
+                self._check_arity(op_at, env, len(args))
+                term = Apply(toks[op_at], tuple(args))
             else:
                 return term
 
-    def _resolve_state_ident(self, tok: Token, env: _TermEnv) -> StateTerm:
-        name = tok.text
+    def _resolve_state_ident(self, i: int, env: _TermEnv) -> StateTerm:
+        name = self.toks[i]
         if name in env.state_vars:
             return Variable(name)
         if name in env.arities:
-            _check_arity(tok, env, 0)
+            self._check_arity(i, env, 0)
             return Apply(name)
         if name in env.abbrevs:
             return env.abbrevs[name]
         if env.free_ok:
             return Variable(name)
-        raise UndeclaredSymbol(f"unknown name {name!r} (line {tok.line})")
+        raise UndeclaredSymbol(f"unknown name {name!r} (line {self.line(i)})")
 
-    def _open_application(self, tok: Token, env: _TermEnv) -> None:
-        """Consume the ``(`` after an operator name, which must be declared."""
-        if tok.text not in env.arities:
-            raise UndeclaredSymbol(f"operator {tok.text!r} is not declared "
-                                   f"(line {tok.line})")
+    def _open_application(self, i: int, env: _TermEnv) -> None:
+        """Consume the ``(`` after the operator name at token ``i``, which
+        must be declared."""
+        if self.toks[i] not in env.arities:
+            raise UndeclaredSymbol(f"operator {self.toks[i]!r} is not "
+                                   f"declared (line {self.line(i)})")
         self.expect("(")
+
+    def _check_arity(self, i: int, env: _TermEnv, got: int) -> None:
+        """Raise :class:`ArityMismatch` unless the operator named at token
+        ``i`` takes ``got`` arguments."""
+        op = self.toks[i]
+        if env.arities[op] != got:
+            raise ArityMismatch(f"{op} expects {env.arities[op]} argument(s), "
+                                f"got {got} (line {self.line(i)})")
 
     def _dist_term(self, env: _TermEnv) -> DistTerm:
         """A distribution term, parsed like :meth:`_state_term` on an
-        explicit stack.  A frame is an open group or application: its
-        opening token (``None`` at the top), the weight of the summand it
-        stands in, its arguments so far and the summands of its open sum."""
+        explicit stack.  A frame is an open group or application: the index
+        of its opening token (``None`` at the top), the weight of the
+        summand it stands in, its arguments so far and the summands of its
+        open sum."""
+        toks = self.toks
         frames: list = [(None, None, [], [])]
         while True:
             q = None
-            if self.peek().kind == "number":
+            if toks[self.pos][:1].isdecimal():
                 q = self._rational()
                 self.expect("*", "'*' after a weight")
-            if self.peek().kind == "(":
-                frames.append((self.next(), q, [], []))
+            if toks[self.pos] == "(":
+                frames.append((self.pos, q, [], []))
+                self.pos += 1
                 continue
-            tok = self.expect("ident", "a distribution term")
-            if tok.text == "delta" or self.peek().kind != "(":
-                theta = self._dist_leaf(tok, env)
+            i = self.ident("a distribution term")
+            name = toks[i]
+            if name == "delta" or toks[self.pos] != "(":
+                theta = self._dist_leaf(i, env)
             else:
-                self._open_application(tok, env)
-                if self.peek().kind != ")":
-                    frames.append((tok, q, [], []))
+                self._open_application(i, env)
+                if toks[self.pos] != ")":
+                    frames.append((i, q, [], []))
                     continue
-                self.next()
-                _check_arity(tok, env, 0)
-                theta = DistApply(tok.text)
+                self.pos += 1
+                self._check_arity(i, env, 0)
+                theta = DistApply(name)
             # close every group and application this summand completes
             while True:
                 opening, weight, args, parts = frames[-1]
                 parts.append((q, theta))
-                if self.peek().kind == "+":
+                if toks[self.pos] == "+":
                     if q is None and len(parts) == 1:
                         raise self.error("summands of a convex combination "
                                          "need explicit weights like 1/2*...")
-                    self.next()
+                    self.pos += 1
                     break
                 theta = self._sum(parts)
                 if opening is None:
                     return theta
                 args.append(theta)  # a group's one term, or an argument
                 parts.clear()
-                if opening.kind == "ident" and self.peek().kind == ",":
-                    self.next()
+                applies = toks[opening] != "("
+                if applies and toks[self.pos] == ",":
+                    self.pos += 1
                     break
                 self.expect(")")
                 frames.pop()
-                if opening.kind == "ident":
-                    _check_arity(opening, env, len(args))
-                    theta = DistApply(opening.text, tuple(args))
+                if applies:
+                    self._check_arity(opening, env, len(args))
+                    theta = DistApply(toks[opening], tuple(args))
                 q = weight
 
     def _sum(self, parts: list) -> DistTerm:
@@ -605,63 +658,44 @@ class _Parser:
         except ValueError as exc:
             raise self.error(str(exc))
 
-    def _dist_leaf(self, tok: Token, env: _TermEnv) -> DistTerm:
-        """The point mass ``delta(t)`` or the name ``tok`` as a term."""
-        if tok.text == "delta":
+    def _dist_leaf(self, i: int, env: _TermEnv) -> DistTerm:
+        """The point mass ``delta(t)`` or the name at token ``i`` as a
+        term."""
+        name = self.toks[i]
+        if name == "delta":
             self.expect("(")
             inner = self._state_term(env)
             self.expect(")")
             return InstDirac(inner)
-        name = tok.text
         if name in env.dist_vars:
             return DistVariable(name)
         if name in env.state_vars:
             raise KindMismatch(
                 f"{name} is a state variable; write delta({name}) for its "
-                f"point mass (line {tok.line})")
+                f"point mass (line {self.line(i)})")
         if name in env.arities:
-            _check_arity(tok, env, 0)
+            self._check_arity(i, env, 0)
             return DistApply(name)
         if name in env.abbrevs:
             raise KindMismatch(
                 f"{name} is a state term; write delta({name}) for its "
-                f"point mass (line {tok.line})")
+                f"point mass (line {self.line(i)})")
         if env.free_ok:
             return DistVariable(name)
-        raise UndeclaredSymbol(f"unknown name {name!r} (line {tok.line})")
+        raise UndeclaredSymbol(f"unknown name {name!r} (line {self.line(i)})")
 
     def _rational(self) -> Fraction:
-        tok = self.expect("number")
-        if self.peek().kind != "/":
-            return _read(Fraction, tok)
-        self.next()
-        denom = self.expect("number", "denominator")
-        if "." in tok.text or "." in denom.text:
-            raise self.error("mixed decimal/fraction notation", denom)
-        p, q = _read(int, tok), _read(int, denom)
+        i = self.number()
+        if self.toks[self.pos] != "/":
+            return self.read(Fraction, i)
+        self.pos += 1
+        j = self.number("denominator")
+        if "." in self.toks[i] or "." in self.toks[j]:
+            raise self.error("mixed decimal/fraction notation", j)
+        p, q = self.read(int, i), self.read(int, j)
         if q == 0:
-            raise self.error("zero denominator", denom)
+            raise self.error("zero denominator", j)
         return Fraction(p, q)
-
-
-def _read(convert, tok: Token):
-    """``convert(tok.text)`` for a number token, or a syntax error at it
-    where the number has more digits than ``int`` and ``Fraction`` convert
-    (``sys.get_int_max_str_digits``)."""
-    try:
-        return convert(tok.text)
-    except ValueError:
-        raise SpecSyntaxError(f"number of {len(tok.text)} characters is too "
-                              f"long to read", tok.line, tok.col) from None
-
-
-def _check_arity(tok: Token, env: _TermEnv, got: int) -> None:
-    """Raise :class:`ArityMismatch` unless the operator named by ``tok``
-    takes ``got`` arguments."""
-    arity = env.arities[tok.text]
-    if arity != got:
-        raise ArityMismatch(f"{tok.text} expects {arity} argument(s), got "
-                            f"{got} (line {tok.line})")
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +727,7 @@ def parse_term(text: str, doc: SpecDocument) -> StateTerm:
     env = _TermEnv(doc.signature.arities, doc.abbrev_map, frozenset(),
                    frozenset(), free_ok=True)
     term = parser._state_term(env)
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise parser.error(f"unexpected trailing input {trailing.text!r}",
-                           trailing)
+    if parser.toks[parser.pos]:
+        raise parser.error(f"unexpected trailing input "
+                           f"{parser.toks[parser.pos]!r}")
     return term

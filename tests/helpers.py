@@ -17,6 +17,9 @@ in the limit; ``kleene_distance`` keeps its iterates as lower bounds, and
 ``game_distance_bruteforce`` gives the exact value on small cyclic
 fragments by enumerating the strategies of the bisimulation game.
 
+``fold_rule_reference`` is the reference for ``denotation.fold_rule``:
+the per-premise chain of sums it replaced.
+
 ``jacobi_denotations`` is the reference for the denotation fixpoint: the
 plain Jacobi iteration that steps every entry of ``tracked_entries`` on
 every round, without widening, sharing only the step clauses with
@@ -38,6 +41,9 @@ each target by ``round_trip``.
 ``tokenize_reference`` is the reference for ``frontend._tokenize``: the
 lexer as a loop over the characters, with its own column count.
 
+``mutate_spec`` and ``parse_outcome`` make the seeded spec mutations of
+``golden/parse_outcomes.json`` and read what the parser makes of them.
+
 The printers, ``is_closed``, ``assert_one_object`` and ``E_ZERO`` serve
 the tests alone.
 """
@@ -46,9 +52,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -61,7 +69,7 @@ from pgsos.denotation import (
     lfp_denotations,
 )
 from pgsos.errors import SpecSyntaxError
-from pgsos.frontend import _PUNCT, Rule, Token
+from pgsos.frontend import _PUNCT, Rule, Token, parse_spec
 from pgsos.graphs import strongly_connected_components
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
@@ -72,9 +80,12 @@ from pgsos.multiplicity import (
     ProbMultiplicity,
     ProcessDistance,
     genset_equiv,
+    m_scale,
+    m_sum,
     mult,
     sup_approx,
     sup_is_exact,
+    unit,
 )
 from pgsos.semantics import derive_transitions, transitions
 from pgsos.terms import (
@@ -559,6 +570,19 @@ def jacobi_denotations(doc, max_iterations=300, context=_StepContext):
                 f"denotations still changing after {n} rounds")
 
 
+def fold_rule_reference(p: ProbMultiplicity, rule: Rule) -> ProbMultiplicity:
+    """``denotation.fold_rule`` as a chain of ``unit``, ``m_scale`` and
+    ``m_sum`` per premise of every draw, the distribution built again."""
+    def raise_one(m: Multiplicity) -> Multiplicity:
+        acc = m
+        for prem in rule.pos:
+            acc = m_sum(acc, m_scale(m.get(prem.derivative),
+                                     unit(prem.source)))
+        return acc
+
+    return ProbMultiplicity.from_pairs((raise_one(m), q) for m, q in p)
+
+
 def random_cyclic_spec(rng: random.Random) -> tuple[str, list[str]]:
     """A small recursive specification over one action and its constants
     ``s0``, ``s1`` (and maybe ``s2``): each has one or two moves, each a
@@ -778,6 +802,49 @@ def tokenize_reference(text: str) -> list[Token]:
         raise SpecSyntaxError(f"unexpected character {ch!r}", line, start_col)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of specification texts
+# ---------------------------------------------------------------------------
+
+MUTATION_CHARS = " \t\r\n#-/>.;,(){}=:|&\\+*_0aé²\f"
+MUTATION_WORDS = ("actions", "set", "op", "term", "rule", "forall", "in",
+                  "ACT", "delta", "zero", "x1", "m1", "---", "-->", "--",
+                  "-/", "->", "1/2*", "0.5", "9/0", "{}", "# note\n")
+
+
+def mutate_spec(rng: random.Random, text: str) -> str:
+    """``text`` after one to three random edits, each one of: a character
+    inserted, one to three characters deleted, a run of up to twelve
+    characters copied elsewhere, or a keyword, arrow or number inserted."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        elif edit == 2:
+            j = rng.randrange(len(text) + 1)
+            text = text[:i] + text[j:j + rng.randint(1, 12)] + text[i:]
+        else:
+            text = text[:i] + rng.choice(MUTATION_WORDS) + text[i:]
+    return text
+
+
+def parse_outcome(text: str) -> dict:
+    """What ``parse_spec`` makes of ``text``: the error's class and
+    message, or the rule count and a digest of the printed document."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc = parse_spec(text)
+    except Exception as err:
+        return {"error": type(err).__name__, "message": str(err)}
+    printed = print_spec(doc).encode("utf-8")
+    return {"rules": len(doc.rules),
+            "print_sha256": hashlib.sha256(printed).hexdigest()}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pgsos import cli
+from pgsos import cli, continuity, denotation
 from pgsos.continuity import (
     VERDICT_CONTINUOUS,
     VERDICT_NOT_SHOWN,
@@ -27,6 +27,7 @@ from helpers import document_flags, dup_spec, random_cyclic_spec
 from test_denotation import WIDENING_SPECS
 
 F = Fraction
+GEN40 = str(Path(__file__).parent / "golden" / "gen40.pgsos")
 
 
 # -- ModulusSpec ------------------------------------------------------------
@@ -146,6 +147,28 @@ def test_queries_leave_the_fixpoint_flags_alone(tmp_path, capsys):
                      "--dist", "x=1/10"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["flags"]["over_approximated"] is False
+
+
+def test_a_warm_continuity_report_weighs_nothing(fresh_memo, monkeypatch,
+                                                 capsys):
+    # the verdicts read each generator's weighting from the step's memo,
+    # where the fixpoint left it
+    fresh_memo(cli.load_spec(GEN40))
+    weighed = []
+
+    def counted(p):
+        weighed.append(p)
+        return weighting_of(p)
+
+    for module in (denotation, continuity):
+        monkeypatch.setattr(module, "weighting_of", counted, raising=False)
+    assert cli.main(["--json", "continuity", GEN40]) == 0
+    first = capsys.readouterr().out
+    assert weighed
+    weighed.clear()
+    assert cli.main(["--json", "continuity", GEN40]) == 0
+    assert capsys.readouterr().out == first
+    assert weighed == []
 
 
 # -- verdicts on the shipped operator suites --------------------------------

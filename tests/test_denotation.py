@@ -6,7 +6,6 @@ sampling oracle (see test_oracle.py), so any regression here is a real
 semantic change and not a formatting accident.
 """
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -43,7 +42,6 @@ from pgsos.multiplicity import (
     genset_equiv,
     genset_leq,
     genset_normalize,
-    m_scale,
     m_sum,
     mult,
     p_sum,
@@ -63,8 +61,9 @@ from pgsos.terms import (
 )
 
 from helpers import (UnsoundStep, document_flags, dup_spec,
-                     jacobi_denotations, jacobi_iterates, random_cyclic_spec,
-                     subterms, tracked_entries, unsound_denotations)
+                     fold_rule_reference, jacobi_denotations,
+                     jacobi_iterates, random_cyclic_spec, subterms,
+                     tracked_entries, unsound_denotations)
 
 F = Fraction
 X = state_var("x")
@@ -519,16 +518,6 @@ EXACTNESS_SPECS = {
 }
 
 
-def fold_every_draw(p, rule):
-    """``fold_rule`` without its shortcut: every draw raised and the
-    distribution built again."""
-    return ProbMultiplicity.from_pairs(
-        (functools.reduce(m_sum, (m_scale(m.get(prem.derivative),
-                                          unit(prem.source))
-                                  for prem in rule.pos), m), q)
-        for m, q in p)
-
-
 @pytest.mark.parametrize("spec", EXACTNESS_SPECS)
 def test_the_step_shortcuts_return_the_node_the_long_path_builds(spec):
     # the sum with P_ZERO, the one-generator set and the fold that raises
@@ -549,7 +538,28 @@ def test_the_step_shortcuts_return_the_node_the_long_path_builds(spec):
     for rules in den.rules_by_op.values():
         for rule in rules:
             for p in den.value[rule.target]:
-                assert fold_rule(p, rule) is fold_every_draw(p, rule)
+                assert fold_rule(p, rule) is fold_rule_reference(p, rule)
+
+
+@pytest.mark.parametrize("spec", EXACTNESS_SPECS)
+def test_every_fold_builds_the_node_of_the_premise_chain(spec, fresh_memo,
+                                                         monkeypatch):
+    # fold_rule raises each draw in one mult; the reference adds a scaled
+    # unit per premise, as the step did before
+    folds = []
+    fold = denotation.fold_rule
+
+    def recorded(p, rule):
+        folds.append((p, rule, fold(p, rule)))
+        return folds[-1][2]
+
+    monkeypatch.setattr(denotation, "fold_rule", recorded)
+    doc = fresh_memo(parse_spec(EXACTNESS_SPECS[spec]))
+    for op, _ in doc.signature.operators:
+        is_uniformly_continuous(doc, op)
+    assert folds
+    for p, rule, got in folds:
+        assert got is fold_rule_reference(p, rule)
 
 
 def test_continuity_weighs_each_generator_once(fresh_memo, monkeypatch):
