@@ -33,7 +33,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .frontend import Rule, SpecDocument
+from .frontend import NegPremise, PosPremise, Rule, SpecDocument
 from .graphs import strongly_connected_components
 from .multiplicity import (D_ZERO, GenSet, INF, Multiplicity,
                            P_ZERO, ProbMultiplicity, ProcessDistance,
@@ -140,17 +140,18 @@ def fold_rule(p: ProbMultiplicity, rule: Rule) -> ProbMultiplicity:
 
 def canonical_rule(rule: Rule) -> Rule:
     """Rename sources to x1..xn and derivatives to d1..dk (premise order)
-    so that rules of the same operator share coordinates."""
+    so that rules of the same operator share coordinates, and blank the
+    actions, which no clause of the step reads: rules equal up to actions
+    have one canonical form, and so one generator set."""
     mapping: dict[Var, Var] = {
         s: Variable(f"x{i + 1}") for i, s in enumerate(rule.sources)}
     mapping.update((p.derivative, DistVariable(f"d{k + 1}"))
                    for k, p in enumerate(rule.pos))
     return Rule(rule.op, tuple(mapping[s] for s in rule.sources),
-                tuple(p._replace(source=mapping[p.source],
-                                 derivative=mapping[p.derivative])
+                tuple(PosPremise(mapping[p.source], "", mapping[p.derivative])
                       for p in rule.pos),
-                tuple(n._replace(source=mapping[n.source]) for n in rule.neg),
-                rule.action, substitute(rule.target, mapping))
+                tuple(NegPremise(mapping[n.source], "") for n in rule.neg),
+                "", substitute(rule.target, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,9 @@ class Denotations:
 
     def __init__(self, doc: SpecDocument):
         self.doc = doc
-        self.rules_by_op = {op: tuple(map(canonical_rule, rules))
-                            for op, rules in doc.rules_by_op.items()}
+        # a supremum does not change when a member repeats
+        self.rules_by_op = {op: tuple(dict.fromkeys(map(canonical_rule, rs)))
+                            for op, rs in doc.rules_by_op.items()}
         self.value: dict[object, GenSet] = {}
         self.iterations = 1
         self._flags: dict[object, int] = {}

@@ -56,8 +56,8 @@ class KindMismatch(InputError):
 class RuleFormatError(InputError):
     """A rule violates the well-formedness constraints on rules.
 
-    ``violations`` holds the individual findings (see
-    :func:`pgsos.frontend.validate_rule`).
+    ``violations`` holds the individual findings, in the order the parser
+    read them (see :mod:`pgsos.frontend`).
     """
 
     def __init__(self, violations):

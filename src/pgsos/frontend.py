@@ -24,8 +24,11 @@ from named sets, literals ``{a, b}``, the full alphabet ``ACT`` and the
 operators ``|`` (union), ``&`` (intersection) and ``\\`` (difference).
 
 Every name is declared before it is used, and the actions before the first
-set or rule.  The parser reads the text once: it evaluates each set
-expression and expands each template into its rules where they are written.
+set or rule.  The parser reads the text once.  Where they are written, it
+evaluates each set expression, expands each template into its rules and
+checks each rule: sources and derivatives distinct, premises on sources,
+and no other free variable in the target.  A syntax error stops it; rule
+violations are raised together, as one :class:`RuleFormatError`, at the end.
 
 Rationals are written ``9/10`` or as exact decimals ``0.9``.
 
@@ -49,13 +52,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import (ArityMismatch, KindMismatch, RuleFormatError,
                      SpecSyntaxError, UndeclaredSymbol)
 from .terms import (Apply, DistApply, DistTerm, DistVariable, InstDirac,
-                    Signature, StateTerm, Variable, _Node, convex_sum,
-                    free_vars)
+                    Signature, StateTerm, Var, Variable, _Node, convex_sum)
 
 
 class EmptyExpansion(UserWarning):
@@ -100,38 +102,6 @@ class Rule(_Node):
 class Violation(NamedTuple):
     kind: str
     message: str
-
-
-def validate_rule(rule: Rule) -> list[Violation]:
-    """Check the well-formedness constraints of a rule; an empty list
-    means the rule is admissible.
-
-    The constraints: derivative variables pairwise distinct, source
-    variables pairwise distinct, premises only test source variables, and
-    every free variable of the target is a source or a derivative.
-    """
-    out: list[Violation] = []
-    if len(set(rule.sources)) != len(rule.sources):
-        out.append(Violation("DuplicateSource",
-                             f"rule for {rule.op}: source variables repeat"))
-    derivs = rule.derivatives()
-    if len(set(derivs)) != len(derivs):
-        out.append(Violation("DuplicateDerivative",
-                             f"rule for {rule.op}: derivative variables repeat"))
-    sources = set(rule.sources)
-    for prem_source in [p.source for p in rule.pos] + [n.source for n in rule.neg]:
-        if prem_source not in sources:
-            out.append(Violation(
-                "ForeignPremiseSource",
-                f"rule for {rule.op}: premise tests {prem_source.name}, "
-                f"not a source variable"))
-    allowed = sources | set(derivs)
-    foreign = sorted(x.name for x in free_vars(rule.target) if x not in allowed)
-    if foreign:
-        out.append(Violation(
-            "ForeignTargetVariable",
-            f"rule for {rule.op}: target mentions {', '.join(foreign)}"))
-    return out
 
 
 @dataclass(frozen=True)
@@ -237,23 +207,30 @@ def _tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TermEnv:
-    arities: Mapping[str, int]
-    abbrevs: Mapping[str, StateTerm]
+class _TermEnv(NamedTuple):
+    """The variables a term may use besides the declared names; ``free``
+    collects those made of other names, or is ``None`` where none may be."""
     state_vars: frozenset[str]
     dist_vars: frozenset[str]
-    free_ok: bool
+    free: set[Var] | None
 
 
 class _Parser:
     """Reads the token texts by index; ``idents`` holds those that are
-    names.  Positions come from :func:`_tokenize`, for messages only."""
+    names, and ``actions``, ``named``, ``arities`` and ``abbrevs`` the
+    declarations read so far.  Positions come from :func:`_tokenize`, for
+    messages only."""
 
     def __init__(self, text: str):
         self.text = text
         self.toks = _PIECE.findall(text)
         self.pos = 0
+        self.actions: dict[str, None] = {}  # insertion-ordered, O(1) lookups
+        self.named: dict[str, frozenset[str]] = {}
+        self.arities: dict[str, int] = {}
+        self.abbrevs: dict[str, StateTerm] = {}
+        self.violations: list[Violation] = []  # of the rule format
+        self.weights: dict[str, Fraction] = {}  # by their text
         self.idents: set[str] = set()
         for piece in set(self.toks) - {""}:
             ch = piece[0]
@@ -304,10 +281,8 @@ class _Parser:
 
     def parse_document(self, digest: str) -> SpecDocument:
         toks = self.toks
-        actions: dict[str, None] = {}  # insertion-ordered, O(1) lookups
-        arities: dict[str, int] = {}
-        named: dict[str, frozenset[str]] = {}
-        abbrevs: dict[str, StateTerm] = {}
+        actions, named, arities, abbrevs = (self.actions, self.named,
+                                            self.arities, self.abbrevs)
         blocks: list[list[Rule]] = []
         if not toks[0]:
             raise SpecSyntaxError("empty specification", 1, 1)
@@ -332,7 +307,7 @@ class _Parser:
                     raise self.error("'ACT' names every action and cannot be "
                                      "declared", i)
                 self.expect("=")
-                named[name] = self._setexpr(actions, named)
+                named[name] = self._setexpr()
                 self.expect(";")
             elif word == "op":
                 self.pos += 1
@@ -353,21 +328,16 @@ class _Parser:
                 if name in abbrevs or name in arities:
                     raise self.error(f"name {name!r} already in use", i)
                 self.expect("=")
-                env = _TermEnv(arities, abbrevs, frozenset(), frozenset(),
-                               free_ok=False)
-                term = self._state_term(env)
+                term = self._state_term(_TermEnv(frozenset(), frozenset(),
+                                                 None))
                 self.expect(";")
                 abbrevs[name] = term
             elif word == "rule":
-                blocks.append(self._rule_block(arities, abbrevs, actions, named))
+                blocks.append(self._rule_block())
             else:
                 raise self.error(f"expected a declaration, found {word!r}")
-        # the rules of a block differ only in their labels, which
-        # validate_rule does not read, so each block is validated once
-        problems = [v for block in blocks for rule in block[:1]
-                    for v in validate_rule(rule)]
-        if problems:
-            raise RuleFormatError(problems)
+        if self.violations:
+            raise RuleFormatError(self.violations)
         return SpecDocument(
             Signature(tuple(arities.items()), tuple(actions)),
             tuple(rule for block in blocks for rule in block),
@@ -385,8 +355,7 @@ class _Parser:
 
     # -- set expressions ----------------------------------------------------
 
-    def _setexpr(self, actions: Mapping[str, None],
-                 named: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    def _setexpr(self) -> frozenset[str]:
         """The actions a set expression denotes, its operators
         left-associative, evaluated on an explicit stack of open groups:
         each holds the value left of its pending operator and that operator
@@ -400,7 +369,7 @@ class _Parser:
                 groups.append((left, op))
                 left, op = None, None
                 continue
-            value = self._set_primary(actions, named)
+            value = self._set_primary()
             while True:  # close every group this operand completes
                 left = (value if op is None else left | value if op == "|"
                         else left & value if op == "&" else left - value)
@@ -414,8 +383,7 @@ class _Parser:
                 value = left
                 left, op = groups.pop()
 
-    def _set_primary(self, actions: Mapping[str, None],
-                     named: Mapping[str, frozenset[str]]) -> frozenset[str]:
+    def _set_primary(self) -> frozenset[str]:
         """The actions of a set literal, a declared set name or ``ACT``."""
         i = self.pos
         name = self.toks[i]
@@ -423,24 +391,23 @@ class _Parser:
         if name == "{":
             members = [] if self.toks[self.pos] == "}" else self._ident_list()
             self.expect("}")
-            return frozenset(self._action(actions, i=m) for m in members)
+            return frozenset(self._action(i=m) for m in members)
         if name not in self.idents:
             raise self.error("expected a set expression", i)
         if name == "ACT":
-            return frozenset(actions)
-        if name not in named:
+            return frozenset(self.actions)
+        if name not in self.named:
             raise UndeclaredSymbol(f"action set {name!r} is not declared "
                                    f"(line {self.line(i)})")
-        return named[name]
+        return self.named[name]
 
     # -- rules --------------------------------------------------------------
 
-    def _rule_block(self, arities: Mapping[str, int],
-                    abbrevs: Mapping[str, StateTerm],
-                    actions: Mapping[str, None],
-                    named: Mapping[str, frozenset[str]]) -> list[Rule]:
+    def _rule_block(self) -> list[Rule]:
         """The rules of one block: the rule itself, or for a ``forall``
-        template one rule per member of its set, in sorted order."""
+        template one rule per member of its set, in sorted order.  Its
+        instances differ only in labels, which the rule format does not
+        constrain, so the block is checked once, into ``violations``."""
         toks = self.toks
         rule_at = self.pos  # 'rule'
         self.pos += 1
@@ -451,7 +418,7 @@ class _Parser:
             if toks[self.pos] != "in":
                 raise self.error("expected 'in'")
             self.pos += 1
-            members = self._setexpr(actions, named)
+            members = self._setexpr()
         self.expect(":")
 
         pos: list[PosPremise] = []
@@ -461,12 +428,12 @@ class _Parser:
             shape = toks[self.pos]
             self.pos += 1
             if shape == "--":
-                label = self._action(actions, var)
+                label = self._action(var)
                 self.expect("-->", "'-->'")
                 deriv = toks[self.ident("derivative variable")]
                 pos.append(PosPremise(source, label, DistVariable(deriv)))
             elif shape == "-/":
-                label = self._action(actions, var)
+                label = self._action(var)
                 self.expect("->", "'->'")
                 neg.append(NegPremise(source, label))
             else:
@@ -477,7 +444,7 @@ class _Parser:
         self.pos += 1  # the separator
 
         op = toks[op_at := self.ident("operator symbol")]
-        if op not in arities:
+        if op not in self.arities:
             raise UndeclaredSymbol(f"operator {op!r} is not declared "
                                    f"(line {self.line(op_at)})")
         source_names: list[str] = []
@@ -486,43 +453,62 @@ class _Parser:
             if toks[self.pos] != ")":
                 source_names = [toks[i] for i in self._ident_list()]
             self.expect(")")
-        arity = arities[op]
+        arity = self.arities[op]
         if arity != len(source_names):
             raise ArityMismatch(
                 f"{op} expects {arity} source variable(s), got "
                 f"{len(source_names)} (line {self.line(op_at)})")
         self.expect("--", "'--'")
-        label = self._action(actions, var)
+        label = self._action(var)
         self.expect("-->", "'-->'")
 
-        env = _TermEnv(arities, abbrevs, frozenset(source_names),
-                       frozenset(p.derivative.name for p in pos),
-                       free_ok=True)
+        source_set = frozenset(source_names)
+        derivs = [p.derivative.name for p in pos]
+        env = _TermEnv(source_set, frozenset(derivs), set())
         target = self._dist_term(env)
-        sources = tuple(map(Variable, source_names))
-
-        def instance(c: str | None) -> Rule:
-            """The rule with the action ``c`` for the template variable."""
-            return Rule(op, sources,
-                        tuple(p._replace(action=c) if p.action == var else p
-                              for p in pos),
-                        tuple(n._replace(action=c) if n.action == var else n
-                              for n in neg),
-                        c if label == var else label, target)
 
         if not members:
             warnings.warn(
                 f"rule template for {op} (line {self.line(rule_at)}) "
                 f"ranges over an empty action set", EmptyExpansion, stacklevel=2)
-        return [instance(c) for c in sorted(members)]
+            return []
+        # in the order of the tests' validate_rule; the term reader made
+        # exactly the target's foreign variables free ones
+        out = self.violations
+        if len(source_set) != len(source_names):
+            out.append(Violation("DuplicateSource",
+                                 f"rule for {op}: source variables repeat"))
+        if len(env.dist_vars) != len(derivs):
+            out.append(Violation("DuplicateDerivative",
+                                 f"rule for {op}: derivative variables repeat"))
+        for premise in (*pos, *neg):
+            if premise.source.name not in source_set:
+                out.append(Violation(
+                    "ForeignPremiseSource",
+                    f"rule for {op}: premise tests {premise.source.name}, "
+                    f"not a source variable"))
+        if env.free:
+            foreign = ", ".join(sorted(x.name for x in env.free))
+            out.append(Violation("ForeignTargetVariable",
+                                 f"rule for {op}: target mentions {foreign}"))
 
-    def _action(self, actions: Mapping[str, None], var: str | None = None,
-                i: int | None = None) -> str:
+        sources = tuple(map(Variable, source_names))
+        if var is None:
+            return [Rule(op, sources, tuple(pos), tuple(neg), label, target)]
+        return [Rule(op, sources,
+                     tuple(PosPremise(p.source, c, p.derivative)
+                           if p.action == var else p for p in pos),
+                     tuple(NegPremise(n.source, c) if n.action == var else n
+                           for n in neg),
+                     c if label == var else label, target)
+                for c in sorted(members)]
+
+    def _action(self, var: str | None = None, i: int | None = None) -> str:
         """The action label at token ``i``, by default the next token: a
         declared action or the template variable ``var``."""
         i = self.ident("action label") if i is None else i
         label = self.toks[i]
-        if label != var and label not in actions:
+        if label != var and label not in self.actions:
             raise UndeclaredSymbol(f"action {label!r} is not declared "
                                    f"(line {self.line(i)})")
         return label
@@ -541,12 +527,12 @@ class _Parser:
             if toks[self.pos] != "(":
                 term = self._resolve_state_ident(i, env)
             else:
-                self._open_application(i, env)
+                self._open_application(i)
                 if toks[self.pos] != ")":
                     open_apps.append((i, []))
                     continue
                 self.pos += 1
-                self._check_arity(i, env, 0)
+                self._check_arity(i, 0)
                 term = Apply(name)
             # close every application this term completes
             while open_apps:
@@ -557,7 +543,7 @@ class _Parser:
                     break
                 self.expect(")")
                 open_apps.pop()
-                self._check_arity(op_at, env, len(args))
+                self._check_arity(op_at, len(args))
                 term = Apply(toks[op_at], tuple(args))
             else:
                 return term
@@ -566,29 +552,30 @@ class _Parser:
         name = self.toks[i]
         if name in env.state_vars:
             return Variable(name)
-        if name in env.arities:
-            self._check_arity(i, env, 0)
+        if name in self.arities:
+            self._check_arity(i, 0)
             return Apply(name)
-        if name in env.abbrevs:
-            return env.abbrevs[name]
-        if env.free_ok:
-            return Variable(name)
-        raise UndeclaredSymbol(f"unknown name {name!r} (line {self.line(i)})")
+        if name in self.abbrevs:
+            return self.abbrevs[name]
+        if env.free is None:
+            raise UndeclaredSymbol(f"unknown name {name!r} (line {self.line(i)})")
+        env.free.add(v := Variable(name))
+        return v
 
-    def _open_application(self, i: int, env: _TermEnv) -> None:
+    def _open_application(self, i: int) -> None:
         """Consume the ``(`` after the operator name at token ``i``, which
         must be declared."""
-        if self.toks[i] not in env.arities:
+        if self.toks[i] not in self.arities:
             raise UndeclaredSymbol(f"operator {self.toks[i]!r} is not "
                                    f"declared (line {self.line(i)})")
         self.expect("(")
 
-    def _check_arity(self, i: int, env: _TermEnv, got: int) -> None:
+    def _check_arity(self, i: int, got: int) -> None:
         """Raise :class:`ArityMismatch` unless the operator named at token
         ``i`` takes ``got`` arguments."""
         op = self.toks[i]
-        if env.arities[op] != got:
-            raise ArityMismatch(f"{op} expects {env.arities[op]} argument(s), "
+        if self.arities[op] != got:
+            raise ArityMismatch(f"{op} expects {self.arities[op]} argument(s), "
                                 f"got {got} (line {self.line(i)})")
 
     def _dist_term(self, env: _TermEnv) -> DistTerm:
@@ -613,12 +600,12 @@ class _Parser:
             if name == "delta" or toks[self.pos] != "(":
                 theta = self._dist_leaf(i, env)
             else:
-                self._open_application(i, env)
+                self._open_application(i)
                 if toks[self.pos] != ")":
                     frames.append((i, q, [], []))
                     continue
                 self.pos += 1
-                self._check_arity(i, env, 0)
+                self._check_arity(i, 0)
                 theta = DistApply(name)
             # close every group and application this summand completes
             while True:
@@ -642,7 +629,7 @@ class _Parser:
                 self.expect(")")
                 frames.pop()
                 if applies:
-                    self._check_arity(opening, env, len(args))
+                    self._check_arity(opening, len(args))
                     theta = DistApply(toks[opening], tuple(args))
                 q = weight
 
@@ -660,7 +647,8 @@ class _Parser:
 
     def _dist_leaf(self, i: int, env: _TermEnv) -> DistTerm:
         """The point mass ``delta(t)`` or the name at token ``i`` as a
-        term."""
+        term.  Distribution terms are read only in rule targets, so a name
+        declared nowhere is a free variable."""
         name = self.toks[i]
         if name == "delta":
             self.expect("(")
@@ -673,29 +661,34 @@ class _Parser:
             raise KindMismatch(
                 f"{name} is a state variable; write delta({name}) for its "
                 f"point mass (line {self.line(i)})")
-        if name in env.arities:
-            self._check_arity(i, env, 0)
+        if name in self.arities:
+            self._check_arity(i, 0)
             return DistApply(name)
-        if name in env.abbrevs:
+        if name in self.abbrevs:
             raise KindMismatch(
                 f"{name} is a state term; write delta({name}) for its "
                 f"point mass (line {self.line(i)})")
-        if env.free_ok:
-            return DistVariable(name)
-        raise UndeclaredSymbol(f"unknown name {name!r} (line {self.line(i)})")
+        env.free.add(v := DistVariable(name))
+        return v
 
     def _rational(self) -> Fraction:
-        i = self.number()
-        if self.toks[self.pos] != "/":
-            return self.read(Fraction, i)
-        self.pos += 1
-        j = self.number("denominator")
-        if "." in self.toks[i] or "." in self.toks[j]:
-            raise self.error("mixed decimal/fraction notation", j)
-        p, q = self.read(int, i), self.read(int, j)
-        if q == 0:
-            raise self.error("zero denominator", j)
-        return Fraction(p, q)
+        """The weight at the next tokens, a decimal or ``p/q``; each
+        distinct text is converted once per parse."""
+        toks = self.toks
+        i = j = self.number()
+        if toks[self.pos] == "/":
+            self.pos += 1
+            j = self.number("denominator")
+            if "." in toks[i] or "." in toks[j]:
+                raise self.error("mixed decimal/fraction notation", j)
+        text = "".join(toks[i:j + 1])
+        if text not in self.weights:
+            p, q = (self.read(Fraction, i), 1) if i == j else (
+                self.read(int, i), self.read(int, j))
+            if q == 0:
+                raise self.error("zero denominator", j)
+            self.weights[text] = Fraction(p, q)
+        return self.weights[text]
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +717,8 @@ def parse_term(text: str, doc: SpecDocument) -> StateTerm:
     Unknown identifiers become free variables.
     """
     parser = _Parser(text)
-    env = _TermEnv(doc.signature.arities, doc.abbrev_map, frozenset(),
-                   frozenset(), free_ok=True)
-    term = parser._state_term(env)
+    parser.arities, parser.abbrevs = doc.signature.arities, doc.abbrev_map
+    term = parser._state_term(_TermEnv(frozenset(), frozenset(), set()))
     if parser.toks[parser.pos]:
         raise parser.error(f"unexpected trailing input "
                            f"{parser.toks[parser.pos]!r}")

@@ -299,13 +299,19 @@ Var = Union[Variable, DistVariable]  # a variable of either kind
 def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
     """Build a convex combination of distribution terms from ``(weight,
     term)`` pairs: nested sums are flattened and equal summands merged,
-    each where it first occurs, and a single summand is the term itself."""
-    merged: dict[DistTerm, Fraction] = {}
-    for q, theta in parts:
-        q = Fraction(q)
-        for inner, r in (theta.entries if isinstance(theta, ConvexSum)
-                         else ((theta, 1),)):
-            merged[inner] = merged.get(inner, Fraction(0)) + q * r
+    each where it first occurs, and a single summand is the term itself.
+    Distinct unnested summands with ``Fraction`` weights are kept as is."""
+    parts = tuple(parts)
+    merged: dict[DistTerm, Fraction] = {theta: q for q, theta in parts}
+    if len(merged) < len(parts) or not all(
+            q.__class__ is Fraction and theta.__class__ is not ConvexSum
+            for q, theta in parts):
+        merged = {}
+        for q, theta in parts:
+            q = Fraction(q)
+            for inner, r in (theta.entries if isinstance(theta, ConvexSum)
+                             else ((theta, 1),)):
+                merged[inner] = merged.get(inner, Fraction(0)) + q * r
     if len(merged) == 1:
         [(theta, q)] = merged.items()
         if q != 1:

@@ -40,6 +40,10 @@ each target by ``round_trip``.
 
 ``tokenize_reference`` is the reference for ``frontend._tokenize``: the
 lexer as a loop over the characters, with its own column count.
+``validate_rule`` is the reference for the rule-format check the parser
+makes where it reads a rule: a walk over the finished rule.
+``convex_sum_reference`` is the reference for ``terms.convex_sum``: the
+merging loop alone, without the path for distinct summands.
 
 ``mutate_spec`` and ``parse_outcome`` make the seeded spec mutations of
 ``golden/parse_outcomes.json`` and read what the parser makes of them.
@@ -69,7 +73,7 @@ from pgsos.denotation import (
     lfp_denotations,
 )
 from pgsos.errors import SpecSyntaxError
-from pgsos.frontend import _PUNCT, Rule, Token, parse_spec
+from pgsos.frontend import _PUNCT, Rule, Token, Violation, parse_spec
 from pgsos.graphs import strongly_connected_components
 from pgsos.lp import Infeasible, simplex_min, solve_transport
 from pgsos.multiplicity import (
@@ -802,6 +806,59 @@ def tokenize_reference(text: str) -> list[Token]:
         raise SpecSyntaxError(f"unexpected character {ch!r}", line, start_col)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# The rule format and convex sums, checked and built the long way
+# ---------------------------------------------------------------------------
+
+def validate_rule(rule: Rule) -> list[Violation]:
+    """The violations of the rule format by ``rule``; an empty list means
+    the rule is admissible.
+
+    The constraints: derivative variables pairwise distinct, source
+    variables pairwise distinct, premises only test source variables, and
+    every free variable of the target is a source or a derivative.
+    """
+    out: list[Violation] = []
+    if len(set(rule.sources)) != len(rule.sources):
+        out.append(Violation("DuplicateSource",
+                             f"rule for {rule.op}: source variables repeat"))
+    derivs = rule.derivatives()
+    if len(set(derivs)) != len(derivs):
+        out.append(Violation("DuplicateDerivative",
+                             f"rule for {rule.op}: derivative variables repeat"))
+    sources = set(rule.sources)
+    for prem_source in [p.source for p in rule.pos] + [n.source for n in rule.neg]:
+        if prem_source not in sources:
+            out.append(Violation(
+                "ForeignPremiseSource",
+                f"rule for {rule.op}: premise tests {prem_source.name}, "
+                f"not a source variable"))
+    allowed = sources | set(derivs)
+    foreign = sorted(x.name for x in free_vars(rule.target) if x not in allowed)
+    if foreign:
+        out.append(Violation(
+            "ForeignTargetVariable",
+            f"rule for {rule.op}: target mentions {', '.join(foreign)}"))
+    return out
+
+
+def convex_sum_reference(parts):
+    """``terms.convex_sum`` by its merging loop: nested sums flattened and
+    equal summands merged, each where it first occurs."""
+    merged = {}
+    for q, theta in parts:
+        q = Fraction(q)
+        for inner, r in (theta.entries if isinstance(theta, ConvexSum)
+                         else ((theta, 1),)):
+            merged[inner] = merged.get(inner, Fraction(0)) + q * r
+    if len(merged) == 1:
+        [(theta, q)] = merged.items()
+        if q != 1:
+            raise ValueError(f"convex weights sum to {q}, expected 1")
+        return theta
+    return ConvexSum(tuple(merged.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,17 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, decls, argv,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n"],
+                         ids=["empty", "comment-only"])
+def test_a_spec_without_a_declaration_is_an_input_error(tmp_path, capsys,
+                                                        text):
+    spec = tmp_path / "empty.pgsos"
+    spec.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, out) == (2, "")
+    assert err == "error: empty specification (line 1, column 1)\n"
+
+
 def test_unknown_operator_is_an_input_error(capsys):
     code, _, err = run(capsys, "continuity", PA, "missing_op")
     assert code == 2

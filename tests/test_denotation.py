@@ -133,6 +133,28 @@ def test_canonical_rule_renames_sources_and_derivatives(pa_doc):
     assert canonical_rule(canon) == canon
 
 
+def test_the_denotation_keeps_one_rule_per_rule_up_to_actions(pa_doc):
+    # pa with 300 more actions expands its templates into 2,118 rules; the
+    # denotation reads no action, so it keeps one canonical rule per rule
+    # block of pa.pgsos, whatever the number of actions
+    text = resources.files("pgsos").joinpath("data", "pa.pgsos").read_text(
+        encoding="utf-8")
+    extra = ", ".join(f"e{i}" for i in range(300))
+    doc = parse_spec(text.replace("actions a, b;", f"actions a, b, {extra};"))
+    assert len(doc.rules) == 2118
+    den = lfp_denotations(doc)
+    assert {op: len(rules) for op, rules in den.rules_by_op.items()} == {
+        "pref_a": 1, "pref_b": 1, "ppref_a_9_1": 1, "ppref_b_8_2": 1,
+        "ppref_a_5_5": 1, "alt": 2, "par": 1, "parB": 3, "ipar": 2}
+    assert all(r.action == "" and {p.action for p in r.pos + r.neg} <= {""}
+               for rules in den.rules_by_op.values() for r in rules)
+    small = lfp_denotations(pa_doc)
+    for op in ("alt", "par", "parB", "ipar"):
+        generic = Apply(op, (state_var("x1"), state_var("x2")))
+        assert den.genset(generic) == small.genset(generic)
+        assert den.flags(generic) == small.flags(generic)
+
+
 def test_subterms_innermost_first(pa_doc):
     term = t(pa_doc, "par(pref_a(zero), x)")
     names = [str(s) for s in map(type, subterms(term))]

@@ -1,5 +1,6 @@
 """Specification parsing, template expansion, validation, and round-tripping."""
 
+import random
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -19,23 +20,26 @@ from pgsos.errors import (
 )
 from pgsos.frontend import (
     EmptyExpansion,
+    NegPremise,
+    PosPremise,
     Rule,
     Token,
     _tokenize,
     parse_spec,
     parse_term,
-    validate_rule,
 )
 from pgsos.terms import (
     Apply,
+    DistApply,
     DistVariable,
     InstDirac,
+    convex_sum,
     format_term,
     free_vars,
     state_var,
 )
 
-from helpers import print_rule, print_spec, tokenize_reference
+from helpers import print_rule, print_spec, tokenize_reference, validate_rule
 
 MINI = """
 actions a, b;
@@ -246,6 +250,164 @@ def test_validate_rule_reports_violations_directly():
     good = Rule(op="f", sources=(x1,), pos=(), neg=(), action="a",
                 target=InstDirac(x1))
     assert validate_rule(good) == []
+
+
+# -- the rule check the parser makes where it reads a rule --------------------
+
+CHECK_DECLS = ("actions a, b;\nop zero : 0;\nop g : 1;\nop par : 2;\n"
+               + "".join(f"op f{n} : {n};\n" for n in range(4)))
+X1, Y = state_var("x1"), state_var("y")
+M1, U = DistVariable("m1"), DistVariable("u")
+
+
+def _block(rule, template):
+    """``rule`` as a rule block; a template ranges over ``ACT`` and writes
+    every label as its variable."""
+    text = print_rule(rule)
+    if template:
+        text = text.replace("--a-->", "--c-->").replace("-/a->", "-/c->")
+        text = text.replace("rule:", "rule forall c in ACT:", 1)
+    return text + "\n"
+
+
+def _instances(rule, template):
+    """The rules the parser makes of ``_block(rule, template)``."""
+    return [Rule(rule.op, rule.sources,
+                 tuple(PosPremise(p.source, c, p.derivative) for p in rule.pos),
+                 tuple(NegPremise(n.source, c) for n in rule.neg), c,
+                 rule.target)
+            for c in (("a", "b") if template else ("a",))]
+
+
+def _half(theta, eta):
+    return convex_sum([(Fraction(1, 2), theta), (Fraction(1, 2), eta)])
+
+
+def _rule(op, sources, pos=(), neg=(), target=InstDirac(Apply("zero"))):
+    return Rule(op, tuple(map(state_var, sources)),
+                tuple(PosPremise(state_var(s), "a", DistVariable(d))
+                      for s, d in pos),
+                tuple(NegPremise(state_var(s), "a") for s in neg), "a",
+                target)
+
+
+@pytest.mark.parametrize("rule, messages", [
+    pytest.param(_rule("f2", ["x1", "x1"], target=InstDirac(X1)),
+                 ["rule for f2: source variables repeat"], id="source"),
+    pytest.param(_rule("f1", ["x1"], pos=[("x1", "m1"), ("x1", "m1")],
+                       target=M1),
+                 ["rule for f1: derivative variables repeat"],
+                 id="derivative"),
+    pytest.param(_rule("f1", ["x1"], pos=[("y", "m1")], neg=["x1", "z"],
+                       target=M1),
+                 ["rule for f1: premise tests y, not a source variable",
+                  "rule for f1: premise tests z, not a source variable"],
+                 id="premise"),
+    pytest.param(_rule("f1", ["x1"], target=_half(U, InstDirac(state_var("u")))),
+                 ["rule for f1: target mentions u, u"], id="both-kinds"),
+    pytest.param(_rule("f1", ["x1"], pos=[("x1", "m1")],
+                       target=InstDirac(state_var("m1"))),
+                 ["rule for f1: target mentions m1"], id="derivative-in-delta"),
+    pytest.param(_rule("f2", ["x1", "x1"], pos=[("x1", "m1"), ("y", "m1")],
+                       neg=["z"],
+                       target=DistApply("par", (
+                           InstDirac(state_var("m1")),
+                           _half(DistVariable("w"),
+                                 InstDirac(Apply("g", (Y,))))))),
+                 ["rule for f2: source variables repeat",
+                  "rule for f2: derivative variables repeat",
+                  "rule for f2: premise tests y, not a source variable",
+                  "rule for f2: premise tests z, not a source variable",
+                  "rule for f2: target mentions m1, w, y"], id="all"),
+])
+@pytest.mark.parametrize("template", [False, True], ids=["plain", "forall"])
+def test_each_violation_is_reported_as_the_rule_walk_finds_it(rule, messages,
+                                                              template):
+    with pytest.raises(RuleFormatError) as err:
+        parse_spec(CHECK_DECLS + _block(rule, template))
+    assert [v.message for v in err.value.violations] == messages
+    assert err.value.violations == validate_rule(rule)
+    assert str(err.value) == "; ".join(messages)
+
+
+def _random_target(rng, derivs, depth=3):
+    """A distribution term over the rule's derivatives and the foreign
+    names ``u``, ``w``, ``y`` and ``m1`` to ``m3``, the derivatives
+    under ``delta`` among them."""
+    def state(d):
+        k = rng.randrange(4 if d else 3)
+        if k == 0:
+            return state_var(rng.choice(("x1", "x2", "x3", "y", "u", "m1")))
+        if k == 1:
+            return Apply("zero")
+        return Apply("g", (state(d - 1),))
+
+    k = rng.randrange(5 if depth else 2)
+    if k == 0:
+        return DistVariable(rng.choice(derivs + ["u", "w", "m3"]))
+    if k == 1:
+        return InstDirac(state(2))
+    if k == 2:
+        return DistApply("par", (_random_target(rng, derivs, depth - 1),
+                                 _random_target(rng, derivs, depth - 1)))
+    return _half(_random_target(rng, derivs, depth - 1),
+                 _random_target(rng, derivs, depth - 1))
+
+
+def _random_rule(rng):
+    """A rule whose sources may repeat, whose premises may test a
+    non-source or repeat a derivative, and whose target may mention
+    foreign names of both kinds; names never change their kind, so the
+    parser reads the text of the rule back as this rule."""
+    n = rng.randrange(4)
+    sources = [f"x{i + 1}" for i in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        sources[rng.randrange(n)] = sources[0]
+    testable = sources + ["y"] if sources else ["y"]
+    derivs = []
+    for _ in range(rng.randrange(4)):
+        derivs.append(rng.choice(derivs) if derivs and rng.random() < 0.2
+                      else f"m{len(derivs) + 1}")
+    pos = [(rng.choice(testable) if rng.random() < 0.2 else
+            rng.choice(sources or ["y"]), d) for d in derivs]
+    neg = [rng.choice(testable) for _ in range(rng.randrange(3))]
+    return _rule(f"f{n}", sources, pos, neg,
+                 _random_target(rng, sorted(set(derivs))))
+
+
+def test_the_check_where_rules_are_read_equals_the_walk_over_each_rule():
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(seed)
+        blocks = [(_random_rule(rng), rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 3))]
+        text = CHECK_DECLS + "".join(_block(r, tpl) for r, tpl in blocks)
+        expected = [v for r, _ in blocks for v in validate_rule(r)]
+        kinds |= {v.kind for v in expected}
+        if expected:
+            with pytest.raises(RuleFormatError) as err:
+                parse_spec(text)
+            assert err.value.violations == expected, seed
+            # a syntax error later in the text wins over every violation
+            with pytest.raises(SpecSyntaxError):
+                parse_spec(text + "rule ---")
+        else:
+            assert list(parse_spec(text).rules) == [
+                r for rule, tpl in blocks for r in _instances(rule, tpl)]
+    assert kinds == {"DuplicateSource", "DuplicateDerivative",
+                     "ForeignPremiseSource", "ForeignTargetVariable"}
+
+
+def test_a_template_with_no_instance_is_not_checked():
+    text = ("actions a;\nop f : 1;\nrule forall c in {}:\n  ---\n"
+            "  f(x1) --c--> delta(y)\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_spec(text).rules == ()
+    assert [w.category for w in caught] == [EmptyExpansion]
+    with pytest.raises(RuleFormatError) as err:
+        parse_spec(text.replace("{}", "{a}"))
+    assert str(err.value) == "rule for f: target mentions y"
 
 
 def test_print_parse_round_trip(pa_doc, examples_doc):

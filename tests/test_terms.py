@@ -12,6 +12,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsos import terms
 from pgsos.errors import ArityMismatch, KindMismatch
@@ -35,7 +37,8 @@ from pgsos.terms import (
     substitute,
 )
 
-from helpers import assert_one_object, embed, instantiate, is_closed
+from helpers import (assert_one_object, convex_sum_reference, embed,
+                     instantiate, is_closed)
 
 X = state_var("x")
 Y = state_var("y")
@@ -86,6 +89,40 @@ def test_convex_sum_rejects_bad_weights():
         convex_sum([(Fraction(1, 2), d0), (Fraction(1, 3), d1)])
     with pytest.raises(ValueError):
         ConvexSum(((d0, Fraction(2)), (d1, Fraction(-1))))
+
+
+SUMMANDS = [InstDirac(ZERO), InstDirac(A_ZERO), MU, DistVariable("nu"),
+            DistApply("par", (MU, InstDirac(X))),
+            convex_sum([(Fraction(1, 2), MU), (Fraction(1, 2), InstDirac(ZERO))]),
+            convex_sum([(Fraction(1, 3), DistVariable("nu")),
+                        (Fraction(2, 3), MU)])]
+
+
+def _built(build, parts):
+    """The node ``build(parts)`` returns, or the message of its error."""
+    try:
+        return build(parts)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4),
+                          st.integers(0, len(SUMMANDS) - 1)),
+                min_size=1, max_size=5),
+       st.sampled_from(["normalised", "fraction", "int"]))
+def test_convex_sum_builds_the_node_of_its_merging_loop(drawn, weights):
+    # distinct, repeated and nested summands, with weights that sum to 1,
+    # or that may be zero or not sum to 1, as Fractions or as ints
+    total = sum(w for w, _ in drawn)
+    parts = [(Fraction(w, total) if weights == "normalised" and total
+              else Fraction(w) if weights != "int" else w, SUMMANDS[k])
+             for w, k in drawn]
+    got = _built(convex_sum, iter(parts))
+    want = _built(convex_sum_reference, parts)
+    # the node table keys a sum by its entries in order, so ``is`` also
+    # compares the order of the summands
+    assert got is want or got == want and isinstance(want, str)
 
 
 def test_free_vars_and_closedness():
