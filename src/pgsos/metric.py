@@ -11,8 +11,10 @@ point solved over class ids, with each class's moves lifted to masses on
 class ids, gives the same value.  The classes are found one strongly
 connected component of the fragment's support graph at a time: a state
 that reaches a cycle is a class of its own, any other gets a bottom-up
-signature.  Everything is rational: the transport problems are solved
-exactly by :func:`pgsos.lp.solve_transport`.
+signature.  Bisimilarity is a congruence for the rule format, so a
+composite state whose operator and argument classes were met before takes
+that class without its moves derived.  Everything is rational: the
+transport problems are solved exactly by :func:`pgsos.lp.solve_transport`.
 
 Pairs that depend on one another in a cycle are solved one cyclic
 component at a time, exactly, as a game: strategy iteration for the
@@ -81,8 +83,8 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
     One walk from the roots visits only the states no earlier query has
     classified, the roots among them checked to be closed: a classified
     state is a leaf, as its successors are classified too.  More than
-    ``max_states`` states to visit raise :class:`StateLimitExceeded`
-    before any id is given.  The states visited are classified one
+    ``max_states`` states to visit raise :class:`StateLimitExceeded`, and
+    leave every table as it was.  The states visited are classified one
     strongly connected component of the support graph at a time, each
     after every component it reaches.  A component's states stand for
     themselves (their signature key is the state), which is exact but
@@ -94,15 +96,32 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
     sorted entries and so by no hash; states with equal signatures are
     bisimilar.  That signature is the class's moves: the ``"class moves"``
     table holds the key object itself, and for a class that stands for
-    itself, its state's moves lifted the same way.  Signatures depend on
-    the specification alone, so all three tables live in the document's
-    memo, and a later query pays only for states no earlier one saw."""
+    itself, its state's moves lifted the same way.
+
+    A composite state ``f(t1, ..., tn)`` is first looked up by its key
+    ``(f, class(t1), ..., class(tn))`` in ``"classes by key"``: found, it
+    takes that class as one state visited, with no move derived and no
+    successor walked.  An argument with no class, whose moves are known
+    and whose successors have classes, gets one by a lifting, never by a
+    derivation.  After the walk every classified composite state that does
+    not stand for itself adds its key, if its arguments have classes.
+    Bisimilarity is a congruence for the PGSOS format (Bartels, PhD thesis,
+    2004; D'Argenio & Lee, FoSSaCS 2012), which the parser enforces:
+    sources and derivatives distinct, premises only on sources, no other
+    variable in the target.  Only bisimilar states share a class id, so
+    equal keys mean bisimilar states; the solver reads a class only through
+    ``"class moves"``, and distances depend only on the bisimulation class.
+    A state bisimilar to one that stands for itself reaches a cycle too, so
+    such a state adds no key.  Signatures and keys depend on the
+    specification alone, so the tables live in the document's memo, and a
+    later query pays only for states no earlier one saw."""
     class_of = doc.memo("state classes")
     fresh = [r for r in dict.fromkeys(roots) if r not in class_of]
     if not fresh:
         return class_of
     signatures = doc.memo("class signatures")
     class_moves = doc.memo("class moves")
+    by_key = doc.memo("classes by key")
     moves_of = doc.memo("transitions")
     for r in fresh:
         check_closed(doc, r, ROOTS_CLOSED)
@@ -110,8 +129,31 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
         raise StateLimitExceeded(
             f"{len(fresh)} roots already exceed max_states={max_states}")
     reached = set(fresh)  # counted when found, before their moves are derived
+    given: list[StateTerm] = []  # classified during the walk, undone if refused
+
+    def key(s: StateTerm) -> tuple | None:
+        """``(s.op, class of each argument)``, or None while an argument
+        has no class and cannot get one by lifting its known moves."""
+        out = [s.op]
+        for x in s.args:
+            c = class_of.get(x)
+            if c is None and x in moves_of and all(
+                    y in class_of for pis in moves_of[x].values()
+                    for pi in pis for y, _ in pi):
+                c = signatures.get(lifted(x))  # None for a new class
+                if c is not None:
+                    class_of[x] = c
+                    given.append(x)
+            if c is None:
+                return None
+            out.append(c)
+        return tuple(out)
 
     def unclassified(s: StateTerm) -> list[StateTerm]:
+        if s.args and (c := by_key.get(key(s))) is not None:
+            class_of[s] = c
+            given.append(s)
+            return []
         out = [x for pis in transitions(doc, s).values() for pi in pis
                for x, _ in pi if x not in class_of]
         reached.update(out)
@@ -133,8 +175,16 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
                                       key=lambda pi: sorted(pi.entries))))
                      for a, pis in moves_of[s].items())
 
-    for comp in strongly_connected_components(fresh, unclassified):
+    try:
+        comps = strongly_connected_components(fresh, unclassified)
+    except StateLimitExceeded:
+        for s in given:
+            del class_of[s]
+        raise
+    for comp in comps:
         s = comp[0]
+        if s in class_of:  # by key or by lifting, during the walk
+            continue
         if len(comp) > 1 or any(x == s or x in signatures
                                 for pis in moves_of[s].values()
                                 for pi in pis for x, _ in pi):
@@ -146,6 +196,10 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
             moves = lifted(s)
             class_of[s] = signatures.setdefault(moves, len(signatures))
             class_moves.setdefault(class_of[s], moves)
+    for comp in comps:
+        for s in comp:
+            if s.args and s not in signatures and (k := key(s)) is not None:
+                by_key.setdefault(k, class_of[s])
     return class_of
 
 
@@ -190,7 +244,8 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
 
     Two budgets refuse a distance.  ``max_states`` bounds the states this
     query has to classify, a state an earlier query classified counting as
-    none, so for a fresh document it bounds the joint reachable fragment;
+    none and one classified by its key as one with no successors, so for a
+    fresh document it bounds the joint reachable fragment;
     exceeding it raises :class:`StateLimitExceeded`.  ``max_pairs``
     optionally bounds the class pairs this query walks, a stored pair
     counting as one and its cone as none; exceeding it raises

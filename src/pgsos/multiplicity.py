@@ -279,24 +279,26 @@ def p_leq(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:
     ``sum_{m'} w(m',m)*m'(x) <= (sum_{m'} w(m',m))*m(x)``; rows with an
     infinite count at ``x`` may only feed columns that are infinite at
     ``x``.  This is a rational feasibility problem.
+
+    The expected counts refute it first, exactly: ``p1 <= p2`` implies
+    ``weighting_of(p1) <= weighting_of(p2)`` at each ``x``.  A column
+    infinite at ``x`` has positive mass, so ``p2``'s count is ``INF``;
+    otherwise no row is infinite at ``x`` (it has mass and may feed no
+    column), and summing the column constraints over the columns gives
+    ``sum_{m'} p1(m')*m'(x) <= sum_m p2(m)*m(x)``.  For a Dirac ``p2`` the
+    coupling is forced and this is the whole condition.
     """
     if p1 == p2:
         return True
-    if p1.is_dirac() and p2.is_dirac():
-        return p1.support()[0].pointwise_leq(p2.support()[0])
-    if p2.is_dirac():
-        # a single column: the coupling is forced and the column condition
-        # is the expectation bound per variable
-        m2 = p2.support()[0]
-        w = weighting_of(p1)
-        return all(ext_leq(w.get(x), m2.get(x))
-                   for x in set(w.vars()) | set(m2.vars()))
     if p1.is_dirac():
         # a single row: every column receives only m1, whose conditional
         # weighting is m1 itself
         m1 = p1.support()[0]
         return all(m1.pointwise_leq(m2) for m2 in p2.support())
-    return _p_leq_lp(p1, p2)
+    w2 = weighting_of(p2)
+    if not all(ext_leq(n, w2.get(x)) for x, n in weighting_of(p1).entries):
+        return False
+    return p2.is_dirac() or _p_leq_lp(p1, p2)
 
 
 def _p_leq_lp(p1: ProbMultiplicity, p2: ProbMultiplicity) -> bool:

@@ -564,6 +564,17 @@ def test_distance_refusal_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["explore", "distance"])
+def test_more_roots_than_the_state_budget_exit_one(capsys, monkeypatch,
+                                                   command):
+    # a fresh memo, so that neither root is classified by an earlier test
+    monkeypatch.setattr(frontend, "_MEMO_TABLES", {})
+    code, out, err = run(capsys, command, PA, "aa0", "pa0",
+                         "--max-states", "1")
+    assert (code, out) == (1, "")
+    assert err == "refused: 2 roots already exceed max_states=1\n"
+
+
 # the pair budget tests run on a fresh memo: a root pair that an earlier
 # test solved would answer at once
 DISTANCE_PAR = ["distance", PA, "par(pa0, pa0)", "par(aa0, pa0)"]

@@ -1,5 +1,6 @@
 """Transport lifting, set lifting, and the behavioural-distance fixpoint."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -308,6 +309,19 @@ def test_a_refused_walk_leaves_the_class_tables_as_they_were(pa_doc,
     with pytest.raises(StateLimitExceeded):
         bisim_distance(doc, u, v, max_states=17)
     assert {name: dict(doc.memo(name)) for name in tables} == before
+
+
+def test_more_roots_than_the_state_budget_refuse_before_any_walk(
+        pa_doc, fresh_memo):
+    doc = fresh_memo(pa_doc)
+    u, v = t(doc, "aa0"), t(doc, "pa0")
+    for refuse in (lambda: metric._classify(doc, [u, v, u], 1),
+                   lambda: bisim_distance(doc, u, v, max_states=1)):
+        with pytest.raises(StateLimitExceeded) as refusal:
+            refuse()
+        assert str(refusal.value) == "2 roots already exceed max_states=1"
+    assert doc.memo("transitions") == {}
+    assert doc.memo("state classes") == {}
 
 
 def test_classified_roots_are_neither_walked_nor_checked(pa_doc, fresh_memo,
@@ -746,3 +760,108 @@ def test_a_solved_class_pair_poses_no_transport(pa_doc, fresh_memo,
     assert transports(doc, 3) == 0
     # the smaller chains' pairs all lie below the larger ones'
     assert transports(doc, 2) == 0
+
+
+# -- classes by key: a composite state classified through its arguments ------
+
+PERTURBED_LEAVES = ("ppref_a_9_1(pref_b(zero), zero)",
+                    "ppref_a_5_5(pref_a(zero), zero)",
+                    "ppref_a_9_1(zero, pref_a(zero))")
+
+
+def _chain(doc, ops, leaves):
+    text = leaves[0]
+    for op, leaf in zip(ops, leaves[1:]):
+        text = f"{op}({text}, {leaf})"
+    return t(doc, text)
+
+
+def test_a_warm_document_answers_chains_as_fresh_ones_do(pa_doc, fresh_memo):
+    # par/parB/ipar chains over pa0, each against itself with one leaf
+    # perturbed, and pairs of random recursive specifications, asked in
+    # one warm document per specification in a shuffled order: the later
+    # queries meet composite states whose arguments' classes are known,
+    # and each answer must equal a fresh document's, and on small
+    # fragments the brute-force game's
+    rng = random.Random(41)
+    pa = fresh_memo(pa_doc)
+    asked = []
+    for n in (1, 2):
+        for ops in itertools.product(("par", "parB", "ipar"), repeat=n):
+            for pos in range(n + 1):
+                leaves = ["pa0"] * (n + 1)
+                pair = [_chain(pa, ops, leaves)]
+                for leaf in PERTURBED_LEAVES:
+                    leaves[pos] = leaf
+                    pair.append(_chain(pa, ops, leaves))
+                asked += [(pa, pair[0], v) for v in pair[1:]]
+                asked.append((pa, pair[1], pair[2]))
+    for _ in range(15):
+        text, names = random_cyclic_spec(rng)
+        doc = parse_spec(text)
+        terms = [t(doc, x) for x in names + ["zero"]]
+        terms += [Apply("alt", (x, y)) for x in terms for y in terms]
+        asked += [(doc, *rng.sample(terms, 2)) for _ in range(8)]
+    rng.shuffle(asked)
+    brute = {"pa": 0, "cyclic": 0}
+    for doc, u, v in asked:
+        warm = bisim_distance(doc, u, v)
+        fresh = fresh_memo(doc)
+        assert warm == bisim_distance(fresh, u, v)
+        side = "pa" if doc is pa else "cyclic"
+        if side == "pa" and brute["pa"] >= 6:  # a game on pa takes 0.3 s
+            continue
+        frag = explore_fragment(fresh, [u, v])
+        if len(frag.states) <= (8 if side == "pa" else 12):
+            deps, reaches = pair_dependencies(fresh, frag, u, v)
+            if sum(p in reaches[p] for p in deps) <= 2:
+                assert warm == game_distance_bruteforce(fresh, frag, u, v)
+                brute[side] += 1
+    assert brute["pa"] == 6 and brute["cyclic"] >= 60
+    # states that took their class by key have no moves derived
+    moves_of = pa.memo("transitions")
+    assert sum(s not in moves_of for s in pa.memo("state classes")) >= 100
+
+
+def test_a_state_is_classified_by_its_arguments_classes(pa_doc, fresh_memo):
+    # alt(aa0, aa0) is bisimilar to aa0 but is another term: once
+    # ipar(aa0, zero) has added its key, ipar(alt(aa0, aa0), zero) takes
+    # its class without a move derived, and its distance is unchanged
+    doc = fresh_memo(pa_doc)
+    aa0, zero = t(doc, "aa0"), t(doc, "zero")
+    twin = t(doc, "alt(aa0, aa0)")
+    assert bisim_distance(doc, twin, aa0) == 0
+    known, other = t(doc, "ipar(aa0, zero)"), t(doc, "ipar(pa0, zero)")
+    value = bisim_distance(doc, known, other)
+    class_of = doc.memo("state classes")
+    assert doc.memo("classes by key")[("ipar", class_of[aa0],
+                                       class_of[zero])] == class_of[known]
+    decided = Apply("ipar", (twin, zero))
+    # a walk refused after it has decided that state gives its class back
+    tables = ("state classes", "classes by key", "class signatures",
+              "class moves")
+    before = {name: dict(doc.memo(name)) for name in tables}
+    with pytest.raises(StateLimitExceeded):
+        metric._classify(doc, [decided, _ipar_chain(doc, 3, "pb0")], 10)
+    assert {name: dict(doc.memo(name)) for name in tables} == before
+    assert bisim_distance(doc, decided, other) == value == F(1, 10)
+    assert class_of[decided] == class_of[known]
+    assert decided not in doc.memo("transitions")
+    assert bisim_distance(fresh_memo(pa_doc), decided, other) == value
+
+
+def test_a_state_that_reaches_a_cycle_gives_its_class_to_no_key(loops_doc,
+                                                                fresh_memo):
+    # ipar(loop_1_2, par(zero, zero)) has the operator and argument classes
+    # of ipar(loop_1_2, zero), which reaches a cycle and so stands for
+    # itself: the two are bisimilar, but each keeps a class of its own
+    doc = fresh_memo(loops_doc)
+    assert bisim_distance(doc, t(doc, "zero"), t(doc, "par(zero, zero)")) == 0
+    u = t(doc, "ipar(loop_1_2, zero)")
+    v = t(doc, "ipar(loop_1_2, par(zero, zero))")
+    metric._classify(doc, [t(doc, "loop_1_2"), u])
+    class_of = metric._classify(doc, [v])
+    signatures = doc.memo("class signatures")
+    assert u in signatures and v in signatures
+    assert class_of[u] != class_of[v]
+    assert bisim_distance(doc, u, v) == 0

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsos import multiplicity
 from pgsos.multiplicity import (
@@ -46,7 +48,7 @@ from pgsos.multiplicity import (
 )
 from pgsos.terms import state_var
 
-from helpers import (E_ZERO, assert_one_object, degraded_pair,
+from helpers import (E_ZERO, assert_one_object, degrade, degraded_pair,
                      random_prob_multiplicity)
 
 F = Fraction
@@ -198,6 +200,43 @@ def test_infinite_rows_must_feed_infinite_columns():
     assert not p_leq(pinf, big)
     assert p_leq(big, pinf)
     assert p_leq(pinf, pinf)
+
+
+@st.composite
+def _related_or_not(draw):
+    """A pair of small probabilistic multiplicities over three variables,
+    counts ``INF`` included: half of the pairs ordered by construction,
+    the others drawn independently."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p2 = random_prob_multiplicity(rng)
+    if draw(st.booleans()):
+        return degrade(rng, p2), p2
+    return random_prob_multiplicity(rng), p2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_related_or_not())
+def test_p_leq_agrees_with_its_linear_program(pair):
+    # the Dirac shortcuts and the refutation by expected counts decide
+    # exactly what the feasibility problem decides
+    p1, p2 = pair
+    assert p_leq(p1, p2) == multiplicity._p_leq_lp(p1, p2)
+
+
+def test_a_pair_refuted_by_its_expected_counts_poses_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("the linear program was posed")
+
+    monkeypatch.setattr(multiplicity, "simplex_min", no_lp)
+    # expected copies of x: 3 against 3/2, so p1 <= p2 cannot hold
+    p1 = ProbMultiplicity.from_pairs([(mult({X: 2}), F(1, 2)),
+                                      (mult({X: 4}), F(1, 2))])
+    p2 = ProbMultiplicity.from_pairs([(unit(X), F(1, 2)),
+                                      (mult({X: 2}), F(1, 2))])
+    assert not p_leq(p1, p2)
+    # the other way the counts agree, so only the program decides
+    with pytest.raises(AssertionError, match="was posed"):
+        p_leq(p2, p1)
 
 
 # -- generator sets ---------------------------------------------------------

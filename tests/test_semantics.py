@@ -212,6 +212,13 @@ def test_state_limit_refuses_the_closure(examples_doc):
                          max_states=8)
 
 
+def test_more_roots_than_the_state_budget_are_refused_at_once(pa_doc):
+    roots = [t(pa_doc, "aa0"), t(pa_doc, "pa0"), t(pa_doc, "aa0")]
+    with pytest.raises(StateLimitExceeded) as refusal:
+        explore_fragment(pa_doc, roots, max_states=1)
+    assert str(refusal.value) == "2 roots already exceed max_states=1"
+
+
 def test_depth_limit(pa_doc):
     with pytest.raises(DepthLimitExceeded):
         explore_fragment(pa_doc, [t(pa_doc, "aa0")], max_depth=1)
