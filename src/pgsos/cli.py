@@ -25,11 +25,11 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from . import continuity as cont
-from .denotation import generic_application, lfp_denotations
+from .denotation import bound_distance, generic_application, lfp_denotations
 from .errors import AnalysisRefusal, InputError
 from .frontend import SpecDocument, parse_spec, parse_term
 from .metric import bisim_distance
-from .multiplicity import INF, ProcessDistance, da, process_distance
+from .multiplicity import INF, ProcessDistance, process_distance
 from .oracle import oracle_suite
 from .semantics import DEFAULT_MAX_STATES, derive_transitions, explore_fragment
 from .terms import Variable, format_rational, format_term, free_vars
@@ -232,9 +232,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     e = parse_dist(args.dist)
     missing = [v.name for v in sorted(free_vars(t), key=lambda v: v.name)
                if e.get(v) == 0 and isinstance(v, Variable)]
-    den = lfp_denotations(doc)
-    value = da(den.genset(t), e)
-    widened, over_approximated = den.flags(t)
+    value = bound_distance(doc, t, e)
+    widened, over_approximated = lfp_denotations(doc).flags(t)
     flags = {"widened": widened, "over_approximated": over_approximated,
              "zero_distance_variables": missing}
     emit(args, "bound", doc,

@@ -220,7 +220,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
     that can reach a cycle are classes of their own.  A pair of classes is
     kept with the smaller id first; ids are given in an order that follows
     the walk from the roots, so no order the solver sees depends on the
-    hash seed.
+    hash seed or on node addresses.
 
     The fixed point is solved only on the pairs of classes the root pair
     transitively depends on — the supports of compared transition

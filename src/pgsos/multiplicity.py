@@ -10,8 +10,9 @@ spawns ``m(x)`` copies of an argument at distance ``e(x)`` can tell the two
 instances apart with probability at most ``1 - prod_x (1-e(x))**m(x)``.
 
 Every value of the domain is hash-consed like a term (``terms._Node``):
-equal values are one object while they live, the hash is computed once,
-and equality tests identity first, so values serve cheaply as dict keys.
+equal values are one object while they live, so equality is identity,
+except that a probabilistic multiplicity compares as a map, like every
+distribution.
 
 The probabilistic order ``p_leq`` is decided exactly by rational linear
 feasibility.
@@ -39,10 +40,6 @@ class _Infinity:
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __hash__(self) -> int:
-        # a constant, so values holding INF hash the same in every run
-        return hash(float("inf"))
 
 
 INF = _Infinity()
@@ -88,8 +85,8 @@ def format_count(n: ExtRational) -> str:
 
 class _VarMap(_Node):
     """A finitely supported map from variables, as ``entries`` sorted by
-    :func:`_by_var`; zero entries are never stored, so equality is
-    structural.  ``zero`` is the value of every other variable."""
+    :func:`_by_var`; zero entries are never stored, so each map has one
+    form.  ``zero`` is the value of every other variable."""
 
     __slots__ = ()
     entries: tuple

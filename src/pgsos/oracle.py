@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .denotation import lfp_denotations
-from .errors import AllSamplesSkipped, AnalysisRefusal
+from .denotation import bound_distance
+from .errors import AllSamplesSkipped, AnalysisRefusal, InputError
 from .frontend import SpecDocument
 from .metric import bisim_distance
-from .multiplicity import da, process_distance
+from .multiplicity import process_distance
 from .semantics import DEFAULT_MAX_STATES
 from .terms import (Apply, StateTerm, Variable, format_term, free_vars,
                     substitute)
@@ -175,7 +175,7 @@ def evaluate_sample(doc: SpecDocument, t: StateTerm,
                                max_pairs=max_pairs)
     except AnalysisRefusal:
         return "refused"
-    bound = da(lfp_denotations(doc).genset(t), process_distance(dists))
+    bound = bound_distance(doc, t, process_distance(dists))
     if not exact <= bound:
         raise RuntimeError(
             f"exact distance {exact} exceeds bound {bound} for "
@@ -202,8 +202,12 @@ def oracle_suite(doc: SpecDocument, term: StateTerm | None = None, *,
     Each sample draws a pair of substitutions into ``term``, or first
     draws an open term over :data:`VARIABLES` when ``term`` is None.  The
     same document, term and parameters give the same summary.  Raises
+    ``InputError`` when the spec has no closed term to draw, and
     ``AllSamplesSkipped`` when no sample was compared.
     """
+    if not doc.abbreviations and all(n for _, n in doc.signature.operators):
+        raise InputError("the spec has no constant or abbreviation to build "
+                         "closed terms from")
     rng = random.Random(seed)
     results: list[SampleResult] = []
     skipped: dict[str, int] = {}

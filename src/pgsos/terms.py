@@ -9,7 +9,8 @@ Two syntactic categories are defined over a signature of ranked operators:
 
 Every term, variable, rule and distribution is hash-consed: it is built
 through one weak table, so equal values are one object while they live,
-and equality tests identity, then fields.  All probabilities are exact
+and equality is identity, except that a distribution compares as a map
+from points to masses.  All probabilities are exact
 :class:`fractions.Fraction` values, so every comparison in the rest of the
 package is tolerance-free.
 """
@@ -56,18 +57,14 @@ class Signature:
 class _Node:
     """An immutable value built through one weak-valued unique table, so
     every term, variable, rule, distribution and multiplicity value is one
-    object per value while it lives.
+    object per value while it lives, and equality is identity.
 
     A subclass lists its fields in ``__slots__``; the table is keyed by the
-    class and the fields and keeps no value alive.  The hash is computed
-    once, at construction, and is the one a frozen dataclass with these
-    fields computes, so sets and dicts iterate in that order.  Equality
-    tests identity, then class, hash and fields; the fields' nodes are
-    shared, so the compare stops at them and never recurses.  Copies and
-    unpickled values are rebuilt through the table: the same object.
+    class and the fields and keeps no value alive.  Copies and unpickled
+    values are rebuilt through the table: the same object.
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, *fields):
         key = (cls, fields)
@@ -75,20 +72,16 @@ class _Node:
         if node is None:
             if len(fields) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
-            node = cls._build(fields, hash(fields))
+            node = cls._build(fields)
             _TABLE[key] = KeyedRef(node, _drop, key)
         return node
 
     @classmethod
-    def _build(cls, fields: tuple, value_hash: int) -> "_Node":
+    def _build(cls, fields: tuple) -> "_Node":
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
-        object.__setattr__(node, "_hash", value_hash)
         return node
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -96,27 +89,13 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._same_fields(other)
-
-    def _same_fields(self, other: "_Node") -> bool:
-        return self._values() == other._values()
-
     def __repr__(self) -> str:
         shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def __reduce__(self) -> tuple:
-        # the stored hash holds only in this process (string hashing is
-        # salted), so an unpickled value is rebuilt and hashed afresh
-        return (self.__class__, self._values())
+        return (self.__class__,
+                tuple(getattr(self, name) for name in self.__slots__))
 
 
 _TABLE: dict[object, KeyedRef] = {}  # table key -> weak reference to its node
@@ -133,13 +112,14 @@ class Distribution(_Node):
     with its mass, every mass positive and all summing to exactly 1.
 
     Entries keep the order they were given in, which is part of the table
-    key, but equality and hashing compare them as a map from points to
-    masses: values that differ only in that order are equal, and the table
-    finds a node above one from either order.  A subclass names the points
-    and declares the ``entries`` slot.
+    key.  Unlike other nodes, a distribution compares and hashes as a map
+    from points to masses, its hash stored at construction: two orders of
+    one distribution are two equal nodes, and the table finds a node above
+    one from either order.  A subclass names the points and declares the
+    ``entries`` slot.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     entries: tuple
     _masses = "masses"  # what errors call them
 
@@ -158,12 +138,21 @@ class Distribution(_Node):
             if num != den:
                 total = format_rational(Fraction(num, den))
                 raise ValueError(f"{cls._masses} sum to {total}, expected 1")
-            node = cls._build((entries,), key.hash)
+            node = cls._build((entries,))
+            object.__setattr__(node, "_hash", key.hash)
             _TABLE[key] = KeyedRef(node, _drop, key)
         return node
 
-    def _same_fields(self, other: "Distribution") -> bool:
-        return (len(self.entries) == len(other.entries)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash
+                and len(self.entries) == len(other.entries)
                 and dict(self.entries) == dict(other.entries))
 
     @classmethod

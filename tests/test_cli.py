@@ -512,6 +512,19 @@ def test_a_spec_without_a_declaration_is_an_input_error(tmp_path, capsys,
     assert err == "error: empty specification (line 1, column 1)\n"
 
 
+@pytest.mark.parametrize("term", [[], ["f(x)"]], ids=["drawn", "fixed"])
+def test_oracle_without_a_closed_term_is_an_input_error(tmp_path, capsys,
+                                                         term):
+    spec = tmp_path / "noconst.pgsos"
+    spec.write_text("actions a;\nop f : 1;\n"
+                    "rule:\n  x1 --a--> m1\n  ---\n  f(x1) --a--> f(m1)\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "oracle", str(spec), *term)
+    assert (code, out) == (2, "")
+    assert err == ("error: the spec has no constant or abbreviation to "
+                   "build closed terms from\n")
+
+
 def test_unknown_operator_is_an_input_error(capsys):
     code, _, err = run(capsys, "continuity", PA, "missing_op")
     assert code == 2

@@ -112,6 +112,8 @@ def test_prob_multiplicity_merges_and_validates():
         ProbMultiplicity(((unit(X), F(1, 2)),))
     with pytest.raises(ValueError, match="masses must be positive, got 0"):
         ProbMultiplicity(((unit(X), F(0)), (M_ZERO, F(1))))
+    with pytest.raises(ValueError, match="multiplicity value -1 for x"):
+        mult({X: -1})
 
 
 def test_lift_sum_is_convolution():
@@ -133,20 +135,18 @@ def test_weighting_is_expected_count():
 
 def test_every_domain_value_is_one_object_per_value():
     m = mult({X: 2, Y: INF})
-    assert_one_object(lambda: mult({Y: INF, X: 2}), hash((m.entries,)))
-    assert_one_object(lambda: Multiplicity(()), hash(((),)))
+    assert_one_object(lambda: mult({Y: INF, X: 2}))
+    assert_one_object(lambda: Multiplicity(()))
     p = ProbMultiplicity.from_pairs([(m, F(1, 3)), (unit(X), F(2, 3))])
     assert_one_object(
         lambda: ProbMultiplicity(((unit(X), F(2, 3)), (m, F(1, 3)))),
         hash(frozenset(p.entries)))
-    assert_one_object(lambda: GenSet((p, P_ZERO)), hash(((p, P_ZERO),)))
+    assert_one_object(lambda: GenSet((p, P_ZERO)))
     w = weighting_of(p)
     assert w.entries == ((X, F(4, 3)), (Y, INF))
-    assert_one_object(lambda: Weighting(((X, F(4, 3)), (Y, INF))),
-                      hash((w.entries,)))
+    assert_one_object(lambda: Weighting(((X, F(4, 3)), (Y, INF))))
     e = process_distance({X: F(1, 10)})
-    assert_one_object(lambda: process_distance({X: F(1, 10)}),
-                      hash((e.entries,)))
+    assert_one_object(lambda: process_distance({X: F(1, 10)}))
     assert ProcessDistance(()) is E_ZERO
 
     # values are frozen and print as the dataclasses they replace did
@@ -250,6 +250,8 @@ def test_genset_normalize_drops_dominated():
         genset_normalize([])
     with pytest.raises(ValueError):
         GenSet(())
+    with pytest.raises(ValueError, match="sup of an empty"):
+        sup_approx([])
 
 
 def test_genset_order_and_equivalence():

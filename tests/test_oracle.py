@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgsos import oracle
+from pgsos import denotation
 from pgsos.errors import AllSamplesSkipped
 from pgsos.frontend import parse_term
 from pgsos.oracle import (
@@ -116,7 +116,7 @@ def test_unsound_denotations_are_caught(examples_doc, monkeypatch):
     assert isinstance(sound, SampleResult)
     assert sound.exact == F(1, 10) and sound.bound == F(1, 10)
     unsound = unsound_denotations(examples_doc)
-    monkeypatch.setattr(oracle, "lfp_denotations", lambda doc: unsound)
+    monkeypatch.setattr(denotation, "lfp_denotations", lambda doc: unsound)
     with pytest.raises(RuntimeError, match="exceeds bound"):
         evaluate_sample(examples_doc, term, s1, s2)
 
