@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .denotation import generic_application, lfp_denotations
+from .denotation import _measure, generic_application, lfp_denotations
 from .errors import ArityMismatch, UnsupportedModulusShape
 from .frontend import SpecDocument
 from .multiplicity import (INF, ExtRational, ext_add, ext_leq, ext_mul,
                            format_count, sup_approx, sup_is_exact)
-from .terms import Var
 
 VERDICT_CONTINUOUS = "uniformly-continuous"
 VERDICT_NOT_SHOWN = "not-shown"
@@ -108,20 +107,11 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
     gens = tuple(den.genset(generic))
     widened, over_approximated = den.flags(generic)
 
-    reasons: list[str] = []
-    worst = Fraction(0)
-    infinite_vars: list[Var] = []
-    for p in gens:
-        w = den.weighting(p)
-        for x, v in w.entries:  # f(x1..xn)'s generators count x1..xn only
-            if v is INF:
-                if x not in infinite_vars:
-                    infinite_vars.append(x)
-            elif not ext_leq(v, worst):
-                worst = v
-
-    for x in sorted(infinite_vars, key=lambda v: v.name):
-        reasons.append(f"infinite coefficient at {x.name}")
+    # f(x1..xn)'s generators count x1..xn only
+    counts = _measure(gens, den.weighting)
+    infinite_vars = sorted((x for x, v in counts.items() if v is INF),
+                           key=lambda v: v.name)
+    reasons = [f"infinite coefficient at {x.name}" for x in infinite_vars]
     # only widening makes a count infinite
     if infinite_vars:
         reasons.append("denotation required widening of an unbounded "
@@ -136,7 +126,7 @@ def is_uniformly_continuous(doc: SpecDocument, op: str) -> ContinuityReport:
 
     if not infinite_vars:
         verdict = VERDICT_CONTINUOUS
-        copies = math.ceil(worst) if sources else 0
+        copies = math.ceil(max(counts.values(), default=0))
         annotation = None
     else:
         verdict = VERDICT_NOT_SHOWN

@@ -1,6 +1,6 @@
-"""Exact linear programming over rationals.
+"""Exact linear programs and linear systems over rationals.
 
-Two solvers, both on :class:`fractions.Fraction`, so optima are exact and
+Three solvers, all on :class:`fractions.Fraction`, so answers are exact and
 ties are decided without tolerances:
 
 - :func:`solve_transport` solves the optimal-transport problems of the
@@ -10,6 +10,8 @@ ties are decided without tolerances:
 - :func:`simplex_min` is a small dense two-phase simplex with Bland's
   anti-cycling rule, for general equality/inequality systems such as the
   coupling-feasibility checks of the multiplicity order.
+- :func:`solve_linear` solves the policy systems of the cyclic distance
+  solver by Gauss-Jordan elimination on the simplex's pivot.
 """
 
 from __future__ import annotations
@@ -119,9 +121,11 @@ def _optimise(rows: list[list[Fraction]], rhs: list[Fraction],
 
 def _pivot(rows: list[list[Fraction]], rhs: list[Fraction],
            basis: list[int], r: int, c: int) -> None:
+    """Make column ``c`` a unit column, basic in row ``r``, in place."""
     piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    rhs[r] = rhs[r] / piv
+    if piv != 1:
+        rows[r] = [v / piv for v in rows[r]]
+        rhs[r] = rhs[r] / piv
     for i in range(len(rows)):
         if i != r and rows[i][c] != 0:
             factor = rows[i][c]
@@ -143,6 +147,30 @@ def _drive_out_artificials(rows: list[list[Fraction]], rhs: list[Fraction],
                 continue
             _pivot(rows, rhs, basis, i, pivot_col)
         i += 1
+
+
+def solve_linear(rows: dict) -> dict:
+    """The solution of ``x[p] = sum(c * x[q]) + b``, one equation ``({q: c},
+    b)`` per key ``p`` of ``rows``, where ``I - C`` is non-singular, keyed
+    in the order of ``rows``: each column is pivoted in the first row not
+    yet pivoted with a non-zero entry there."""
+    order = list(rows)
+    index = {p: i for i, p in enumerate(order)}
+    n = len(order)
+    matrix = []
+    for i, (coeffs, _) in enumerate(rows.values()):
+        line = [ZERO] * n
+        line[i] = ONE
+        for q, c in coeffs.items():
+            line[index[q]] -= c
+        matrix.append(line)
+    rhs = [b for _, b in rows.values()]
+    basis = [-1] * n
+    for col in range(n):
+        _pivot(matrix, rhs, basis,
+               next(r for r in range(n) if basis[r] < 0 and matrix[r][col]),
+               col)
+    return {order[col]: x for col, x in sorted(zip(basis, rhs))}
 
 
 def solve_transport(cost: Sequence[Sequence[Fraction]],

@@ -34,9 +34,9 @@ from typing import Callable, Sequence
 from .errors import PairLimitExceeded, StateLimitExceeded
 from .frontend import SpecDocument
 from .graphs import strongly_connected_components
-from .lp import solve_transport
+from .lp import solve_linear, solve_transport
 from .semantics import (DEFAULT_MAX_STATES, ROOTS_CLOSED, check_closed,
-                        transitions)
+                        checked_roots, transitions)
 from .terms import Distribution, FiniteDistribution, StateTerm
 
 
@@ -116,18 +116,14 @@ def _classify(doc: SpecDocument, roots: Sequence[StateTerm],
     specification alone, so the tables live in the document's memo, and a
     later query pays only for states no earlier one saw."""
     class_of = doc.memo("state classes")
-    fresh = [r for r in dict.fromkeys(roots) if r not in class_of]
+    fresh = checked_roots(doc, (r for r in roots if r not in class_of),
+                          max_states)
     if not fresh:
         return class_of
     signatures = doc.memo("class signatures")
     class_moves = doc.memo("class moves")
     by_key = doc.memo("classes by key")
     moves_of = doc.memo("transitions")
-    for r in fresh:
-        check_closed(doc, r, ROOTS_CLOSED)
-    if len(fresh) > max_states:
-        raise StateLimitExceeded(
-            f"{len(fresh)} roots already exceed max_states={max_states}")
     reached = set(fresh)  # counted when found, before their moves are derived
     given: list[StateTerm] = []  # classified during the walk, undone if refused
 
@@ -481,7 +477,7 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             rest = dict.fromkeys(p for p in comp if p not in zero)
             improved = True
             while improved:
-                memo.update(_solve({p: row(plans[p]) for p in rest}))
+                memo.update(solve_linear({p: row(plans[p]) for p in rest}))
                 improved = False
                 for p in rest:
                     pi, answers = moves[p][sigma[p]]
@@ -504,33 +500,3 @@ def bisim_distance(doc: SpecDocument, t1: StateTerm, t2: StateTerm, *,
             close(comp)
         table.update((p, memo[p]) for p in comp)
     return memo[root]
-
-
-def _solve(rows):
-    """The solution of ``x[p] = sum(c * x[q]) + b``, one equation ``({q: c},
-    b)`` per ``p``, where ``I - C`` is non-singular, by exact Gauss-Jordan
-    elimination."""
-    order = list(rows)
-    index = {p: i for i, p in enumerate(order)}
-    n = len(order)
-    matrix = []
-    for i, p in enumerate(order):
-        coeffs, b = rows[p]
-        line = [Fraction(0)] * (n + 1)
-        line[i] = Fraction(1)
-        for q, c in coeffs.items():
-            line[index[q]] -= c
-        line[n] = b
-        matrix.append(line)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if matrix[r][col])
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        head = matrix[col]
-        lead = head[col]
-        if lead != 1:
-            head[:] = [e / lead for e in head]
-        for r in range(n):
-            factor = matrix[r][col]
-            if r != col and factor:
-                matrix[r] = [e - factor * h for e, h in zip(matrix[r], head)]
-    return {p: matrix[i][n] for i, p in enumerate(order)}

@@ -124,25 +124,31 @@ DEFAULT_MAX_STATES = 4096
 ROOTS_CLOSED = "exploration needs closed roots"
 
 
+def checked_roots(doc: SpecDocument, roots: Iterable[StateTerm],
+                  max_states: int) -> list[StateTerm]:
+    """``roots`` without repeats, in order, each checked by
+    :func:`check_closed`; more of them than ``max_states`` raise
+    :class:`StateLimitExceeded`.  Both state walks start here."""
+    out = list(dict.fromkeys(roots))
+    for r in out:
+        check_closed(doc, r, ROOTS_CLOSED)
+    if len(out) > max_states:
+        raise StateLimitExceeded(
+            f"{len(out)} roots already exceed max_states={max_states}")
+    return out
+
+
 def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
                      max_states: int = DEFAULT_MAX_STATES,
                      max_depth: int | None = None) -> ReachableFragment:
-    """Breadth-first closure of ``roots`` under transition supports.
-
-    Raises :class:`StateLimitExceeded` or :class:`DepthLimitExceeded` when a
-    limit cuts the closure short, so the fragment returned is always closed.
+    """Breadth-first closure of ``roots`` under transition supports, within
+    ``max_states`` (an integer) and ``max_depth`` (None for no limit).  A
+    limit that cuts the closure short raises :class:`StateLimitExceeded` or
+    :class:`DepthLimitExceeded`, so the fragment returned is always closed.
     """
-    depth: dict[StateTerm, int] = {}
-    for r in roots:
-        check_closed(doc, r, ROOTS_CLOSED)
-        depth[r] = 0
-
-    if max_states is not None and len(depth) > max_states:
-        raise StateLimitExceeded(
-            f"{len(depth)} roots already exceed max_states={max_states}")
-
+    queue = checked_roots(doc, roots, max_states)
+    depth = dict.fromkeys(queue, 0)
     table: dict[StateTerm, Moves] = {}
-    queue: list[StateTerm] = list(depth)
     for state in queue:  # grows while it is walked
         table[state] = moves = transitions(doc, state)
         d = depth[state] + 1
@@ -154,7 +160,7 @@ def explore_fragment(doc: SpecDocument, roots: Iterable[StateTerm], *,
                     if max_depth is not None and d > max_depth:
                         raise DepthLimitExceeded(f"state at depth {d} "
                                                  f"exceeds max_depth={max_depth}")
-                    if max_states is not None and len(depth) >= max_states:
+                    if len(depth) >= max_states:
                         raise StateLimitExceeded(f"more than max_states="
                                                  f"{max_states} reachable states")
                     depth[succ] = d

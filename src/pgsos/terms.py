@@ -313,6 +313,15 @@ def convex_sum(parts: Iterable[tuple[Fraction, DistTerm]]) -> DistTerm:
 # Rendering (the concrete syntax shared with the CLI)
 # ---------------------------------------------------------------------------
 
+class _Piece(str):
+    """Literal text on :func:`format_term`'s stack, unlike any term."""
+
+    __slots__ = ()
+
+
+_CLOSE, _COMMA, _OPEN, _PLUS = map(_Piece, (")", ", ", "(", " + "))
+
+
 def format_term(t: Term) -> str:
     """Render a term in the concrete syntax.
 
@@ -326,7 +335,7 @@ def format_term(t: Term) -> str:
     while stack:
         u = stack.pop()
         cls = u.__class__
-        if cls is str:
+        if cls is _Piece:
             emit(u)
         elif cls is Apply or cls is DistApply:
             args = u.args
@@ -334,29 +343,29 @@ def format_term(t: Term) -> str:
                 emit(u.op)
             else:
                 emit(u.op + "(")
-                push(")")
+                push(_CLOSE)
                 i = len(args) - 1
                 while i:
                     push(args[i])
-                    push(", ")
+                    push(_COMMA)
                     i -= 1
                 push(args[0])
         elif cls is Variable or cls is DistVariable:
             emit(u.name)
         elif cls is InstDirac:
             emit("delta(")
-            push(")")
+            push(_CLOSE)
             push(u.term)
         elif cls is ConvexSum:
             for i in range(len(u.entries) - 1, -1, -1):
                 theta, q = u.entries[i]
                 if theta.__class__ is ConvexSum:
-                    stack += (")", theta, "(")
+                    stack += (_CLOSE, theta, _OPEN)
                 else:
                     push(theta)
-                push(f"{format_rational(q)}*")
+                push(_Piece(f"{format_rational(q)}*"))
                 if i:
-                    push(" + ")
+                    push(_PLUS)
         else:
             raise TypeError(f"not a term: {u!r}")
     return "".join(out)

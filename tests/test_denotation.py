@@ -245,6 +245,8 @@ def test_fixpoint_property_of_tracked_entries(pa_doc, examples_doc):
         ctx = _StepContext(doc, den.rules_by_op, den.value)
         for e in tracked_entries(doc):
             assert genset_equiv(ctx.step(e), den.value[e]), e
+        with pytest.raises(TypeError, match="not a term"):
+            ctx.term_step(Fraction(1))
 
 
 def test_reactive_testing_of_distribution_arguments(examples_doc):

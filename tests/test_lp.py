@@ -1,15 +1,17 @@
-"""Exact LP: the general simplex on hand-checked instances, and the transport
-kernel against brute-force and dense-LP references."""
+"""Exact LP: the general simplex on hand-checked instances, the transport
+kernel against brute-force and dense-LP references, and the linear-system
+solver by hand and against the simplex."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgsos import lp
-from pgsos.lp import Infeasible, Unbounded, simplex_min, solve_transport
+from pgsos.lp import (Infeasible, Unbounded, simplex_min, solve_linear,
+                      solve_transport)
 
 from helpers import lp_feasible, transport_bruteforce, transport_lp
 
@@ -52,6 +54,51 @@ def test_simplex_detects_unbounded():
 def test_lp_feasible():
     assert lp_feasible([[F(1), F(1)]], [F(1)])
     assert not lp_feasible([[F(1)]], [F(-2)])
+
+
+def test_solve_linear_pivots_a_later_row_where_the_first_is_zero():
+    # x_a = x_a - x_b + 1 and x_b = x_a - 1: the first pivot, on x_a in the
+    # equation of a, is 0, so the equation of b is pivoted there
+    rows = {"a": ({"a": F(1), "b": F(-1)}, F(1)),
+            "b": ({"a": F(1)}, F(-1))}
+    assert solve_linear(rows) == {"a": F(2), "b": F(1)}
+    assert list(solve_linear(rows)) == ["a", "b"]
+
+
+@st.composite
+def transient_systems(draw):
+    """``x = C x + b`` with ``C`` substochastic and ``I - C`` non-singular:
+    every index reaches a row of ``C`` that sums to less than 1."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    c = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        total = sum(weights) + draw(st.integers(0, 2))
+        c.append([F(w, total) if w else F(0) for w in weights])
+    b = draw(st.lists(st.integers(0, 4).map(lambda k: F(k, 4)),
+                      min_size=n, max_size=n))
+    leaking = {i for i in range(n) if sum(c[i]) < 1}
+    grown = True
+    while grown:
+        reach = {i for i in range(n) if any(c[i][j] for j in leaking)}
+        grown = not reach <= leaking
+        leaking |= reach
+    assume(len(leaking) == n)
+    return c, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(transient_systems())
+def test_solve_linear_agrees_with_the_simplex(system):
+    c, b = system
+    n = len(b)
+    rows = {i: ({j: c[i][j] for j in range(n) if c[i][j]}, b[i])
+            for i in range(n)}
+    # the solution is the one non-negative point of (I - C) x = b
+    _, x = simplex_min([F(0)] * n,
+                       [[int(i == j) - c[i][j] for j in range(n)]
+                        for i in range(n)], b)
+    assert solve_linear(rows) == dict(enumerate(x))
 
 
 def test_degenerate_instance_terminates():
@@ -226,6 +273,9 @@ def test_transport_zero_entries_in_the_marginals():
                                  [F(1, 2), F(1, 2), F(0)])
     assert value == F(1, 2) * F(0) + F(1, 2) * F(1, 4)
     assert plan[1] == [0, 0, 0] and all(row[2] == 0 for row in plan)
+    # no mass at all: no transport, an all-zero plan
+    value, plan = _solve_checked(cost, [F(0)] * 3, [F(0)] * 3)
+    assert value == 0 and plan == [[0] * 3] * 3
 
 
 def test_transport_never_calls_the_general_simplex(monkeypatch):

@@ -70,6 +70,7 @@ def test_infinity_arithmetic_conventions():
 
 def test_format_count():
     assert format_count(INF) == "inf"
+    assert repr(INF) == "inf"
     assert format_count(3) == "3"
     assert format_count(F(1, 2)) == "1/2"
 

@@ -13,7 +13,7 @@ import pytest
 
 from pgsos import denotation
 from pgsos.errors import AllSamplesSkipped
-from pgsos.frontend import parse_term
+from pgsos.frontend import parse_spec, parse_term
 from pgsos.oracle import (
     SampleResult,
     evaluate_sample,
@@ -23,7 +23,7 @@ from pgsos.oracle import (
     random_open_term,
     substitution_pair,
 )
-from pgsos.terms import free_vars, state_var
+from pgsos.terms import Variable, free_vars, state_var
 
 from helpers import is_closed, unsound_denotations
 
@@ -69,6 +69,9 @@ def test_random_open_term_draws_from_pool(pa_doc):
         seen_vars |= {v.name for v in free_vars(u)}
     assert seen_vars <= {"x", "y"}
     assert seen_vars  # the pool is actually used
+    # with no operator to apply above depth 0, a draw is a variable
+    consts = parse_spec("actions a;\nop zero : 0;\n")
+    assert random_open_term(random.Random(0), consts, 3, ("x",)) == Variable("x")
 
 
 # -- single samples ---------------------------------------------------------

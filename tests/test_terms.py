@@ -69,12 +69,19 @@ def test_format_term_round_shapes():
     theta = convex_sum([(Fraction(1, 2), InstDirac(ZERO)),
                         (Fraction(1, 2), InstDirac(A_ZERO))])
     assert format_term(theta) == "1/2*delta(zero) + 1/2*delta(a_pref(zero))"
-    # a distribution over states, or a number, is not a term
-    for not_a_term in (FiniteDistribution.dirac(ZERO), Fraction(1)):
+    # a sum built directly inside a sum is printed in parentheses
+    nested = ConvexSum(((theta, Fraction(1, 3)), (InstDirac(X), Fraction(2, 3))))
+    assert format_term(nested) == ("1/3*(1/2*delta(zero) + 1/2*delta(a_pref(zero)))"
+                                   " + 2/3*delta(x)")
+    # a distribution over states, a number or a string is not a term
+    for not_a_term in (FiniteDistribution.dirac(ZERO), Fraction(1), "zero"):
         with pytest.raises(TypeError, match="not a term"):
             format_term(not_a_term)
         with pytest.raises(TypeError, match="not a term"):
             immediate_subterms(not_a_term)
+    # nor is a string anywhere inside a term
+    with pytest.raises(TypeError, match="not a term"):
+        format_term(Apply("par", ("x", ZERO)))
 
 
 def test_convex_sum_flattens_merges_and_collapses():
